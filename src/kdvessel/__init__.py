@@ -10,11 +10,13 @@ reconstruction kernels, moment recursions, and the KdV residual itself).
 from . import core, evolution, soliton, spectral, suite, transfer, verify
 from .core import (
     EvaluatedState,
+    FieldValues,
     FiniteVessel,
     ResidualReport,
     SLParameters,
     beta_of_state,
     evaluate,
+    evaluate_fields,
     evolution_residuals,
     inertia,
     integrate_standard_construction,
@@ -41,6 +43,7 @@ from .soliton import (
     SolitonSpec,
     beta_soliton,
     build_soliton,
+    fields_soliton,
     log_tau_soliton,
     one_soliton_reference,
     q_soliton,

@@ -17,9 +17,10 @@ coupled algebraic and differential conditions:
 Everything a vessel produces -- the tau function det(X0^-1 X(x,t)), the
 integrated potential beta = -(B* X^-1 B)_{11} and the KdV field q = 2 beta'
 -- is derived from these operators.  This module holds the parameter
-matrices, the vessel data model, state evaluation, and residual checks for
-every condition above, plus the generic "integrate B then accumulate X"
-construction from admissible initial data.
+matrices, the vessel data model, state evaluation (one point, or stacked
+over arrays of points with one LU factorization of X per point), and
+residual checks for every condition above, plus the generic "integrate B
+then accumulate X" construction from admissible initial data.
 
 Sign convention: the Lyapunov condition is used in the homogeneous form
 A X + X A* + B sigma1 B* = 0, which is the form the closed-form
@@ -28,6 +29,7 @@ constructions satisfy identically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -45,13 +47,16 @@ __all__ = [
     "sl_parameters",
     "FiniteVessel",
     "EvaluatedState",
+    "FieldValues",
     "ResidualReport",
     "evaluate",
+    "evaluate_fields",
     "linkage_gamma_star",
     "beta_of_state",
     "tau",
     "log_tau",
     "lyapunov_residual",
+    "lyapunov_self_check",
     "normalization_residual",
     "evolution_residuals",
     "inertia",
@@ -66,6 +71,11 @@ SIGMA2 = np.array([[1.0, 0.0], [0.0, 0.0]])
 GAMMA = np.array([[0.0, 0.0], [0.0, 1j]])
 for _m in (SIGMA1, SIGMA2, GAMMA):
     _m.setflags(write=False)
+
+# The stacked evaluator factors at most this many matrix entries at once
+# (2^16: 16 points at n = 64, one at n = 256), so memory stays flat in the
+# grid size.
+_CHUNK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -86,6 +96,36 @@ def _fro(m) -> float:
     return float(np.linalg.norm(m))
 
 
+def _fro_stack(m) -> np.ndarray:
+    """Frobenius norms of a stack of matrices (..., r, c)."""
+    return np.sqrt(np.add.reduce((m.conj() * m).real, axis=(-2, -1)))
+
+
+def _adjoint(m) -> np.ndarray:
+    """Conjugate transpose of each matrix in a stack."""
+    return np.swapaxes(m, -1, -2).conj()
+
+
+def _per_point(vessel, x, t, fn, count: int) -> np.ndarray:
+    """``count`` per-point results of fn(xs, ts) over the broadcast points x, t.
+
+    fn sees 1-D stacks of at most _CHUNK_ENTRIES / n^2 points (at least
+    one); the result has shape (count,) + broadcast shape.
+    """
+    xb, tb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
+    xf, tf = xb.ravel(), tb.ravel()
+    out = np.empty((count, xf.size))
+    step = max(1, _CHUNK_ENTRIES // vessel.n**2)
+    for s in range(0, xf.size, step):
+        out[:, s:s + step] = fn(xf[s:s + step], tf[s:s + step])
+    return out.reshape((count,) + xb.shape)
+
+
+def _first(bad) -> Optional[int]:
+    """Index of the first flagged point of a stack, or None."""
+    return int(bad.argmax()) if bad.any() else None
+
+
 @dataclass(frozen=True)
 class FiniteVessel:
     """A finite-dimensional vessel realization.
@@ -95,8 +135,13 @@ class FiniteVessel:
     function.  ``kind`` tags the construction family
     (soliton | discrete | quadrature | tabulated).
 
-    Instances are immutable and safe to share between threads; the
-    evaluators must be pure functions of (x, t).
+    The evaluators must be pure functions of (x, t).  The shipped constructions
+    broadcast over arrays of points: for x, t of broadcast shape S they
+    return arrays of shape S + (n, 2) and S + (n, n).  X keeps the dtype
+    its construction gives it (real whenever the couplings are real).
+    ``A_diag`` holds the diagonal of A when A is diagonal (every
+    closed-form family), else None; ``log_abs_det_X0`` and ``sign_det_X0``
+    are computed once for the tau function.
     """
 
     n: int
@@ -109,6 +154,9 @@ class FiniteVessel:
     # grids for tabulated vessels
     metadata: Optional[dict] = field(default=None, compare=False)
     spectrum: np.ndarray = field(init=False, compare=False)
+    A_diag: Optional[np.ndarray] = field(init=False, compare=False, repr=False)
+    log_abs_det_X0: float = field(init=False, compare=False, repr=False)
+    sign_det_X0: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=complex)
@@ -117,28 +165,52 @@ class FiniteVessel:
         X0 = np.asarray(self.X0, dtype=complex)
         if _fro(X0 - X0.conj().T) > 1e-12 * (1.0 + _fro(X0)):
             raise InvalidSpecError("X0 must be Hermitian")
-        if abs(np.linalg.det(X0)) == 0.0:
+        sign0, logdet0 = np.linalg.slogdet(X0)
+        if sign0 == 0:
             raise InvalidSpecError("X0 must be invertible")
+        diag = np.diag(A)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "X0", X0)
         object.__setattr__(self, "spectrum", np.linalg.eigvals(A))
+        object.__setattr__(self, "A_diag",
+                           diag if np.array_equal(A, np.diag(diag)) else None)
+        object.__setattr__(self, "log_abs_det_X0", float(logdet0))
+        # X0 is Hermitian, so its determinant is real
+        object.__setattr__(self, "sign_det_X0", float(np.sign(sign0.real)))
 
-    def B(self, x: float, t: float) -> np.ndarray:
-        B = np.asarray(self.B_eval(x, t), dtype=complex)
-        if not np.all(np.isfinite(B)):
-            raise EvaluationError("coupling B overflowed; use log-domain routines", x=x, t=t)
-        return B
+    def _checked(self, values, x, t, what, cols) -> np.ndarray:
+        values = np.asarray(values)
+        sx, st = np.shape(x), np.shape(t)
+        want = (sx if sx == st else np.broadcast_shapes(sx, st)) + (self.n, cols)
+        if values.shape != want:
+            raise InvalidSpecError(
+                f"{what} evaluator returned shape {values.shape}, expected {want}"
+            )
+        if not np.isfinite(values).all():
+            finite = np.isfinite(values).all(axis=(-2, -1))
+            i = np.unravel_index(np.argmin(finite), finite.shape)
+            xb, tb = np.broadcast_arrays(x, t)
+            raise EvaluationError(f"{what} overflowed; use log-domain routines",
+                                  x=float(xb[i]), t=float(tb[i]))
+        return values
 
-    def X(self, x: float, t: float) -> np.ndarray:
-        X = np.asarray(self.X_eval(x, t), dtype=complex)
-        if not np.all(np.isfinite(X)):
-            raise EvaluationError("Gram operator X overflowed; use log-domain routines", x=x, t=t)
-        return X
+    def B(self, x, t) -> np.ndarray:
+        """Coupling B(x, t); broadcasts over arrays of points."""
+        return self._checked(np.asarray(self.B_eval(x, t), dtype=complex), x, t,
+                             "coupling B", 2)
+
+    def X(self, x, t) -> np.ndarray:
+        """Gram operator X(x, t) in its construction's dtype; broadcasts over points."""
+        return self._checked(self.X_eval(x, t), x, t, "Gram operator X", self.n)
 
 
 @dataclass(frozen=True)
 class EvaluatedState:
-    """B, X, X^-1 and the derived scalars at a fixed (x, t), cached for reuse."""
+    """B, X, X^-1 and the derived scalars at a fixed (x, t), cached for reuse.
+
+    ``beta_prime`` is d beta/dx read from the linkage:
+    gamma_*[0,0] = -i(beta' - beta^2); tau = tau_sign * e^log_abs_tau.
+    """
 
     x: float
     t: float
@@ -147,17 +219,38 @@ class EvaluatedState:
     Xinv: np.ndarray
     gamma_star: np.ndarray
     beta: float
-    tau: float
+    beta_prime: float
+    log_abs_tau: float
+    tau_sign: float
 
     @property
-    def beta_prime(self) -> float:
-        """d beta/dx recovered from the linkage: gamma_*[0,0] = -i(beta' - beta^2)."""
-        val = self.beta**2 + 1j * self.gamma_star[0, 0]
-        if abs(val.imag) > 1e-9 * (1.0 + abs(val.real)):
-            raise NumericalConsistencyError(
-                f"beta' has imaginary residue {val.imag:.3e}"
-            )
-        return float(val.real)
+    def tau(self) -> float:
+        with np.errstate(over="ignore"):
+            return float(self.tau_sign * np.exp(self.log_abs_tau))
+
+
+@dataclass(frozen=True)
+class FieldValues:
+    """beta, beta' and tau = tau_sign * e^log_abs_tau on arrays of points.
+
+    All arrays share the broadcast shape of the (x, t) the evaluator was
+    given.  ``tau`` is +-inf where |tau| passes the float range.
+    """
+
+    beta: np.ndarray
+    beta_prime: np.ndarray
+    log_abs_tau: np.ndarray
+    tau_sign: np.ndarray
+
+    @property
+    def q(self) -> np.ndarray:
+        """KdV field q = 2 beta'."""
+        return 2.0 * self.beta_prime
+
+    @property
+    def tau(self) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            return self.tau_sign * np.exp(self.log_abs_tau)
 
 
 @dataclass(frozen=True)
@@ -192,10 +285,17 @@ def linkage_gamma_star(B: np.ndarray, Xinv: np.ndarray) -> np.ndarray:
 
     Returns gamma + sigma2 M sigma1 - sigma1 M sigma2 with M = B* X^-1 B.
     The result has the shape [[-i(beta'-beta^2), -beta], [beta, i]] for the
-    real scalars beta, beta' encoded by the vessel.
+    real scalars beta, beta' encoded by the vessel.  Broadcasts over stacks
+    of (B, X^-1).
     """
-    M = B.conj().T @ Xinv @ B
-    return GAMMA + SIGMA2 @ M @ SIGMA1 - SIGMA1 @ M @ SIGMA2
+    M = _adjoint(B) @ Xinv @ B
+    # gamma + sigma2 M sigma1 - sigma1 M sigma2, entry by entry
+    gs = np.empty(M.shape, dtype=complex)
+    gs[..., 0, 0] = M[..., 0, 1] - M[..., 1, 0]
+    gs[..., 0, 1] = M[..., 0, 0]
+    gs[..., 1, 0] = -M[..., 0, 0]
+    gs[..., 1, 1] = GAMMA[1, 1]
+    return gs
 
 
 def beta_of_state(B: np.ndarray, Xinv: np.ndarray, imag_tol: float = 1e-10) -> float:
@@ -208,6 +308,75 @@ def beta_of_state(B: np.ndarray, Xinv: np.ndarray, imag_tol: float = 1e-10) -> f
     return float(val.real)
 
 
+def _log_tau_stack(vessel, X, x, t, imag_tol):
+    """(log|tau|, sign tau) of a stack X (m, n, n) at the points x, t (m,).
+
+    tau = det X / det X0 from one LU of each X (slogdet).  The sign is
+    complex only for complex X; its imaginary residue relative to
+    max(1, |tau|) must stay below ``imag_tol``.
+    """
+    sign, logdet = np.linalg.slogdet(X)
+    sign = sign / vessel.sign_det_X0
+    logabs = logdet - vessel.log_abs_det_X0
+    if np.iscomplexobj(sign):
+        with np.errstate(over="ignore"):
+            bound = imag_tol * np.maximum(np.exp(-logabs), np.abs(sign.real))
+        i = _first(np.abs(sign.imag) > bound)
+        if i is not None:
+            raise NumericalConsistencyError(
+                f"tau has relative imaginary residue {sign[i].imag:.3e} "
+                f"at ({x[i]}, {t[i]})"
+            )
+        sign = sign.real
+    return logabs, sign
+
+
+def _evaluate_stack(vessel, x, t, B, X, hermit_tol, inverse_tol, imag_tol):
+    """Checked evaluation of one stack of points x, t (m,) with B, X (m, n, .).
+
+    Returns (X symmetrized, X^-1, gamma_*, beta, beta', log|tau|, sign tau),
+    each stacked over the m points.  Every check names the first offending
+    point.
+    """
+    XH = _adjoint(X)
+    asym = _fro_stack(X - XH)
+    i = _first(asym > hermit_tol * (1.0 + _fro_stack(X)))
+    if i is not None:
+        raise NumericalConsistencyError(
+            f"X asymmetry {asym[i]:.3e} exceeds {hermit_tol:.1e}*(1+||X||) "
+            f"at ({x[i]}, {t[i]})"
+        )
+    X = 0.5 * (X + XH)
+    logabs, sign = _log_tau_stack(vessel, X, x, t, imag_tol)
+    i = _first(sign == 0)
+    if i is not None:
+        raise EvaluationError("singular Gram operator", x=float(x[i]), t=float(t[i]))
+    Xinv = np.linalg.inv(X)
+    defect = _fro_stack(Xinv @ X - np.eye(vessel.n))
+    i = _first(defect > inverse_tol * math.sqrt(vessel.n))
+    if i is not None:
+        raise EvaluationError(
+            f"Gram operator too ill-conditioned (inverse defect {defect[i]:.3e})",
+            x=float(x[i]), t=float(t[i]),
+        )
+    gs = linkage_gamma_star(B, Xinv)
+    beta = gs[:, 1, 0]
+    i = _first(np.abs(beta.imag) > imag_tol * (1.0 + np.abs(beta.real)))
+    if i is not None:
+        raise NumericalConsistencyError(
+            f"beta has imaginary residue {beta[i].imag:.3e} above tolerance "
+            f"{imag_tol:.1e} at ({x[i]}, {t[i]})"
+        )
+    beta = beta.real
+    beta_p = beta**2 + 1j * gs[:, 0, 0]
+    i = _first(np.abs(beta_p.imag) > 1e-9 * (1.0 + np.abs(beta_p.real)))
+    if i is not None:
+        raise NumericalConsistencyError(
+            f"beta' has imaginary residue {beta_p[i].imag:.3e} at ({x[i]}, {t[i]})"
+        )
+    return X, Xinv, gs, beta, beta_p.real, logabs, sign
+
+
 def evaluate(
     vessel: FiniteVessel,
     x: float,
@@ -216,79 +385,115 @@ def evaluate(
     inverse_tol: float = 1e-10,
     imag_tol: float = 1e-10,
 ) -> EvaluatedState:
-    """Evaluate a vessel at (x, t) and derive gamma_*, beta and tau.
+    """Evaluate a vessel at (x, t) and derive gamma_*, beta, beta' and tau.
 
+    The one-point case of :func:`evaluate_fields`, keeping B, X and X^-1.
     X is symmetrized to (X + X*)/2 before inversion; the discarded
     asymmetry must stay below ``hermit_tol`` relative to 1 + ||X||.
     Raises EvaluationError if X is singular (or too ill-conditioned for
     ``Xinv X = I`` to hold within ``inverse_tol``).
     """
     B = vessel.B(x, t)
-    X = vessel.X(x, t)
-    scale = 1.0 + _fro(X)
-    asym = _fro(X - X.conj().T)
-    if asym > hermit_tol * scale:
-        raise NumericalConsistencyError(
-            f"X asymmetry {asym:.3e} exceeds {hermit_tol:.1e}*(1+||X||) at ({x}, {t})"
-        )
-    X = 0.5 * (X + X.conj().T)
-    try:
-        Xinv = np.linalg.inv(X)
-    except np.linalg.LinAlgError as exc:
-        raise EvaluationError(f"singular Gram operator: {exc}", x=x, t=t) from exc
-    defect = _fro(Xinv @ X - np.eye(vessel.n))
-    if defect > inverse_tol * np.sqrt(vessel.n):
-        raise EvaluationError(
-            f"Gram operator too ill-conditioned (inverse defect {defect:.3e})", x=x, t=t
-        )
-    gs = linkage_gamma_star(B, Xinv)
-    beta = beta_of_state(B, Xinv, imag_tol=imag_tol)
-    tau_c = np.linalg.det(np.linalg.solve(vessel.X0, X))
-    if abs(tau_c.imag) > imag_tol * max(1.0, abs(tau_c.real)):
-        raise NumericalConsistencyError(
-            f"tau has relative imaginary residue {tau_c.imag:.3e} at ({x}, {t})"
-        )
+    X, Xinv, gs, beta, beta_p, logabs, sign = _evaluate_stack(
+        vessel, np.array([x]), np.array([t]), B[None], vessel.X(x, t)[None],
+        hermit_tol, inverse_tol, imag_tol,
+    )
     return EvaluatedState(
-        x=x, t=t, B=B, X=X, Xinv=Xinv, gamma_star=gs, beta=beta, tau=float(tau_c.real)
+        x=x, t=t, B=B, X=X[0], Xinv=Xinv[0], gamma_star=gs[0], beta=float(beta[0]),
+        beta_prime=float(beta_p[0]), log_abs_tau=float(logabs[0]), tau_sign=float(sign[0]),
     )
 
 
-def tau(vessel: FiniteVessel, x: float, t: float, imag_tol: float = 1e-10) -> float:
-    """Tau function det(X0^-1 X(x, t)).
+def evaluate_fields(
+    vessel: FiniteVessel,
+    x,
+    t,
+    hermit_tol: float = 1e-12,
+    inverse_tol: float = 1e-10,
+    imag_tol: float = 1e-10,
+) -> FieldValues:
+    """beta, beta' and log|tau| with its sign at every point of arrays x, t.
 
-    Raises EvaluationError when the entries of X (or the determinant)
-    overflow; use :func:`log_tau` (or the scaled soliton routines) there.
+    Applies every check of :func:`evaluate` to each point at the same
+    tolerances and raises at the first offending (x, t).  Points go
+    through in stacks of at most _CHUNK_ENTRIES matrix entries: one LU
+    (slogdet) for tau and one inverse per point, in the dtype of X.
     """
-    X = vessel.X(x, t)
-    val = np.linalg.det(np.linalg.solve(vessel.X0, X))
-    if not np.isfinite(val):
-        raise EvaluationError(
-            "tau overflowed; use log_tau / the log-domain route", x=x, t=t
-        )
-    if abs(val.imag) > imag_tol * max(1.0, abs(val.real)):
-        raise NumericalConsistencyError(
-            f"tau has relative imaginary residue {val.imag:.3e} at ({x}, {t})"
-        )
-    return float(val.real)
+    def stack(xs, ts):
+        return _evaluate_stack(vessel, xs, ts, vessel.B(xs, ts), vessel.X(xs, ts),
+                               hermit_tol, inverse_tol, imag_tol)[3:]
+
+    beta, beta_p, logabs, sign = _per_point(vessel, x, t, stack, 4)
+    return FieldValues(beta=beta, beta_prime=beta_p, log_abs_tau=logabs, tau_sign=sign)
+
+
+def _log_tau_point(vessel, x, t, imag_tol):
+    return _log_tau_stack(vessel, vessel.X(x, t)[None], np.array([x]), np.array([t]),
+                          imag_tol)
 
 
 def log_tau(vessel: FiniteVessel, x: float, t: float) -> tuple[float, float]:
-    """(log|tau|, sign) via a sign-tracked LU determinant of X0^-1 X.
+    """(log|tau|, sign) of tau = det X / det X0 from one LU determinant.
 
     Works whenever the entries of X are representable; soliton vessels in
     the deep-overflow regime provide their own scaled variant.
     """
-    X = vessel.X(x, t)
-    sign, logabs = np.linalg.slogdet(np.linalg.solve(vessel.X0, X))
-    return float(logabs), float(np.real(sign))
+    logabs, sign = _log_tau_point(vessel, x, t, 1e-10)
+    return float(logabs[0]), float(sign[0])
 
 
-def lyapunov_residual(vessel: FiniteVessel, x: float, t: float) -> float:
-    """|| A X + X A* + B sigma1 B* ||_F / (1 + ||X||_F)."""
+def tau(vessel: FiniteVessel, x: float, t: float, imag_tol: float = 1e-10) -> float:
+    """Tau function det(X0^-1 X(x, t)) = sign e^{log|tau|}.
+
+    Raises EvaluationError when the entries of X (or the determinant)
+    overflow; use :func:`log_tau` (or the scaled soliton routines) there.
+    """
+    logabs, sign = _log_tau_point(vessel, x, t, imag_tol)
+    with np.errstate(over="ignore"):
+        val = sign[0] * np.exp(logabs[0])
+    if not np.isfinite(val):
+        raise EvaluationError(
+            "tau overflowed; use log_tau / the log-domain route", x=x, t=t
+        )
+    return float(val)
+
+
+def _lyapunov_stack(vessel, x, t) -> np.ndarray:
     B = vessel.B(x, t)
     X = vessel.X(x, t)
-    res = vessel.A @ X + X @ vessel.A.conj().T + B @ SIGMA1 @ B.conj().T
-    return _fro(res) / (1.0 + _fro(X))
+    a = vessel.A_diag
+    if a is None:
+        AX, XAh = vessel.A @ X, X @ vessel.A.conj().T
+    else:  # diagonal A: A X and X A* are row and column scalings
+        AX, XAh = a[:, None] * X, X * a.conj()
+    return _fro_stack(AX + XAh + B @ SIGMA1 @ _adjoint(B)) / (1.0 + _fro_stack(X))
+
+
+def lyapunov_residual(vessel: FiniteVessel, x, t):
+    """|| A X + X A* + B sigma1 B* ||_F / (1 + ||X||_F).
+
+    Broadcasts over arrays of points, evaluated in stacks of at most
+    _CHUNK_ENTRIES matrix entries.
+    """
+    if np.ndim(x) == 0 and np.ndim(t) == 0:
+        return float(_lyapunov_stack(vessel, x, t))
+    return _per_point(vessel, x, t, lambda xs, ts: _lyapunov_stack(vessel, xs, ts), 1)[0]
+
+
+def lyapunov_self_check(vessel: FiniteVessel, check_seed: int = 0) -> None:
+    """Build-time check: Lyapunov residual below 1e-12 at 50 seeded points.
+
+    The points are uniform on [-2, 2] x [-0.5, 0.5], evaluated as one stack.
+    """
+    rng = np.random.default_rng(check_seed)
+    xs, ts = rng.uniform([-2.0, -0.5], [2.0, 0.5], size=(50, 2)).T
+    res = lyapunov_residual(vessel, xs, ts)
+    i = _first(res > 1e-12)
+    if i is not None:
+        raise InvalidSpecError(
+            f"{vessel.kind} self-check failed: Lyapunov residual {res[i]:.3e} "
+            f"at ({xs[i]}, {ts[i]})"
+        )
 
 
 def normalization_residual(vessel: FiniteVessel, x: float, t: float) -> float:
@@ -398,7 +603,8 @@ def integrate_standard_construction(
     must stay below ``lyapunov_tol``.
 
     The returned vessel evaluates only at grid points (x matched to
-    1e-9 relative tolerance) and at the fixed time slice t0.
+    1e-9 relative tolerance) and at the fixed time slice t0; it broadcasts
+    over arrays of such points.
     """
     A = np.asarray(A, dtype=complex)
     B0 = np.asarray(B0, dtype=complex)
@@ -446,11 +652,18 @@ def integrate_standard_construction(
             )
 
     def lookup(x, t):
-        if abs(t - t0) > 1e-12 * max(1.0, abs(t0)):
-            raise EvaluationError("tabulated vessel is a fixed-time slice", x=x, t=t)
-        i = int(np.argmin(np.abs(grid - x)))
-        if abs(grid[i] - x) > 1e-9 * max(1.0, abs(x)):
-            raise EvaluationError("x is not a tabulation grid point", x=x, t=t)
+        # nearest grid index per point (ties to the lower one)
+        x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
+        j = np.clip(np.searchsorted(grid, x), 1, grid.size - 1)
+        i = np.where(np.abs(grid[j - 1] - x) <= np.abs(grid[j] - x), j - 1, j)
+        for bad, what in (
+            (np.abs(t - t0) > 1e-12 * max(1.0, abs(t0)), "tabulated vessel is a fixed-time slice"),
+            (np.abs(grid[i] - x) > 1e-9 * np.maximum(1.0, np.abs(x)),
+             "x is not a tabulation grid point"),
+        ):
+            if bad.any():
+                k = np.unravel_index(np.argmax(bad), bad.shape)
+                raise EvaluationError(what, x=float(x[k]), t=float(t[k]))
         return i
 
     return FiniteVessel(

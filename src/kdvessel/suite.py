@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,13 +57,6 @@ def _gt(check, value, tol, t0, detail="") -> CheckResult:
                        (time.perf_counter() - t0) * 1e3, detail, "gt")
 
 
-def _map(fn, items, threads=1):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(it) for it in items]
-
-
 # ---------------------------------------------------------------------------
 # standard constructions used by the checks
 # ---------------------------------------------------------------------------
@@ -103,7 +95,7 @@ def _q_soliton_field(spec, grid, chunk=200_000):
 # criterion 1: 1-soliton profile identity
 # ---------------------------------------------------------------------------
 
-def check_soliton_profile(level, rng, threads=1):
+def check_soliton_profile(level, rng):
     t0 = time.perf_counter()
     nx, nt = (401, 81) if level == "full" else (101, 21)
     grid = verify.Grid2D(-10.0, 10.0, nx, -2.0, 2.0, nt)
@@ -126,7 +118,7 @@ def check_soliton_profile(level, rng, threads=1):
 # criterion 2: 3-soliton Cauchy determinant
 # ---------------------------------------------------------------------------
 
-def check_cauchy_determinant(level, rng, threads=1):
+def check_cauchy_determinant(level, rng):
     t0 = time.perf_counter()
     spec = soliton.SolitonSpec.from_c([1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
     vessel = soliton.build_soliton(spec, self_check=False)
@@ -150,7 +142,7 @@ def check_cauchy_determinant(level, rng, threads=1):
 # criterion 3: Lyapunov + normalization identities per construction
 # ---------------------------------------------------------------------------
 
-def check_vessel_identities(level, rng, threads=1):
+def check_vessel_identities(level, rng):
     cases = [
         ("soliton", _soliton_vessel([1.0, 2.0, 3.0], [1.0, 1.0, 1.0]), (-2.0, 2.0), (-0.5, 0.5)),
         ("discrete", _discrete_vessel([0.8, 1.25], [0.5, 0.5]), (-1.0, 1.0), (-0.3, 0.3)),
@@ -176,14 +168,14 @@ def check_vessel_identities(level, rng, threads=1):
             _lt(f"vessel_identities.normalization[{name}]", worst_n, 1e-12, t0),
         ]
 
-    return [r for rs in _map(one, cases, threads) for r in rs]
+    return [r for case in cases for r in one(case)]
 
 
 # ---------------------------------------------------------------------------
 # criterion 4: differential vessel conditions, residual + order
 # ---------------------------------------------------------------------------
 
-def check_evolution_conditions(level, rng, threads=1):
+def check_evolution_conditions(level, rng):
     cases = [
         ("soliton", _soliton_vessel([0.6, 0.9], [0.25, 0.25]), 0.25, 0.12),
         ("discrete", _discrete_vessel([0.7, 1.1], [0.6, 0.6]), 0.3, 0.15),
@@ -209,14 +201,14 @@ def check_evolution_conditions(level, rng, threads=1):
                 f"orders per condition: {[round(o, 3) for o in orders]}"),
         ]
 
-    return [r for rs in _map(one, cases, threads) for r in rs]
+    return [r for case in cases for r in one(case)]
 
 
 # ---------------------------------------------------------------------------
 # criterion 5: KdV residual of the 2- and 3-soliton fields
 # ---------------------------------------------------------------------------
 
-def check_kdv_residual(level, rng, threads=1):
+def check_kdv_residual(level, rng):
     t_start = time.perf_counter()
     if level == "full":
         base = verify.Grid2D(-8.0, 8.0, 1601, -1.0, 1.0, 201)  # hx = ht = 0.01
@@ -262,7 +254,7 @@ def _sample_lambdas(rng, vessel, count):
     return lams
 
 
-def check_transfer_function(level, rng, threads=1):
+def check_transfer_function(level, rng):
     cases = [
         ("soliton1", _soliton_vessel([1.2], [1.0])),
         ("soliton2", _soliton_vessel([0.8, 1.3], [1.0, 1.0])),
@@ -294,14 +286,14 @@ def check_transfer_function(level, rng, threads=1):
                 "lambda = -i, centered grid h = 1e-3"),
         ]
 
-    return [r for rs in _map(one, cases, threads) for r in rs]
+    return [r for case in cases for r in one(case)]
 
 
 # ---------------------------------------------------------------------------
 # criterion 7: Gelfand-Levitan kernel identity
 # ---------------------------------------------------------------------------
 
-def check_gelfand_levitan(level, rng, threads=1):
+def check_gelfand_levitan(level, rng):
     cases = [
         ("soliton1", _soliton_vessel([1.0], [1.0])),
         ("soliton2", _soliton_vessel([0.7, 1.1], [0.5, 0.5])),
@@ -331,7 +323,7 @@ _FIXED_VECTOR_NOTE = (
 )
 
 
-def check_fixed_vector(level, rng, threads=1):
+def check_fixed_vector(level, rng):
     npts = 50 if level == "full" else 15
     out = []
     t0 = time.perf_counter()
@@ -353,7 +345,7 @@ def check_fixed_vector(level, rng, threads=1):
 # criterion 9: moment recursion
 # ---------------------------------------------------------------------------
 
-def check_moment_recursion(level, rng, threads=1):
+def check_moment_recursion(level, rng):
     t0 = time.perf_counter()
     vessel = _soliton_vessel([1.0], [1.0])
     npts = 10 if level == "full" else 4
@@ -398,7 +390,7 @@ def _dbnt_brute(lattice, p, t):
     return out
 
 
-def check_coefficient_evolution(level, rng, threads=1):
+def check_coefficient_evolution(level, rng):
     lat = evolution.make_lattice(1.0, 2)
     out = []
 
@@ -461,7 +453,7 @@ _PERIODICITY_NOTE = (
 )
 
 
-def check_periodicity(level, rng, threads=1):
+def check_periodicity(level, rng):
     t0 = time.perf_counter()
     T = 2.0 * np.pi
     T_t = T**3 / (2.0 * np.pi) ** 2
@@ -490,7 +482,7 @@ def check_periodicity(level, rng, threads=1):
 # criterion 12: kernel-diagonal potential sign resolution
 # ---------------------------------------------------------------------------
 
-def check_kernel_diag_sign(level, rng, threads=1):
+def check_kernel_diag_sign(level, rng):
     t0 = time.perf_counter()
     sol_spec = soliton.SolitonSpec.from_c([1.2], [1.0])
     cases = [
@@ -545,7 +537,7 @@ EXPECTED_FAILURES = (
 )
 
 
-def run_suite(level="full", seed=20240601, checks=None, threads=1):
+def run_suite(level="full", seed=20240601, checks=None):
     """Run the named checks; returns (header dict, list of CheckResult)."""
     if level not in ("quick", "full"):
         raise ValueError("level must be 'quick' or 'full'")
@@ -558,7 +550,7 @@ def run_suite(level="full", seed=20240601, checks=None, threads=1):
     for name in names:
         # crc32 keeps the per-check substream stable across processes
         rng = np.random.default_rng([seed, zlib.crc32(name.encode())])
-        results.extend(CHECKS[name](level, rng, threads))
+        results.extend(CHECKS[name](level, rng))
     header = {
         "level": level,
         "seed": seed,

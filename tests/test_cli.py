@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+import kdvessel as kv
 from kdvessel.cli import main
 from kdvessel.suite import EXPECTED_FAILURES
 
@@ -46,6 +48,42 @@ class TestFieldDump:
                     "--out", str(out)])
         assert code == 0
         assert out.read_text().splitlines()[0] == "x,t,tau,beta,q"
+
+    def test_spectral_q_is_exact_on_the_x_boundary(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        grid = {"x_min": -1.0, "x_max": 1.0, "nx": 9, "t_min": -0.2, "t_max": 0.2, "nt": 9}
+        cfg.write_text(json.dumps({"grid": grid}))
+        out = tmp_path / "spec.csv"
+        assert run(["spectral", "--k", "0.7,1.1", "--b-abs", "0.6,0.6",
+                    "--config", str(cfg), "--out", str(out)]) == 0
+        data = np.loadtxt(out, delimiter=",", skiprows=1).reshape(9, 9, 5)
+        assert np.all(np.isfinite(data))
+        vessel = kv.build_discrete_vessel(
+            kv.DiscreteSpectrum(k=np.array([0.7, 1.1]), b=np.array([0.6, 0.6], dtype=complex)))
+        for row in (*data[0], *data[-1]):
+            x, t, tau, beta, q = row
+            state = kv.evaluate(vessel, x, t)
+            assert q == pytest.approx(2.0 * state.beta_prime, rel=1e-12, abs=1e-14)
+            assert beta == pytest.approx(state.beta, rel=1e-12, abs=1e-14)
+            assert tau == pytest.approx(state.tau, rel=1e-12)
+
+    def test_wide_soliton_grid_writes_inf_tau(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        grid = {"x_min": -200.0, "x_max": 200.0, "nx": 401,
+                "t_min": -0.05, "t_max": 0.05, "nt": 9}
+        cfg.write_text(json.dumps({"grid": grid}))
+        out = tmp_path / "wide.csv"
+        assert run(["soliton", "--k", "3", "--b-abs", "2", "--config", str(cfg),
+                    "--out", str(out)]) == 0
+        data = np.loadtxt(out, delimiter=",", skiprows=1).reshape(401, 9, 5)
+        x, t, tau, beta, q = np.moveaxis(data, -1, 0)
+        assert np.all(np.isfinite(beta)) and np.all(np.isfinite(q))
+        logtau, sign = kv.log_tau_soliton(kv.SolitonSpec(k=[3.0], b=[2.0]), x, t)
+        assert np.all(sign == 1.0)
+        beyond = logtau > np.log(np.finfo(float).max)
+        assert beyond.any() and not beyond.all()
+        assert np.array_equal(np.isinf(tau), beyond)
+        assert np.all(tau[beyond] > 0)
 
     def test_negative_wavenumber_is_config_error(self, tmp_path):
         code = run(["soliton", "--k", "-1", "--b-abs", "1", "--out",
@@ -106,6 +144,13 @@ class TestCheckCommands:
         out = tmp_path / "report.json"
         assert run(["verify", "--out", str(out)]) == 0
 
+    def test_transfer_nonpositive_residual_is_numerical_failure(self, monkeypatch, capsys):
+        # a zero residual at h/2 would give order = inf and a PASS unguarded
+        monkeypatch.setattr(kv.transfer, "ds_residual",
+                            lambda vessel, lam, x, t, h: 1e-6 if h == 1e-3 else 0.0)
+        assert run(["transfer"]) == 3
+        assert "transfer.ds_order" in capsys.readouterr().err
+
 
 class TestSuite:
     def test_quick_suite_reports_known_failures(self, tmp_path):
@@ -144,12 +189,3 @@ class TestSuite:
         assert code == 0
         report = json.loads((tmp_path / "report.json").read_text())
         assert all(c["pass"] and c["tolerance"] == 100.0 for c in report["checks"])
-
-    def test_threads_reproduce_serial_values(self, tmp_path):
-        from kdvessel.suite import run_suite
-
-        _, serial = run_suite(level="quick", seed=3, checks=["vessel_identities"])
-        _, pooled = run_suite(level="quick", seed=3, checks=["vessel_identities"],
-                              threads=2)
-        assert [(r.check, r.value) for r in sorted(serial, key=lambda r: r.check)] == \
-               [(r.check, r.value) for r in sorted(pooled, key=lambda r: r.check)]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kdvessel as kv
 from kdvessel import core
@@ -312,3 +314,144 @@ class TestStandardConstruction:
             vessel.B(0.05001, 0.0)
         with pytest.raises(kv.EvaluationError):
             vessel.B(0.1, 1.0)  # wrong time slice
+
+
+# ---------------------------------------------------------------------------
+# the stacked evaluator against the one-point evaluator
+# ---------------------------------------------------------------------------
+
+def _distinct(draw, n, lo, hi, gap):
+    """n sorted draws from [lo, hi] at least ``gap`` apart (evenly spaced if not)."""
+    vals = sorted(draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
+    if any(b - a < gap for a, b in zip(vals, vals[1:])):
+        vals = [lo + gap * i for i in range(n)]
+    return np.array(vals)
+
+
+@st.composite
+def soliton_vessels(draw):
+    n = draw(st.integers(1, 3))
+    k = _distinct(draw, n, 0.5, 2.0, 0.2)
+    b = np.array(draw(st.lists(st.floats(0.3, 1.5), min_size=n, max_size=n)))
+    return kv.build_soliton(kv.SolitonSpec(k=k, b=b.astype(complex)), self_check=False)
+
+
+@st.composite
+def discrete_vessels(draw, complex_b):
+    n = draw(st.integers(2 if complex_b else 1, 4))
+    k = _distinct(draw, n, 0.7, 2.5, 0.1)
+    mod = np.array(draw(st.lists(st.floats(0.05, 0.25), min_size=n, max_size=n)))
+    # relative phases 0.7 apart keep b_i conj(b_j), and so X, complex
+    phase = draw(st.floats(-np.pi, np.pi)) + 0.7 * np.arange(n)
+    b = mod * np.exp(1j * phase) if complex_b else mod.astype(complex)
+    return kv.build_discrete_vessel(kv.DiscreteSpectrum(k=k, b=b), self_check=False)
+
+
+@st.composite
+def quadrature_vessels(draw):
+    n = draw(st.sampled_from([8, 16, 32]))
+    amp = draw(st.floats(0.2, 0.6))
+    spec = kv.gauss_legendre_spectrum(draw(st.floats(0.8, 1.5)), n,
+                                      lambda s: amp * np.exp(-(s**2)))
+    return kv.build_quadrature_vessel(spec, self_check=False)
+
+
+def _points(draw, count, x_range, t_range):
+    xs = draw(st.lists(st.floats(*x_range), min_size=count, max_size=count))
+    ts = draw(st.lists(st.floats(*t_range), min_size=count, max_size=count))
+    return np.array(xs), np.array(ts)
+
+
+def _assert_batch_matches_pointwise(vessel, xs, ts):
+    fields = kv.evaluate_fields(vessel, xs, ts)
+    assert fields.beta.shape == xs.shape
+    for i, (x, t) in enumerate(zip(xs, ts)):
+        state = kv.evaluate(vessel, x, t)
+        assert fields.beta[i] == pytest.approx(state.beta, rel=1e-12, abs=1e-14)
+        assert fields.beta_prime[i] == pytest.approx(state.beta_prime, rel=1e-12, abs=1e-14)
+        assert fields.q[i] == 2.0 * fields.beta_prime[i]
+        assert fields.tau[i] == pytest.approx(state.tau, rel=1e-12)
+
+
+class TestEvaluateFields:
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_soliton_batch_matches_pointwise(self, data):
+        vessel = data.draw(soliton_vessels())
+        # moderate phases |k x + k^3 t| <= 5.4 keep the inverse defect far
+        # below the evaluator's bound
+        _assert_batch_matches_pointwise(vessel, *_points(data.draw, 7, (-1.5, 1.5), (-0.3, 0.3)))
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data(), complex_b=st.booleans())
+    def test_discrete_batch_matches_pointwise(self, data, complex_b):
+        vessel = data.draw(discrete_vessels(complex_b))
+        assert np.iscomplexobj(vessel.X(0.3, 0.1)) == complex_b
+        _assert_batch_matches_pointwise(vessel, *_points(data.draw, 7, (-1.5, 1.5), (-0.3, 0.3)))
+
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_quadrature_batch_matches_pointwise(self, data):
+        vessel = data.draw(quadrature_vessels())
+        _assert_batch_matches_pointwise(vessel, *_points(data.draw, 5, (-1.5, 1.5), (-0.3, 0.3)))
+
+    @settings(max_examples=10, deadline=None)
+    @given(idx=st.lists(st.integers(0, 100), min_size=1, max_size=12))
+    def test_tabulated_batch_matches_pointwise(self, one_soliton, idx):
+        _, closed = one_soliton
+        grid = np.linspace(-0.5, 0.5, 101)
+        vessel = kv.integrate_standard_construction(
+            closed.A, closed.B(-0.5, 0.0), closed.X(-0.5, 0.0), -0.5, grid
+        )
+        xs = grid[idx]
+        _assert_batch_matches_pointwise(vessel, xs, np.zeros_like(xs))
+
+    def test_batch_not_a_multiple_of_the_chunk(self, quadrature_64):
+        per_chunk = core._CHUNK_ENTRIES // 64**2
+        xs = np.linspace(-1.0, 1.0, 37)
+        assert xs.size % per_chunk != 0
+        _assert_batch_matches_pointwise(quadrature_64, xs, np.full(xs.size, 0.05))
+
+    def test_broadcasts_grid_shapes(self, discrete_12):
+        _, vessel = discrete_12
+        X, T = np.meshgrid(np.linspace(-1, 1, 5), np.linspace(-0.2, 0.2, 3), indexing="ij")
+        fields = kv.evaluate_fields(vessel, X, T)
+        assert fields.beta.shape == fields.tau.shape == (5, 3)
+        assert fields.beta[4, 2] == kv.evaluate_fields(vessel, X[4, 2], T[4, 2]).beta
+
+    def test_singular_point_is_named(self):
+        vessel = _gram_vessel(lambda x: x, lambda x: x)  # X = [[1, x], [x, 1]]
+        with pytest.raises(kv.EvaluationError, match="singular") as exc:
+            kv.evaluate_fields(vessel, np.array([0.0, 0.25, 1.0, 0.5]), 0.0)
+        assert (exc.value.x, exc.value.t) == (1.0, 0.0)
+
+    def test_asymmetry_guard_fires_inside_a_batch(self):
+        vessel = _gram_vessel(lambda x: np.where(x == 0.5, 1e-6, 0.0), lambda x: 0.0 * x)
+        kv.evaluate_fields(vessel, np.array([0.0, 0.25]), 0.0)
+        with pytest.raises(kv.NumericalConsistencyError, match=r"at \(0\.5, 0\.0\)"):
+            kv.evaluate_fields(vessel, np.array([0.0, 0.25, 0.5, 0.75]), 0.0)
+
+
+def _gram_vessel(upper, lower):
+    """n = 2, B = 0 and X = [[1, upper(x)], [lower(x), 1]], broadcasting."""
+    def X_eval(x, t):
+        x = np.asarray(x, dtype=float) + 0.0 * np.asarray(t, dtype=float)
+        X = np.zeros(x.shape + (2, 2))
+        X[..., 0, 0] = X[..., 1, 1] = 1.0
+        X[..., 0, 1], X[..., 1, 0] = upper(x), lower(x)
+        return X
+
+    return kv.FiniteVessel(
+        n=2,
+        A=np.diag([-1j, -4j]),
+        B_eval=lambda x, t: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(t)) + (2, 2)),
+        X_eval=X_eval,
+        X0=np.eye(2, dtype=complex),
+        kind="custom",
+    )
+
+
+@pytest.fixture(scope="module")
+def quadrature_64():
+    spec = kv.gauss_legendre_spectrum(1.2, 64, lambda s: 0.5 * np.exp(-(s**2)))
+    return kv.build_quadrature_vessel(spec, self_check=False)
