@@ -77,6 +77,13 @@ for _m in (SIGMA1, SIGMA2, GAMMA):
 # grid size.
 _CHUNK_ENTRIES = 2**16
 
+# Tolerances of state evaluation: the discarded asymmetry of X relative to
+# 1 + ||X||, the inverse defect ||X^-1 X - I|| per sqrt(n), and the
+# imaginary residues of beta and tau.
+_HERMIT_TOL = 1e-12
+_INVERSE_TOL = 1e-10
+_IMAG_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class SLParameters:
@@ -180,8 +187,7 @@ class FiniteVessel:
 
     def _checked(self, values, x, t, what, cols) -> np.ndarray:
         values = np.asarray(values)
-        sx, st = np.shape(x), np.shape(t)
-        want = (sx if sx == st else np.broadcast_shapes(sx, st)) + (self.n, cols)
+        want = np.broadcast_shapes(np.shape(x), np.shape(t)) + (self.n, cols)
         if values.shape != want:
             raise InvalidSpecError(
                 f"{what} evaluator returned shape {values.shape}, expected {want}"
@@ -298,37 +304,61 @@ def linkage_gamma_star(B: np.ndarray, Xinv: np.ndarray) -> np.ndarray:
     return gs
 
 
-def beta_of_state(B: np.ndarray, Xinv: np.ndarray, imag_tol: float = 1e-10) -> float:
-    """Integrated potential beta = -(B* X^-1 B)_{11} = -tau'/tau."""
-    val = -(B[:, 0].conj() @ Xinv @ B[:, 0])
-    if abs(val.imag) > imag_tol * (1.0 + abs(val.real)):
+def _beta_of_gamma_star(gs, imag_tol, x=None, t=None) -> np.ndarray:
+    """Real beta = (gamma_*)_{21} of a stack of gamma_*, residue-checked.
+
+    The imaginary residue must stay below ``imag_tol`` relative to
+    1 + |beta|; the error names the first offending point when the stack's
+    points x, t are given.
+    """
+    beta = gs[..., 1, 0]
+    bad = np.ravel(np.abs(beta.imag) > imag_tol * (1.0 + np.abs(beta.real)))
+    i = _first(bad)
+    if i is not None:
+        at = "" if x is None else f" at ({x[i]}, {t[i]})"
         raise NumericalConsistencyError(
-            f"beta has imaginary residue {val.imag:.3e} above tolerance {imag_tol:.1e}"
+            f"beta has imaginary residue {np.ravel(beta)[i].imag:.3e} above "
+            f"tolerance {imag_tol:.1e}{at}"
         )
-    return float(val.real)
+    return beta.real
 
 
-def _log_tau_stack(vessel, X, x, t, imag_tol):
-    """(log|tau|, sign tau) of a stack X (m, n, n) at the points x, t (m,).
+def beta_of_state(B: np.ndarray, Xinv: np.ndarray, imag_tol: float = _IMAG_TOL):
+    """Integrated potential beta = -(B* X^-1 B)_{11} = -tau'/tau.
 
-    tau = det X / det X0 from one LU of each X (slogdet).  The sign is
-    complex only for complex X; its imaginary residue relative to
-    max(1, |tau|) must stay below ``imag_tol``.
+    A float for one (B, X^-1); broadcasts over stacks.
+    """
+    beta = _beta_of_gamma_star(linkage_gamma_star(B, Xinv), imag_tol)
+    return float(beta) if beta.ndim == 0 else beta
+
+
+def _log_tau_stack(vessel, X):
+    """(log|tau|, sign tau) of a stack X (m, n, n): tau = det X / det X0.
+
+    One LU of each X (slogdet).  The sign is complex for complex X; see
+    :func:`_real_tau_sign`.
     """
     sign, logdet = np.linalg.slogdet(X)
-    sign = sign / vessel.sign_det_X0
-    logabs = logdet - vessel.log_abs_det_X0
-    if np.iscomplexobj(sign):
-        with np.errstate(over="ignore"):
-            bound = imag_tol * np.maximum(np.exp(-logabs), np.abs(sign.real))
-        i = _first(np.abs(sign.imag) > bound)
-        if i is not None:
-            raise NumericalConsistencyError(
-                f"tau has relative imaginary residue {sign[i].imag:.3e} "
-                f"at ({x[i]}, {t[i]})"
-            )
-        sign = sign.real
-    return logabs, sign
+    return logdet - vessel.log_abs_det_X0, sign / vessel.sign_det_X0
+
+
+def _real_tau_sign(logabs, sign, x, t, imag_tol) -> np.ndarray:
+    """The real sign of tau at the stack's points x, t.
+
+    A complex sign's imaginary residue relative to max(1, |tau|) must stay
+    below ``imag_tol``.
+    """
+    if not np.iscomplexobj(sign):
+        return sign
+    with np.errstate(over="ignore"):
+        bound = imag_tol * np.maximum(np.exp(-logabs), np.abs(sign.real))
+    i = _first(np.abs(sign.imag) > bound)
+    if i is not None:
+        raise NumericalConsistencyError(
+            f"tau has relative imaginary residue {sign[i].imag:.3e} "
+            f"at ({x[i]}, {t[i]})"
+        )
+    return sign.real
 
 
 def _evaluate_stack(vessel, x, t, B, X, hermit_tol, inverse_tol, imag_tol):
@@ -347,7 +377,7 @@ def _evaluate_stack(vessel, x, t, B, X, hermit_tol, inverse_tol, imag_tol):
             f"at ({x[i]}, {t[i]})"
         )
     X = 0.5 * (X + XH)
-    logabs, sign = _log_tau_stack(vessel, X, x, t, imag_tol)
+    logabs, sign = _log_tau_stack(vessel, X)
     i = _first(sign == 0)
     if i is not None:
         raise EvaluationError("singular Gram operator", x=float(x[i]), t=float(t[i]))
@@ -360,14 +390,8 @@ def _evaluate_stack(vessel, x, t, B, X, hermit_tol, inverse_tol, imag_tol):
             x=float(x[i]), t=float(t[i]),
         )
     gs = linkage_gamma_star(B, Xinv)
-    beta = gs[:, 1, 0]
-    i = _first(np.abs(beta.imag) > imag_tol * (1.0 + np.abs(beta.real)))
-    if i is not None:
-        raise NumericalConsistencyError(
-            f"beta has imaginary residue {beta[i].imag:.3e} above tolerance "
-            f"{imag_tol:.1e} at ({x[i]}, {t[i]})"
-        )
-    beta = beta.real
+    beta = _beta_of_gamma_star(gs, imag_tol, x, t)
+    sign = _real_tau_sign(logabs, sign, x, t, imag_tol)
     beta_p = beta**2 + 1j * gs[:, 0, 0]
     i = _first(np.abs(beta_p.imag) > 1e-9 * (1.0 + np.abs(beta_p.real)))
     if i is not None:
@@ -381,9 +405,9 @@ def evaluate(
     vessel: FiniteVessel,
     x: float,
     t: float,
-    hermit_tol: float = 1e-12,
-    inverse_tol: float = 1e-10,
-    imag_tol: float = 1e-10,
+    hermit_tol: float = _HERMIT_TOL,
+    inverse_tol: float = _INVERSE_TOL,
+    imag_tol: float = _IMAG_TOL,
 ) -> EvaluatedState:
     """Evaluate a vessel at (x, t) and derive gamma_*, beta, beta' and tau.
 
@@ -404,32 +428,25 @@ def evaluate(
     )
 
 
-def evaluate_fields(
-    vessel: FiniteVessel,
-    x,
-    t,
-    hermit_tol: float = 1e-12,
-    inverse_tol: float = 1e-10,
-    imag_tol: float = 1e-10,
-) -> FieldValues:
+def evaluate_fields(vessel: FiniteVessel, x, t) -> FieldValues:
     """beta, beta' and log|tau| with its sign at every point of arrays x, t.
 
-    Applies every check of :func:`evaluate` to each point at the same
+    Applies every check of :func:`evaluate` to each point at its default
     tolerances and raises at the first offending (x, t).  Points go
     through in stacks of at most _CHUNK_ENTRIES matrix entries: one LU
     (slogdet) for tau and one inverse per point, in the dtype of X.
     """
     def stack(xs, ts):
         return _evaluate_stack(vessel, xs, ts, vessel.B(xs, ts), vessel.X(xs, ts),
-                               hermit_tol, inverse_tol, imag_tol)[3:]
+                               _HERMIT_TOL, _INVERSE_TOL, _IMAG_TOL)[3:]
 
     beta, beta_p, logabs, sign = _per_point(vessel, x, t, stack, 4)
     return FieldValues(beta=beta, beta_prime=beta_p, log_abs_tau=logabs, tau_sign=sign)
 
 
 def _log_tau_point(vessel, x, t, imag_tol):
-    return _log_tau_stack(vessel, vessel.X(x, t)[None], np.array([x]), np.array([t]),
-                          imag_tol)
+    logabs, sign = _log_tau_stack(vessel, vessel.X(x, t)[None])
+    return logabs, _real_tau_sign(logabs, sign, np.array([x]), np.array([t]), imag_tol)
 
 
 def log_tau(vessel: FiniteVessel, x: float, t: float) -> tuple[float, float]:
@@ -438,11 +455,11 @@ def log_tau(vessel: FiniteVessel, x: float, t: float) -> tuple[float, float]:
     Works whenever the entries of X are representable; soliton vessels in
     the deep-overflow regime provide their own scaled variant.
     """
-    logabs, sign = _log_tau_point(vessel, x, t, 1e-10)
+    logabs, sign = _log_tau_point(vessel, x, t, _IMAG_TOL)
     return float(logabs[0]), float(sign[0])
 
 
-def tau(vessel: FiniteVessel, x: float, t: float, imag_tol: float = 1e-10) -> float:
+def tau(vessel: FiniteVessel, x: float, t: float, imag_tol: float = _IMAG_TOL) -> float:
     """Tau function det(X0^-1 X(x, t)) = sign e^{log|tau|}.
 
     Raises EvaluationError when the entries of X (or the determinant)
@@ -473,9 +490,11 @@ def lyapunov_residual(vessel: FiniteVessel, x, t):
     """|| A X + X A* + B sigma1 B* ||_F / (1 + ||X||_F).
 
     Broadcasts over arrays of points, evaluated in stacks of at most
-    _CHUNK_ENTRIES matrix entries.
+    _CHUNK_ENTRIES matrix entries; a float for scalar x and t.
     """
     if np.ndim(x) == 0 and np.ndim(t) == 0:
+        # one point goes to the evaluators as scalars: a vessel's B_eval and
+        # X_eval need not broadcast (the zero-coupling test vessel does not)
         return float(_lyapunov_stack(vessel, x, t))
     return _per_point(vessel, x, t, lambda xs, ts: _lyapunov_stack(vessel, xs, ts), 1)[0]
 

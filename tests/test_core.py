@@ -162,6 +162,43 @@ class TestLyapunov:
         X_diag[0, 0] += 1e-3
         assert res_of(X_diag) == pytest.approx(res_of(X), abs=1e-15)
 
+    def test_non_diagonal_generator(self, three_soliton):
+        # a unitary change of basis U keeps every vessel condition and
+        # B* X^-1 B, but makes A non-diagonal, so the residual takes the
+        # general A X and X A* products
+        _, vessel = three_soliton
+        rng = np.random.default_rng(5)
+        U, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        Uh = U.conj().T
+        rotated = kv.FiniteVessel(
+            n=3, A=U @ vessel.A @ Uh, B_eval=lambda x, t: U @ vessel.B(x, t),
+            X_eval=lambda x, t: U @ vessel.X(x, t) @ Uh, X0=U @ vessel.X0 @ Uh,
+            kind="rotated",
+        )
+        assert rotated.A_diag is None
+        xs, ts = rng.uniform(-2, 2, 20), rng.uniform(-0.5, 0.5, 20)
+        res = kv.lyapunov_residual(rotated, xs, ts)
+        assert res.shape == (20,) and np.all(res < 1e-12)
+        core.lyapunov_self_check(rotated)
+        # complex X: near x = 0.7, t = 0.3 (cond X ~ 7e8) the rotation's
+        # rounding fails the inverse defect, before the tau residue check
+        with pytest.raises(kv.EvaluationError, match="ill-conditioned"):
+            kv.evaluate_fields(rotated, np.array([0.0, 0.72]), 0.3)
+        xs, ts = 0.5 * xs, 0.5 * ts
+        np.testing.assert_allclose(kv.evaluate_fields(rotated, xs, ts).beta,
+                                   kv.evaluate_fields(vessel, xs, ts).beta, atol=1e-12)
+        # a corruption of X is detected, at the size the plain products give
+        bad = kv.FiniteVessel(
+            n=3, A=rotated.A, B_eval=rotated.B_eval,
+            X_eval=lambda x, t: rotated.X(x, t) + 1e-3 * np.eye(3)[[1, 0, 2]],
+            X0=rotated.X0, kind="rotated",
+        )
+        X, B, A = bad.X(0.1, 0.0), bad.B(0.1, 0.0), bad.A
+        r = A @ X + X @ A.conj().T + B @ core.SIGMA1 @ B.conj().T
+        expected = np.linalg.norm(r) / (1.0 + np.linalg.norm(X))
+        assert expected > 1e-4
+        assert kv.lyapunov_residual(bad, 0.1, 0.0) == pytest.approx(expected, rel=1e-12)
+
 
 class TestNormalization:
     def test_shipped_generators_are_skew_hermitian(self, three_soliton, discrete_12,
