@@ -25,7 +25,6 @@ from .core import (
     lyapunov_residual,
     normalization_residual,
     sl_parameters,
-    tau,
 )
 from .evolution import BTrajectory, Lattice, beta_from_b, dbnt_rhs, integrate_b, make_lattice
 from .exceptions import (

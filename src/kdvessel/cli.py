@@ -152,21 +152,21 @@ def _write_text(path, text):
 # field dumps
 # ---------------------------------------------------------------------------
 
-def _fields(vessel, spec, grid):
+def _fields(vessel, grid):
     """beta, beta' and tau of a vessel on every grid point, indexed [ix, it].
 
-    Solitons use the overflow-safe scaled traces (tau = inf past the float
-    range); other vessels go through the batched evaluator.
+    Solitons use the overflow-safe scaled evaluator (tau = inf past the
+    float range); other vessels go through the batched evaluator.
     """
     X, T = np.meshgrid(grid.xs, grid.ts, indexing="ij")
     if vessel.kind == "soliton":
-        return soliton.fields_soliton(spec, X, T)
+        return soliton.fields_soliton(vessel.metadata["spec"], X, T)
     return core.evaluate_fields(vessel, X, T)
 
 
-def _field_rows(vessel, spec, grid):
+def _field_rows(vessel, grid):
     """CSV rows x,t,tau,beta,q with the exact q = 2 beta'."""
-    fields = _fields(vessel, spec, grid)
+    fields = _fields(vessel, grid)
     tau_vals, beta_vals, q_vals = fields.tau, fields.beta, fields.q
     rows = [_FIELD_HEADER]
     for i, x in enumerate(grid.xs):
@@ -190,9 +190,9 @@ def _cmd_field_dump(args, vessel_type):
         "x_min": -5.0, "x_max": 5.0, "nx": 41, "t_min": -0.5, "t_max": 0.5, "nt": 9,
     })
     _apply_output_config(args, cfg)
-    vessel, spec = build_vessel_from_config(vcfg)
+    vessel, _ = build_vessel_from_config(vcfg)
     grid = grid_from_config(gcfg)
-    _write_text(args.out, _field_rows(vessel, spec, grid))
+    _write_text(args.out, _field_rows(vessel, grid))
     return 0
 
 
@@ -264,10 +264,8 @@ def _cmd_transfer(args):
         suite.CheckResult("transfer.ds_order", order, 1.9, order > 1.9,
                           (time.perf_counter() - t0) * 1e3, "", "gt"),
     ]
-    header = {"level": "custom", "seed": args.seed, "checks": ["transfer"],
-              "runtime_ms": (time.perf_counter() - t0) * 1e3,
-              "n_pass": sum(r.passed for r in results),
-              "n_fail": sum(not r.passed for r in results)}
+    header = suite.report_header("custom", args.seed, ["transfer"],
+                                 (time.perf_counter() - t0) * 1e3, results)
     return _emit_report(args, header, results)
 
 
@@ -292,10 +290,8 @@ def _cmd_scatter(args):
         suite.CheckResult("scatter.sign_sigma", float(rep.sigma), 1.0, rep.sigma == 1,
                           (time.perf_counter() - t0) * 1e3, rep.describe(), "gt"),
     ]
-    header = {"level": "custom", "seed": args.seed, "checks": ["scatter"],
-              "runtime_ms": (time.perf_counter() - t0) * 1e3,
-              "n_pass": sum(r.passed for r in results),
-              "n_fail": sum(not r.passed for r in results)}
+    header = suite.report_header("custom", args.seed, ["scatter"],
+                                 (time.perf_counter() - t0) * 1e3, results)
     return _emit_report(args, header, results)
 
 
@@ -303,12 +299,12 @@ def _cmd_verify(args):
     cfg = _load_config(args)
     vcfg = cfg.get("vessel", {"type": "soliton", "k": [0.8, 1.3],
                               "b_abs": [1.2649110640673518, 1.61245154965971]})
-    vessel, spec = build_vessel_from_config(vcfg)
+    vessel, _ = build_vessel_from_config(vcfg)
     gcfg = cfg.get("grid", {"x_min": -6.0, "x_max": 6.0, "nx": 481,
                             "t_min": -0.6, "t_max": 0.6, "nt": 49})
     grid = grid_from_config(gcfg)
     t0 = time.perf_counter()
-    q = verify.SampledField(grid=grid, values=_fields(vessel, spec, grid).q, label="q")
+    q = verify.SampledField(grid=grid, values=_fields(vessel, grid).q, label="q")
     res_h = verify.kdv_residual(q, accuracy=4).max_valid()
     results = [
         suite.CheckResult("verify.kdv_residual_max", res_h, float(args.tolerance),
@@ -316,10 +312,8 @@ def _cmd_verify(args):
                           (time.perf_counter() - t0) * 1e3,
                           f"accuracy-4 stencils, hx={grid.hx:.4g} ht={grid.ht:.4g}", "lt"),
     ]
-    header = {"level": "custom", "seed": args.seed, "checks": ["verify"],
-              "runtime_ms": (time.perf_counter() - t0) * 1e3,
-              "n_pass": sum(r.passed for r in results),
-              "n_fail": sum(not r.passed for r in results)}
+    header = suite.report_header("custom", args.seed, ["verify"],
+                                 (time.perf_counter() - t0) * 1e3, results)
     return _emit_report(args, header, results)
 
 
@@ -348,18 +342,27 @@ def _cmd_suite(args):
         raise ConfigError(f"checks: {exc}") from exc
     if overrides:
         results = [_override_tolerance(r, overrides) for r in results]
-        header["n_pass"] = sum(r.passed for r in results)
-        header["n_fail"] = sum(not r.passed for r in results)
+        header = suite.report_header(header["level"], header["seed"], header["checks"],
+                                     header["runtime_ms"], results)
     return _emit_report(args, header, results)
 
 
 def _override_tolerance(result, overrides):
+    """The result re-judged at its family's override tolerance.
+
+    Only positive upper bounds on a measured error take an override; an
+    override reaching an order, band, runtime or exact-match gate is a
+    ConfigError.
+    """
     name = result.check.split(".", 1)[0]
     if name not in overrides:
         return result
+    if (result.mode != "lt" or result.tolerance <= 0
+            or result.check.endswith(".runtime_s")):
+        raise ConfigError(f"checks: {name}: tolerance override would change the "
+                          f"gate of {result.check}")
     tol = overrides[name]
-    passed = result.value < tol if result.mode == "lt" else result.value > tol
-    return suite.CheckResult(result.check, result.value, tol, passed,
+    return suite.CheckResult(result.check, result.value, tol, result.value < tol,
                              result.runtime_ms, result.detail, result.mode)
 
 

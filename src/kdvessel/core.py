@@ -53,7 +53,6 @@ __all__ = [
     "evaluate_fields",
     "linkage_gamma_star",
     "beta_of_state",
-    "tau",
     "log_tau",
     "lyapunov_residual",
     "lyapunov_self_check",
@@ -444,35 +443,17 @@ def evaluate_fields(vessel: FiniteVessel, x, t) -> FieldValues:
     return FieldValues(beta=beta, beta_prime=beta_p, log_abs_tau=logabs, tau_sign=sign)
 
 
-def _log_tau_point(vessel, x, t, imag_tol):
-    logabs, sign = _log_tau_stack(vessel, vessel.X(x, t)[None])
-    return logabs, _real_tau_sign(logabs, sign, np.array([x]), np.array([t]), imag_tol)
-
-
 def log_tau(vessel: FiniteVessel, x: float, t: float) -> tuple[float, float]:
     """(log|tau|, sign) of tau = det X / det X0 from one LU determinant.
 
-    Works whenever the entries of X are representable; soliton vessels in
-    the deep-overflow regime provide their own scaled variant.
+    Needs no inverse, so it also serves points where X is too
+    ill-conditioned for :func:`evaluate`; tau = sign e^{log|tau|}.  Raises
+    EvaluationError when the entries of X overflow (the soliton routines
+    have an overflow-free variant).
     """
-    logabs, sign = _log_tau_point(vessel, x, t, _IMAG_TOL)
+    logabs, sign = _log_tau_stack(vessel, vessel.X(x, t)[None])
+    sign = _real_tau_sign(logabs, sign, np.array([x]), np.array([t]), _IMAG_TOL)
     return float(logabs[0]), float(sign[0])
-
-
-def tau(vessel: FiniteVessel, x: float, t: float, imag_tol: float = _IMAG_TOL) -> float:
-    """Tau function det(X0^-1 X(x, t)) = sign e^{log|tau|}.
-
-    Raises EvaluationError when the entries of X (or the determinant)
-    overflow; use :func:`log_tau` (or the scaled soliton routines) there.
-    """
-    logabs, sign = _log_tau_point(vessel, x, t, imag_tol)
-    with np.errstate(over="ignore"):
-        val = sign[0] * np.exp(logabs[0])
-    if not np.isfinite(val):
-        raise EvaluationError(
-            "tau overflowed; use log_tau / the log-domain route", x=x, t=t
-        )
-    return float(val)
 
 
 def _lyapunov_stack(vessel, x, t) -> np.ndarray:

@@ -12,9 +12,9 @@ so every soliton vessel is dissipative and tau = det X > 1.  Only |b_j|
 enters tau; the alternative normalization c_j = |b_j|^2 / (2 k_j) is the
 coefficient of e^{2 k_j x + 2 k_j^3 t} in tau.
 
-For phases k x + k^3 t beyond the overflow range the evaluators switch to
-a row/column-scaled form that factors the exponentials out of X, so beta,
-q and log-tau remain evaluable on arbitrarily wide grids.
+The evaluators of beta, q and log tau factor X = D M D with
+D = diag(max(1, e^{k x + k^3 t})), so one assembly of M stays finite at
+every phase and the fields remain evaluable on arbitrarily wide grids.
 """
 
 from __future__ import annotations
@@ -36,15 +36,6 @@ __all__ = [
     "fields_soliton",
     "one_soliton_reference",
 ]
-
-# Switch to the scaled assembly once the plain form's absolute error
-# (~ eps * e^{2 phi_max} from conditioning) approaches the 1e-8 tolerance
-# the far-field identities are held to; 8 keeps both branches accurate.
-_PHASE_SWITCH = 8.0
-# In the scaled system a generator with phase phi enters through
-# e^{-2 phi}; clamping phi here caps that at ~e^{340} (finite, and the
-# component decouples identically to dropping it: its e^{2 phi} < 1e-16).
-_PHASE_CLAMP = -170.0
 
 
 @dataclass(frozen=True)
@@ -164,60 +155,48 @@ def tau_cauchy_3(spec: SolitonSpec, x, t):
     return out if out.ndim else float(out)
 
 
-def _trace_terms(spec: SolitonSpec, x, t):
-    """(beta, q) from the Gram-resolvent trace formulas, broadcast over x, t.
+def _scaled_system(spec: SolitonSpec, x, t):
+    """X = D M D at every point of the broadcast x, t, with M finite at any phase.
 
-    Plain regime:    u = X^-1 b1 with b1 = e^phi b,
-                     beta = -Re(b1* u),  q = -2 (2 Re(u* K b1) - (b1* u)^2).
-    Scaled regime:   factor diag(e^phi) out of X; with
-                     P = (G + diag(e^{-2 phi}))^-1 and v = P b the same
-                     traces become beta = -Re(b* v),
-                     q = -2 (2 Re(v* K b) - (b* v)^2).
-    In the scaled system phi is clamped below at _PHASE_CLAMP, which
-    decouples deep-tail generators exactly like dropping them.
+    With d = max(1, e^phi) and e = min(1, e^phi) per generator,
+    M = D^-2 + diag(e) G diag(e) and X = I + diag(e^phi) G diag(e^phi)
+    = D M D; M equals X where every phase is <= 0, is real for real
+    amplitudes, and a generator whose e^phi leaves the float range in
+    either direction decouples in M.  Returns (M, w = e b, sum log d),
+    stacked over the points.
     """
     k, b, n = spec.k, spec.b, spec.n
-    G = _gram(spec)
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
-    x_b, t_b = np.broadcast_arrays(x, t)
-    shape = x_b.shape
-    xf = x_b.reshape(-1)
-    tf = t_b.reshape(-1)
-    phi = k[:, None] * xf[None, :] + (k**3)[:, None] * tf[None, :]  # (n, m)
-    beta = np.empty(xf.shape)
-    q = np.empty(xf.shape)
+    x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
+    phi = np.multiply.outer(x, k) + np.multiply.outer(t, k**3)  # (..., n)
+    log_d = np.maximum(phi, 0.0)
+    e = np.exp(np.minimum(phi, 0.0))
+    M = e[..., :, None] * e[..., None, :] * _gram(spec)
+    M[..., np.arange(n), np.arange(n)] += np.exp(-2.0 * log_d)
+    return M, e * (b if b.imag.any() else b.real), log_d.sum(axis=-1)
 
-    plain = phi.max(axis=0) <= _PHASE_SWITCH
-    if np.any(plain):
-        ph = phi[:, plain]
-        E = np.exp(ph)  # (n, mp)
-        b1 = (E * b[:, None]).T  # (mp, n)
-        X = np.eye(n, dtype=complex)[None, :, :] + (
-            E.T[:, :, None] * E.T[:, None, :]
-        ) * G[None, :, :]
-        u = np.linalg.solve(X, b1[..., None])[..., 0]
-        bu = np.einsum("mi,mi->m", b1.conj(), u).real
-        ukb = np.einsum("mi,i,mi->m", u.conj(), k, b1)
-        beta[plain] = -bu
-        q[plain] = -2.0 * (2.0 * ukb.real - bu**2)
 
-    scaled = ~plain
-    if np.any(scaled):
-        d2 = np.exp(-2.0 * np.maximum(phi[:, scaled], _PHASE_CLAMP)).T  # (ms, n)
-        M = np.broadcast_to(G, (d2.shape[0], n, n)).copy()
-        M[:, np.arange(n), np.arange(n)] += d2
-        v = np.linalg.solve(M, np.broadcast_to(b, (d2.shape[0], n))[..., None])[..., 0]
-        bv = np.einsum("i,mi->m", b.conj(), v).real
-        vkb = np.einsum("mi,i->m", v.conj(), k * b)
-        beta[scaled] = -bv
-        q[scaled] = -2.0 * (2.0 * vkb.real - bv**2)
-    return beta.reshape(shape), q.reshape(shape)
+def _trace_terms(k, M, w):
+    """(beta, q) from the Gram-resolvent trace formulas of the scaled system.
+
+    With X' = B sigma2 B* and X'' = K X' + X' K, K = diag(k_j), the traces
+    beta = -tr(X^-1 X') and q = -2 [tr(X^-1 X'') - tr((X^-1 X')^2)] reduce,
+    for v = M^-1 w, to beta = -Re(w* v) and q = -2 (2 Re(v* K w) - (w* v)^2).
+    """
+    v = np.linalg.solve(M, w[..., None])[..., 0]
+    wv = np.einsum("...i,...i->...", w.conj(), v).real
+    vkw = np.einsum("...i,i,...i->...", v.conj(), k, w).real
+    return -wv, -2.0 * (2.0 * vkw - wv**2)
+
+
+def _log_tau(M, log_d):
+    # det X = det M * prod d^2; M is positive definite, so the sign is +1
+    sign, logdet = np.linalg.slogdet(M)
+    return logdet + 2.0 * log_d, np.real(sign)
 
 
 def beta_soliton(spec: SolitonSpec, x, t):
     """beta = -tau'/tau of the soliton vessel; broadcasts over x, t."""
-    beta, _ = _trace_terms(spec, x, t)
+    beta, _ = _trace_terms(spec.k, *_scaled_system(spec, x, t)[:2])
     return beta if beta.ndim else float(beta)
 
 
@@ -227,35 +206,17 @@ def q_soliton(spec: SolitonSpec, x, t):
     Uses q = -2 [tr(X^-1 X'') - tr((X^-1 X')^2)] with X' = B sigma2 B* and
     X'' = K X' + X' K, K = diag(k_j); broadcasts over x, t.
     """
-    _, q = _trace_terms(spec, x, t)
+    _, q = _trace_terms(spec.k, *_scaled_system(spec, x, t)[:2])
     return q if q.ndim else float(q)
 
 
 def log_tau_soliton(spec: SolitonSpec, x, t):
     """(log tau, sign=+1) stable against exponential overflow; broadcasts over x, t.
 
-    In the scaled regime det X = e^{2 sum phi} det(G + diag(e^{-2 phi}));
-    clamping phi below at _PHASE_CLAMP leaves each deep-tail generator
-    contributing exactly log 1 = 0.
+    log tau = log det M + 2 sum log d for X = D M D (see the module notes).
     """
-    k, n = spec.k, spec.n
-    G = _gram(spec)
-    x_b, t_b = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
-    phi = np.multiply.outer(x_b, k) + np.multiply.outer(t_b, k**3)  # (..., n)
-    logabs = np.empty(x_b.shape)
-    sign = np.empty(x_b.shape)
-
-    plain = phi.max(axis=-1) <= _PHASE_SWITCH
-    E = np.exp(phi[plain])  # (mp, n)
-    X = np.eye(n) + E[:, :, None] * E[:, None, :] * G
-    sign_p, logabs[plain] = np.linalg.slogdet(X)
-    sign[plain] = np.real(sign_p)
-
-    phc = np.maximum(phi[~plain], _PHASE_CLAMP)  # (ms, n)
-    M = G + np.exp(-2.0 * phc)[:, :, None] * np.eye(n)
-    sign_s, logabs_s = np.linalg.slogdet(M)
-    logabs[~plain] = 2.0 * phc.sum(axis=-1) + logabs_s
-    sign[~plain] = np.real(sign_s)
+    M, _, log_d = _scaled_system(spec, x, t)
+    logabs, sign = _log_tau(M, log_d)
     if logabs.ndim:
         return logabs, sign
     return float(logabs), float(sign)
@@ -264,14 +225,14 @@ def log_tau_soliton(spec: SolitonSpec, x, t):
 def fields_soliton(spec: SolitonSpec, x, t) -> core.FieldValues:
     """beta, beta' = q/2 and log tau with its sign on arrays of points.
 
-    One pass of the trace formulas for beta and q plus the scaled log tau,
-    so every value stays finite on arbitrarily wide grids; ``tau`` of the
+    One scaled system M per call gives the trace formulas and log tau, so
+    every value stays finite on arbitrarily wide grids; ``tau`` of the
     result is inf where it passes the float range.
     """
-    beta, q = _trace_terms(spec, x, t)
-    logabs, sign = log_tau_soliton(spec, x, t)
-    return core.FieldValues(beta=beta, beta_prime=0.5 * q,
-                            log_abs_tau=np.asarray(logabs), tau_sign=np.asarray(sign))
+    M, w, log_d = _scaled_system(spec, x, t)
+    beta, q = _trace_terms(spec.k, M, w)
+    logabs, sign = _log_tau(M, log_d)
+    return core.FieldValues(beta=beta, beta_prime=0.5 * q, log_abs_tau=logabs, tau_sign=sign)
 
 
 def one_soliton_reference(k: float, c: float, x, t):

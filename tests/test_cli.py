@@ -189,3 +189,17 @@ class TestSuite:
         assert code == 0
         report = json.loads((tmp_path / "report.json").read_text())
         assert all(c["pass"] and c["tolerance"] == 100.0 for c in report["checks"])
+
+    @pytest.mark.parametrize("override", [
+        # would turn both kdv_residual.order gates into "> 1e-2" and fail
+        # kdv_residual.runtime_s
+        {"name": "kdv_residual", "tolerance": 1e-2},
+        # would relax the bit-exact rhs_vs_bruteforce and drop the 3.5-4.5
+        # band of integrator_order
+        {"name": "coefficient_evolution", "tolerance": 1e-12},
+    ])
+    def test_override_of_non_error_gate_rejected(self, tmp_path, capsys, override):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"checks": [override]}))
+        assert run(["suite", "--level", "quick", "--config", str(cfg)]) == 2
+        assert override["name"] in capsys.readouterr().err

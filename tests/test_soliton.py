@@ -1,3 +1,6 @@
+import itertools
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -38,7 +41,7 @@ class TestBuildSoliton:
     def test_small_amplitude_limit(self):
         spec = kv.SolitonSpec(k=np.array([1.0]), b=np.array([1e-8 + 0j]))
         vessel = kv.build_soliton(spec, self_check=False)
-        assert abs(kv.tau(vessel, 0.3, 0.1) - 1.0) < 1e-15
+        assert abs(kv.evaluate(vessel, 0.3, 0.1).tau - 1.0) < 1e-15
         assert abs(kv.q_soliton(spec, 0.3, 0.1)) < 1e-14
 
     def test_self_check_runs(self):
@@ -63,7 +66,8 @@ class TestCauchyTau3:
         rng = np.random.default_rng(23)
         for _ in range(100):
             x, t = rng.uniform(-3, 3), rng.uniform(-3, 3)
-            tv = kv.tau(vessel, x, t)
+            logabs, sign = kv.log_tau(vessel, x, t)
+            tv = sign * np.exp(logabs)
             assert abs(tv - kv.tau_cauchy_3(spec, x, t)) / abs(tv) < 1e-10
 
     def test_independent_expansion_oracle(self):
@@ -102,9 +106,9 @@ class TestQSoliton:
             q = kv.q_soliton(spec, x, t)
             for h in worst:
                 fd = -2.0 * (
-                    np.log(kv.tau(vessel, x + h, t))
-                    - 2.0 * np.log(kv.tau(vessel, x, t))
-                    + np.log(kv.tau(vessel, x - h, t))
+                    kv.log_tau(vessel, x + h, t)[0]
+                    - 2.0 * kv.log_tau(vessel, x, t)[0]
+                    + kv.log_tau(vessel, x - h, t)[0]
                 ) / h**2
                 worst[h] = max(worst[h], abs(q - fd))
         assert worst[1e-3] < 1e-4
@@ -124,7 +128,8 @@ class TestQSoliton:
         vessel = kv.build_soliton(spec, self_check=False)
         rng = np.random.default_rng(37)
         for _ in range(20):
-            assert kv.tau(vessel, rng.uniform(-3, 3), rng.uniform(-1, 1)) > 1.0
+            logabs, sign = kv.log_tau(vessel, rng.uniform(-3, 3), rng.uniform(-1, 1))
+            assert sign == 1.0 and logabs > 0.0
 
 
 class TestOneSolitonReference:
@@ -183,9 +188,10 @@ class TestOverflowRegime:
         assert abs(kv.beta_soliton(spec, -200.0, 0.0)) < 1e-30
 
     def test_branches_agree_at_switch(self):
-        # continuity of beta/q across the plain <-> scaled changeover
+        # continuity of beta/q where D = diag(max(1, e^phi)) switches at
+        # phi = 0: both generators cross it at x = 0, then the phases pass 8
         spec = kv.SolitonSpec.from_c([1.0, 1.6], [1.0, 0.5])
-        xs = np.linspace(3.0, 7.0, 2001)  # max phase crosses 8 inside
+        xs = np.linspace(-3.0, 7.0, 5001)
         q = kv.q_soliton(spec, xs, 0.0)
         beta = kv.beta_soliton(spec, xs, 0.0)
         assert np.all(np.isfinite(q)) and np.all(np.isfinite(beta))
@@ -200,3 +206,59 @@ class TestOverflowRegime:
         # tau ~ c1 c2 a12 e^{2(k1+k2)x}: log tau ~ 2*3*500 + log(a12)
         a12 = (1.0 - 2.0) ** 2 / (1.0 + 2.0) ** 2
         assert logabs == pytest.approx(3000.0 + np.log(a12), abs=1e-6)
+
+
+class TestMpmathOracle:
+    """fields_soliton against a 60-digit log det X and its x-derivatives."""
+
+    K = {1: [0.9], 2: [0.6, 1.3], 3: [0.5, 1.1, 1.8]}
+    B = {1: [1.4], 2: [1.1, 0.7], 3: [0.8, 1.5, 1.2]}
+    POINTS = [
+        (-2.5, 0.1),    # every phase < 0
+        (1.0, -1.0),    # mixed signs for n >= 2: phi = k (1 - k^2) changes sign at k = 1
+        (2.0, 0.05),    # 0 < phi < 8
+        (30.0, 0.0),    # phi > 8
+        (200.0, 0.0),   # e^{2 phi} past the float range
+        (-200.0, 0.0),  # e^{2 phi} below the float range
+    ]
+
+    @staticmethod
+    def _log_det(k, b, x, t):
+        # Leibniz expansion: mpmath.det's LU declares X singular once its
+        # entries span more decades than the working precision
+        n = len(k)
+        E = [mpmath.exp(k[i] * x + k[i] ** 3 * t) for i in range(n)]
+        X = [[(i == j) + E[i] * E[j] * b[i] * b[j] / (k[i] + k[j]) for j in range(n)]
+             for i in range(n)]
+        det = 0
+        for p in itertools.permutations(range(n)):
+            inversions = sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
+            det += (-1) ** inversions * mpmath.fprod(X[i][p[i]] for i in range(n))
+        return mpmath.log(det)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_fields_match_high_precision_log_det(self, n):
+        spec = kv.SolitonSpec(k=np.array(self.K[n]), b=np.array(self.B[n], dtype=complex))
+        xs, ts = (np.array(v) for v in zip(*self.POINTS))
+        phi = np.multiply.outer(xs, spec.k) + np.multiply.outer(ts, spec.k**3)
+        assert (phi[0] < 0).all() and (0 < phi[2]).all() and (phi[2] < 8).all()
+        assert (phi[3] > 8).all() and (n == 1 or phi[1].min() < 0 < phi[1].max())
+        fields = kv.fields_soliton(spec, xs, ts)
+        bound = {"log tau": 1e-13, "beta": 1e-12, "q": 5e-11}
+        with mpmath.workdps(60):
+            k = [mpmath.mpf(v) for v in self.K[n]]
+            b = [mpmath.mpf(v) for v in self.B[n]]
+            for i, (x, t) in enumerate(self.POINTS):
+                t = mpmath.mpf(t)
+                log_tau = lambda z: self._log_det(k, b, z, t)
+                ref = {
+                    "log tau": log_tau(mpmath.mpf(x)),
+                    "beta": -mpmath.diff(log_tau, x),
+                    "q": -2 * mpmath.diff(log_tau, x, 2),
+                }
+                got = {"log tau": fields.log_abs_tau[i], "beta": fields.beta[i],
+                       "q": fields.q[i]}
+                for what, r in ref.items():
+                    err = abs(got[what] - r) / (1 + abs(r))
+                    assert err <= bound[what], (what, x, t, float(err))
+                assert fields.tau_sign[i] == 1.0
