@@ -18,16 +18,24 @@ The second column of B carries +i cos: the translation condition
 0 = (B sigma1)' + A B sigma2 + B gamma holds only for this sign (with it,
 all vessel conditions check out to machine precision).
 
-The kernel is computed everywhere through the equivalent cancellation-free
-form
+Each point needs only the n sines and cosines of theta.  Writing
+u = sin(theta)/k and c = cos(theta), a pair of well-separated wavenumbers
+takes the separable form Kker(a, b) = (u_a c_b - c_a u_b) / (a^2 - b^2),
+with 1/(a^2 - b^2) and the couplings folded into one table built once per
+vessel.  That form cancels as b -> a, so near-degenerate pairs
+(| |a| - |b| | < max(|a|, |b|)/4, the diagonal among them) use the
+equivalent cancellation-free form
 
     Kker(a, b) = [ sin(D m)/D - sin(theta_a + theta_b)/(a + b) ] / (2 a b),
     D = a - b,  m = x - (a^2 + a b + b^2) t,
 
 whose D -> 0 limit reproduces the diagonal value
-theta'/(2k^2) - sin(2 theta)/(4 k^3) with theta' = x - 3 k^2 t exactly, so
-diagonal, near-degenerate and well-separated entries all come from one
-formula.
+theta'/(2k^2) - sin(2 theta)/(4 k^3) with theta' = x - 3 k^2 t exactly.
+Off the near set |a^2 - b^2| >= max(|a|, |b|) (|a| + |b|)/4, so the
+separable form's rounding error stays within a factor of order 1/(1/4)
+of the cancellation-free form's.  The build-time Lyapunov self-check
+cannot see errors in the near-set branch (see
+:func:`core.lyapunov_self_check`).
 
 Truncation caveat: the infinite-dimensional fixed-vector identity
 X(x,0) v = v for v_n = c_n sin(k_n x)/k_n does NOT survive truncation.
@@ -43,7 +51,7 @@ beta only in the weak-coupling limit: beta_of_state = -beta_odd + O(|b|^4).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -60,6 +68,12 @@ __all__ = [
     "beta_odd",
     "q_odd_continuum",
 ]
+
+# Pairs with | |k_a| - |k_b| | < _NEAR max(|k_a|, |k_b|), the diagonal
+# among them, are near-degenerate (see the module docstring).  |k| rather
+# than k, since Kker is even in each wavenumber and k_a ~ -k_b cancels
+# in k_a^2 - k_b^2 too.
+_NEAR = 0.25
 
 
 @dataclass(frozen=True)
@@ -163,24 +177,77 @@ def gauss_legendre_spectrum(
     return QuadratureSpectrum(nodes=half * (xi + 1.0), weights=half * w, density=density)
 
 
-def trig_kernel(k: np.ndarray, x, t) -> np.ndarray:
-    """Divided-difference kernel matrix Kker(k_n, k_m; x, t).
+class _TrigTables(NamedTuple):
+    """Per-vessel constants of :func:`trig_kernel` for couplings C.
 
-    Cancellation-free: the D -> 0 limit is exact (np.sinc), so the same
-    expression serves diagonal, near-degenerate and separated pairs.
-    Broadcasts over arrays of points: shape (..., n, n).
+    ``W`` = C_ab / (k_a^2 - k_b^2) on far pairs and 0 on near ones.  The
+    near pairs a <= b sit at rows ``rows``, columns ``cols`` with their
+    constants a^2 + a b + b^2, a - b, a + b, 2 a b and couplings
+    ``C_near``, halved on the diagonal.
     """
-    a = k[:, None]
-    b = k[None, :]
-    x = np.asarray(x, dtype=float)[..., None, None]
-    t = np.asarray(t, dtype=float)[..., None, None]
-    m = x - (a * a + a * b + b * b) * t
-    d = a - b
-    diff_term = m * np.sinc(d * m / np.pi)  # sin(d m)/d, exact at d = 0
-    theta_a = a * x - a**3 * t
-    theta_b = b * x - b**3 * t
-    sum_term = np.sin(theta_a + theta_b) / (a + b)
-    return (diff_term - sum_term) / (2.0 * a * b)
+
+    k3: np.ndarray
+    W: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    quad: np.ndarray
+    diff: np.ndarray
+    plus: np.ndarray
+    twice_ab: np.ndarray
+    C_near: np.ndarray
+
+
+def _trig_tables(k: np.ndarray, C: np.ndarray) -> _TrigTables:
+    a, b = k[:, None], k[None, :]
+    absk = np.abs(k)
+    near = (np.abs(absk[:, None] - absk[None, :])
+            < _NEAR * np.maximum(absk[:, None], absk[None, :]))
+    # (a - b)(a + b): each factor rounded once, so no cancellation in k^2
+    W = np.divide(C, (a - b) * (a + b), out=np.zeros_like(C), where=~near)
+    rows, cols = np.nonzero(np.triu(near))
+    ka, kb = k[rows], k[cols]
+    return _TrigTables(
+        k3=k**3, W=W, rows=rows, cols=cols,
+        quad=ka * ka + ka * kb + kb * kb, diff=ka - kb, plus=ka + kb,
+        twice_ab=2.0 * ka * kb, C_near=C[rows, cols] * np.where(rows == cols, 0.5, 1.0),
+    )
+
+
+def trig_kernel(k: np.ndarray, x, t, tables: Optional[_TrigTables] = None) -> np.ndarray:
+    """Kernel matrix Kker(k_n, k_m; x, t) C_nm of a trigonometric vessel.
+
+    ``tables`` (built once per vessel from the same k and the couplings
+    C) supplies C; without it C = 1.  Each point takes n sines and n
+    cosines: far pairs come from the separable divided difference
+    (u_a c_b - c_a u_b) W_ab with u = sin(theta)/k, c = cos(theta); near
+    pairs, the diagonal among them, from the cancellation-free form with
+    its exact k_a -> k_b limit.  The result is exactly symmetric
+    (Hermitian for complex C).  Broadcasts over arrays of points: shape
+    (..., n, n).
+    """
+    tab = _trig_tables(k, np.ones((k.size, k.size))) if tables is None else tables
+    n = k.size
+    x = np.asarray(x, dtype=float)[..., None]
+    t = np.asarray(t, dtype=float)[..., None]
+    theta = k * x - tab.k3 * t
+    shape = theta.shape[:-1] + (n, n)
+    theta = theta.reshape(-1, n)
+    u = np.sin(theta) / k
+    c = np.cos(theta)
+    # near pairs a <= b: the cancellation-free form
+    #   [sin(D m)/D - sin(theta_a + theta_b)/(a + b)] / (2 a b),
+    #   D = a - b,  m = x - (a^2 + a b + b^2) t,  sin(D m)/D exact at D = 0
+    m = (x - tab.quad * t).reshape(-1, tab.quad.size)
+    diff_term = m * np.sinc(tab.diff * m / np.pi)
+    sum_term = np.sin(theta[:, tab.rows] + theta[:, tab.cols]) / tab.plus
+    near = (diff_term - sum_term) / tab.twice_ab
+
+    # far pairs: E + E* with E_ab = u_a c_b W_ab is (u_a c_b - c_a u_b) W_ab,
+    # since W_ba = -conj(W_ab).  W vanishes on near pairs, so E takes their
+    # values on a <= b (half on the diagonal) and 0 below.
+    E = u[:, :, None] * c[:, None, :] * tab.W
+    E[:, tab.rows, tab.cols] = near * tab.C_near
+    return np.add(E, E.swapaxes(1, 2).conj(), order="C").reshape(shape)
 
 
 def _build_trig_vessel(
@@ -192,9 +259,9 @@ def _build_trig_vessel(
     C = np.outer(c, c.conj())
     if not C.imag.any():  # real couplings: X is real symmetric
         C = C.real
-
-    eye = np.eye(n)
+    tables = _trig_tables(k, C)
     k3 = k**3
+    diag = np.arange(n)
 
     def B_eval(x, t):
         th = np.multiply.outer(x, k) - np.multiply.outer(t, k3)
@@ -205,7 +272,9 @@ def _build_trig_vessel(
         return B
 
     def X_eval(x, t):
-        return eye + trig_kernel(k, x, t) * C
+        X = trig_kernel(k, x, t, tables)
+        X[..., diag, diag] += 1.0
+        return X
 
     vessel = core.FiniteVessel(
         n=n, A=A, B_eval=B_eval, X_eval=X_eval,

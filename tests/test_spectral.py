@@ -1,7 +1,11 @@
+import warnings
+
+import mpmath
 import numpy as np
 import pytest
 
 import kdvessel as kv
+from kdvessel import core, spectral
 from kdvessel.spectral import trig_kernel
 
 
@@ -80,6 +84,119 @@ class TestTrigKernel:
         x = 2.3
         oracle = simpson(lambda y: np.sin(k[0] * y) ** 2 / k[0] ** 2, 0.0, x)
         assert trig_kernel(k, x, 0.0)[0, 0] == pytest.approx(oracle, abs=1e-8)
+
+
+def mp_gram(k, c, x, t, dps=30):
+    """X = I + Kker o (c c*) in ``dps``-digit arithmetic on the float inputs.
+
+    Off the diagonal the printed divided difference, on it the exact limit
+    (x - 3 k^2 t)/(2 k^2) - sin(2 theta)/(4 k^3); the precision absorbs the
+    cancellation of near-degenerate pairs.
+    """
+    with mpmath.workdps(dps):
+        K = [mpmath.mpf(float(v)) for v in k]
+        cs = [mpmath.mpc(complex(v)) for v in c]
+        X, T = mpmath.mpf(float(x)), mpmath.mpf(float(t))
+        th = [a * X - a**3 * T for a in K]
+        u = [mpmath.sin(th[i]) / K[i] for i in range(len(K))]
+        co = [mpmath.cos(v) for v in th]
+        out = np.empty((len(K), len(K)), dtype=complex)
+        for i, a in enumerate(K):
+            for j, b in enumerate(K):
+                if i == j:
+                    kern = (X - 3 * a**2 * T) / (2 * a**2) - mpmath.sin(2 * th[i]) / (4 * a**3)
+                else:
+                    kern = (u[i] * co[j] - co[i] * u[j]) / (a**2 - b**2)
+                out[i, j] = complex(kern * cs[i] * mpmath.conj(cs[j]) + (i == j))
+    return out
+
+
+def _gl_vessel(n):
+    spec = kv.gauss_legendre_spectrum(1.3, n, lambda s: 0.45 * np.exp(-((s / 0.9) ** 2)))
+    return spec.nodes, spec.couplings(), kv.build_quadrature_vessel(spec, self_check=False)
+
+
+def _discrete_vessel(k, b):
+    spec = kv.DiscreteSpectrum(k=np.array(k), b=np.array(b))
+    return spec.k, spec.b, kv.build_discrete_vessel(spec, self_check=False)
+
+
+# |1 - k| = _NEAR k here: k (1 -+ 1e-9) pairs with 1 just inside / outside
+# the near set of trig_kernel
+_EDGE = 1.0 / (1.0 - spectral._NEAR)
+
+
+class TestTrigKernelMpmathOracle:
+    """Every entry of X against 30-digit arithmetic, far and near pairs alike.
+
+    The Lyapunov self-check cannot see the near pairs (see
+    core.lyapunov_self_check), so this is their check.
+    """
+
+    CASES = {
+        "gauss_legendre_64": lambda: _gl_vessel(64),
+        "near_degenerate": lambda: _discrete_vessel([1.0, 1.0 + 1e-6, 1.3], [0.7, 0.5, 0.9]),
+        "near_degenerate_complex": lambda: _discrete_vessel(
+            [1.0, 1.0 + 1e-6, 1.3], [0.7, 0.5 - 0.4j, 0.3 + 0.8j]),
+        "near_set_boundary": lambda: _discrete_vessel(
+            [1.0, _EDGE * (1 - 1e-9), _EDGE * (1 + 1e-9)], [0.8, 0.6, 0.7]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("x, t", [(-1.297, 0.0288), (0.37, -0.11), (2.6, 0.31)])
+    def test_entries_match_high_precision(self, case, x, t):
+        k, c, vessel = self.CASES[case]()
+        X = vessel.X(x, t)
+        ref = mp_gram(k, c, x, t)
+        err = np.max(np.abs(X - ref)) / (1.0 + np.linalg.norm(ref))
+        assert err <= 5e-14
+        # exactly Hermitian, so the asymmetry check of core.evaluate never trips
+        assert np.array_equal(X, X.conj().T)
+
+    def test_boundary_pairs_straddle_the_near_set(self):
+        k = np.array([1.0, _EDGE * (1 - 1e-9), _EDGE * (1 + 1e-9)])
+        tab = spectral._trig_tables(k, np.ones((3, 3)))
+        near = set(zip(tab.rows.tolist(), tab.cols.tolist()))
+        assert (0, 1) in near and (0, 2) not in near
+
+
+def test_self_check_guards_the_separable_branch(monkeypatch):
+    # a sign error in one far pair of the per-vessel table (both mirror
+    # entries, so X stays Hermitian) must fail the build-time check
+    spec = kv.DiscreteSpectrum(k=np.array([0.8, 1.9, 2.7]), b=np.array([0.5, 0.4, 0.3]))
+    build = spectral._trig_tables
+
+    def flipped(k, C):
+        tab = build(k, C)
+        W = tab.W.copy()
+        W[0, 2], W[2, 0] = -W[0, 2], -W[2, 0]
+        return tab._replace(W=W)
+
+    kv.build_discrete_vessel(spec)
+    monkeypatch.setattr(spectral, "_trig_tables", flipped)
+    with pytest.raises(kv.InvalidSpecError):
+        kv.build_discrete_vessel(spec)
+
+
+def test_assembly_emits_no_warnings():
+    # the table build divides by k_a^2 - k_b^2, which vanishes on the
+    # diagonal; x = t = 0 zeroes every sinc argument
+    specs = [
+        kv.DiscreteSpectrum(k=np.array([0.7, 1.0, 1.0 + 1e-6, 2.2]), b=np.full(4, 0.3)),
+        kv.DiscreteSpectrum(k=np.array([0.7, 1.0, 1.0 + 1e-6, 2.2]),
+                            b=np.array([0.3, 0.2j, 0.1 - 0.2j, 0.3])),
+        kv.gauss_legendre_spectrum(1.2, 32, lambda s: 0.5 * np.exp(-(s**2))),
+    ]
+    xs, ts = np.linspace(-1.0, 1.0, 5), np.linspace(-0.2, 0.2, 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for spec in specs:
+            build = (kv.build_discrete_vessel if isinstance(spec, kv.DiscreteSpectrum)
+                     else kv.build_quadrature_vessel)
+            vessel = build(spec)
+            kv.evaluate_fields(vessel, xs, ts)
+            vessel.X(0.0, 0.0)
+            core.lyapunov_residual(vessel, 0.0, 0.0)
 
 
 class TestBuildDiscreteVessel:
