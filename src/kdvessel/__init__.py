@@ -59,7 +59,6 @@ from .spectral import (
     q_odd_continuum,
 )
 from .transfer import (
-    TransferSample,
     eval_S,
     ds_residual,
     gl_kernels,
@@ -68,7 +67,6 @@ from .transfer import (
     moment_recursion_residual,
     moments,
     q_from_K_diag,
-    sample_S,
     symmetry_residual,
 )
 from .verify import (

@@ -10,7 +10,8 @@ Subcommands build vessels, dump fields, and run verification checks:
     suite                 the full named-check battery
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 configuration
-error, 3 numerical failure (singular Gram operator, pole hit, ...).
+error (malformed numbers included), 3 numerical failure (singular Gram
+operator, pole hit, ...).
 
 Configuration is a single JSON document; unknown keys are rejected with
 the offending field path.  CSV output uses '.' decimals, LF line endings
@@ -28,7 +29,7 @@ import time
 import numpy as np
 
 from . import core, evolution, soliton, spectral, suite, transfer, verify
-from .exceptions import ConfigError, NumericalConsistencyError, VesselError
+from .exceptions import ConfigError, VesselError
 
 _FIELD_HEADER = "x,t,tau,beta,q"
 
@@ -52,6 +53,14 @@ def _require_keys(obj, allowed, required, path):
             raise ConfigError(f"{path}.{key}: missing required key")
 
 
+def _number(value, path, kind=float):
+    """``kind(value)`` for a numeric flag or config field; ConfigError naming ``path``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{path}: expected a number, got {value!r}") from exc
+
+
 def _positive_list(obj, path):
     if not isinstance(obj, (list, tuple)) or not obj:
         raise ConfigError(f"{path}: expected a non-empty list of numbers")
@@ -70,14 +79,14 @@ def _density_from_config(cfg, path):
     if "gaussian" in cfg:
         sub = cfg["gaussian"]
         _require_keys(sub, {"amplitude", "width"}, ("amplitude",), f"{path}.gaussian")
-        amp = float(sub["amplitude"])
-        width = float(sub.get("width", 1.0))
+        amp = _number(sub["amplitude"], f"{path}.gaussian.amplitude")
+        width = _number(sub.get("width", 1.0), f"{path}.gaussian.width")
         if width <= 0:
             raise ConfigError(f"{path}.gaussian.width: must be positive")
         return lambda s: amp * np.exp(-((np.asarray(s, float) / width) ** 2))
     sub = cfg["constant"]
     _require_keys(sub, {"value"}, ("value",), f"{path}.constant")
-    val = float(sub["value"])
+    val = _number(sub["value"], f"{path}.constant.value")
     return lambda s: np.full_like(np.asarray(s, dtype=float), val, dtype=complex)
 
 
@@ -102,7 +111,8 @@ def build_vessel_from_config(cfg, path="vessel"):
             period = cfg.get("period")
             spec = spectral.DiscreteSpectrum(
                 k=np.array(k), b=np.array(b, dtype=complex),
-                flavor=flavor, period=None if period is None else float(period),
+                flavor=flavor,
+                period=None if period is None else _number(period, f"{path}.period"),
             )
             return spectral.build_discrete_vessel(spec), spec
         if vtype == "quadrature":
@@ -110,7 +120,8 @@ def build_vessel_from_config(cfg, path="vessel"):
                           ("s_max", "nodes", "density"), path)
             density = _density_from_config(cfg["density"], f"{path}.density")
             spec = spectral.gauss_legendre_spectrum(
-                float(cfg["s_max"]), int(cfg["nodes"]), density
+                _number(cfg["s_max"], f"{path}.s_max"),
+                _number(cfg["nodes"], f"{path}.nodes", int), density,
             )
             return spectral.build_quadrature_vessel(spec), spec
     except VesselError as exc:
@@ -119,13 +130,12 @@ def build_vessel_from_config(cfg, path="vessel"):
 
 
 def grid_from_config(cfg, path="grid"):
-    _require_keys(cfg, {"x_min", "x_max", "nx", "t_min", "t_max", "nt"},
-                  ("x_min", "x_max", "nx", "t_min", "t_max", "nt"), path)
+    keys = ("x_min", "x_max", "nx", "t_min", "t_max", "nt")
+    _require_keys(cfg, set(keys), keys, path)
+    fields = {key: _number(cfg[key], f"{path}.{key}", int if key in ("nx", "nt") else float)
+              for key in keys}
     try:
-        return verify.Grid2D(
-            float(cfg["x_min"]), float(cfg["x_max"]), int(cfg["nx"]),
-            float(cfg["t_min"]), float(cfg["t_max"]), int(cfg["nt"]),
-        )
+        return verify.Grid2D(**fields)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -181,9 +191,9 @@ def _cmd_field_dump(args, vessel_type):
     vcfg = dict(cfg.get("vessel", {}))
     vcfg.setdefault("type", vessel_type)
     if args.k is not None:
-        vcfg["k"] = [float(v) for v in args.k.split(",")]
+        vcfg["k"] = [_number(v, "--k") for v in args.k.split(",")]
     if args.b_abs is not None:
-        vcfg["b_abs"] = [float(v) for v in args.b_abs.split(",")]
+        vcfg["b_abs"] = [_number(v, "--b-abs") for v in args.b_abs.split(",")]
     if vcfg["type"] != vessel_type:
         raise ConfigError(f"vessel.type: expected {vessel_type!r}")
     gcfg = cfg.get("grid", {
@@ -202,14 +212,15 @@ def _cmd_evolve(args):
     ecfg = cfg.get("evolution", {})
     _require_keys(ecfg, {"k0", "M", "p0", "t_end", "steps", "conservation_tol"},
                   (), "evolution")
-    k0 = float(ecfg.get("k0", 1.0))
-    M = int(ecfg.get("M", 2))
+    k0 = _number(ecfg.get("k0", 1.0), "evolution.k0")
+    M = _number(ecfg.get("M", 2), "evolution.M", int)
     lat = evolution.make_lattice(k0, M)
-    p0 = np.asarray(ecfg.get("p0", np.ones(lat.size)), dtype=float)
-    t_end = float(ecfg.get("t_end", 0.5))
-    steps = int(ecfg.get("steps", 500))
+    p0 = (_positive_list(ecfg["p0"], "evolution.p0") if "p0" in ecfg
+          else np.ones(lat.size))
+    t_end = _number(ecfg.get("t_end", 0.5), "evolution.t_end")
+    steps = _number(ecfg.get("steps", 500), "evolution.steps", int)
     tol = ecfg.get("conservation_tol", 1e-9)
-    tol = np.inf if tol in ("inf", None) else float(tol)
+    tol = np.inf if tol is None else _number(tol, "evolution.conservation_tol")
     traj = evolution.integrate_b(lat, p0, np.linspace(0.0, t_end, steps + 1),
                                  conservation_tol=tol)
     header = "t," + ",".join(f"p[{m}]" for m in lat.indices) + ",conservation"
@@ -239,34 +250,20 @@ def _emit_report(args, header, results):
     return 0 if all(r.passed for r in results) else 1
 
 
+def _emit_command_report(args, t0, results):
+    """Report of the transfer, scatter or verify command, timed from t0."""
+    header = suite.report_header("custom", args.seed, [args.command],
+                                 (time.perf_counter() - t0) * 1e3, results)
+    return _emit_report(args, header, results)
+
+
 def _cmd_transfer(args):
     cfg = _load_config(args)
     vcfg = cfg.get("vessel", {"type": "soliton", "k": [1.2], "b_abs": [1.5491933384829668]})
     vessel, _ = build_vessel_from_config(vcfg)
-    rng = np.random.default_rng(args.seed)
     t0 = time.perf_counter()
-    x, t = 0.3, 0.1
-    state = core.evaluate(vessel, x, t)
-    lams = suite._sample_lambdas(rng, vessel, 100)
-    worst = max(transfer.symmetry_residual(vessel, lam, x, t, state=state) for lam in lams)
-    r_h = transfer.ds_residual(vessel, 0.7 + 0.4j, x, t, h=1e-3)
-    r_h2 = transfer.ds_residual(vessel, 0.7 + 0.4j, x, t, h=5e-4)
-    try:
-        order = verify.convergence_order(r_h, r_h2)
-    except ValueError as exc:
-        raise NumericalConsistencyError(
-            f"transfer.ds_order: {exc} (r_h={r_h:.3e}, r_h/2={r_h2:.3e})"
-        ) from exc
-    results = [
-        suite.CheckResult("transfer.symmetry", worst, 1e-10, worst < 1e-10,
-                          (time.perf_counter() - t0) * 1e3,
-                          f"seed={args.seed}, 100 lambdas", "lt"),
-        suite.CheckResult("transfer.ds_order", order, 1.9, order > 1.9,
-                          (time.perf_counter() - t0) * 1e3, "", "gt"),
-    ]
-    header = suite.report_header("custom", args.seed, ["transfer"],
-                                 (time.perf_counter() - t0) * 1e3, results)
-    return _emit_report(args, header, results)
+    results = suite.transfer_checks(vessel, np.random.default_rng(args.seed), 100)
+    return _emit_command_report(args, t0, results)
 
 
 def _cmd_scatter(args):
@@ -275,10 +272,10 @@ def _cmd_scatter(args):
     vessel, _ = build_vessel_from_config(vcfg)
     scfg = cfg.get("scatter", {})
     _require_keys(scfg, {"x0", "x", "y", "nodes"}, (), "scatter")
-    x0 = float(scfg.get("x0", 0.0))
-    x = float(scfg.get("x", 1.5))
-    y = float(scfg.get("y", 0.7))
-    nodes = int(scfg.get("nodes", 201))
+    x0 = _number(scfg.get("x0", 0.0), "scatter.x0")
+    x = _number(scfg.get("x", 1.5), "scatter.x")
+    y = _number(scfg.get("y", 0.7), "scatter.y")
+    nodes = _number(scfg.get("nodes", 201), "scatter.nodes", int)
     t0 = time.perf_counter()
     omega, kval = transfer.gl_kernels(vessel, x0, x, y)
     res = transfer.gl_residual(vessel, x0, x, y, quadrature_nodes=nodes)
@@ -290,9 +287,7 @@ def _cmd_scatter(args):
         suite.CheckResult("scatter.sign_sigma", float(rep.sigma), 1.0, rep.sigma == 1,
                           (time.perf_counter() - t0) * 1e3, rep.describe(), "gt"),
     ]
-    header = suite.report_header("custom", args.seed, ["scatter"],
-                                 (time.perf_counter() - t0) * 1e3, results)
-    return _emit_report(args, header, results)
+    return _emit_command_report(args, t0, results)
 
 
 def _cmd_verify(args):
@@ -312,9 +307,7 @@ def _cmd_verify(args):
                           (time.perf_counter() - t0) * 1e3,
                           f"accuracy-4 stencils, hx={grid.hx:.4g} ht={grid.ht:.4g}", "lt"),
     ]
-    header = suite.report_header("custom", args.seed, ["verify"],
-                                 (time.perf_counter() - t0) * 1e3, results)
-    return _emit_report(args, header, results)
+    return _emit_command_report(args, t0, results)
 
 
 def _cmd_suite(args):
@@ -333,7 +326,8 @@ def _cmd_suite(args):
                 _require_keys(entry, {"name", "tolerance"}, ("name",), f"checks[{i}]")
                 checks.append(entry["name"])
                 if "tolerance" in entry:
-                    overrides[entry["name"]] = float(entry["tolerance"])
+                    overrides[entry["name"]] = _number(entry["tolerance"],
+                                                       f"checks[{i}].tolerance")
     _apply_output_config(args, cfg)
     try:
         header, results = suite.run_suite(level=args.level, seed=args.seed,

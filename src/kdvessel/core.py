@@ -144,10 +144,12 @@ class FiniteVessel:
     function.  ``kind`` tags the construction family
     (soliton | discrete | quadrature | tabulated).
 
-    The evaluators must be pure functions of (x, t).  The shipped constructions
-    broadcast over arrays of points: for x, t of broadcast shape S they
-    return arrays of shape S + (n, 2) and S + (n, n).  X keeps the dtype
-    its construction gives it (real whenever the couplings are real).
+    The evaluators must be pure functions of (x, t) that broadcast over
+    arrays of points: for x, t of broadcast shape S (S = () for scalars)
+    they return arrays of shape S + (n, 2) and S + (n, n).  Every routine
+    of the package relies on this, one-point routines included.  X keeps
+    the dtype its construction gives it (real whenever the couplings are
+    real).
     ``A_diag`` holds the diagonal of A when A is diagonal (every
     closed-form family), else None; ``log_abs_det_X0`` and ``sign_det_X0``
     are computed once for the tau function.
@@ -306,31 +308,31 @@ def linkage_gamma_star(B: np.ndarray, Xinv: np.ndarray) -> np.ndarray:
     return gs
 
 
-def _beta_of_gamma_star(gs, imag_tol, x=None, t=None) -> np.ndarray:
+def _beta_of_gamma_star(gs, x=None, t=None) -> np.ndarray:
     """Real beta = (gamma_*)_{21} of a stack of gamma_*, residue-checked.
 
-    The imaginary residue must stay below ``imag_tol`` relative to
-    1 + |beta|; the error names the first offending point when the stack's
-    points x, t are given.
+    The imaginary residue must stay below _IMAG_TOL relative to 1 + |beta|;
+    the error names the first offending point when the stack's points x, t
+    are given.
     """
     beta = gs[..., 1, 0]
-    bad = np.ravel(np.abs(beta.imag) > imag_tol * (1.0 + np.abs(beta.real)))
+    bad = np.ravel(np.abs(beta.imag) > _IMAG_TOL * (1.0 + np.abs(beta.real)))
     i = _first(bad)
     if i is not None:
         at = "" if x is None else f" at ({x[i]}, {t[i]})"
         raise NumericalConsistencyError(
             f"beta has imaginary residue {np.ravel(beta)[i].imag:.3e} above "
-            f"tolerance {imag_tol:.1e}{at}"
+            f"tolerance {_IMAG_TOL:.1e}{at}"
         )
     return beta.real
 
 
-def beta_of_state(B: np.ndarray, Xinv: np.ndarray, imag_tol: float = _IMAG_TOL):
+def beta_of_state(B: np.ndarray, Xinv: np.ndarray):
     """Integrated potential beta = -(B* X^-1 B)_{11} = -tau'/tau.
 
     A float for one (B, X^-1); broadcasts over stacks.
     """
-    beta = _beta_of_gamma_star(linkage_gamma_star(B, Xinv), imag_tol)
+    beta = _beta_of_gamma_star(linkage_gamma_star(B, Xinv))
     return float(beta) if beta.ndim == 0 else beta
 
 
@@ -344,16 +346,16 @@ def _log_tau_stack(vessel, X):
     return logdet - vessel.log_abs_det_X0, sign / vessel.sign_det_X0
 
 
-def _real_tau_sign(logabs, sign, x, t, imag_tol) -> np.ndarray:
+def _real_tau_sign(logabs, sign, x, t) -> np.ndarray:
     """The real sign of tau at the stack's points x, t.
 
     A complex sign's imaginary residue relative to max(1, |tau|) must stay
-    below ``imag_tol``.
+    below _IMAG_TOL.
     """
     if not np.iscomplexobj(sign):
         return sign
     with np.errstate(over="ignore"):
-        bound = imag_tol * np.maximum(np.exp(-logabs), np.abs(sign.real))
+        bound = _IMAG_TOL * np.maximum(np.exp(-logabs), np.abs(sign.real))
     i = _first(np.abs(sign.imag) > bound)
     if i is not None:
         raise NumericalConsistencyError(
@@ -363,7 +365,7 @@ def _real_tau_sign(logabs, sign, x, t, imag_tol) -> np.ndarray:
     return sign.real
 
 
-def _evaluate_stack(vessel, x, t, B, X, hermit_tol, inverse_tol, imag_tol):
+def _evaluate_stack(vessel, x, t, B, X):
     """Checked evaluation of one stack of points x, t (m,) with B, X (m, n, .).
 
     Returns (X symmetrized, X^-1, gamma_*, beta, beta', log|tau|, sign tau),
@@ -372,10 +374,10 @@ def _evaluate_stack(vessel, x, t, B, X, hermit_tol, inverse_tol, imag_tol):
     """
     XH = _adjoint(X)
     asym = _fro_stack(X - XH)
-    i = _first(asym > hermit_tol * (1.0 + _fro_stack(X)))
+    i = _first(asym > _HERMIT_TOL * (1.0 + _fro_stack(X)))
     if i is not None:
         raise NumericalConsistencyError(
-            f"X asymmetry {asym[i]:.3e} exceeds {hermit_tol:.1e}*(1+||X||) "
+            f"X asymmetry {asym[i]:.3e} exceeds {_HERMIT_TOL:.1e}*(1+||X||) "
             f"at ({x[i]}, {t[i]})"
         )
     X = 0.5 * (X + XH)
@@ -385,15 +387,15 @@ def _evaluate_stack(vessel, x, t, B, X, hermit_tol, inverse_tol, imag_tol):
         raise EvaluationError("singular Gram operator", x=float(x[i]), t=float(t[i]))
     Xinv = np.linalg.inv(X)
     defect = _fro_stack(Xinv @ X - np.eye(vessel.n))
-    i = _first(defect > inverse_tol * math.sqrt(vessel.n))
+    i = _first(defect > _INVERSE_TOL * math.sqrt(vessel.n))
     if i is not None:
         raise EvaluationError(
             f"Gram operator too ill-conditioned (inverse defect {defect[i]:.3e})",
             x=float(x[i]), t=float(t[i]),
         )
     gs = linkage_gamma_star(B, Xinv)
-    beta = _beta_of_gamma_star(gs, imag_tol, x, t)
-    sign = _real_tau_sign(logabs, sign, x, t, imag_tol)
+    beta = _beta_of_gamma_star(gs, x, t)
+    sign = _real_tau_sign(logabs, sign, x, t)
     beta_p = beta**2 + 1j * gs[:, 0, 0]
     i = _first(np.abs(beta_p.imag) > 1e-9 * (1.0 + np.abs(beta_p.real)))
     if i is not None:
@@ -403,26 +405,18 @@ def _evaluate_stack(vessel, x, t, B, X, hermit_tol, inverse_tol, imag_tol):
     return X, Xinv, gs, beta, beta_p.real, logabs, sign
 
 
-def evaluate(
-    vessel: FiniteVessel,
-    x: float,
-    t: float,
-    hermit_tol: float = _HERMIT_TOL,
-    inverse_tol: float = _INVERSE_TOL,
-    imag_tol: float = _IMAG_TOL,
-) -> EvaluatedState:
+def evaluate(vessel: FiniteVessel, x: float, t: float) -> EvaluatedState:
     """Evaluate a vessel at (x, t) and derive gamma_*, beta, beta' and tau.
 
     The one-point case of :func:`evaluate_fields`, keeping B, X and X^-1.
     X is symmetrized to (X + X*)/2 before inversion; the discarded
-    asymmetry must stay below ``hermit_tol`` relative to 1 + ||X||.
-    Raises EvaluationError if X is singular (or too ill-conditioned for
-    ``Xinv X = I`` to hold within ``inverse_tol``).
+    asymmetry must stay below _HERMIT_TOL relative to 1 + ||X||.  Raises
+    EvaluationError if X is singular (or too ill-conditioned for
+    ``Xinv X = I`` to hold within _INVERSE_TOL per sqrt(n)).
     """
     B = vessel.B(x, t)
     X, Xinv, gs, beta, beta_p, logabs, sign = _evaluate_stack(
         vessel, np.array([x]), np.array([t]), B[None], vessel.X(x, t)[None],
-        hermit_tol, inverse_tol, imag_tol,
     )
     return EvaluatedState(
         x=x, t=t, B=B, X=X[0], Xinv=Xinv[0], gamma_star=gs[0], beta=float(beta[0]),
@@ -433,14 +427,13 @@ def evaluate(
 def evaluate_fields(vessel: FiniteVessel, x, t) -> FieldValues:
     """beta, beta' and log|tau| with its sign at every point of arrays x, t.
 
-    Applies every check of :func:`evaluate` to each point at its default
-    tolerances and raises at the first offending (x, t).  Points go
-    through in stacks of at most _CHUNK_ENTRIES matrix entries: one LU
-    (slogdet) for tau and one inverse per point, in the dtype of X.
+    Applies every check of :func:`evaluate` to each point and raises at
+    the first offending (x, t).  Points go through in stacks of at most
+    _CHUNK_ENTRIES matrix entries: one LU (slogdet) for tau and one inverse
+    per point, in the dtype of X.
     """
     def stack(xs, ts):
-        return _evaluate_stack(vessel, xs, ts, vessel.B(xs, ts), vessel.X(xs, ts),
-                               _HERMIT_TOL, _INVERSE_TOL, _IMAG_TOL)[3:]
+        return _evaluate_stack(vessel, xs, ts, vessel.B(xs, ts), vessel.X(xs, ts))[3:]
 
     beta, beta_p, logabs, sign = _per_point(vessel, x, t, stack, 4)
     return FieldValues(beta=beta, beta_prime=beta_p, log_abs_tau=logabs, tau_sign=sign)
@@ -455,7 +448,7 @@ def log_tau(vessel: FiniteVessel, x: float, t: float) -> tuple[float, float]:
     have an overflow-free variant).
     """
     logabs, sign = _log_tau_stack(vessel, vessel.X(x, t)[None])
-    sign = _real_tau_sign(logabs, sign, np.array([x]), np.array([t]), _IMAG_TOL)
+    sign = _real_tau_sign(logabs, sign, np.array([x]), np.array([t]))
     return float(logabs[0]), float(sign[0])
 
 
@@ -477,17 +470,15 @@ def lyapunov_residual(vessel: FiniteVessel, x, t):
     Broadcasts over arrays of points, evaluated in stacks of at most
     _CHUNK_ENTRIES matrix entries; a float for scalar x and t.
     """
-    if np.ndim(x) == 0 and np.ndim(t) == 0:
-        # one point goes to the evaluators as scalars: a vessel's B_eval and
-        # X_eval need not broadcast (the zero-coupling test vessel does not)
-        return float(_lyapunov_stack(vessel, x, t))
-    return _per_point(vessel, x, t, lambda xs, ts: _lyapunov_stack(vessel, xs, ts), 1)[0]
+    res = _per_point(vessel, x, t, lambda xs, ts: _lyapunov_stack(vessel, xs, ts), 1)[0]
+    return float(res) if res.ndim == 0 else res
 
 
-def lyapunov_self_check(vessel: FiniteVessel, check_seed: int = 0) -> None:
+def lyapunov_self_check(vessel: FiniteVessel) -> None:
     """Build-time check: Lyapunov residual below 1e-12 at 50 seeded points.
 
-    The points are uniform on [-2, 2] x [-0.5, 0.5], evaluated as one stack.
+    The points are uniform on [-2, 2] x [-0.5, 0.5] (seed 0), evaluated as
+    one stack.
 
     Blind spot: for diagonal skew-Hermitian A (the trigonometric vessels)
     the residual weighs X_ij by a_i + conj(a_j) = i (k_i^2 - k_j^2), which
@@ -496,7 +487,7 @@ def lyapunov_self_check(vessel: FiniteVessel, check_seed: int = 0) -> None:
     ``spectral.trig_kernel``) go unseen.  The 30-digit mpmath comparison in
     ``tests/test_spectral.py`` covers them instead.
     """
-    rng = np.random.default_rng(check_seed)
+    rng = np.random.default_rng(0)
     xs, ts = rng.uniform([-2.0, -0.5], [2.0, 0.5], size=(50, 2)).T
     res = lyapunov_residual(vessel, xs, ts)
     i = _first(res > 1e-12)
@@ -566,20 +557,21 @@ def evolution_residuals(
     )
 
 
-def inertia(X: np.ndarray, hermit_tol: float = 1e-10, zero_tol: float = 1e-12):
+def inertia(X: np.ndarray):
     """(positive_count, negative_count) of a Hermitian operator's eigenvalues.
 
-    Eigenvalues with |lambda| < zero_tol * ||X|| are rejected: a
-    (near-)singular operator has no robust inertia classification.
+    X must be Hermitian to 1e-10 relative to 1 + ||X||.  Eigenvalues with
+    |lambda| < 1e-12 * ||X|| are rejected: a (near-)singular operator has
+    no robust inertia classification.
     """
     X = np.asarray(X, dtype=complex)
-    if _fro(X - X.conj().T) > hermit_tol * (1.0 + _fro(X)):
+    if _fro(X - X.conj().T) > 1e-10 * (1.0 + _fro(X)):
         raise NumericalConsistencyError("inertia requires a Hermitian operator")
     eigs = np.linalg.eigvalsh(0.5 * (X + X.conj().T))
     scale = max(np.max(np.abs(eigs)), np.finfo(float).tiny)
-    if np.any(np.abs(eigs) < zero_tol * scale):
+    if np.any(np.abs(eigs) < 1e-12 * scale):
         raise ClassificationError(
-            f"near-zero eigenvalue below {zero_tol:.1e}*||X||; inertia undefined"
+            "near-zero eigenvalue below 1e-12*||X||; inertia undefined"
         )
     return int(np.sum(eigs > 0)), int(np.sum(eigs < 0))
 
@@ -602,7 +594,6 @@ def integrate_standard_construction(
     x0: float,
     grid: np.ndarray,
     t0: float = 0.0,
-    lyapunov_tol: float = 1e-8,
 ) -> FiniteVessel:
     """Build a tabulated vessel from admissible initial data.
 
@@ -611,7 +602,7 @@ def integrate_standard_construction(
     along the way, outward from x0 over the given grid.  The initial data
     must satisfy the Lyapunov condition A X0 + X0 A* + B0 sigma1 B0* = 0
     within 1e-10; the residual is then monitored across the whole grid and
-    must stay below ``lyapunov_tol``.
+    must stay below 1e-8 relative to 1 + ||X||.
 
     The returned vessel evaluates only at grid points (x matched to
     1e-9 relative tolerance) and at the fixed time slice t0; it broadcasts
@@ -655,9 +646,9 @@ def integrate_standard_construction(
 
     for i, xg in enumerate(grid):
         res = _fro(A @ Xs[i] + Xs[i] @ A.conj().T + Bs[i] @ SIGMA1 @ Bs[i].conj().T)
-        if not np.isfinite(res) or res > lyapunov_tol * (1.0 + _fro(Xs[i])):
+        if not np.isfinite(res) or res > 1e-8 * (1.0 + _fro(Xs[i])):
             raise EvaluationError(
-                f"Lyapunov residual {res:.3e} above {lyapunov_tol:.1e} during construction",
+                f"Lyapunov residual {res:.3e} above 1e-8 during construction",
                 x=float(xg),
                 t=t0,
             )

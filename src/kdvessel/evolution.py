@@ -162,13 +162,11 @@ def integrate_b(
     p0,
     t_grid,
     conservation_tol: float = 1e-9,
-    symmetry_tol: float = 1e-12,
-    negativity_tol: float = 1e-12,
 ) -> BTrajectory:
     """Classical fixed-step RK4 integration of the coefficient system.
 
-    Per accepted step the monitors check lattice symmetry p_N = p_{-N},
-    nonnegativity (breakdown below -``negativity_tol``), and the
+    Per accepted step the monitors check lattice symmetry p_N = p_{-N} (to
+    1e-12), nonnegativity (breakdown below -1e-12), and the
     instantaneous conservation residual against ``conservation_tol``
     (see the module docstring for why the residual grows on truncated
     lattices).
@@ -180,7 +178,7 @@ def integrate_b(
     if np.any(p < 0):
         raise InvalidSpecError("initial squared coefficients must be nonnegative")
     mirror = lattice.mirror_permutation()
-    if np.max(np.abs(p - p[mirror])) > symmetry_tol:
+    if np.max(np.abs(p - p[mirror])) > 1e-12:
         raise InvalidSpecError("initial data must be lattice-symmetric (p_N = p_-N)")
 
     def monitors(pv, tv):
@@ -188,12 +186,12 @@ def integrate_b(
         if res > conservation_tol:
             raise ConservationError(tv, res, conservation_tol)
         sym = float(np.max(np.abs(pv - pv[mirror])))
-        if sym > symmetry_tol:
+        if sym > 1e-12:
             raise NumericalConsistencyError(
                 f"lattice symmetry violated by {sym:.3e} at t={tv}"
             )
         bad = pv.min()
-        if bad < -negativity_tol:
+        if bad < -1e-12:
             raise ModelBreakdownError(tv, float(bad))
         return res
 

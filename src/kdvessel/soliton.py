@@ -89,9 +89,7 @@ def _gram(spec: SolitonSpec) -> np.ndarray:
     return G if G.imag.any() else G.real
 
 
-def build_soliton(
-    spec: SolitonSpec, self_check: bool = True, check_seed: int = 0
-) -> core.FiniteVessel:
+def build_soliton(spec: SolitonSpec, self_check: bool = True) -> core.FiniteVessel:
     """Closed-form soliton vessel with X0 = I.
 
     B and X broadcast over arrays of points.  With ``self_check`` the
@@ -129,7 +127,7 @@ def build_soliton(
         metadata={"spec": spec, "generators": k, "couplings": b},
     )
     if self_check:
-        core.lyapunov_self_check(vessel, check_seed)
+        core.lyapunov_self_check(vessel)
     return vessel
 
 

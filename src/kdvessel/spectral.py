@@ -251,8 +251,7 @@ def trig_kernel(k: np.ndarray, x, t, tables: Optional[_TrigTables] = None) -> np
 
 
 def _build_trig_vessel(
-    k: np.ndarray, c: np.ndarray, kind: str, metadata: dict,
-    self_check: bool, check_seed: int,
+    k: np.ndarray, c: np.ndarray, kind: str, metadata: dict, self_check: bool
 ) -> core.FiniteVessel:
     n = k.size
     A = np.diag(1j * k**2)
@@ -281,24 +280,24 @@ def _build_trig_vessel(
         X0=np.eye(n, dtype=complex), kind=kind, metadata=metadata,
     )
     if self_check:
-        core.lyapunov_self_check(vessel, check_seed)
+        core.lyapunov_self_check(vessel)
     return vessel
 
 
 def build_discrete_vessel(
-    spec: DiscreteSpectrum, self_check: bool = True, check_seed: int = 0
+    spec: DiscreteSpectrum, self_check: bool = True
 ) -> core.FiniteVessel:
     """Trigonometric vessel on the truncated discrete spectrum; X0 = I."""
     return _build_trig_vessel(
         spec.k, spec.b, "discrete",
         {"spec": spec, "generators": spec.k, "couplings": spec.b,
          "tail_bound": spec.tail_bound},
-        self_check, check_seed,
+        self_check,
     )
 
 
 def build_quadrature_vessel(
-    spec: QuadratureSpectrum, self_check: bool = True, check_seed: int = 0
+    spec: QuadratureSpectrum, self_check: bool = True
 ) -> core.FiniteVessel:
     """Nystrom discretization of the continuous-spectrum vessel; X0 = I.
 
@@ -309,7 +308,7 @@ def build_quadrature_vessel(
     return _build_trig_vessel(
         spec.nodes, c, "quadrature",
         {"spec": spec, "generators": spec.nodes, "couplings": c},
-        self_check, check_seed,
+        self_check,
     )
 
 

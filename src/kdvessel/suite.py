@@ -18,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core, evolution, soliton, spectral, transfer, verify
+from .exceptions import NumericalConsistencyError
 
-__all__ = ["CheckResult", "CHECKS", "EXPECTED_FAILURES", "run_suite",
+__all__ = ["CheckResult", "CHECKS", "EXPECTED_FAILURES", "run_suite", "transfer_checks",
            "report_header", "format_report_lines", "report_as_dict"]
 
 
@@ -252,7 +253,34 @@ def _sample_lambdas(rng, vessel, count):
         if (np.min(np.abs(lam - vessel.spectrum)) > 1e-3
                 and np.min(np.abs(-np.conj(lam) - vessel.spectrum)) > 1e-3):
             lams.append(lam)
-    return lams
+    return np.array(lams)
+
+
+def transfer_checks(vessel, rng, nlam, suffix=""):
+    """transfer.symmetry and transfer.ds_order of one vessel at (x, t) = (0.3, 0.1).
+
+    The symmetry residual is the worst over ``nlam`` lambdas drawn from
+    ``rng``, evaluated as one stack.  The x-evolution residual of S at
+    lambda = 0.7 + 0.4i must converge at an order above 1.9 under
+    h = 1e-3 -> 5e-4; a residual that is not positive has no order and
+    raises NumericalConsistencyError.  ``suffix`` tags the check names.
+    """
+    t0 = time.perf_counter()
+    x, t = 0.3, 0.1
+    worst = transfer.symmetry_residual(vessel, _sample_lambdas(rng, vessel, nlam), x, t).max()
+    r_h = transfer.ds_residual(vessel, 0.7 + 0.4j, x, t, h=1e-3)
+    r_h2 = transfer.ds_residual(vessel, 0.7 + 0.4j, x, t, h=5e-4)
+    try:
+        order = verify.convergence_order(r_h, r_h2)
+    except ValueError as exc:
+        raise NumericalConsistencyError(
+            f"transfer.ds_order{suffix}: {exc} (r_h={r_h:.3e}, r_h/2={r_h2:.3e})"
+        ) from exc
+    return [
+        _lt(f"transfer.symmetry{suffix}", worst, 1e-10, t0,
+            f"{nlam} seeded lambdas, |lambda| in [0.1, 10], off-spectrum by > 1e-3"),
+        _gt(f"transfer.ds_order{suffix}", order, 1.9, t0),
+    ]
 
 
 def check_transfer_function(level, rng):
@@ -263,31 +291,15 @@ def check_transfer_function(level, rng):
         ("quadrature", _quadrature_vessel(1.0, 16, 0.6)),
     ]
     nlam = 100 if level == "full" else 20
-    x, t = 0.3, 0.1
-    lam_sets = {name: _sample_lambdas(rng, vessel, nlam) for name, vessel in cases}
-
-    def one(case):
-        name, vessel = case
+    grid = 0.1 + 1e-3 * np.arange(-10, 11)
+    out = []
+    for name, vessel in cases:
         t0 = time.perf_counter()
-        state = core.evaluate(vessel, x, t)
-        worst = max(
-            transfer.symmetry_residual(vessel, lam, x, t, state=state)
-            for lam in lam_sets[name]
-        )
-        r_h = transfer.ds_residual(vessel, 0.7 + 0.4j, x, t, h=1e-3)
-        r_h2 = transfer.ds_residual(vessel, 0.7 + 0.4j, x, t, h=5e-4)
-        order = verify.convergence_order(r_h, r_h2)
-        grid = 0.1 + 1e-3 * np.arange(-10, 11)
+        out += transfer_checks(vessel, rng, nlam, f"[{name}]")
         inter = transfer.intertwining_residual(vessel, -1j, grid, 0.05)
-        return [
-            _lt(f"transfer.symmetry[{name}]", worst, 1e-10, t0,
-                f"{nlam} seeded lambdas, |lambda| in [0.1, 10], off-spectrum by > 1e-3"),
-            _gt(f"transfer.ds_order[{name}]", order, 1.9, t0),
-            _lt(f"transfer.intertwining[{name}]", inter, 1e-5, t0,
-                "lambda = -i, centered grid h = 1e-3"),
-        ]
-
-    return [r for case in cases for r in one(case)]
+        out.append(_lt(f"transfer.intertwining[{name}]", inter, 1e-5, t0,
+                       "lambda = -i, centered grid h = 1e-3"))
+    return out
 
 
 # ---------------------------------------------------------------------------

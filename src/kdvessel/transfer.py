@@ -26,6 +26,11 @@ The potential recovered from the kernel diagonal is q = +2 d/dx K(x, x)
 (the -2 convention printed in classical treatments is inconsistent with
 K(x, x) = beta and q = 2 beta' under this kernel normalization; the sign
 is resolved empirically and reported).
+
+S and the symmetry residual take an array of lambda at one (x, t): one
+evaluation of the state, one batched solve of (lambda I - A) against B for
+all lambda.  The Gelfand-Levitan residual reads B at every Simpson node
+from one broadcast call of the vessel's evaluator.
 """
 
 from __future__ import annotations
@@ -39,9 +44,7 @@ from .core import GAMMA, SIGMA1, SIGMA2
 from .exceptions import NumericalConsistencyError, PoleError
 
 __all__ = [
-    "TransferSample",
     "eval_S",
-    "sample_S",
     "symmetry_residual",
     "ds_residual",
     "intertwining_residual",
@@ -54,68 +57,67 @@ __all__ = [
 ]
 
 
-def _resolvent_solve(vessel: core.FiniteVessel, lam: complex, rhs: np.ndarray,
-                     pole_tol: float = 1e-10) -> np.ndarray:
-    dists = np.abs(lam - vessel.spectrum)
-    i = int(np.argmin(dists))
-    if dists[i] <= pole_tol:
-        raise PoleError(lam, complex(vessel.spectrum[i]), float(dists[i]))
-    return np.linalg.solve(lam * np.eye(vessel.n) - vessel.A, rhs)
+# lambda closer than this to the spectrum of A is a pole hit
+_POLE_TOL = 1e-10
+
+
+def _resolvent_solve(vessel: core.FiniteVessel, lam: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """(lambda I - A)^-1 rhs for each lambda of a 1-D array: (m, n, 2).
+
+    rhs (n, 2) is broadcast to the stack explicitly, so the solve reads it
+    as m matrices under every numpy version.  Raises PoleError naming the
+    first lambda within _POLE_TOL of the spectrum.
+    """
+    dists = np.abs(lam[:, None] - vessel.spectrum)
+    hits = np.flatnonzero(dists.min(axis=1) <= _POLE_TOL)
+    if hits.size:
+        i = hits[0]
+        j = dists[i].argmin()
+        raise PoleError(complex(lam[i]), complex(vessel.spectrum[j]), float(dists[i, j]))
+    M = lam[:, None, None] * np.eye(vessel.n) - vessel.A
+    return np.linalg.solve(M, np.broadcast_to(rhs, lam.shape + rhs.shape))
 
 
 def eval_S(
     vessel: core.FiniteVessel,
-    lam: complex,
+    lam,
     x: float,
     t: float,
     state: core.EvaluatedState | None = None,
-    pole_tol: float = 1e-10,
 ) -> np.ndarray:
     """S(lambda, x, t) through a linear solve (no explicit resolvent).
 
-    ``state`` may carry a pre-evaluated state at (x, t) to amortize the
-    Gram inversion over many lambda.
+    ``lam`` is a scalar or an array of any shape; the result has shape
+    lam.shape + (2, 2).  ``state`` may carry a pre-evaluated state at
+    (x, t) to amortize the Gram inversion over many calls.
     """
     if state is None:
         state = core.evaluate(vessel, x, t)
-    R = _resolvent_solve(vessel, lam, state.B, pole_tol=pole_tol)
+    lam = np.asarray(lam, dtype=complex)
+    R = _resolvent_solve(vessel, lam.ravel(), state.B)
     M = state.B.conj().T @ (state.Xinv @ R)
-    return np.eye(2, dtype=complex) - M @ SIGMA1
-
-
-@dataclass(frozen=True)
-class TransferSample:
-    """One transfer-function evaluation with its defining point."""
-
-    lam: complex
-    x: float
-    t: float
-    S: np.ndarray
-
-    def symmetry_defect(self, vessel: core.FiniteVessel) -> float:
-        return symmetry_residual(vessel, self.lam, self.x, self.t)
-
-
-def sample_S(vessel: core.FiniteVessel, lam: complex, x: float, t: float,
-             state: core.EvaluatedState | None = None) -> TransferSample:
-    """Evaluate S and package it with the sample point."""
-    return TransferSample(lam=complex(lam), x=float(x), t=float(t),
-                          S=eval_S(vessel, lam, x, t, state=state))
+    return (np.eye(2) - M @ SIGMA1).reshape(lam.shape + (2, 2))
 
 
 def symmetry_residual(
     vessel: core.FiniteVessel,
-    lam: complex,
+    lam,
     x: float,
     t: float,
     state: core.EvaluatedState | None = None,
-) -> float:
-    """Frobenius norm of S*(-conj(lambda)) sigma1 S(lambda) - sigma1."""
+):
+    """Frobenius norm of S*(-conj(lambda)) sigma1 S(lambda) - sigma1.
+
+    A float for scalar ``lam``; an array of lam's shape otherwise.
+    """
     if state is None:
         state = core.evaluate(vessel, x, t)
+    lam = np.asarray(lam, dtype=complex)
     S_lam = eval_S(vessel, lam, x, t, state=state)
-    S_ref = eval_S(vessel, -np.conj(lam), x, t, state=state)
-    return float(np.linalg.norm(S_ref.conj().T @ SIGMA1 @ S_lam - SIGMA1))
+    S_ref = eval_S(vessel, -lam.conj(), x, t, state=state)
+    S_ref_adj = np.swapaxes(S_ref, -1, -2).conj()
+    res = np.linalg.norm(S_ref_adj @ SIGMA1 @ S_lam - SIGMA1, axis=(-2, -1))
+    return float(res) if res.ndim == 0 else res
 
 
 def ds_residual(
@@ -224,10 +226,6 @@ def moment_recursion_residual(
     return float(max(r1, r2, r3, r4))
 
 
-def _first_column(vessel: core.FiniteVessel, z: float, t: float) -> np.ndarray:
-    return vessel.B(z, t)[:, 0]
-
-
 def gl_kernels(
     vessel: core.FiniteVessel, x0: float, x: float, y: float, t: float = 0.0
 ) -> tuple[float, float]:
@@ -239,7 +237,7 @@ def gl_kernels(
     """
     sx = core.evaluate(vessel, x, t)
     s0 = core.evaluate(vessel, x0, t)
-    by = _first_column(vessel, y, t)
+    by = vessel.B(y, t)[:, 0]
     omega = sx.B[:, 0].conj() @ s0.Xinv @ by
     kval = -(sx.B[:, 0].conj() @ sx.Xinv @ by)
     for name, v in (("Omega", omega), ("K", kval)):
@@ -262,7 +260,10 @@ def gl_residual(
 
     Requires x > y and an odd node count (even interval count) spanning
     [x0, x].  The kernels are smooth, so uniform Simpson converges at
-    fourth order until roundoff.
+    fourth order until roundoff.  With b = first column of B, every kernel
+    value comes from two vectors: K(x, s) = k_row b(s) with
+    k_row = -b(x)* X^-1(x), and Omega(s, y) = b(s)* om_col with
+    om_col = X^-1(x0) b(y).
     """
     if not x > y:
         raise ValueError("the kernel identity is stated for x > y")
@@ -270,26 +271,18 @@ def gl_residual(
         raise ValueError("composite Simpson needs an odd node count >= 3")
     sx = core.evaluate(vessel, x, t)
     s0 = core.evaluate(vessel, x0, t)
-    bx_left = sx.B[:, 0].conj() @ sx.Xinv   # row for K(x, .)
-    b0_left_of = lambda bs: bs.conj() @ s0.Xinv  # noqa: E731
-
-    by = _first_column(vessel, y, t)
-    kval = float((-(bx_left @ by)).real)
-    omega = float((sx.B[:, 0].conj() @ s0.Xinv @ by).real)
-
-    ss = np.linspace(x0, x, quadrature_nodes)
-    hnode = ss[1] - ss[0]
+    ss = np.linspace(x0, x, quadrature_nodes)  # ss[-1] == x exactly
+    bs = vessel.B(ss, t)[:, :, 0]
+    by = vessel.B(y, t)[:, 0]
+    k_row = -(sx.B[:, 0].conj() @ sx.Xinv)
+    om_col = s0.Xinv @ by
+    K_xs = (bs @ k_row).real
+    om_sy = (bs.conj() @ om_col).real
     w = np.ones(quadrature_nodes)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    w *= hnode / 3.0
-    integral = 0.0
-    for wi, si in zip(w, ss):
-        bs = _first_column(vessel, float(si), t)
-        K_xs = float((-(bx_left @ bs)).real)
-        Om_sy = float((b0_left_of(bs) @ by).real)
-        integral += float(wi) * K_xs * Om_sy
-    return float(abs(kval + omega + integral))
+    w *= (ss[1] - ss[0]) / 3.0
+    return float(abs((k_row @ by).real + om_sy[-1] + w @ (K_xs * om_sy)))
 
 
 @dataclass(frozen=True)

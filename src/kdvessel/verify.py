@@ -8,7 +8,6 @@ masked invalid, never extrapolated.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -23,12 +22,7 @@ __all__ = [
     "beta_pde_residual",
     "q_from_beta",
     "convergence_order",
-    "RoundoffFloorWarning",
 ]
-
-
-class RoundoffFloorWarning(UserWarning):
-    """Refined residual sits at the roundoff floor; order estimate unreliable."""
 
 
 @dataclass(frozen=True)
@@ -192,18 +186,8 @@ def q_from_beta(beta: SampledField, accuracy: int = 2) -> SampledField:
     )
 
 
-def convergence_order(res_h: float, res_h2: float, floor: float = 0.0) -> float:
-    """Observed order log2(res_h / res_h2) from residuals at h and h/2.
-
-    Warns (RoundoffFloorWarning) when the refined residual has hit the
-    given roundoff floor, where the estimate stops being meaningful.
-    """
+def convergence_order(res_h: float, res_h2: float) -> float:
+    """Observed order log2(res_h / res_h2) from residuals at h and h/2."""
     if res_h <= 0 or res_h2 <= 0:
         raise ValueError("residuals must be positive to estimate an order")
-    if res_h2 <= floor:
-        warnings.warn(
-            f"refined residual {res_h2:.3e} at/below roundoff floor {floor:.3e}",
-            RoundoffFloorWarning,
-            stacklevel=2,
-        )
     return float(np.log2(res_h / res_h2))

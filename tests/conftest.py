@@ -8,14 +8,19 @@ def make_zero_vessel(n=2):
     """Vessel with B identically zero: X stays at the identity.
 
     Wavenumbers chosen so the spectrum avoids the lambda = -i used in the
-    intertwining tests.
+    intertwining tests.  B and X broadcast over arrays of points, as every
+    vessel's evaluators must.
     """
     k = 1.2 + 0.7 * np.arange(n)
+
+    def points(x, t):
+        return np.broadcast_shapes(np.shape(x), np.shape(t))
+
     return kv.FiniteVessel(
         n=n,
         A=np.diag(-1j * k**2),
-        B_eval=lambda x, t: np.zeros((n, 2), dtype=complex),
-        X_eval=lambda x, t: np.eye(n, dtype=complex),
+        B_eval=lambda x, t: np.zeros(points(x, t) + (n, 2), dtype=complex),
+        X_eval=lambda x, t: np.broadcast_to(np.eye(n, dtype=complex), points(x, t) + (n, n)),
         X0=np.eye(n, dtype=complex),
         kind="soliton",
     )
@@ -49,3 +54,21 @@ def discrete_12():
 def quadrature_gauss():
     spec = kv.gauss_legendre_spectrum(1.5, 32, lambda s: 0.8 * np.exp(-(s**2)))
     return spec, kv.build_quadrature_vessel(spec, self_check=False)
+
+
+@pytest.fixture(scope="session")
+def rotated_three_soliton(three_soliton):
+    """The 3-soliton vessel in the basis of a seeded random unitary U.
+
+    U keeps every vessel condition and B* X^-1 B but makes A non-diagonal,
+    so the routines take their general (not diagonal-A) products.
+    """
+    _, vessel = three_soliton
+    rng = np.random.default_rng(5)
+    U, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    Uh = U.conj().T
+    return kv.FiniteVessel(
+        n=3, A=U @ vessel.A @ Uh, B_eval=lambda x, t: U @ vessel.B(x, t),
+        X_eval=lambda x, t: U @ vessel.X(x, t) @ Uh, X0=U @ vessel.X0 @ Uh,
+        kind="rotated",
+    )

@@ -12,6 +12,29 @@ def run(args):
     return main(list(args))
 
 
+# the sub-checks of every criterion, in report order
+SUITE_CHECK_NAMES = [
+    "soliton_profile.max_error", "soliton_profile.runtime_s",
+    "cauchy_determinant.rel_error", "cauchy_determinant.runtime_s",
+    *(f"vessel_identities.{c}[{v}]" for v in ("soliton", "discrete", "quadrature")
+      for c in ("lyapunov", "normalization")),
+    *(f"evolution_conditions.{c}[{v}]" for v in ("soliton", "discrete", "quadrature")
+      for c in ("residual", "order")),
+    "kdv_residual.max[soliton2]", "kdv_residual.order[soliton2]",
+    "kdv_residual.max[soliton3]", "kdv_residual.order[soliton3]", "kdv_residual.runtime_s",
+    *(f"transfer.{c}[{v}]" for v in ("soliton1", "soliton2", "discrete", "quadrature")
+      for c in ("symmetry", "ds_order", "intertwining")),
+    "gelfand_levitan.residual[soliton1]", "gelfand_levitan.node_doubling[soliton1]",
+    "gelfand_levitan.residual[soliton2]", "gelfand_levitan.node_doubling[soliton2]",
+    "fixed_vector.discrete", "fixed_vector.quadrature",
+    "moment_recursion.max",
+    "coefficient_evolution.rhs_vs_bruteforce", "coefficient_evolution.conservation",
+    "coefficient_evolution.symmetry", "coefficient_evolution.integrator_order",
+    "periodicity.x_shift", "periodicity.t_shift",
+    "kernel_diag_sign.match_error", "kernel_diag_sign.sigma_consistent",
+]
+
+
 class TestFieldDump:
     def test_soliton_csv_schema_and_values(self, tmp_path):
         out = tmp_path / "field.csv"
@@ -102,6 +125,26 @@ class TestFieldDump:
         cfg.write_text("{not json")
         assert run(["soliton", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("command, config, flags, path", [
+        ("soliton", None, ["--k", "abc", "--b-abs", "1"], "--k"),
+        ("spectral", {"vessel": {"type": "quadrature", "s_max": "a", "nodes": 8,
+                                 "density": {"gaussian": {"amplitude": 0.5}}}},
+         [], "vessel.s_max"),
+        ("evolve", {"evolution": {"M": "x"}}, [], "evolution.M"),
+        ("suite", {"checks": [{"name": "fixed_vector", "tolerance": "x"}]}, [],
+         "checks[0].tolerance"),
+        ("scatter", {"scatter": {"x": "a"}}, [], "scatter.x"),
+    ])
+    def test_malformed_number_is_config_error(self, tmp_path, capsys, command, config,
+                                              flags, path):
+        args = [command, *flags, "--out", str(tmp_path / "out")]
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            args += ["--config", str(cfg)]
+        assert run(args) == 2
+        assert f"{path}: expected a number" in capsys.readouterr().err
+
 
 class TestEvolve:
     def test_default_gate_is_numerical_failure(self, tmp_path):
@@ -132,13 +175,15 @@ class TestCheckCommands:
         assert {"check", "value", "tolerance", "pass", "runtime_ms"} <= set(
             report["checks"][0]
         )
+        assert [c["check"] for c in report["checks"]] == ["transfer.symmetry",
+                                                          "transfer.ds_order"]
 
     def test_scatter_command(self, tmp_path):
         out = tmp_path / "report.json"
         assert run(["scatter", "--out", str(out)]) == 0
         report = json.loads(out.read_text())
-        names = [c["check"] for c in report["checks"]]
-        assert "scatter.gl_residual" in names and "scatter.sign_sigma" in names
+        assert [c["check"] for c in report["checks"]] == ["scatter.gl_residual",
+                                                          "scatter.sign_sigma"]
 
     def test_verify_command(self, tmp_path):
         out = tmp_path / "report.json"
@@ -160,6 +205,7 @@ class TestSuite:
         report = json.loads(out.read_text())
         failed = {c["check"] for c in report["checks"] if not c["pass"]}
         assert failed == set(EXPECTED_FAILURES)
+        assert [c["check"] for c in report["checks"]] == SUITE_CHECK_NAMES
         assert report["header"]["seed"] == 20240601
 
     def test_subset_of_checks(self, tmp_path):

@@ -165,19 +165,12 @@ class TestLyapunov:
         X_diag[0, 0] += 1e-3
         assert res_of(X_diag) == pytest.approx(res_of(X), abs=1e-15)
 
-    def test_non_diagonal_generator(self, three_soliton):
-        # a unitary change of basis U keeps every vessel condition and
-        # B* X^-1 B, but makes A non-diagonal, so the residual takes the
-        # general A X and X A* products
+    def test_non_diagonal_generator(self, three_soliton, rotated_three_soliton):
+        # the residual takes the general A X and X A* products
         _, vessel = three_soliton
+        rotated = rotated_three_soliton
         rng = np.random.default_rng(5)
-        U, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
-        Uh = U.conj().T
-        rotated = kv.FiniteVessel(
-            n=3, A=U @ vessel.A @ Uh, B_eval=lambda x, t: U @ vessel.B(x, t),
-            X_eval=lambda x, t: U @ vessel.X(x, t) @ Uh, X0=U @ vessel.X0 @ Uh,
-            kind="rotated",
-        )
+        rng.normal(size=(2, 3, 3))  # the draws of the fixture's unitary
         assert rotated.A_diag is None
         xs, ts = rng.uniform(-2, 2, 20), rng.uniform(-0.5, 0.5, 20)
         res = kv.lyapunov_residual(rotated, xs, ts)
@@ -257,7 +250,7 @@ class TestInertia:
         assert core.inertia_label(np.eye(3)) == "dissipative"
 
     def test_soliton_states_positive(self, three_soliton):
-        # box kept narrow: once the eigenvalue spread passes 1/zero_tol the
+        # box kept narrow: once the eigenvalue spread passes 1e12 the
         # relative cutoff rightly refuses to classify the smallest one
         _, vessel = three_soliton
         rng = np.random.default_rng(13)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import kdvessel as kv
 from kdvessel import core
@@ -31,12 +33,6 @@ class TestEvalS:
         with pytest.raises(kv.PoleError):
             kv.eval_S(vessel, -1j, 0.0, 0.0)  # spectrum of A is {-i}
 
-    def test_sample_record(self, one_soliton):
-        _, vessel = one_soliton
-        sample = kv.sample_S(vessel, 1.0, 0.0, 0.0)
-        assert (sample.lam, sample.x, sample.t) == (1.0 + 0j, 0.0, 0.0)
-        assert np.allclose(sample.S, kv.eval_S(vessel, 1.0, 0.0, 0.0))
-        assert sample.symmetry_defect(vessel) < 1e-12
 
 
 class TestSymmetry:
@@ -59,6 +55,54 @@ class TestSymmetry:
         S_ref = kv.eval_S(vessel, -np.conj(lam), 0.3, 0.1)
         inv = core.SIGMA1 @ S_ref.conj().T @ core.SIGMA1
         assert np.linalg.norm(inv @ S - np.eye(2)) < 1e-10
+
+
+class TestLambdaArrays:
+    def test_array_matches_scalar_calls(self, three_soliton, rotated_three_soliton):
+        rng = np.random.default_rng(11)
+        lams = rng.uniform(-3, 3, (4, 5)) + 1j * rng.uniform(-3, 3, (4, 5))
+        for vessel in (three_soliton[1], rotated_three_soliton):
+            state = kv.evaluate(vessel, 0.3, 0.1)
+            S = kv.eval_S(vessel, lams, 0.3, 0.1, state=state)
+            res = kv.symmetry_residual(vessel, lams, 0.3, 0.1, state=state)
+            assert S.shape == (4, 5, 2, 2) and res.shape == (4, 5)
+            for i in np.ndindex(lams.shape):
+                S1 = kv.eval_S(vessel, lams[i], 0.3, 0.1, state=state)
+                assert np.linalg.norm(S[i] - S1) <= 1e-15 * np.linalg.norm(S1)
+                # relative to the size of the product S* sigma1 S it measures
+                r1 = kv.symmetry_residual(vessel, lams[i], 0.3, 0.1, state=state)
+                assert abs(res[i] - r1) <= 1e-15 * np.linalg.norm(S1) ** 2
+
+    def test_pole_entry_is_named(self, three_soliton):
+        _, vessel = three_soliton
+        pole = complex(vessel.spectrum[1])
+        lams = np.array([1.0, 2.0 + 1.0j, pole + 5e-11, -0.5j])
+        for fn in (kv.eval_S, kv.symmetry_residual):
+            with pytest.raises(kv.PoleError) as exc:
+                fn(vessel, lams, 0.3, 0.1)
+            assert exc.value.lam == lams[2] and exc.value.nearest_pole == pole
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_symmetry_over_random_discrete_specs(self, data):
+        n = data.draw(st.integers(1, 4))
+        k = np.sort(data.draw(st.lists(st.floats(0.5, 2.5), min_size=n, max_size=n)))
+        if np.any(np.diff(k) < 0.1):
+            k = 0.5 + 0.4 * np.arange(n)
+        mod = np.array(data.draw(st.lists(st.floats(0.05, 0.5), min_size=n, max_size=n)))
+        phase = np.array(data.draw(st.lists(st.floats(-np.pi, np.pi), min_size=n, max_size=n)))
+        vessel = kv.build_discrete_vessel(
+            kv.DiscreteSpectrum(k=k, b=mod * np.exp(1j * phase)), self_check=False)
+        lams = np.array(data.draw(st.lists(
+            st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0,
+                               allow_nan=False, allow_infinity=False),
+            min_size=1, max_size=20)))
+        # the spectrum i k^2 is its own reflection under lambda -> -conj(lambda)
+        lams = lams[np.abs(lams[:, None] - vessel.spectrum).min(axis=1) > 1e-3]
+        assume(lams.size > 0)
+        x = data.draw(st.floats(-1.5, 1.5))
+        t = data.draw(st.floats(-0.3, 0.3))
+        assert np.all(kv.symmetry_residual(vessel, lams, x, t) < 1e-10)
 
 
 class TestDSResidual:

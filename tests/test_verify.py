@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import kdvessel as kv
-from kdvessel.verify import RoundoffFloorWarning
 
 
 def grid(x_min=-1.0, x_max=1.0, nx=101, t_min=-1.0, t_max=1.0, nt=11):
@@ -199,10 +198,6 @@ class TestConvergenceOrder:
     def test_exact_ratios(self):
         assert kv.convergence_order(1e-2, 2.5e-3) == pytest.approx(2.0)
         assert kv.convergence_order(1e-3, 6.25e-5) == pytest.approx(4.0)
-
-    def test_floor_flag(self):
-        with pytest.warns(RoundoffFloorWarning):
-            kv.convergence_order(1e-10, 1e-16, floor=1e-15)
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
