@@ -17,10 +17,12 @@ coupled algebraic and differential conditions:
 Everything a vessel produces -- the tau function det(X0^-1 X(x,t)), the
 integrated potential beta = -(B* X^-1 B)_{11} and the KdV field q = 2 beta'
 -- is derived from these operators.  This module holds the parameter
-matrices, the vessel data model, state evaluation (one point, or stacked
-over arrays of points with one LU factorization of X per point), and
-residual checks for every condition above, plus the generic "integrate B
-then accumulate X" construction from admissible initial data.
+matrices, the vessel data model, state evaluation and residual checks for
+every condition above, plus the generic "integrate B then accumulate X"
+construction from admissible initial data.  Every evaluation and residual
+takes points x, t of any broadcast shape through one stacked path:
+:func:`evaluate` keeps the whole state of each point, while
+:func:`evaluate_fields` keeps beta, beta' and tau of field grids in chunks.
 
 Sign convention: the Lyapunov condition is used in the homogeneous form
 A X + X A* + B sigma1 B* = 0, which is the form the closed-form
@@ -216,27 +218,30 @@ class FiniteVessel:
 
 @dataclass(frozen=True)
 class EvaluatedState:
-    """B, X, X^-1 and the derived scalars at a fixed (x, t), cached for reuse.
+    """B, X, X^-1 and the derived scalars at the points x, t (as given).
 
+    For points of broadcast shape S, B is S + (n, 2), X and X^-1 S + (n, n),
+    gamma_* S + (2, 2) and the scalars S (floats for S = ()).
     ``beta_prime`` is d beta/dx read from the linkage:
     gamma_*[0,0] = -i(beta' - beta^2); tau = tau_sign * e^log_abs_tau.
     """
 
-    x: float
-    t: float
+    x: float | np.ndarray
+    t: float | np.ndarray
     B: np.ndarray
     X: np.ndarray
     Xinv: np.ndarray
     gamma_star: np.ndarray
-    beta: float
-    beta_prime: float
-    log_abs_tau: float
-    tau_sign: float
+    beta: float | np.ndarray
+    beta_prime: float | np.ndarray
+    log_abs_tau: float | np.ndarray
+    tau_sign: float | np.ndarray
 
     @property
-    def tau(self) -> float:
+    def tau(self):
         with np.errstate(over="ignore"):
-            return float(self.tau_sign * np.exp(self.log_abs_tau))
+            tau = self.tau_sign * np.exp(self.log_abs_tau)
+        return float(tau) if np.ndim(tau) == 0 else tau
 
 
 @dataclass(frozen=True)
@@ -405,22 +410,27 @@ def _evaluate_stack(vessel, x, t, B, X):
     return X, Xinv, gs, beta, beta_p.real, logabs, sign
 
 
-def evaluate(vessel: FiniteVessel, x: float, t: float) -> EvaluatedState:
-    """Evaluate a vessel at (x, t) and derive gamma_*, beta, beta' and tau.
+def evaluate(vessel: FiniteVessel, x, t) -> EvaluatedState:
+    """Evaluate a vessel at points x, t and derive gamma_*, beta, beta' and tau.
 
-    The one-point case of :func:`evaluate_fields`, keeping B, X and X^-1.
-    X is symmetrized to (X + X*)/2 before inversion; the discarded
-    asymmetry must stay below _HERMIT_TOL relative to 1 + ||X||.  Raises
-    EvaluationError if X is singular (or too ill-conditioned for
-    ``Xinv X = I`` to hold within _INVERSE_TOL per sqrt(n)).
+    One :func:`_evaluate_stack` call over all points, unchunked since it
+    keeps B, X and X^-1 of each.  X is symmetrized to (X + X*)/2 before
+    inversion; the discarded asymmetry must stay below _HERMIT_TOL relative
+    to 1 + ||X||.  Raises EvaluationError at the first point (C order) where
+    X is singular (or too ill-conditioned for ``Xinv X = I`` to hold within
+    _INVERSE_TOL per sqrt(n)).
     """
+    shape = np.broadcast_shapes(np.shape(x), np.shape(t))
+    n = vessel.n
+    xs, ts = (np.broadcast_to(np.asarray(v, dtype=float), shape).ravel() for v in (x, t))
     B = vessel.B(x, t)
-    X, Xinv, gs, beta, beta_p, logabs, sign = _evaluate_stack(
-        vessel, np.array([x]), np.array([t]), B[None], vessel.X(x, t)[None],
-    )
+    X, Xinv, gs, *scalars = _evaluate_stack(
+        vessel, xs, ts, B.reshape(-1, n, 2), vessel.X(x, t).reshape(-1, n, n))
+    beta, beta_p, logabs, sign = (s.reshape(shape) if shape else float(s[0]) for s in scalars)
     return EvaluatedState(
-        x=x, t=t, B=B, X=X[0], Xinv=Xinv[0], gamma_star=gs[0], beta=float(beta[0]),
-        beta_prime=float(beta_p[0]), log_abs_tau=float(logabs[0]), tau_sign=float(sign[0]),
+        x=x, t=t, B=B, X=X.reshape(shape + (n, n)), Xinv=Xinv.reshape(shape + (n, n)),
+        gamma_star=gs.reshape(shape + (2, 2)), beta=beta, beta_prime=beta_p,
+        log_abs_tau=logabs, tau_sign=sign,
     )
 
 
@@ -439,17 +449,20 @@ def evaluate_fields(vessel: FiniteVessel, x, t) -> FieldValues:
     return FieldValues(beta=beta, beta_prime=beta_p, log_abs_tau=logabs, tau_sign=sign)
 
 
-def log_tau(vessel: FiniteVessel, x: float, t: float) -> tuple[float, float]:
-    """(log|tau|, sign) of tau = det X / det X0 from one LU determinant.
+def log_tau(vessel: FiniteVessel, x, t):
+    """(log|tau|, sign) of tau = det X / det X0 from one LU determinant per point.
 
     Needs no inverse, so it also serves points where X is too
     ill-conditioned for :func:`evaluate`; tau = sign e^{log|tau|}.  Raises
     EvaluationError when the entries of X overflow (the soliton routines
-    have an overflow-free variant).
+    have an overflow-free variant).  Broadcasts like :func:`lyapunov_residual`.
     """
-    logabs, sign = _log_tau_stack(vessel, vessel.X(x, t)[None])
-    sign = _real_tau_sign(logabs, sign, np.array([x]), np.array([t]))
-    return float(logabs[0]), float(sign[0])
+    def stack(xs, ts):
+        logabs, sign = _log_tau_stack(vessel, vessel.X(xs, ts))
+        return logabs, _real_tau_sign(logabs, sign, xs, ts)
+
+    logabs, sign = _per_point(vessel, x, t, stack, 2)
+    return (float(logabs), float(sign)) if logabs.ndim == 0 else (logabs, sign)
 
 
 def _lyapunov_stack(vessel, x, t) -> np.ndarray:
@@ -498,20 +511,27 @@ def lyapunov_self_check(vessel: FiniteVessel) -> None:
         )
 
 
-def normalization_residual(vessel: FiniteVessel, x: float, t: float) -> float:
+def normalization_residual(vessel: FiniteVessel, x, t):
     """|tr(sigma1 B* X^-1 B)|; vanishes whenever tr(A + A*) = 0.
 
     Computed through a direct solve so ill-conditioned (but nonsingular)
-    states remain checkable.
+    states remain checkable.  Broadcasts like :func:`lyapunov_residual`.
     """
-    B = vessel.B(x, t)
-    X = vessel.X(x, t)
-    X = 0.5 * (X + X.conj().T)
-    try:
-        M = B.conj().T @ np.linalg.solve(X, B)
-    except np.linalg.LinAlgError as exc:
-        raise EvaluationError(f"singular Gram operator: {exc}", x=x, t=t) from exc
-    return abs(np.trace(SIGMA1 @ M))
+    def stack(xs, ts):
+        B = vessel.B(xs, ts)
+        X = vessel.X(xs, ts)
+        X = 0.5 * (X + _adjoint(X))
+        try:
+            M = _adjoint(B) @ np.linalg.solve(X, B)
+        except np.linalg.LinAlgError as exc:
+            # solve and slogdet share the LU: its zero pivot names the point
+            i = _first(np.linalg.slogdet(X)[0] == 0) or 0
+            raise EvaluationError(f"singular Gram operator: {exc}",
+                                  x=float(xs[i]), t=float(ts[i])) from exc
+        return np.abs(np.trace(SIGMA1 @ M, axis1=-2, axis2=-1))
+
+    res = _per_point(vessel, x, t, stack, 1)[0]
+    return float(res) if res.ndim == 0 else res
 
 
 def evolution_residuals(
@@ -519,17 +539,17 @@ def evolution_residuals(
 ) -> ResidualReport:
     """Centered-difference residuals of all four differential vessel conditions.
 
-    Uses the 5-point stencil (x +- h, t), (x, t +- h), (x, t).  The x
-    derivative inside the t-evolution of B is taken with the same step.
+    Uses the 5-point stencil (x +- h, t), (x, t +- h), (x, t), with B and
+    X from one call each.  The x derivative inside the t-evolution of B is
+    taken with the same step.
     """
     if h <= 0:
         raise ValueError("step h must be positive")
     A = vessel.A
-    B = vessel.B(x, t)
-    Bxp, Bxm = vessel.B(x + h, t), vessel.B(x - h, t)
-    Btp, Btm = vessel.B(x, t + h), vessel.B(x, t - h)
-    Xxp, Xxm = vessel.X(x + h, t), vessel.X(x - h, t)
-    Xtp, Xtm = vessel.X(x, t + h), vessel.X(x, t - h)
+    xs = np.array([x, x + h, x - h, x, x])
+    ts = np.array([t, t, t, t + h, t - h])
+    B, Bxp, Bxm, Btp, Btm = vessel.B(xs, ts)
+    X, Xxp, Xxm, Xtp, Xtm = vessel.X(xs, ts)
 
     dBx = (Bxp - Bxm) / (2.0 * h)
     dXx = (Xxp - Xxm) / (2.0 * h)

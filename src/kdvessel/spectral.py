@@ -312,22 +312,21 @@ def build_quadrature_vessel(
     )
 
 
-def fixed_vector_residual(vessel: core.FiniteVessel, x: float) -> float:
+def fixed_vector_residual(vessel: core.FiniteVessel, x):
     """|| X(x,0) v - v || / ||v|| for the odd seed v_n = c_n sin(k_n x)/k_n.
 
     v is exactly the first column of B(x, 0) (quadrature weights already
     folded in).  Returns 0 for v = 0 by convention.  The idealized
     infinite-dimensional identity X v = v fails for every truncation (see
-    module docstring); this measures the violation.
+    module docstring); this measures the violation.  Broadcasts over x.
     """
     if vessel.kind not in ("discrete", "quadrature"):
         raise InvalidSpecError("fixed_vector_residual applies to discrete/quadrature vessels")
-    v = vessel.B(x, 0.0)[:, 0]
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        return 0.0
-    X = vessel.X(x, 0.0)
-    return float(np.linalg.norm(X @ v - v) / nv)
+    v = vessel.B(x, 0.0)[..., 0]
+    nv = np.linalg.norm(v, axis=-1)
+    r = np.linalg.norm((vessel.X(x, 0.0) @ v[..., None])[..., 0] - v, axis=-1)
+    res = np.divide(r, nv, out=np.zeros_like(nv), where=nv > 0)
+    return float(res) if res.ndim == 0 else res
 
 
 def beta_odd(spec: DiscreteSpectrum, x):

@@ -27,10 +27,11 @@ The potential recovered from the kernel diagonal is q = +2 d/dx K(x, x)
 K(x, x) = beta and q = 2 beta' under this kernel normalization; the sign
 is resolved empirically and reported).
 
-S and the symmetry residual take an array of lambda at one (x, t): one
-evaluation of the state, one batched solve of (lambda I - A) against B for
-all lambda.  The Gelfand-Levitan residual reads B at every Simpson node
-from one broadcast call of the vessel's evaluator.
+Every routine evaluates the state at all of its points (stencils and
+kernel points included) in one stacked :func:`core.evaluate` call.  S, the
+symmetry residual and the moments take such a stack; S and the symmetry
+residual also take an array of lambda, with one batched solve of
+(lambda I - A) against B for every lambda and point.
 """
 
 from __future__ import annotations
@@ -62,11 +63,11 @@ _POLE_TOL = 1e-10
 
 
 def _resolvent_solve(vessel: core.FiniteVessel, lam: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """(lambda I - A)^-1 rhs for each lambda of a 1-D array: (m, n, 2).
+    """(lambda I - A)^-1 rhs for each lambda of a 1-D array (m,) and rhs P + (n, 2).
 
-    rhs (n, 2) is broadcast to the stack explicitly, so the solve reads it
-    as m matrices under every numpy version.  Raises PoleError naming the
-    first lambda within _POLE_TOL of the spectrum.
+    The result is (m,) + P + (n, 2).  rhs is broadcast to it explicitly, so
+    the solve reads it as matrices under every numpy version.  Raises
+    PoleError naming the first lambda within _POLE_TOL of the spectrum.
     """
     dists = np.abs(lam[:, None] - vessel.spectrum)
     hits = np.flatnonzero(dists.min(axis=1) <= _POLE_TOL)
@@ -75,40 +76,43 @@ def _resolvent_solve(vessel: core.FiniteVessel, lam: np.ndarray, rhs: np.ndarray
         j = dists[i].argmin()
         raise PoleError(complex(lam[i]), complex(vessel.spectrum[j]), float(dists[i, j]))
     M = lam[:, None, None] * np.eye(vessel.n) - vessel.A
+    M = M.reshape(lam.shape + (1,) * (rhs.ndim - 2) + M.shape[1:])
     return np.linalg.solve(M, np.broadcast_to(rhs, lam.shape + rhs.shape))
 
 
 def eval_S(
     vessel: core.FiniteVessel,
     lam,
-    x: float,
-    t: float,
+    x,
+    t,
     state: core.EvaluatedState | None = None,
 ) -> np.ndarray:
     """S(lambda, x, t) through a linear solve (no explicit resolvent).
 
-    ``lam`` is a scalar or an array of any shape; the result has shape
-    lam.shape + (2, 2).  ``state`` may carry a pre-evaluated state at
-    (x, t) to amortize the Gram inversion over many calls.
+    ``lam`` is a scalar or an array of any shape and x, t broadcast to P
+    (P = () for one point); the result has shape lam.shape + P + (2, 2).
+    ``state`` may carry ``core.evaluate(vessel, x, t)`` to amortize the
+    Gram inversion over many calls.
     """
     if state is None:
         state = core.evaluate(vessel, x, t)
     lam = np.asarray(lam, dtype=complex)
     R = _resolvent_solve(vessel, lam.ravel(), state.B)
-    M = state.B.conj().T @ (state.Xinv @ R)
-    return (np.eye(2) - M @ SIGMA1).reshape(lam.shape + (2, 2))
+    M = state.B.swapaxes(-1, -2).conj() @ (state.Xinv @ R)
+    return (np.eye(2) - M @ SIGMA1).reshape(lam.shape + M.shape[1:])
 
 
 def symmetry_residual(
     vessel: core.FiniteVessel,
     lam,
-    x: float,
-    t: float,
+    x,
+    t,
     state: core.EvaluatedState | None = None,
 ):
     """Frobenius norm of S*(-conj(lambda)) sigma1 S(lambda) - sigma1.
 
-    A float for scalar ``lam``; an array of lam's shape otherwise.
+    A float for scalar ``lam`` at one point; an array of shape
+    lam.shape + P otherwise, for points of shape P as in :func:`eval_S`.
     """
     if state is None:
         state = core.evaluate(vessel, x, t)
@@ -124,12 +128,11 @@ def ds_residual(
     vessel: core.FiniteVessel, lam: complex, x: float, t: float, h: float = 1e-3
 ) -> float:
     """Centered-difference residual of the x-evolution of S."""
-    state = core.evaluate(vessel, x, t)
-    S0 = eval_S(vessel, lam, x, t, state=state)
-    Sp = eval_S(vessel, lam, x + h, t)
-    Sm = eval_S(vessel, lam, x - h, t)
+    xs = np.array([x, x + h, x - h])
+    state = core.evaluate(vessel, xs, t)
+    S0, Sp, Sm = eval_S(vessel, lam, xs, t, state=state)
     dS = (Sp - Sm) / (2.0 * h)
-    rhs = SIGMA1 @ (lam * SIGMA2 + state.gamma_star) @ S0 - S0 @ SIGMA1 @ (
+    rhs = SIGMA1 @ (lam * SIGMA2 + state.gamma_star[0]) @ S0 - S0 @ SIGMA1 @ (
         lam * SIGMA2 + GAMMA
     )
     return float(np.linalg.norm(dS - rhs))
@@ -153,13 +156,11 @@ def intertwining_residual(
         raise ValueError("x_grid must be uniform and increasing")
     h = float(hs[0])
     omega = np.exp(0.5 * np.log(1j * lam))
-    y1 = np.empty(xs.size, dtype=complex)
-    beta = np.empty(xs.size)
-    for i, xv in enumerate(xs):
-        state = core.evaluate(vessel, float(xv), t)
-        u = np.array([np.exp(omega * xv), -1j * omega * np.exp(omega * xv)])
-        y1[i] = (eval_S(vessel, lam, float(xv), t, state=state) @ u)[0]
-        beta[i] = state.beta
+    state = core.evaluate(vessel, xs, t)
+    e = np.exp(omega * xs)
+    u = np.stack([e, -1j * omega * e], axis=-1)
+    y1 = (eval_S(vessel, lam, xs, t, state=state) @ u[..., None])[:, 0, 0]
+    beta = state.beta
     y1pp = (y1[2:] - 2.0 * y1[1:-1] + y1[:-2]) / h**2
     beta_p = (beta[2:] - beta[:-2]) / (2.0 * h)
     res = np.abs(-y1pp + 2.0 * beta_p * y1[1:-1] + 1j * lam * y1[1:-1])
@@ -168,21 +169,23 @@ def intertwining_residual(
 
 def moments(
     vessel: core.FiniteVessel,
-    x: float,
-    t: float,
+    x,
+    t,
     nmax: int,
     state: core.EvaluatedState | None = None,
 ) -> np.ndarray:
-    """Markov moments H_0..H_nmax, H_n = B* X^-1 A^n B sigma1, as (nmax+1, 2, 2).
+    """Markov moments H_0..H_nmax, H_n = B* X^-1 A^n B sigma1.
 
+    Shape (nmax+1,) + P + (2, 2) for points x, t of broadcast shape P
+    (P = () for one point); ``state`` may carry their evaluated state.
     A^n B is built by repeated application of A to the columns of B.
     """
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
     if state is None:
         state = core.evaluate(vessel, x, t)
-    out = np.empty((nmax + 1, 2, 2), dtype=complex)
-    left = state.B.conj().T @ state.Xinv
+    left = state.B.swapaxes(-1, -2).conj() @ state.Xinv
+    out = np.empty((nmax + 1,) + left.shape[:-1] + (2,), dtype=complex)
     P = state.B
     for n in range(nmax + 1):
         out[n] = (left @ P) @ SIGMA1
@@ -191,8 +194,8 @@ def moments(
 
 
 def moment_recursion_residual(
-    vessel: core.FiniteVessel, x: float, t: float, n: int, h: float = 1e-4
-) -> float:
+    vessel: core.FiniteVessel, x, t, n: int, h: float = 1e-4
+):
     """Max residual of the four moment recursion relations at level n.
 
     With H = H_n, G = H_{n+1}, beta and beta' from the linkage:
@@ -202,28 +205,30 @@ def moment_recursion_residual(
         r3 = |dx(G11 + G22) + i (beta' - beta^2) G12 - beta (G11 - G22)|
         r4 = |2i dx G21 - (dxx G11 - 2 beta dx G11)|
 
-    x-derivatives are centered differences of step ``h``.
+    x-derivatives are centered differences of step ``h``.  Broadcasts over
+    points x, t: a float for one point, else an array.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    state = core.evaluate(vessel, x, t)
-    H0 = moments(vessel, x, t, n + 1, state=state)
-    Hp = moments(vessel, x + h, t, n + 1)
-    Hm = moments(vessel, x - h, t, n + 1)
+    x = np.asarray(x, dtype=float)
+    xs, ts = np.stack([x, x + h, x - h], axis=-1), np.asarray(t, dtype=float)[..., None]
+    state = core.evaluate(vessel, xs, ts)
+    H0, Hp, Hm = np.moveaxis(moments(vessel, xs, ts, n + 1, state=state), -3, 0)
     dH = (Hp - Hm) / (2.0 * h)
     d2H = (Hp - 2.0 * H0 + Hm) / h**2
     H, G = H0[n], H0[n + 1]
     dHn, dG = dH[n], dH[n + 1]
-    beta = state.beta
-    beta_p = state.beta_prime
-    r1 = abs(G[0, 1] - (1j * H[1, 0] - dHn[0, 0] + beta * H[0, 0]))
-    r2 = abs((G[0, 0] - G[1, 1]) - 1j * (dG[0, 1] - beta * G[0, 1]))
+    beta = state.beta[..., 0]
+    beta_p = state.beta_prime[..., 0]
+    r1 = abs(G[..., 0, 1] - (1j * H[..., 1, 0] - dHn[..., 0, 0] + beta * H[..., 0, 0]))
+    r2 = abs((G[..., 0, 0] - G[..., 1, 1]) - 1j * (dG[..., 0, 1] - beta * G[..., 0, 1]))
     r3 = abs(
-        dG[0, 0] + dG[1, 1] + 1j * (beta_p - beta**2) * G[0, 1]
-        - beta * (G[0, 0] - G[1, 1])
+        dG[..., 0, 0] + dG[..., 1, 1] + 1j * (beta_p - beta**2) * G[..., 0, 1]
+        - beta * (G[..., 0, 0] - G[..., 1, 1])
     )
-    r4 = abs(2j * dG[1, 0] - (d2H[n + 1][0, 0] - 2.0 * beta * dG[0, 0]))
-    return float(max(r1, r2, r3, r4))
+    r4 = abs(2j * dG[..., 1, 0] - (d2H[n + 1][..., 0, 0] - 2.0 * beta * dG[..., 0, 0]))
+    res = np.maximum.reduce([r1, r2, r3, r4])
+    return float(res) if res.ndim == 0 else res
 
 
 def gl_kernels(
@@ -235,11 +240,11 @@ def gl_kernels(
     congruence of a real symmetric matrix); the imaginary residue is
     checked and discarded.
     """
-    sx = core.evaluate(vessel, x, t)
-    s0 = core.evaluate(vessel, x0, t)
+    s = core.evaluate(vessel, np.array([x, x0]), t)
+    bx = s.B[0, :, 0].conj()
     by = vessel.B(y, t)[:, 0]
-    omega = sx.B[:, 0].conj() @ s0.Xinv @ by
-    kval = -(sx.B[:, 0].conj() @ sx.Xinv @ by)
+    omega = bx @ s.Xinv[1] @ by
+    kval = -(bx @ s.Xinv[0] @ by)
     for name, v in (("Omega", omega), ("K", kval)):
         if abs(v.imag) > 1e-10 * (1.0 + abs(v.real)):
             raise NumericalConsistencyError(
@@ -269,13 +274,12 @@ def gl_residual(
         raise ValueError("the kernel identity is stated for x > y")
     if quadrature_nodes < 3 or quadrature_nodes % 2 == 0:
         raise ValueError("composite Simpson needs an odd node count >= 3")
-    sx = core.evaluate(vessel, x, t)
-    s0 = core.evaluate(vessel, x0, t)
+    s = core.evaluate(vessel, np.array([x, x0]), t)
     ss = np.linspace(x0, x, quadrature_nodes)  # ss[-1] == x exactly
     bs = vessel.B(ss, t)[:, :, 0]
     by = vessel.B(y, t)[:, 0]
-    k_row = -(sx.B[:, 0].conj() @ sx.Xinv)
-    om_col = s0.Xinv @ by
+    k_row = -(s.B[0, :, 0].conj() @ s.Xinv[0])
+    om_col = s.Xinv[1] @ by
     K_xs = (bs @ k_row).real
     om_sy = (bs.conj() @ om_col).real
     w = np.ones(quadrature_nodes)
@@ -317,12 +321,15 @@ def q_from_K_diag(
     Both candidates +-2 d/dx K(x, x) (centered difference) are reported;
     the primary value is the candidate matching the reference (by default
     the linkage-exact 2 beta', independent of this finite difference).
+    K(x, x) = beta(x), whose imaginary residue the evaluation already
+    bounds, so K's real part is taken unchecked.
     """
-    _, k_plus = gl_kernels(vessel, x, x + h, x + h, t=t)
-    _, k_minus = gl_kernels(vessel, x, x - h, x - h, t=t)
+    s = core.evaluate(vessel, np.array([x + h, x, x - h]), t)
+    b = s.B[::2, :, 0]
+    k_plus, k_minus = -(b.conj()[:, None, :] @ s.Xinv[::2] @ b[:, :, None])[:, 0, 0].real
     cd = (k_plus - k_minus) / (2.0 * h)
     if reference is None:
-        reference = 2.0 * core.evaluate(vessel, x, t).beta_prime
+        reference = 2.0 * s.beta_prime[1]
     plus, minus = 2.0 * cd, -2.0 * cd
     sigma = 1 if abs(plus - reference) <= abs(minus - reference) else -1
     return QFromKReport(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import kdvessel as kv
+from kdvessel import suite
 from kdvessel.cli import main
 from kdvessel.suite import EXPECTED_FAILURES
 
@@ -249,3 +250,23 @@ class TestSuite:
         cfg.write_text(json.dumps({"checks": [override]}))
         assert run(["suite", "--level", "quick", "--config", str(cfg)]) == 2
         assert override["name"] in capsys.readouterr().err
+
+    def test_refused_override_exits_before_any_check_runs(self, tmp_path, monkeypatch):
+        def must_not_run(level, rng):
+            pytest.fail("kdv_residual ran although its override is refused")
+
+        monkeypatch.setitem(suite.CHECKS, "kdv_residual", must_not_run)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"checks": [{"name": "kdv_residual", "tolerance": 1e-2}]}))
+        assert run(["suite", "--level", "quick", "--config", str(cfg)]) == 2
+
+    def test_error_bound_families_match_the_gates(self):
+        # the families whose every sub-check is a positive upper bound on an
+        # error, read off a run: the set the CLI accepts overrides for
+        _, results = suite.run_suite(level="quick")
+        families = {}
+        for r in results:
+            bound = r.mode == "lt" and r.tolerance > 0 and not r.check.endswith(".runtime_s")
+            family = r.check.split(".", 1)[0]
+            families[family] = families.get(family, True) and bound
+        assert set(suite.ERROR_BOUND_FAMILIES) == {f for f, ok in families.items() if ok}

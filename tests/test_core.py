@@ -488,3 +488,80 @@ def _gram_vessel(upper, lower):
 def quadrature_64():
     spec = kv.gauss_legendre_spectrum(1.2, 64, lambda s: 0.5 * np.exp(-(s**2)))
     return kv.build_quadrature_vessel(spec, self_check=False)
+
+
+# ---------------------------------------------------------------------------
+# one stacked state over arrays of points against the one-point calls
+# ---------------------------------------------------------------------------
+
+_STATE_FIELDS = ("B", "X", "Xinv", "gamma_star", "beta", "beta_prime", "log_abs_tau",
+                 "tau_sign", "tau")
+
+
+def _assert_stack_equals_points(vessel, xs, ts, lams):
+    """evaluate and eval_S over the stack xs, ts equal their one-point calls."""
+    state = kv.evaluate(vessel, xs, ts)
+    S = kv.eval_S(vessel, lams, xs, ts, state=state)
+    assert state.B.shape == xs.shape + (vessel.n, 2) and state.beta.shape == xs.shape
+    assert S.shape == lams.shape + xs.shape + (2, 2)
+    for i in np.ndindex(xs.shape):
+        one = kv.evaluate(vessel, float(xs[i]), float(ts[i]))
+        for name in _STATE_FIELDS:
+            assert np.array_equal(getattr(state, name)[i], getattr(one, name)), name
+        S1 = kv.eval_S(vessel, lams, float(xs[i]), float(ts[i]), state=one)
+        assert np.array_equal(S[(...,) + i + (slice(None), slice(None))], S1)
+
+
+class TestStackedState:
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), complex_b=st.booleans(),
+           shape=st.sampled_from([(1,), (5,), (2, 3)]))
+    def test_discrete_stack_equals_scalar_calls(self, data, complex_b, shape):
+        vessel = data.draw(discrete_vessels(complex_b))
+        count = int(np.prod(shape))
+        xs, ts = (p.reshape(shape) for p in _points(data.draw, count, (-1.5, 1.5), (-0.3, 0.3)))
+        pairs = list(zip(xs.ravel().tolist(), ts.ravel().tolist()))
+        state = kv.evaluate(vessel, xs, ts)
+        for name in ("beta", "beta_prime", "log_abs_tau", "tau_sign"):
+            assert np.array_equal(np.ravel(getattr(state, name)),
+                                  [getattr(kv.evaluate(vessel, x, t), name) for x, t in pairs])
+        logabs, sign = kv.log_tau(vessel, xs, ts)
+        assert logabs.shape == sign.shape == shape
+        assert np.array_equal(np.stack([logabs.ravel(), sign.ravel()], axis=-1),
+                              [kv.log_tau(vessel, x, t) for x, t in pairs])
+        for fn in (kv.lyapunov_residual, kv.normalization_residual):
+            res = fn(vessel, xs, ts)
+            assert res.shape == shape
+            assert np.array_equal(res.ravel(), [fn(vessel, x, t) for x, t in pairs])
+            assert np.all(res < 1e-12)
+
+    def test_rotated_vessel(self, rotated_three_soliton):
+        xs = np.array([[-0.4, 0.1, 0.6], [0.2, -0.8, 0.3]])
+        ts = np.array([0.05, -0.1, 0.2])
+        lams = np.array([0.5 + 1.0j, -2.0 + 0.3j])
+        _assert_stack_equals_points(rotated_three_soliton, xs, np.broadcast_to(ts, xs.shape),
+                                    lams)
+
+    def test_tabulated_vessel(self, one_soliton):
+        _, closed = one_soliton
+        grid = np.linspace(-0.5, 0.5, 101)
+        vessel = kv.integrate_standard_construction(
+            closed.A, closed.B(-0.5, 0.0), closed.X(-0.5, 0.0), -0.5, grid
+        )
+        xs = grid[[3, 50, 97, 20]]
+        _assert_stack_equals_points(vessel, xs, np.zeros_like(xs), np.array([0.7 - 0.2j]))
+
+    def test_bad_points_are_named_in_order(self):
+        vessel = _gram_vessel(lambda x: x, lambda x: x)  # X = [[1, x], [x, 1]]
+        xs = np.array([0.0, 0.25, 1.0, 0.5, -1.0])
+        for fn in (kv.evaluate, kv.normalization_residual):
+            with pytest.raises(kv.EvaluationError, match="singular") as exc:
+                fn(vessel, xs, 0.0)
+            assert (exc.value.x, exc.value.t) == (1.0, 0.0)
+
+    def test_overflow_is_named_in_order(self, one_soliton):
+        _, vessel = one_soliton
+        for fn in (kv.evaluate, kv.log_tau, kv.lyapunov_residual):
+            with pytest.raises(kv.EvaluationError, match="overflowed") as exc:
+                fn(vessel, np.array([0.0, 400.0, 500.0]), 0.0)
+            assert exc.value.x == 400.0

@@ -316,6 +316,18 @@ class TestFixedVector:
         with pytest.raises(kv.InvalidSpecError):
             kv.fixed_vector_residual(vessel, 1.0)
 
+    def test_broadcasts_over_x(self, quadrature_gauss):
+        # against the dense oracle point by point; x = 0 keeps the v = 0 convention
+        _, vessel = quadrature_gauss
+        xs = np.array([[0.5, -1.3, 0.0], [2.2, 0.1, -4.0]])
+        res = kv.fixed_vector_residual(vessel, xs)
+        assert res.shape == xs.shape and res[0, 2] == 0.0
+        for i in np.ndindex(xs.shape):
+            if xs[i] != 0.0:
+                v = vessel.B(xs[i], 0.0)[:, 0]
+                oracle = np.linalg.norm(vessel.X(xs[i], 0.0) @ v - v) / np.linalg.norm(v)
+                assert res[i] == pytest.approx(oracle, rel=1e-13)
+
 
 class TestBetaOdd:
     def test_single_term(self):

@@ -1,10 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import kdvessel as kv
-from kdvessel import core
+from kdvessel import core, suite
 
 
 class TestEvalS:
@@ -105,6 +107,30 @@ class TestLambdaArrays:
         assert np.all(kv.symmetry_residual(vessel, lams, x, t) < 1e-10)
 
 
+class TestSampleLambdas:
+    def test_matches_one_candidate_at_a_time(self):
+        # a "spectrum" tiling the annulus 0.099 <= |lambda| <= 0.111 rejects
+        # about 2% of the candidates, so some batches are re-drawn
+        g = np.arange(-0.111, 0.1115, 1.4e-3)
+        grid = (g[:, None] + 1j * g).ravel()
+        vessel = SimpleNamespace(spectrum=grid[(np.abs(grid) > 0.098) & (np.abs(grid) < 0.112)])
+        for count in (1, 100, 300):
+            rng, ref_rng = np.random.default_rng([7, count]), np.random.default_rng([7, count])
+            lams = suite._sample_lambdas(rng, vessel, count)
+            ref, drawn = [], 0
+            while len(ref) < count:
+                mag = 10.0 ** ref_rng.uniform(-1.0, 1.0)
+                lam = mag * np.exp(1j * ref_rng.uniform(0.0, 2.0 * np.pi))
+                drawn += 1
+                if (np.min(np.abs(lam - vessel.spectrum)) > 1e-3
+                        and np.min(np.abs(-np.conj(lam) - vessel.spectrum)) > 1e-3):
+                    ref.append(lam)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            assert lams.shape == (count,)
+            assert np.all(np.abs(lams - ref) <= 4e-16 * np.abs(ref))
+        assert drawn > count  # the last run re-drew rejected candidates
+
+
 class TestDSResidual:
     def test_soliton_small(self, one_soliton):
         _, vessel = one_soliton
@@ -140,6 +166,25 @@ class TestIntertwining:
             grid = 0.1 + h * np.arange(-8, 9)
             res[h] = kv.intertwining_residual(vessel, -1j, grid, 0.05)
         assert np.log2(res[2e-3] / res[1e-3]) > 1.9
+
+    def test_equals_the_point_by_point_loop(self, discrete_12, quadrature_gauss):
+        # the stacked state reproduces one evaluation per grid point exactly:
+        # the 1/h^2 stencil would amplify any last-digit change a millionfold
+        grid = 0.3 + 1e-3 * np.arange(-10, 11)
+        for vessel in (discrete_12[1], quadrature_gauss[1]):
+            omega = np.exp(0.5 * np.log(1j * -1j))
+            y1, beta = [], []
+            for x in grid:
+                state = kv.evaluate(vessel, float(x), 0.05)
+                u = np.array([np.exp(omega * x), -1j * omega * np.exp(omega * x)])
+                y1.append((kv.eval_S(vessel, -1j, float(x), 0.05, state=state) @ u)[0])
+                beta.append(state.beta)
+            y1, beta = np.array(y1), np.array(beta)
+            h = grid[1] - grid[0]
+            y1pp = (y1[2:] - 2.0 * y1[1:-1] + y1[:-2]) / h**2
+            beta_p = (beta[2:] - beta[:-2]) / (2.0 * h)
+            ref = np.abs(-y1pp + 2.0 * beta_p * y1[1:-1] + y1[1:-1]).max()
+            assert kv.intertwining_residual(vessel, -1j, grid, 0.05) == ref
 
     def test_grid_validation(self, zero_vessel):
         with pytest.raises(ValueError):
@@ -191,6 +236,19 @@ class TestMomentRecursion:
 
     def test_zero_coupling(self, zero_vessel):
         assert kv.moment_recursion_residual(zero_vessel, 0.3, 0.1, 0, h=1e-4) == 0.0
+
+    def test_point_arrays_match_scalar_calls(self, one_soliton, rotated_three_soliton):
+        xs = np.array([[-0.6, 0.2], [0.5, 0.9]])
+        ts = np.array([0.1, -0.2])
+        for vessel in (one_soliton[1], rotated_three_soliton):
+            for n in (0, 2):
+                res = kv.moment_recursion_residual(vessel, xs, ts, n, h=1e-3)
+                assert res.shape == xs.shape
+                for i in np.ndindex(xs.shape):
+                    one = kv.moment_recursion_residual(vessel, xs[i], ts[i[1]], n, h=1e-3)
+                    # the moments agree exactly; |.| of a complex array may
+                    # round its last digit unlike the scalar hypot
+                    assert res[i] == pytest.approx(one, rel=1e-15, abs=0)
 
     def test_order_two_in_step(self, one_soliton):
         # steps kept large enough that truncation dominates the eps/h^2
