@@ -1,4 +1,4 @@
-"""Configuration-driven command line entry point.
+"""Configuration-driven command line entry point, a thin layer over the suite.
 
 Subcommands build vessels, dump fields, and run verification checks:
 
@@ -9,14 +9,19 @@ Subcommands build vessels, dump fields, and run verification checks:
     verify                KdV residual of a vessel's q field
     suite                 the full named-check battery
 
-Exit codes: 0 all checks passed, 1 some check failed, 2 configuration
-error (malformed numbers included), 3 numerical failure (singular Gram
-operator, pole hit, ...).
+Every command reads its JSON configuration through one loader, which
+rejects unknown keys with the offending field path (top-level keys per
+command) and applies ``output.path``.  ``transfer``, ``scatter`` and
+``verify`` run a check body of :mod:`kdvessel.suite` on the configured
+vessel; they and ``suite`` write text lines to stdout and the JSON report
+to ``--out``.
 
-Configuration is a single JSON document; unknown keys are rejected with
-the offending field path.  CSV output uses '.' decimals, LF line endings
-and 17 significant digits, so identical config and seed reproduce
-bit-identical files.
+Exit codes: 0 all checks passed, 1 some check failed, 2 configuration
+error (malformed numbers and out-of-range inputs included), 3 numerical
+failure (singular Gram operator, pole hit, ...).
+
+CSV output uses '.' decimals, LF line endings and 17 significant digits,
+so identical config and seed reproduce bit-identical files.
 """
 
 from __future__ import annotations
@@ -29,14 +34,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import core, evolution, soliton, spectral, suite, transfer, verify
-from .exceptions import ConfigError, VesselError
-
-_FIELD_HEADER = "x,t,tau,beta,q"
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
+from . import evolution, soliton, spectral, suite, verify
+from .exceptions import ConfigError, InvalidSpecError, VesselError
 
 
 # ---------------------------------------------------------------------------
@@ -141,14 +140,23 @@ def grid_from_config(cfg, path="grid"):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _load_config(args, default=None):
-    if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            try:
-                return json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config: invalid JSON ({exc})") from exc
-    return {} if default is None else default
+def _load_config(args):
+    """The command's config ({} without --config); ``output.path`` fills --out."""
+    cfg = {}
+    if args.config:
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                cfg = json.load(fh)
+        except OSError as exc:
+            raise ConfigError(f"config: cannot read {args.config!r} ({exc})") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config: invalid JSON ({exc})") from exc
+    _require_keys(cfg, {*_COMMANDS[args.command][1], "output"}, (), "config")
+    out_cfg = cfg.get("output", {})
+    _require_keys(out_cfg, {"path"}, (), "output")
+    if args.out is None and "path" in out_cfg:
+        args.out = str(out_cfg["path"])
+    return cfg
 
 
 def _write_text(path, text):
@@ -159,36 +167,27 @@ def _write_text(path, text):
             fh.write(text)
 
 
+def _write_csv(path, header, rows):
+    """CSV of numeric rows at 17 significant digits."""
+    _write_text(path, "\n".join([header, *(",".join(f"{v:.17g}" for v in row)
+                                           for row in rows)]) + "\n")
+
+
+def _report(args, level, checks, runtime_ms, results):
+    """Header built from the final results; text to stdout, JSON to --out."""
+    header = suite.report_header(level, args.seed, checks, runtime_ms, results)
+    print("\n".join(suite.format_report_lines(header, results)))
+    if args.out:
+        _write_text(args.out, json.dumps(suite.report_as_dict(header, results),
+                                         indent=2, sort_keys=True) + "\n")
+    return 0 if all(r.passed for r in results) else 1
+
+
 # ---------------------------------------------------------------------------
 # field dumps
 # ---------------------------------------------------------------------------
 
-def _fields(vessel, grid):
-    """beta, beta' and tau of a vessel on every grid point, indexed [ix, it].
-
-    Solitons use the overflow-safe scaled evaluator (tau = inf past the
-    float range); other vessels go through the batched evaluator.
-    """
-    X, T = np.meshgrid(grid.xs, grid.ts, indexing="ij")
-    if vessel.kind == "soliton":
-        return soliton.fields_soliton(vessel.metadata["spec"], X, T)
-    return core.evaluate_fields(vessel, X, T)
-
-
-def _field_rows(vessel, grid):
-    """CSV rows x,t,tau,beta,q with the exact q = 2 beta'."""
-    fields = _fields(vessel, grid)
-    tau_vals, beta_vals, q_vals = fields.tau, fields.beta, fields.q
-    rows = [_FIELD_HEADER]
-    for i, x in enumerate(grid.xs):
-        for j, t in enumerate(grid.ts):
-            rows.append(",".join(_fmt(v) for v in
-                                 (x, t, tau_vals[i, j], beta_vals[i, j], q_vals[i, j])))
-    return "\n".join(rows) + "\n"
-
-
-def _cmd_field_dump(args):
-    cfg = _load_config(args)
+def _cmd_field_dump(args, cfg):
     vcfg = dict(cfg.get("vessel", {}))
     vessel_type = args.command
     if vessel_type == "spectral":
@@ -203,119 +202,81 @@ def _cmd_field_dump(args):
     gcfg = cfg.get("grid", {
         "x_min": -5.0, "x_max": 5.0, "nx": 41, "t_min": -0.5, "t_max": 0.5, "nt": 9,
     })
-    _apply_output_config(args, cfg)
     vessel, _ = build_vessel_from_config(vcfg)
     grid = grid_from_config(gcfg)
-    _write_text(args.out, _field_rows(vessel, grid))
+    fields = suite.grid_fields(vessel, grid)  # q is the exact 2 beta'
+    X, T = np.meshgrid(grid.xs, grid.ts, indexing="ij")
+    _write_csv(args.out, "x,t,tau,beta,q",
+               zip(*(a.ravel() for a in (X, T, fields.tau, fields.beta, fields.q))))
     return 0
 
 
-def _cmd_evolve(args):
-    cfg = _load_config(args)
-    _apply_output_config(args, cfg)
+def _cmd_evolve(args, cfg):
     ecfg = cfg.get("evolution", {})
     _require_keys(ecfg, {"k0", "M", "p0", "t_end", "steps", "conservation_tol"},
                   (), "evolution")
     k0 = _number(ecfg.get("k0", 1.0), "evolution.k0")
     M = _number(ecfg.get("M", 2), "evolution.M", int)
-    lat = evolution.make_lattice(k0, M)
-    p0 = (_positive_list(ecfg["p0"], "evolution.p0") if "p0" in ecfg
-          else np.ones(lat.size))
     t_end = _number(ecfg.get("t_end", 0.5), "evolution.t_end")
     steps = _number(ecfg.get("steps", 500), "evolution.steps", int)
     tol = ecfg.get("conservation_tol", 1e-9)
     tol = np.inf if tol is None else _number(tol, "evolution.conservation_tol")
-    traj = evolution.integrate_b(lat, p0, np.linspace(0.0, t_end, steps + 1),
-                                 conservation_tol=tol)
-    header = "t," + ",".join(f"p[{m}]" for m in lat.indices) + ",conservation"
-    rows = [header]
-    for i, t in enumerate(traj.times):
-        rows.append(",".join(_fmt(v) for v in
-                             (t, *traj.p[i], traj.conservation[i])))
-    _write_text(args.out, "\n".join(rows) + "\n")
+    try:  # the lattice, p0 and time grid are validated where they are used
+        lat = evolution.make_lattice(k0, M)
+        p0 = (_positive_list(ecfg["p0"], "evolution.p0") if "p0" in ecfg
+              else np.ones(lat.size))
+        traj = evolution.integrate_b(lat, p0, np.linspace(0.0, t_end, steps + 1),
+                                     conservation_tol=tol)
+    except InvalidSpecError as exc:
+        raise ConfigError(f"evolution: {exc}") from exc
+    _write_csv(args.out, "t," + ",".join(f"p[{m}]" for m in lat.indices) + ",conservation",
+               ((t, *p, c) for t, p, c in zip(traj.times, traj.p, traj.conservation)))
     return 0
 
 
 # ---------------------------------------------------------------------------
-# check-style commands
+# check commands
 # ---------------------------------------------------------------------------
 
-def _emit_report(args, header, results):
-    lines = suite.format_report_lines(header, results)
-    print("\n".join(lines))
-    if args.out:
-        fmt = getattr(args, "format", "json") or "json"
-        if fmt == "json":
-            _write_text(args.out, json.dumps(
-                suite.report_as_dict(header, results), indent=2, sort_keys=True
-            ) + "\n")
-        else:
-            _write_text(args.out, "\n".join(lines) + "\n")
-    return 0 if all(r.passed for r in results) else 1
-
-
-def _emit_command_report(args, t0, results):
-    """Report of the transfer, scatter or verify command, timed from t0."""
-    header = suite.report_header("custom", args.seed, [args.command],
-                                 (time.perf_counter() - t0) * 1e3, results)
-    return _emit_report(args, header, results)
-
-
-def _cmd_transfer(args):
-    cfg = _load_config(args)
-    vcfg = cfg.get("vessel", {"type": "soliton", "k": [1.2], "b_abs": [1.5491933384829668]})
-    vessel, _ = build_vessel_from_config(vcfg)
-    t0 = time.perf_counter()
-    results = suite.transfer_checks(vessel, np.random.default_rng(args.seed), 100)
-    return _emit_command_report(args, t0, results)
-
-
-def _cmd_scatter(args):
-    cfg = _load_config(args)
-    vcfg = cfg.get("vessel", {"type": "soliton", "k": [1.0], "b_abs": [1.4142135623730951]})
-    vessel, _ = build_vessel_from_config(vcfg)
+def _scatter_body(args, cfg, vessel):
     scfg = cfg.get("scatter", {})
     _require_keys(scfg, {"x0", "x", "y", "nodes"}, (), "scatter")
-    x0 = _number(scfg.get("x0", 0.0), "scatter.x0")
-    x = _number(scfg.get("x", 1.5), "scatter.x")
-    y = _number(scfg.get("y", 0.7), "scatter.y")
-    nodes = _number(scfg.get("nodes", 201), "scatter.nodes", int)
+    kwargs = {key: _number(v, f"scatter.{key}", int if key == "nodes" else float)
+              for key, v in scfg.items()}
+    try:
+        return suite.scatter_checks(vessel, **kwargs)
+    except InvalidSpecError as exc:  # x <= y or a node count Simpson cannot use
+        raise ConfigError(f"scatter: {exc}") from exc
+
+
+def _verify_body(args, cfg, vessel):
+    grid = grid_from_config(cfg.get("grid", {"x_min": -6.0, "x_max": 6.0, "nx": 481,
+                                             "t_min": -0.6, "t_max": 0.6, "nt": 49}))
+    return suite.verify_checks(vessel, grid, args.tolerance)
+
+
+# default vessel and suite body of each check command
+_CHECK_COMMANDS = {
+    "transfer": ({"type": "soliton", "k": [1.2], "b_abs": [1.5491933384829668]},
+                 lambda args, cfg, vessel: suite.transfer_checks(
+                     vessel, np.random.default_rng(args.seed), 100)),
+    "scatter": ({"type": "soliton", "k": [1.0], "b_abs": [1.4142135623730951]},
+                _scatter_body),
+    "verify": ({"type": "soliton", "k": [0.8, 1.3],
+                "b_abs": [1.2649110640673518, 1.61245154965971]}, _verify_body),
+}
+
+
+def _cmd_check(args, cfg):
+    """transfer, scatter or verify: build the vessel, run its suite body, report."""
+    default_vessel, body = _CHECK_COMMANDS[args.command]
+    vessel, _ = build_vessel_from_config(cfg.get("vessel", default_vessel))
     t0 = time.perf_counter()
-    omega, kval = transfer.gl_kernels(vessel, x0, x, y)
-    res = transfer.gl_residual(vessel, x0, x, y, quadrature_nodes=nodes)
-    rep = transfer.q_from_K_diag(vessel, 0.5 * (x + y))
-    results = [
-        suite.CheckResult("scatter.gl_residual", res, 1e-8, res < 1e-8,
-                          (time.perf_counter() - t0) * 1e3,
-                          f"Omega={omega:.6e}, K={kval:.6e}, {nodes} Simpson nodes", "lt"),
-        suite.CheckResult("scatter.sign_sigma", float(rep.sigma), 1.0, rep.sigma == 1,
-                          (time.perf_counter() - t0) * 1e3, rep.describe(), "gt"),
-    ]
-    return _emit_command_report(args, t0, results)
+    results = body(args, cfg, vessel)
+    return _report(args, "custom", [args.command], (time.perf_counter() - t0) * 1e3, results)
 
 
-def _cmd_verify(args):
-    cfg = _load_config(args)
-    vcfg = cfg.get("vessel", {"type": "soliton", "k": [0.8, 1.3],
-                              "b_abs": [1.2649110640673518, 1.61245154965971]})
-    vessel, _ = build_vessel_from_config(vcfg)
-    gcfg = cfg.get("grid", {"x_min": -6.0, "x_max": 6.0, "nx": 481,
-                            "t_min": -0.6, "t_max": 0.6, "nt": 49})
-    grid = grid_from_config(gcfg)
-    t0 = time.perf_counter()
-    q = verify.SampledField(grid=grid, values=_fields(vessel, grid).q, label="q")
-    res_h = verify.kdv_residual(q, accuracy=4).max_valid()
-    results = [
-        suite.CheckResult("verify.kdv_residual_max", res_h, float(args.tolerance),
-                          res_h < float(args.tolerance),
-                          (time.perf_counter() - t0) * 1e3,
-                          f"accuracy-4 stencils, hx={grid.hx:.4g} ht={grid.ht:.4g}", "lt"),
-    ]
-    return _emit_command_report(args, t0, results)
-
-
-def _cmd_suite(args):
-    cfg = _load_config(args)
+def _cmd_suite(args, cfg):
     checks = None
     overrides = {}
     if cfg.get("checks"):
@@ -335,17 +296,13 @@ def _cmd_suite(args):
                         raise ConfigError(f"checks[{i}]: {name}: only the error-bound "
                                           f"families {suite.ERROR_BOUND_FAMILIES} take a tolerance")
                     overrides[name] = _number(entry["tolerance"], f"checks[{i}].tolerance")
-    _apply_output_config(args, cfg)
     try:
         header, results = suite.run_suite(level=args.level, seed=args.seed,
                                           checks=checks)
     except KeyError as exc:
         raise ConfigError(f"checks: {exc}") from exc
-    if overrides:
-        results = [_override_tolerance(r, overrides) for r in results]
-        header = suite.report_header(header["level"], header["seed"], header["checks"],
-                                     header["runtime_ms"], results)
-    return _emit_report(args, header, results)
+    results = [_override_tolerance(r, overrides) for r in results]
+    return _report(args, header["level"], header["checks"], header["runtime_ms"], results)
 
 
 def _override_tolerance(result, overrides):
@@ -354,17 +311,17 @@ def _override_tolerance(result, overrides):
     return result if tol is None else replace(result, tolerance=tol, passed=result.value < tol)
 
 
-def _apply_output_config(args, cfg):
-    out_cfg = cfg.get("output")
-    if out_cfg is None:
-        return
-    _require_keys(out_cfg, {"path", "format"}, (), "output")
-    if args.out is None and "path" in out_cfg:
-        args.out = str(out_cfg["path"])
-    if getattr(args, "format", None) is None and "format" in out_cfg:
-        if out_cfg["format"] not in ("csv", "json"):
-            raise ConfigError("output.format: must be 'csv' or 'json'")
-        args.format = out_cfg["format"]
+# the command of each subcommand and the top-level config keys it reads
+# (every command also reads "output")
+_COMMANDS = {
+    "soliton": (_cmd_field_dump, ("vessel", "grid")),
+    "spectral": (_cmd_field_dump, ("vessel", "grid")),
+    "evolve": (_cmd_evolve, ("evolution",)),
+    "transfer": (_cmd_check, ("vessel",)),
+    "scatter": (_cmd_check, ("vessel", "scatter")),
+    "verify": (_cmd_check, ("vessel", "grid")),
+    "suite": (_cmd_suite, ("checks",)),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +338,6 @@ def _build_parser():
     def common(p):
         p.add_argument("--config", help="JSON configuration file")
         p.add_argument("--out", help="output path ('-' for stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
         p.add_argument("--seed", type=int, default=20240601)
 
     for name in ("soliton", "spectral"):
@@ -411,13 +367,8 @@ def _build_parser():
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    commands = {
-        "soliton": _cmd_field_dump, "spectral": _cmd_field_dump, "evolve": _cmd_evolve,
-        "transfer": _cmd_transfer, "scatter": _cmd_scatter, "verify": _cmd_verify,
-        "suite": _cmd_suite,
-    }
     try:
-        return commands[args.command](args)
+        return _COMMANDS[args.command][0](args, _load_config(args))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

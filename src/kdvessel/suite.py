@@ -1,6 +1,9 @@
 """Named verification checks: one per acceptance criterion, CLI-invocable.
 
-Each check returns CheckResult entries with the measured value, the pinned
+The per-vessel bodies of the ``transfer``, ``scatter`` and ``verify``
+commands live here too, with :func:`grid_fields`, the exact-field
+evaluator that ``verify`` shares with the field dumps.  Each check
+returns CheckResult entries with the measured value, the pinned
 tolerance and pass/fail.  Three checks fail by construction for every
 finite truncation (see the module docstrings of :mod:`kdvessel.spectral`
 and :mod:`kdvessel.evolution`): the fixed-vector identity, the exact x/t
@@ -21,7 +24,8 @@ from . import core, evolution, soliton, spectral, transfer, verify
 from .exceptions import NumericalConsistencyError
 
 __all__ = ["CheckResult", "CHECKS", "EXPECTED_FAILURES", "ERROR_BOUND_FAMILIES", "run_suite",
-           "transfer_checks", "report_header", "format_report_lines", "report_as_dict"]
+           "grid_fields", "transfer_checks", "scatter_checks", "verify_checks",
+           "report_header", "format_report_lines", "report_as_dict"]
 
 
 @dataclass(frozen=True)
@@ -90,6 +94,18 @@ def _q_soliton_field(spec, grid, chunk=200_000):
         sl = slice(start, start + chunk)
         fv[sl] = soliton.q_soliton(spec, fx[sl], ft[sl])
     return verify.SampledField(grid=grid, values=vals, label="q_soliton")
+
+
+def grid_fields(vessel, grid):
+    """beta, beta' and tau of a vessel on every grid point, indexed [ix, it].
+
+    Solitons use the overflow-safe scaled evaluator (tau = inf past the
+    float range); other vessels go through the batched evaluator.
+    """
+    X, T = np.meshgrid(grid.xs, grid.ts, indexing="ij")
+    if vessel.kind == "soliton":
+        return soliton.fields_soliton(vessel.metadata["spec"], X, T)
+    return core.evaluate_fields(vessel, X, T)
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +246,15 @@ def check_kdv_residual(level, rng):
     return out
 
 
+def verify_checks(vessel, grid, tolerance=1e-3):
+    """verify.kdv_residual_max: the accuracy-4 KdV residual of the exact
+    q = 2 beta' of one vessel on ``grid``, below ``tolerance``."""
+    t0 = time.perf_counter()
+    q = verify.SampledField(grid=grid, values=grid_fields(vessel, grid).q, label="q")
+    return [_lt("verify.kdv_residual_max", verify.kdv_residual(q, accuracy=4).max_valid(),
+                tolerance, t0, f"accuracy-4 stencils, hx={grid.hx:.4g} ht={grid.ht:.4g}")]
+
+
 # ---------------------------------------------------------------------------
 # criterion 6: transfer-function symmetry, x-evolution order, intertwining
 # ---------------------------------------------------------------------------
@@ -316,6 +341,21 @@ def check_gelfand_levitan(level, rng):
                        r201 / r401 if r401 > 0 else np.inf, 12.0, t0,
                        f"residual {r201:.3e} -> {r401:.3e}"))
     return out
+
+
+def scatter_checks(vessel, x0=0.0, x=1.5, y=0.7, nodes=201):
+    """scatter.gl_residual (the kernel identity at (x, y) from x0 below 1e-8)
+    and scatter.sign_sigma (sigma = +1 at (x + y)/2) of one vessel."""
+    t0 = time.perf_counter()
+    omega, kval = transfer.gl_kernels(vessel, x0, x, y)
+    res = transfer.gl_residual(vessel, x0, x, y, quadrature_nodes=nodes)
+    rep = transfer.q_from_K_diag(vessel, 0.5 * (x + y))
+    return [
+        _lt("scatter.gl_residual", res, 1e-8, t0,
+            f"Omega={omega:.6e}, K={kval:.6e}, {nodes} Simpson nodes"),
+        CheckResult("scatter.sign_sigma", float(rep.sigma), 1.0, rep.sigma == 1,
+                    (time.perf_counter() - t0) * 1e3, rep.describe(), "gt"),
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ import numpy as np
 
 from . import core
 from .core import GAMMA, SIGMA1, SIGMA2
-from .exceptions import NumericalConsistencyError, PoleError
+from .exceptions import InvalidSpecError, NumericalConsistencyError, PoleError
 
 __all__ = [
     "eval_S",
@@ -264,16 +264,16 @@ def gl_residual(
     """|K(x,y) + Omega(x,y) + int_x0^x K(x,s) Omega(s,y) ds|, composite Simpson.
 
     Requires x > y and an odd node count (even interval count) spanning
-    [x0, x].  The kernels are smooth, so uniform Simpson converges at
+    [x0, x]; InvalidSpecError otherwise.  The kernels are smooth, so uniform Simpson converges at
     fourth order until roundoff.  With b = first column of B, every kernel
     value comes from two vectors: K(x, s) = k_row b(s) with
     k_row = -b(x)* X^-1(x), and Omega(s, y) = b(s)* om_col with
     om_col = X^-1(x0) b(y).
     """
     if not x > y:
-        raise ValueError("the kernel identity is stated for x > y")
+        raise InvalidSpecError("the kernel identity is stated for x > y")
     if quadrature_nodes < 3 or quadrature_nodes % 2 == 0:
-        raise ValueError("composite Simpson needs an odd node count >= 3")
+        raise InvalidSpecError("composite Simpson needs an odd node count >= 3")
     s = core.evaluate(vessel, np.array([x, x0]), t)
     ss = np.linspace(x0, x, quadrature_nodes)  # ss[-1] == x exactly
     bs = vessel.B(ss, t)[:, :, 0]

@@ -5,7 +5,7 @@ import pytest
 
 import kdvessel as kv
 from kdvessel import suite
-from kdvessel.cli import main
+from kdvessel.cli import build_vessel_from_config, main
 from kdvessel.suite import EXPECTED_FAILURES
 
 
@@ -147,6 +147,82 @@ class TestFieldDump:
         assert f"{path}: expected a number" in capsys.readouterr().err
 
 
+SMALL_GRID = {"x_min": -1.0, "x_max": 1.0, "nx": 9, "t_min": -0.2, "t_max": 0.2, "nt": 9}
+
+# a fast valid config of each command, and the start of what it writes
+COMMAND_CONFIGS = {
+    "soliton": ({"vessel": {"k": [1.0], "b_abs": [1.0]}, "grid": SMALL_GRID}, "x,t,tau"),
+    "spectral": ({"vessel": {"k": [0.7, 1.1], "b_abs": [0.6, 0.6]}, "grid": SMALL_GRID},
+                 "x,t,tau"),
+    "evolve": ({"evolution": {"steps": 10, "conservation_tol": None}}, "t,p[-2]"),
+    "transfer": ({"vessel": {"type": "soliton", "k": [1.2], "b_abs": [1.0]}}, "{"),
+    "scatter": ({"scatter": {"nodes": 301}}, "{"),
+    "verify": ({"grid": {**SMALL_GRID, "nx": 41}}, "{"),
+    "suite": ({"checks": ["cauchy_determinant"]}, "{"),
+}
+
+
+class TestConfigLoader:
+    @pytest.mark.parametrize("command", sorted(COMMAND_CONFIGS))
+    def test_unknown_top_level_key_rejected(self, tmp_path, capsys, command):
+        # a misspelt section must not fall back silently to the defaults
+        config, _ = COMMAND_CONFIGS[command]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**config, "vesel": {"type": "soliton"}}))
+        assert run([command, "--config", str(cfg)]) == 2
+        assert "config.vesel: unknown key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_CONFIGS))
+    def test_output_path_receives_the_output(self, tmp_path, capsys, command):
+        config, start = COMMAND_CONFIGS[command]
+        out = tmp_path / "out"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**config, "output": {"path": str(out)}}))
+        assert run([command, "--config", str(cfg)]) == 0
+        text = out.read_text()
+        assert text.startswith(start)
+        assert text not in capsys.readouterr().out
+        if start == "{":
+            assert json.loads(text)["header"]["n_fail"] == 0
+
+    @pytest.mark.parametrize("command", ["suite", "soliton", "verify"])
+    def test_format_flag_rejected(self, command):
+        with pytest.raises(SystemExit) as err:
+            run([command, "--format", "json"])
+        assert err.value.code == 2
+
+    def test_output_format_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"output": {"path": str(tmp_path / "r.json"),
+                                              "format": "json"}}))
+        assert run(["transfer", "--config", str(cfg)]) == 2
+        assert "output.format: unknown key" in capsys.readouterr().err
+
+    def test_missing_config_file_is_config_error(self, tmp_path):
+        assert run(["transfer", "--config", str(tmp_path / "absent.json")]) == 2
+
+    @pytest.mark.parametrize("command, config", [
+        ("evolve", {"evolution": {"M": 0}}),
+        ("evolve", {"evolution": {"k0": 0.0}}),
+        ("evolve", {"evolution": {"k0": -1.0}}),
+        ("evolve", {"evolution": {"p0": [1.0, 1.0, 1.0, -0.5]}}),
+        ("evolve", {"evolution": {"p0": [1.0, 2.0, 3.0, 4.0]}}),
+        ("evolve", {"evolution": {"p0": [1.0, 1.0]}}),
+        ("evolve", {"evolution": {"steps": 0}}),
+        ("scatter", {"scatter": {"nodes": 200}}),
+        ("scatter", {"scatter": {"x": 0.5, "y": 0.7}}),
+        ("scatter", {"scatter": {"x": 0.7, "y": 0.7}}),
+    ], ids=["M=0", "k0=0", "k0<0", "p0-negative", "p0-asymmetric", "p0-length", "steps=0",
+            "even-nodes", "x<y", "x=y"])
+    def test_out_of_range_input_is_config_error(self, tmp_path, capsys, command, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        section = "evolution" if command == "evolve" else command
+        assert capsys.readouterr().err.startswith(f"configuration error: {section}: ")
+        assert not (tmp_path / "out").exists()
+
+
 class TestEvolve:
     def test_default_gate_is_numerical_failure(self, tmp_path):
         # the conservation gate (1e-9) fires on the truncated lattice
@@ -190,6 +266,42 @@ class TestCheckCommands:
         out = tmp_path / "report.json"
         assert run(["verify", "--out", str(out)]) == 0
 
+    def test_scatter_values_are_the_direct_calls(self, tmp_path):
+        vcfg = {"type": "soliton", "k": [0.7, 1.1], "b_abs": [0.5, 0.5]}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"vessel": vcfg, "scatter": {"x0": -0.2, "x": 1.2,
+                                                               "y": 0.4, "nodes": 101}}))
+        out = tmp_path / "report.json"
+        assert run(["scatter", "--config", str(cfg), "--out", str(out)]) == 0
+        gl, sign = json.loads(out.read_text())["checks"]
+        vessel = build_vessel_from_config(vcfg)[0]
+        omega, kval = kv.gl_kernels(vessel, -0.2, 1.2, 0.4)
+        res = kv.gl_residual(vessel, -0.2, 1.2, 0.4, quadrature_nodes=101)
+        rep = kv.q_from_K_diag(vessel, 0.8)
+        assert (gl["check"], gl["value"], gl["tolerance"], gl["pass"]) == (
+            "scatter.gl_residual", res, 1e-8, True)
+        assert gl["detail"] == f"Omega={omega:.6e}, K={kval:.6e}, 101 Simpson nodes"
+        assert (sign["check"], sign["value"], sign["tolerance"], sign["pass"]) == (
+            "scatter.sign_sigma", 1.0, 1.0, True)
+        assert sign["detail"] == rep.describe() and rep.sigma == 1
+
+    def test_verify_value_is_the_direct_residual(self, tmp_path):
+        vcfg = {"type": "discrete", "k": [0.7, 1.1], "b_abs": [0.2, 0.2]}
+        gcfg = {"x_min": -2.0, "x_max": 2.0, "nx": 81, "t_min": -0.2, "t_max": 0.2, "nt": 21}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"vessel": vcfg, "grid": gcfg}))
+        out = tmp_path / "report.json"
+        assert run(["verify", "--config", str(cfg), "--out", str(out),
+                    "--tolerance", "0.5"]) == 0
+        (check,) = json.loads(out.read_text())["checks"]
+        grid = kv.Grid2D(**gcfg)
+        X, T = np.meshgrid(grid.xs, grid.ts, indexing="ij")
+        q = kv.SampledField(grid=grid, values=kv.evaluate_fields(
+            build_vessel_from_config(vcfg)[0], X, T).q, label="q")
+        res = kv.kdv_residual(q, accuracy=4).max_valid()
+        assert (check["check"], check["value"], check["tolerance"], check["pass"]) == (
+            "verify.kdv_residual_max", res, 0.5, res < 0.5)
+
     def test_transfer_nonpositive_residual_is_numerical_failure(self, monkeypatch, capsys):
         # a zero residual at h/2 would give order = inf and a PASS unguarded
         monkeypatch.setattr(kv.transfer, "ds_residual",
@@ -230,7 +342,7 @@ class TestSuite:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "checks": [{"name": "fixed_vector", "tolerance": 100.0}],
-            "output": {"path": str(tmp_path / "report.json"), "format": "json"},
+            "output": {"path": str(tmp_path / "report.json")},
         }))
         code = run(["suite", "--level", "quick", "--config", str(cfg)])
         assert code == 0

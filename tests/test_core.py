@@ -337,6 +337,21 @@ class TestStandardConstruction:
             kv.integrate_standard_construction(A, B0, np.eye(1, dtype=complex),
                                                0.0, np.linspace(0, 1, 11))
 
+    @pytest.mark.parametrize("x0, grid, first_bad", [
+        # fine steps from x0 hold the residual below 1e-8; the coarse step
+        # to x = 1 breaks it there and at every point after
+        (-0.5, np.concatenate([np.linspace(-0.5, 0.5, 1001), [1.0, 1.5]]), 1.0),
+        # integrating outward both ways, the grid's first failing point
+        # is named
+        (0.0, np.concatenate([[-1.5, -1.0], np.linspace(-0.5, 0.5, 1001), [1.0]]), -1.5),
+    ])
+    def test_coarse_step_names_first_failing_grid_point(self, x0, grid, first_bad):
+        closed = kv.build_soliton(kv.SolitonSpec.from_c([1.0, 2.0], [1.0, 1.0]))
+        with pytest.raises(kv.EvaluationError, match="above 1e-8 during construction") as err:
+            kv.integrate_standard_construction(closed.A, closed.B(x0, 0.0),
+                                               closed.X(x0, 0.0), x0, grid)
+        assert (err.value.x, err.value.t) == (first_bad, 0.0)
+
     def test_off_grid_lookup_rejected(self, one_soliton):
         _, closed = one_soliton
         grid = np.linspace(0.0, 1.0, 11)

@@ -131,6 +131,37 @@ class TestIntegrateB:
         mirror = lat.mirror_permutation()
         assert np.max(np.abs(traj.p - traj.p[:, mirror])) < 1e-12
 
+    def test_one_rhs_per_stage(self, monkeypatch):
+        # the monitor's dp/dt at a sample is the next step's first stage:
+        # 4 right-hand sides per step plus the one at t = 0
+        lat = kv.make_lattice(1.0, 3)
+        half = np.array([0.8, 1.1, 0.5])
+        p0 = np.concatenate([half[::-1], half])
+        t_grid = np.linspace(0.0, 0.3, 11)
+        calls = []
+        rhs = kv.evolution.dbnt_rhs
+
+        def counted(lattice, p, t):
+            calls.append(t)
+            return rhs(lattice, p, t)
+
+        monkeypatch.setattr(kv.evolution, "dbnt_rhs", counted)
+        traj = kv.integrate_b(lat, p0, t_grid, conservation_tol=np.inf)
+        assert len(calls) == 4 * 10 + 1
+
+        # bit-equal to classical RK4 written out over dbnt_rhs
+        p = p0.copy()
+        for i in range(10):
+            t0, h = t_grid[i], t_grid[i + 1] - t_grid[i]
+            k1 = rhs(lat, p, t0)
+            k2 = rhs(lat, p + 0.5 * h * k1, t0 + 0.5 * h)
+            k3 = rhs(lat, p + 0.5 * h * k2, t0 + 0.5 * h)
+            k4 = rhs(lat, p + h * k3, t0 + h)
+            p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            assert np.array_equal(traj.p[i + 1], p)
+            dp = rhs(lat, p, t_grid[i + 1])
+            assert traj.conservation[i + 1] == abs(float(np.sum(dp / lat.members**2)))
+
     def test_preconditions(self):
         lat = kv.make_lattice(1.0, 2)
         with pytest.raises(kv.InvalidSpecError):
