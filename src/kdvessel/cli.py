@@ -54,11 +54,20 @@ def _require_keys(obj, allowed, required, path):
 
 
 def _number(value, path, kind=float):
-    """``kind(value)`` for a numeric flag or config field; ConfigError naming ``path``."""
+    """A numeric flag or config field as a float, or for ``kind=int`` as an
+    int (integral floats such as 48.0 included); ConfigError naming ``path``
+    for a bool, a non-number or a non-integral value where an int is due."""
     try:
-        return kind(value)
+        if isinstance(value, bool):
+            raise TypeError("a bool is not a number")
+        number = float(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: expected a number, got {value!r}") from exc
+    if kind is float:
+        return number
+    if not number.is_integer():
+        raise ConfigError(f"{path}: expected an integer, got {value!r}")
+    return int(number)
 
 
 def _positive_list(obj, path):
@@ -279,10 +288,10 @@ def _cmd_check(args, cfg):
 def _cmd_suite(args, cfg):
     checks = None
     overrides = {}
-    if cfg.get("checks"):
+    if "checks" in cfg:
         entries = cfg["checks"]
-        if not isinstance(entries, list):
-            raise ConfigError("checks: expected a list")
+        if not isinstance(entries, list) or not entries:
+            raise ConfigError("checks: expected a non-empty list")
         checks = []
         for i, entry in enumerate(entries):
             if isinstance(entry, str):

@@ -43,59 +43,67 @@ __all__ = ["Lattice", "make_lattice", "BTrajectory", "dbnt_rhs", "integrate_b",
            "beta_from_b"]
 
 
+def _position(labels, M):
+    """Storage positions of nonzero labels: m + M for m < 0, m + M - 1 for m > 0."""
+    return labels + M - (labels > 0)
+
+
 @dataclass(frozen=True)
 class Lattice:
     """Symmetric truncated lattice {m k0 : m in -M..-1, 1..M}.
 
-    ``indices`` are the integer labels m in storage order; ``members`` the
-    wavenumbers.  ``pair_table[j]`` lists, in lexicographic order, the
-    ordered index pairs (as storage positions) whose labels sum to the
-    label of position j.
+    ``indices`` are the integer labels m in storage order (label m sits at
+    position m + M for m < 0 and m + M - 1 for m > 0); ``members`` the
+    wavenumbers.  The kept ordered pairs are three read-only flat int arrays
+    of storage positions: pair j sends (``pair_a[j]``, ``pair_b[j]``) to
+    ``pair_out[j]``.  They run output-major, and within one output in
+    lexicographic order of a; the partner label is b = m_out - a, kept when
+    b != 0 and |b| <= M.  ``pair_kk`` = k_a k_b and ``pair_omega`` =
+    6 k_a k_b k_out are the per-pair products of the right-hand side,
+    formed once per lattice in the order :func:`dbnt_rhs` multiplies them.
     """
 
     k0: float
     M: int
     indices: np.ndarray = field(init=False, compare=False)
     members: np.ndarray = field(init=False, compare=False)
-    pair_table: tuple = field(init=False, compare=False)
-    kept_pairs: int = field(init=False, compare=False)
-    dropped_pairs: int = field(init=False, compare=False)
+    pair_out: np.ndarray = field(init=False, compare=False)
+    pair_a: np.ndarray = field(init=False, compare=False)
+    pair_b: np.ndarray = field(init=False, compare=False)
+    pair_kk: np.ndarray = field(init=False, compare=False)
+    pair_omega: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
-        if self.k0 <= 0 or self.M < 1:
-            raise InvalidSpecError("need k0 > 0 and M >= 1")
-        idx = np.array([m for m in range(-self.M, self.M + 1) if m != 0], dtype=int)
-        members = self.k0 * idx.astype(float)
-        pos = {int(m): i for i, m in enumerate(idx)}
-        table = []
-        kept = dropped = 0
-        for m_out in idx:
-            pairs = []
-            for a in idx:
-                for b in idx:
-                    if a + b == m_out:
-                        pairs.append((pos[int(a)], pos[int(b)]))
-            table.append(tuple(pairs))
-        for a in idx:
-            for b in idx:
-                s = int(a) + int(b)
-                if s == 0:
-                    continue  # zero sums are outside the bookkeeping
-                if abs(s) <= self.M:
-                    kept += 1
-                else:
-                    dropped += 1
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "pair_table", tuple(table))
-        object.__setattr__(self, "kept_pairs", kept)
-        object.__setattr__(self, "dropped_pairs", dropped)
-        self.indices.setflags(write=False)
-        self.members.setflags(write=False)
+        if self.k0 <= 0 or not isinstance(self.M, (int, np.integer)) or self.M < 1:
+            raise InvalidSpecError("need k0 > 0 and an integer M >= 1")
+        M = self.M
+        idx = np.concatenate([np.arange(-M, 0), np.arange(1, M + 1)])
+        k = self.k0 * idx.astype(float)
+        partner = idx[:, None] - idx[None, :]  # b = m_out - a, output-major
+        kept = (partner != 0) & (np.abs(partner) <= M)
+        out, a = np.nonzero(kept)
+        b = _position(partner[kept], M)
+        arrays = {"indices": idx, "members": k, "pair_out": out, "pair_a": a,
+                  "pair_b": b, "pair_kk": k[a] * k[b],
+                  "pair_omega": 6.0 * k[a] * k[b] * k[out]}
+        for name, arr in arrays.items():
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def size(self) -> int:
         return self.indices.size
+
+    @property
+    def kept_pairs(self) -> int:
+        """Ordered label pairs whose nonzero sum lies on the lattice."""
+        return self.pair_out.size
+
+    @property
+    def dropped_pairs(self) -> int:
+        """Ordered label pairs whose sum falls off the lattice (zero sums,
+        the 2M pairs (a, -a), count as neither kept nor dropped)."""
+        return self.size**2 - self.size - self.kept_pairs
 
     @property
     def dropped_fraction(self) -> float:
@@ -104,8 +112,7 @@ class Lattice:
 
     def mirror_permutation(self) -> np.ndarray:
         """Storage positions of -k_N for each position of k_N."""
-        pos = {int(m): i for i, m in enumerate(self.indices)}
-        return np.array([pos[-int(m)] for m in self.indices], dtype=int)
+        return _position(-self.indices, self.M)
 
 
 def make_lattice(k0: float, M: int) -> Lattice:
@@ -124,17 +131,20 @@ def _check_p(lattice: Lattice, p) -> np.ndarray:
 
 def dbnt_rhs(lattice: Lattice, p, t: float) -> np.ndarray:
     """dp_N/dt from the ordered-pair interaction sum; truncation-dropped
-    pairs contribute nothing."""
+    pairs contribute nothing.
+
+    Every kept pair's term p_a p_b / (k_a k_b) cos(6 k_a k_b k_N t) is formed
+    in one vectorized expression and accumulated by ``np.add.at``, which adds
+    unbuffered in index order from 0.0.  Each output therefore sums its pairs
+    in lexicographic order, one at a time, and the result is bitwise that of
+    the plain per-pair loop (``coefficient_evolution.rhs_vs_bruteforce``).
+    """
     p = _check_p(lattice, p)
-    k = lattice.members
-    out = np.empty(lattice.size)
-    for j in range(lattice.size):
-        kN = k[j]
-        acc = 0.0
-        for (ia, ib) in lattice.pair_table[j]:
-            acc += p[ia] * p[ib] / (k[ia] * k[ib]) * np.cos(6.0 * k[ia] * k[ib] * kN * t)
-        out[j] = -1.5 * kN**2 * acc
-    return out
+    term = p[lattice.pair_a] * p[lattice.pair_b] / lattice.pair_kk * np.cos(
+        lattice.pair_omega * t)
+    acc = np.zeros(lattice.size)
+    np.add.at(acc, lattice.pair_out, term)
+    return -1.5 * lattice.members**2 * acc
 
 
 @dataclass(frozen=True)

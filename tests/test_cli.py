@@ -223,6 +223,53 @@ class TestConfigLoader:
         assert not (tmp_path / "out").exists()
 
 
+# each integer config field: its command and a fast config around one value
+INT_FIELDS = {
+    "evolution.M": ("evolve", 3, lambda v: {"evolution": {
+        "M": v, "t_end": 0.01, "steps": 2, "conservation_tol": "inf"}}),
+    "evolution.steps": ("evolve", 4, lambda v: {"evolution": {
+        "steps": v, "conservation_tol": "inf"}}),
+    "grid.nx": ("soliton", 9, lambda v: {"vessel": {"k": [1.0], "b_abs": [1.0]},
+                                         "grid": {**SMALL_GRID, "nx": v}}),
+    "grid.nt": ("soliton", 11, lambda v: {"vessel": {"k": [1.0], "b_abs": [1.0]},
+                                         "grid": {**SMALL_GRID, "nt": v}}),
+    "vessel.nodes": ("spectral", 8, lambda v: {
+        "vessel": {"type": "quadrature", "s_max": 1.0, "nodes": v,
+                   "density": {"gaussian": {"amplitude": 0.5}}},
+        "grid": SMALL_GRID}),
+    "scatter.nodes": ("scatter", 301, lambda v: {"scatter": {"nodes": v}}),
+}
+
+
+class TestIntegerFields:
+    @pytest.mark.parametrize("value", [2.7, "2.7", True, False], ids=repr)
+    @pytest.mark.parametrize("field", sorted(INT_FIELDS))
+    def test_non_integer_is_config_error(self, tmp_path, capsys, field, value):
+        command, _, config = INT_FIELDS[field]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config(value)))
+        out = tmp_path / "out"
+        assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
+        expected = "a number" if isinstance(value, bool) else "an integer"
+        assert f"{field}: expected {expected}, got {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", sorted(INT_FIELDS))
+    def test_integral_float_is_the_integer(self, tmp_path, field):
+        command, value, config = INT_FIELDS[field]
+        outputs = []
+        for v in (value, float(value)):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config(v)))
+            out = tmp_path / f"out-{v!r}"
+            assert run([command, "--config", str(cfg), "--out", str(out)]) == 0
+            text = out.read_text()
+            if command == "scatter":  # a JSON report: compare its checks, not runtimes
+                text = [(c["check"], c["value"]) for c in json.loads(text)["checks"]]
+            outputs.append(text)
+        assert outputs[0] == outputs[1]
+
+
 class TestEvolve:
     def test_default_gate_is_numerical_failure(self, tmp_path):
         # the conservation gate (1e-9) fires on the truncated lattice
@@ -335,6 +382,18 @@ class TestSuite:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"checks": ["nope"]}))
         assert run(["suite", "--config", str(cfg)]) == 2
+
+    def test_empty_check_list_rejected(self, tmp_path, monkeypatch, capsys):
+        # an empty list is not "no checks key": it must not run all twelve
+        def must_not_run(*args, **kwargs):
+            pytest.fail("the suite ran although the check list is empty")
+
+        monkeypatch.setattr(suite, "run_suite", must_not_run)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"checks": []}))
+        assert run(["suite", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 2
+        assert "checks: expected a non-empty list" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
     def test_tolerance_override(self, tmp_path):
         # loosening the fixed-vector tolerance flips the named check; the

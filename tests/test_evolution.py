@@ -1,7 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import kdvessel as kv
+from kdvessel.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 
 def brute_rhs(lattice, p, t):
@@ -49,11 +54,30 @@ class TestLattice:
             mirror = lat.mirror_permutation()
             assert np.array_equal(lat.members[mirror], -lat.members)
 
+    @pytest.mark.parametrize("M", range(1, 13))
+    def test_pairs_match_brute_enumeration(self, M):
+        labels = [m for m in range(-M, M + 1) if m != 0]
+        pos = {m: i for i, m in enumerate(labels)}
+        # output-major, a in lexicographic order inside each output
+        pairs = [(pos[m], pos[a], pos[m - a]) for m in labels for a in labels
+                 if m - a in pos]
+        sums = [a + b for a in labels for b in labels if a + b != 0]
+        lat = kv.make_lattice(0.7, M)
+        assert np.array_equal(np.stack([lat.pair_out, lat.pair_a, lat.pair_b], axis=1),
+                              np.array(pairs, dtype=int).reshape(-1, 3))
+        assert lat.kept_pairs == sum(abs(s) <= M for s in sums) == len(pairs)
+        assert lat.dropped_pairs == sum(abs(s) > M for s in sums)
+        assert np.array_equal(lat.mirror_permutation(), [pos[-m] for m in labels])
+        for arr in (lat.indices, lat.members, lat.pair_out, lat.pair_a, lat.pair_b):
+            assert not arr.flags.writeable
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(kv.InvalidSpecError):
             kv.make_lattice(0.0, 2)
         with pytest.raises(kv.InvalidSpecError):
             kv.make_lattice(1.0, 0)
+        with pytest.raises(kv.InvalidSpecError):
+            kv.make_lattice(1.0, 2.5)
 
 
 class TestDbntRhs:
@@ -80,6 +104,19 @@ class TestDbntRhs:
                 p = np.concatenate([half[::-1], half])
                 t = 0.0 if trial == 0 else rng.uniform(0, 1)
                 assert np.array_equal(kv.dbnt_rhs(lat, p, t), brute_rhs(lat, p, t))
+
+    @pytest.mark.parametrize("M", [1, 16])
+    def test_bitwise_vs_brute_force_random(self, M):
+        # M = 1 keeps no pair: every entry is -1.5 k^2 * 0.0 = -0.0
+        rng = np.random.default_rng(100 + M)
+        for _ in range(6):
+            lat = kv.make_lattice(rng.uniform(0.1, 3.0), M)
+            p = 10.0 ** rng.uniform(-4.0, 1.0, size=lat.size)
+            t = rng.uniform(-3.0, 3.0)
+            rhs = kv.dbnt_rhs(lat, p, t)
+            assert rhs.tobytes() == brute_rhs(lat, p, t).tobytes()
+            if M == 1:
+                assert not np.any(rhs) and np.all(np.signbit(rhs))
 
     def test_index_mismatch_rejected(self):
         lat = kv.make_lattice(1.0, 2)
@@ -161,6 +198,15 @@ class TestIntegrateB:
             assert np.array_equal(traj.p[i + 1], p)
             dp = rhs(lat, p, t_grid[i + 1])
             assert traj.conservation[i + 1] == abs(float(np.sum(dp / lat.members**2)))
+
+    @pytest.mark.parametrize("M", [8, 24])
+    def test_evolve_csv_matches_golden(self, tmp_path, M):
+        # tests/data/evolve_M<M>.csv was written by the per-pair loop that
+        # the vectorized right-hand side replaced; 10 steps, no gate
+        out = tmp_path / "traj.csv"
+        assert main(["evolve", "--config", str(DATA / f"evolve_M{M}.json"),
+                     "--out", str(out)]) == 0
+        assert out.read_bytes() == (DATA / f"evolve_M{M}.csv").read_bytes()
 
     def test_preconditions(self):
         lat = kv.make_lattice(1.0, 2)
