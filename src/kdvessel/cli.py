@@ -21,13 +21,15 @@ error (malformed numbers and out-of-range inputs included), 3 numerical
 failure (singular Gram operator, pole hit, ...).
 
 CSV output uses '.' decimals, LF line endings and 17 significant digits,
-so identical config and seed reproduce bit-identical files.
+so identical config reproduces bit-identical files.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 import time
 from dataclasses import replace
@@ -53,16 +55,20 @@ def _require_keys(obj, allowed, required, path):
             raise ConfigError(f"{path}.{key}: missing required key")
 
 
-def _number(value, path, kind=float):
+def _number(value, path, kind=float, allow_inf=False):
     """A numeric flag or config field as a float, or for ``kind=int`` as an
     int (integral floats such as 48.0 included); ConfigError naming ``path``
-    for a bool, a non-number or a non-integral value where an int is due."""
+    for a bool, a non-number, NaN, +-inf (unless ``allow_inf``) or a
+    non-integral value where an int is due."""
     try:
         if isinstance(value, bool):
             raise TypeError("a bool is not a number")
         number = float(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: expected a number, got {value!r}") from exc
+    if math.isnan(number) or (math.isinf(number) and not allow_inf):
+        raise ConfigError(f"{path}: expected a finite number{' or inf' if allow_inf else ''}, "
+                          f"got {value!r}")
     if kind is float:
         return number
     if not number.is_integer():
@@ -75,8 +81,8 @@ def _positive_list(obj, path):
         raise ConfigError(f"{path}: expected a non-empty list of numbers")
     vals = []
     for i, v in enumerate(obj):
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise ConfigError(f"{path}[{i}]: expected a number")
+        if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
+            raise ConfigError(f"{path}[{i}]: expected a finite number")
         vals.append(float(v))
     return vals
 
@@ -229,7 +235,7 @@ def _cmd_evolve(args, cfg):
     t_end = _number(ecfg.get("t_end", 0.5), "evolution.t_end")
     steps = _number(ecfg.get("steps", 500), "evolution.steps", int)
     tol = ecfg.get("conservation_tol", 1e-9)
-    tol = np.inf if tol is None else _number(tol, "evolution.conservation_tol")
+    tol = np.inf if tol is None else _number(tol, "evolution.conservation_tol", allow_inf=True)
     try:  # the lattice, p0 and time grid are validated where they are used
         lat = evolution.make_lattice(k0, M)
         p0 = (_positive_list(ecfg["p0"], "evolution.p0") if "p0" in ecfg
@@ -261,7 +267,7 @@ def _scatter_body(args, cfg, vessel):
 def _verify_body(args, cfg, vessel):
     grid = grid_from_config(cfg.get("grid", {"x_min": -6.0, "x_max": 6.0, "nx": 481,
                                              "t_min": -0.6, "t_max": 0.6, "nt": 49}))
-    return suite.verify_checks(vessel, grid, args.tolerance)
+    return suite.verify_checks(vessel, grid, _number(args.tolerance, "--tolerance"))
 
 
 # default vessel and suite body of each check command
@@ -337,26 +343,29 @@ _COMMANDS = {
 # argument parsing
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser():
+    """The argparse tree, built once per process."""
     parser = argparse.ArgumentParser(
         prog="kdvessel",
         description="Build KdV vessel realizations and verify their identities.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seed=True):
         p.add_argument("--config", help="JSON configuration file")
         p.add_argument("--out", help="output path ('-' for stdout)")
-        p.add_argument("--seed", type=int, default=20240601)
+        if seed:
+            p.add_argument("--seed", type=int, default=20240601)
 
     for name in ("soliton", "spectral"):
         p = sub.add_parser(name, help=f"dump {name} vessel fields as CSV")
-        common(p)
+        common(p, seed=False)
         p.add_argument("--k", help="comma-separated wavenumbers")
         p.add_argument("--b-abs", dest="b_abs", help="comma-separated |b| amplitudes")
 
     p = sub.add_parser("evolve", help="integrate the coefficient system")
-    common(p)
+    common(p, seed=False)
 
     p = sub.add_parser("transfer", help="transfer-function checks")
     common(p)
@@ -366,7 +375,7 @@ def _build_parser():
 
     p = sub.add_parser("verify", help="KdV residual of a vessel field")
     common(p)
-    p.add_argument("--tolerance", type=float, default=1e-3)
+    p.add_argument("--tolerance", default=1e-3)
 
     p = sub.add_parser("suite", help="run the named verification checks")
     common(p)

@@ -21,8 +21,8 @@ matrices, the vessel data model, state evaluation and residual checks for
 every condition above, plus the generic "integrate B then accumulate X"
 construction from admissible initial data.  Every evaluation and residual
 takes points x, t of any broadcast shape through one stacked path:
-:func:`evaluate` keeps the whole state of each point, while
-:func:`evaluate_fields` keeps beta, beta' and tau of field grids in chunks.
+:func:`evaluate` keeps the whole state of each point, while every other
+per-point evaluator of the package runs in the stacks of one chunk loop.
 
 Sign convention: the Lyapunov condition is used in the homogeneous form
 A X + X A* + B sigma1 B* = 0, which is the form the closed-form
@@ -117,7 +117,7 @@ def _adjoint(m) -> np.ndarray:
     return np.swapaxes(m, -1, -2).conj()
 
 
-def _per_point(vessel, x, t, fn, count: int) -> np.ndarray:
+def _per_point(n: int, x, t, fn, count: int) -> np.ndarray:
     """``count`` per-point results of fn(xs, ts) over the broadcast points x, t.
 
     fn sees 1-D stacks of at most _CHUNK_ENTRIES / n^2 points (at least
@@ -126,10 +126,15 @@ def _per_point(vessel, x, t, fn, count: int) -> np.ndarray:
     xb, tb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
     xf, tf = xb.ravel(), tb.ravel()
     out = np.empty((count, xf.size))
-    step = max(1, _CHUNK_ENTRIES // vessel.n**2)
+    step = max(1, _CHUNK_ENTRIES // n**2)
     for s in range(0, xf.size, step):
         out[:, s:s + step] = fn(xf[s:s + step], tf[s:s + step])
     return out.reshape((count,) + xb.shape)
+
+
+def _floats(rows) -> tuple:
+    """The rows of a :func:`_per_point` result, floats for scalar points."""
+    return tuple(r if r.ndim else float(r) for r in rows)
 
 
 def _first(bad) -> Optional[int]:
@@ -445,7 +450,7 @@ def evaluate_fields(vessel: FiniteVessel, x, t) -> FieldValues:
     def stack(xs, ts):
         return _evaluate_stack(vessel, xs, ts, vessel.B(xs, ts), vessel.X(xs, ts))[3:]
 
-    beta, beta_p, logabs, sign = _per_point(vessel, x, t, stack, 4)
+    beta, beta_p, logabs, sign = _per_point(vessel.n, x, t, stack, 4)
     return FieldValues(beta=beta, beta_prime=beta_p, log_abs_tau=logabs, tau_sign=sign)
 
 
@@ -461,8 +466,7 @@ def log_tau(vessel: FiniteVessel, x, t):
         logabs, sign = _log_tau_stack(vessel, vessel.X(xs, ts))
         return logabs, _real_tau_sign(logabs, sign, xs, ts)
 
-    logabs, sign = _per_point(vessel, x, t, stack, 2)
-    return (float(logabs), float(sign)) if logabs.ndim == 0 else (logabs, sign)
+    return _floats(_per_point(vessel.n, x, t, stack, 2))
 
 
 def _lyapunov_norms(A, a, B, X):
@@ -486,8 +490,8 @@ def lyapunov_residual(vessel: FiniteVessel, x, t):
     Broadcasts over arrays of points, evaluated in stacks of at most
     _CHUNK_ENTRIES matrix entries; a float for scalar x and t.
     """
-    res = _per_point(vessel, x, t, lambda xs, ts: _lyapunov_stack(vessel, xs, ts), 1)[0]
-    return float(res) if res.ndim == 0 else res
+    return _floats(_per_point(vessel.n, x, t,
+                              lambda xs, ts: _lyapunov_stack(vessel, xs, ts), 1))[0]
 
 
 def lyapunov_self_check(vessel: FiniteVessel) -> None:
@@ -533,8 +537,7 @@ def normalization_residual(vessel: FiniteVessel, x, t):
                                   x=float(xs[i]), t=float(ts[i])) from exc
         return np.abs(np.trace(SIGMA1 @ M, axis1=-2, axis2=-1))
 
-    res = _per_point(vessel, x, t, stack, 1)[0]
-    return float(res) if res.ndim == 0 else res
+    return _floats(_per_point(vessel.n, x, t, stack, 1))[0]
 
 
 def evolution_residuals(

@@ -12,9 +12,10 @@ so every soliton vessel is dissipative and tau = det X > 1.  Only |b_j|
 enters tau; the alternative normalization c_j = |b_j|^2 / (2 k_j) is the
 coefficient of e^{2 k_j x + 2 k_j^3 t} in tau.
 
-The evaluators of beta, q and log tau factor X = D M D with
-D = diag(max(1, e^{k x + k^3 t})), so one assembly of M stays finite at
-every phase and the fields remain evaluable on arbitrarily wide grids.
+The evaluators of beta, q and log tau share one stack body, run in
+core's stacks.  It factors X = D M D with D = diag(max(1, e^{k x + k^3 t})),
+so M stays finite at every phase and the fields remain evaluable on
+arbitrarily wide grids; only log tau takes a determinant of M.
 """
 
 from __future__ import annotations
@@ -154,7 +155,7 @@ def tau_cauchy_3(spec: SolitonSpec, x, t):
 
 
 def _scaled_system(spec: SolitonSpec, x, t):
-    """X = D M D at every point of the broadcast x, t, with M finite at any phase.
+    """X = D M D at each point of the 1-D stacks x, t, with M finite at any phase.
 
     With d = max(1, e^phi) and e = min(1, e^phi) per generator,
     M = D^-2 + diag(e) G diag(e) and X = I + diag(e^phi) G diag(e^phi)
@@ -164,8 +165,7 @@ def _scaled_system(spec: SolitonSpec, x, t):
     stacked over the points.
     """
     k, b, n = spec.k, spec.b, spec.n
-    x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
-    phi = np.multiply.outer(x, k) + np.multiply.outer(t, k**3)  # (..., n)
+    phi = np.multiply.outer(x, k) + np.multiply.outer(t, k**3)  # (m, n)
     log_d = np.maximum(phi, 0.0)
     e = np.exp(np.minimum(phi, 0.0))
     M = e[..., :, None] * e[..., None, :] * _gram(spec)
@@ -173,29 +173,34 @@ def _scaled_system(spec: SolitonSpec, x, t):
     return M, e * (b if b.imag.any() else b.real), log_d.sum(axis=-1)
 
 
-def _trace_terms(k, M, w):
-    """(beta, q) from the Gram-resolvent trace formulas of the scaled system.
+def _fields_stack(spec: SolitonSpec, x, t, with_tau: bool):
+    """(beta, q), then log tau and its sign ``with_tau``, on one stack of points.
 
     With X' = B sigma2 B* and X'' = K X' + X' K, K = diag(k_j), the traces
     beta = -tr(X^-1 X') and q = -2 [tr(X^-1 X'') - tr((X^-1 X')^2)] reduce,
-    for v = M^-1 w, to beta = -Re(w* v) and q = -2 (2 Re(v* K w) - (w* v)^2).
+    for v = M^-1 w, to beta = -Re(w* v) and q = -2 (2 Re(v* K w) - (w* v)^2);
+    det X = det M * prod d^2, with sign +1 since M is positive definite.
     """
+    M, w, log_d = _scaled_system(spec, x, t)
     v = np.linalg.solve(M, w[..., None])[..., 0]
     wv = np.einsum("...i,...i->...", w.conj(), v).real
-    vkw = np.einsum("...i,i,...i->...", v.conj(), k, w).real
-    return -wv, -2.0 * (2.0 * vkw - wv**2)
-
-
-def _log_tau(M, log_d):
-    # det X = det M * prod d^2; M is positive definite, so the sign is +1
+    vkw = np.einsum("...i,i,...i->...", v.conj(), spec.k, w).real
+    traces = (-wv, -2.0 * (2.0 * vkw - wv**2))
+    if not with_tau:
+        return traces
     sign, logdet = np.linalg.slogdet(M)
-    return logdet + 2.0 * log_d, np.real(sign)
+    return traces + (logdet + 2.0 * log_d, np.real(sign))
+
+
+def _fields(spec: SolitonSpec, x, t, with_tau: bool):
+    """[beta, q] (+ [log tau, sign]) over the broadcast x, t, in core's stacks."""
+    return core._per_point(spec.n, x, t, lambda xs, ts: _fields_stack(spec, xs, ts, with_tau),
+                           4 if with_tau else 2)
 
 
 def beta_soliton(spec: SolitonSpec, x, t):
     """beta = -tau'/tau of the soliton vessel; broadcasts over x, t."""
-    beta, _ = _trace_terms(spec.k, *_scaled_system(spec, x, t)[:2])
-    return beta if beta.ndim else float(beta)
+    return core._floats(_fields(spec, x, t, with_tau=False))[0]
 
 
 def q_soliton(spec: SolitonSpec, x, t):
@@ -204,8 +209,7 @@ def q_soliton(spec: SolitonSpec, x, t):
     Uses q = -2 [tr(X^-1 X'') - tr((X^-1 X')^2)] with X' = B sigma2 B* and
     X'' = K X' + X' K, K = diag(k_j); broadcasts over x, t.
     """
-    _, q = _trace_terms(spec.k, *_scaled_system(spec, x, t)[:2])
-    return q if q.ndim else float(q)
+    return core._floats(_fields(spec, x, t, with_tau=False))[1]
 
 
 def log_tau_soliton(spec: SolitonSpec, x, t):
@@ -213,23 +217,17 @@ def log_tau_soliton(spec: SolitonSpec, x, t):
 
     log tau = log det M + 2 sum log d for X = D M D (see the module notes).
     """
-    M, _, log_d = _scaled_system(spec, x, t)
-    logabs, sign = _log_tau(M, log_d)
-    if logabs.ndim:
-        return logabs, sign
-    return float(logabs), float(sign)
+    return core._floats(_fields(spec, x, t, with_tau=True))[2:]
 
 
 def fields_soliton(spec: SolitonSpec, x, t) -> core.FieldValues:
     """beta, beta' = q/2 and log tau with its sign on arrays of points.
 
-    One scaled system M per call gives the trace formulas and log tau, so
+    One scaled system M per stack gives the trace formulas and log tau, so
     every value stays finite on arbitrarily wide grids; ``tau`` of the
     result is inf where it passes the float range.
     """
-    M, w, log_d = _scaled_system(spec, x, t)
-    beta, q = _trace_terms(spec.k, M, w)
-    logabs, sign = _log_tau(M, log_d)
+    beta, q, logabs, sign = _fields(spec, x, t, with_tau=True)
     return core.FieldValues(beta=beta, beta_prime=0.5 * q, log_abs_tau=logabs, tau_sign=sign)
 
 

@@ -322,11 +322,14 @@ def fixed_vector_residual(vessel: core.FiniteVessel, x):
     """
     if vessel.kind not in ("discrete", "quadrature"):
         raise InvalidSpecError("fixed_vector_residual applies to discrete/quadrature vessels")
-    v = vessel.B(x, 0.0)[..., 0]
-    nv = np.linalg.norm(v, axis=-1)
-    r = np.linalg.norm((vessel.X(x, 0.0) @ v[..., None])[..., 0] - v, axis=-1)
-    res = np.divide(r, nv, out=np.zeros_like(nv), where=nv > 0)
-    return float(res) if res.ndim == 0 else res
+
+    def stack(xs, ts):
+        v = vessel.B(xs, ts)[..., 0]
+        nv = np.linalg.norm(v, axis=-1)
+        r = np.linalg.norm((vessel.X(xs, ts) @ v[..., None])[..., 0] - v, axis=-1)
+        return np.divide(r, nv, out=np.zeros_like(nv), where=nv > 0)
+
+    return core._floats(core._per_point(vessel.n, x, 0.0, stack, 1))[0]
 
 
 def beta_odd(spec: DiscreteSpectrum, x):

@@ -86,14 +86,9 @@ def _quadrature_vessel(s_max, nodes, amplitude):
     return spectral.build_quadrature_vessel(spec, self_check=False)
 
 
-def _q_soliton_field(spec, grid, chunk=200_000):
+def _q_soliton_field(spec, grid):
     X, T = np.meshgrid(grid.xs, grid.ts, indexing="ij")
-    vals = np.empty(X.shape)
-    fx, ft, fv = X.ravel(), T.ravel(), vals.ravel()
-    for start in range(0, fx.size, chunk):
-        sl = slice(start, start + chunk)
-        fv[sl] = soliton.q_soliton(spec, fx[sl], ft[sl])
-    return verify.SampledField(grid=grid, values=vals, label="q_soliton")
+    return verify.SampledField(grid=grid, values=soliton.q_soliton(spec, X, T), label="q_soliton")
 
 
 def grid_fields(vessel, grid):

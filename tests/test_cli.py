@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -268,6 +269,88 @@ class TestIntegerFields:
                 text = [(c["check"], c["value"]) for c in json.loads(text)["checks"]]
             outputs.append(text)
         assert outputs[0] == outputs[1]
+
+
+QUADRATURE_8 = {"type": "quadrature", "s_max": 1.0, "nodes": 8,
+                "density": {"gaussian": {"amplitude": 0.5}}}
+
+# a NaN or +-inf input: its command, config (or None), flags and the field named
+NON_FINITE = {
+    "evolution.t_end=nan": ("evolve", {"evolution": {"t_end": "nan"}}, [], "evolution.t_end"),
+    "evolution.k0=nan": ("evolve", {"evolution": {"k0": "nan"}}, [], "evolution.k0"),
+    "evolution.conservation_tol=nan": ("evolve", {"evolution": {"conservation_tol": "nan"}},
+                                       [], "evolution.conservation_tol"),
+    "evolution.t_end=inf": ("evolve", {"evolution": {"t_end": "inf"}}, [], "evolution.t_end"),
+    "evolution.p0=[NaN]": ("evolve", {"evolution": {"p0": [float("nan")] * 4}}, [],
+                           "evolution.p0[0]"),
+    "grid.x_min=-inf": ("soliton", {"vessel": {"k": [1.0], "b_abs": [1.0]},
+                                    "grid": {**SMALL_GRID, "x_min": "-inf"}}, [], "grid.x_min"),
+    "grid.t_max=Infinity": ("spectral", {"vessel": QUADRATURE_8,
+                                         "grid": {**SMALL_GRID, "t_max": float("inf")}}, [],
+                            "grid.t_max"),
+    "--k nan": ("soliton", None, ["--k", "nan", "--b-abs", "1"], "--k"),
+    "--b-abs inf": ("spectral", None, ["--k", "1", "--b-abs", "inf"], "--b-abs"),
+    "vessel.k=[NaN]": ("spectral", {"vessel": {"k": [float("nan")], "b_abs": [1.0]}}, [],
+                       "vessel.k[0]"),
+    "vessel.s_max=nan": ("spectral", {"vessel": {**QUADRATURE_8, "s_max": "nan"}}, [],
+                         "vessel.s_max"),
+    "checks.tolerance=nan": ("suite", {"checks": [{"name": "fixed_vector",
+                                                   "tolerance": "nan"}]}, [],
+                             "checks[0].tolerance"),
+    "--tolerance nan": ("verify", None, ["--tolerance", "nan"], "--tolerance"),
+    "--tolerance inf": ("verify", None, ["--tolerance", "inf"], "--tolerance"),
+}
+
+
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize("case", sorted(NON_FINITE))
+    def test_is_config_error(self, tmp_path, capsys, case):
+        command, config, flags, path = NON_FINITE[case]
+        out = tmp_path / "out"
+        args = [command, *flags, "--out", str(out)]
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            args += ["--config", str(cfg)]
+        assert run(args) == 2
+        assert f"{path}: expected a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tol", ["inf", "Infinity", float("inf"), None], ids=repr)
+    def test_infinite_conservation_tol_turns_the_gate_off(self, tmp_path, tol):
+        # the default config exits 3 with the gate on (TestEvolve)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"evolution": {"conservation_tol": tol}}))
+        out = tmp_path / "traj.csv"
+        assert run(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 501
+
+
+class TestParser:
+    def test_built_once_per_process(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(COMMAND_CONFIGS["soliton"][0]))
+        argv = ["soliton", "--config", str(cfg), "--out", str(tmp_path / "f.csv")]
+        assert run(argv) == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for command in ("soliton", "evolve", "suite"):
+            config, _ = COMMAND_CONFIGS[command]
+            cfg.write_text(json.dumps(config))
+            assert run([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert built == []
+
+    @pytest.mark.parametrize("command", ["soliton", "spectral", "evolve"])
+    def test_seed_only_where_it_is_read(self, command):
+        with pytest.raises(SystemExit) as err:
+            run([command, "--seed", "7"])
+        assert err.value.code == 2
 
 
 class TestEvolve:

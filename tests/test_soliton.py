@@ -1,10 +1,12 @@
 import itertools
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 
 import kdvessel as kv
+from kdvessel import core
 
 
 class TestSolitonSpec:
@@ -206,6 +208,50 @@ class TestOverflowRegime:
         # tau ~ c1 c2 a12 e^{2(k1+k2)x}: log tau ~ 2*3*500 + log(a12)
         a12 = (1.0 - 2.0) ** 2 / (1.0 + 2.0) ** 2
         assert logabs == pytest.approx(3000.0 + np.log(a12), abs=1e-6)
+
+
+class TestStacks:
+    """The four routines evaluate in the stacks of ``core._per_point``."""
+
+    SPEC = kv.SolitonSpec(k=[0.6, 1.1, 1.7], b=[1.2, 0.8, 1.5])
+
+    def _values(self, x, t):
+        fields = kv.fields_soliton(self.SPEC, x, t)
+        return [kv.beta_soliton(self.SPEC, x, t), kv.q_soliton(self.SPEC, x, t),
+                *kv.log_tau_soliton(self.SPEC, x, t),
+                fields.beta, fields.beta_prime, fields.log_abs_tau, fields.tau_sign]
+
+    @pytest.mark.parametrize("entries", [1, 4 * 9], ids=["one-point", "four-points"])
+    def test_small_stacks_equal_one_stack_bitwise(self, monkeypatch, entries):
+        # 31 x 7 = 217 points, from left tails to tau past the float range
+        X, T = np.meshgrid(np.linspace(-150.0, 150.0, 31), np.linspace(-0.5, 0.5, 7),
+                           indexing="ij")
+        whole = self._values(X, T)
+        assert np.isinf(kv.fields_soliton(self.SPEC, X, T).tau).any()
+        monkeypatch.setattr(core, "_CHUNK_ENTRIES", entries)
+        for one, stacked in zip(whole, self._values(X, T)):
+            assert stacked.shape == X.shape
+            assert stacked.tobytes() == one.tobytes()
+
+    def test_scalar_points_give_floats(self, monkeypatch):
+        monkeypatch.setattr(core, "_CHUNK_ENTRIES", 1)
+        beta, q, logabs, sign = self._values(0.3, 0.1)[:4]
+        for v in (beta, q, logabs, sign):
+            assert type(v) is float
+        assert q == kv.fields_soliton(self.SPEC, 0.3, 0.1).q
+
+    def test_fields_memory_is_flat_in_the_grid(self):
+        # 2001 x 101 points at n = 8: one unstacked M alone is 208 MB
+        spec = kv.SolitonSpec(k=np.linspace(0.6, 2.0, 8), b=np.ones(8))
+        X, T = np.meshgrid(np.linspace(-10.0, 10.0, 2001), np.linspace(-0.5, 0.5, 101),
+                           indexing="ij")
+        tracemalloc.start()
+        try:
+            kv.fields_soliton(spec, X, T)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
 
 
 class TestMpmathOracle:

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import mpmath
@@ -327,6 +328,28 @@ class TestFixedVector:
                 v = vessel.B(xs[i], 0.0)[:, 0]
                 oracle = np.linalg.norm(vessel.X(xs[i], 0.0) @ v - v) / np.linalg.norm(v)
                 assert res[i] == pytest.approx(oracle, rel=1e-13)
+
+    def test_small_stacks_equal_one_stack_bitwise(self, monkeypatch, quadrature_gauss):
+        _, vessel = quadrature_gauss
+        xs = np.linspace(-4.0, 4.0, 35).reshape(5, 7)  # x = 0 at [2, 3]
+        whole = kv.fixed_vector_residual(vessel, xs)
+        monkeypatch.setattr(core, "_CHUNK_ENTRIES", 3 * vessel.n**2)
+        stacked = kv.fixed_vector_residual(vessel, xs)
+        assert stacked.shape == xs.shape and stacked[2, 3] == 0.0
+        assert stacked.tobytes() == whole.tobytes()
+        assert type(kv.fixed_vector_residual(vessel, 0.5)) is float
+
+    def test_memory_is_flat_in_the_points(self):
+        # 4,000 points at n = 64: the unstacked X alone is 131 MB
+        vessel = _gl_vessel(64)[2]
+        xs = np.random.default_rng(0).uniform(-5.0, 5.0, 4_000)
+        tracemalloc.start()
+        try:
+            kv.fixed_vector_residual(vessel, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 class TestBetaOdd:
