@@ -13,7 +13,6 @@ from .core import (
     FieldValues,
     FiniteVessel,
     ResidualReport,
-    SLParameters,
     beta_of_state,
     evaluate,
     evaluate_fields,
@@ -24,9 +23,8 @@ from .core import (
     log_tau,
     lyapunov_residual,
     normalization_residual,
-    sl_parameters,
 )
-from .evolution import BTrajectory, Lattice, beta_from_b, dbnt_rhs, integrate_b, make_lattice
+from .evolution import BTrajectory, Lattice, dbnt_rhs, integrate_b, make_lattice
 from .exceptions import (
     ClassificationError,
     ConfigError,
@@ -51,12 +49,10 @@ from .soliton import (
 from .spectral import (
     DiscreteSpectrum,
     QuadratureSpectrum,
-    beta_odd,
     build_discrete_vessel,
     build_quadrature_vessel,
     fixed_vector_residual,
     gauss_legendre_spectrum,
-    q_odd_continuum,
 )
 from .transfer import (
     eval_S,
@@ -72,12 +68,9 @@ from .transfer import (
 from .verify import (
     Grid2D,
     SampledField,
-    beta_pde_residual,
     convergence_order,
     fd_derivative,
     kdv_residual,
-    q_from_beta,
-    sample_field,
 )
 
 __version__ = "0.1.0"

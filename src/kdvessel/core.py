@@ -17,12 +17,15 @@ coupled algebraic and differential conditions:
 Everything a vessel produces -- the tau function det(X0^-1 X(x,t)), the
 integrated potential beta = -(B* X^-1 B)_{11} and the KdV field q = 2 beta'
 -- is derived from these operators.  This module holds the parameter
-matrices, the vessel data model, state evaluation and residual checks for
-every condition above, plus the generic "integrate B then accumulate X"
-construction from admissible initial data.  Every evaluation and residual
-takes points x, t of any broadcast shape through one stacked path:
-:func:`evaluate` keeps the whole state of each point, while every other
-per-point evaluator of the package runs in the stacks of one chunk loop.
+matrices SIGMA1, SIGMA2 and GAMMA, the vessel data model, state
+evaluation and residual checks for every condition above, plus the
+generic "integrate B then accumulate X" construction from admissible
+initial data.  Every evaluation and residual takes points x, t of any
+broadcast shape through one stacked path: :func:`evaluate` keeps the
+whole state of each point, while every other per-point evaluator of the
+package runs in the stacks of one chunk loop.  A singular Gram operator
+raises EvaluationError at its first point in C order, through one
+zero-pivot check that the soliton routines share.
 
 Sign convention: the Lyapunov condition is used in the homogeneous form
 A X + X A* + B sigma1 B* = 0, which is the form the closed-form
@@ -45,8 +48,6 @@ from .exceptions import (
 )
 
 __all__ = [
-    "SLParameters",
-    "sl_parameters",
     "FiniteVessel",
     "EvaluatedState",
     "FieldValues",
@@ -84,20 +85,6 @@ _CHUNK_ENTRIES = 2**16
 _HERMIT_TOL = 1e-12
 _INVERSE_TOL = 1e-10
 _IMAG_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class SLParameters:
-    """The constant 2x2 parameter matrices of the Sturm-Liouville class."""
-
-    sigma1: np.ndarray
-    sigma2: np.ndarray
-    gamma: np.ndarray
-
-
-def sl_parameters() -> SLParameters:
-    """Return the Sturm-Liouville parameter matrices (shared, read-only)."""
-    return SLParameters(SIGMA1, SIGMA2, GAMMA)
 
 
 def _fro(m) -> float:
@@ -140,6 +127,27 @@ def _floats(rows) -> tuple:
 def _first(bad) -> Optional[int]:
     """Index of the first flagged point of a stack, or None."""
     return int(bad.argmax()) if bad.any() else None
+
+
+def _check_pivots(sign, x, t) -> None:
+    """Raise EvaluationError at the first point of the stack x, t whose LU
+    has a zero pivot, i.e. whose determinant sign (from slogdet) is 0."""
+    i = _first(sign == 0)
+    if i is not None:
+        raise EvaluationError("singular Gram operator", x=float(x[i]), t=float(t[i]))
+
+
+def _solve(X, rhs, x, t) -> np.ndarray:
+    """np.linalg.solve over the stack X at the points x, t.
+
+    A singular X raises EvaluationError at its first point: solve and
+    slogdet share the LU, so the zero pivot names the point.
+    """
+    try:
+        return np.linalg.solve(X, rhs)
+    except np.linalg.LinAlgError:
+        _check_pivots(np.linalg.slogdet(X)[0], x, t)
+        raise
 
 
 @dataclass(frozen=True)
@@ -222,25 +230,23 @@ class FiniteVessel:
 
 
 @dataclass(frozen=True)
-class EvaluatedState:
-    """B, X, X^-1 and the derived scalars at the points x, t (as given).
+class FieldValues:
+    """beta, beta' and tau = tau_sign * e^log_abs_tau at points x, t.
 
-    For points of broadcast shape S, B is S + (n, 2), X and X^-1 S + (n, n),
-    gamma_* S + (2, 2) and the scalars S (floats for S = ()).
-    ``beta_prime`` is d beta/dx read from the linkage:
-    gamma_*[0,0] = -i(beta' - beta^2); tau = tau_sign * e^log_abs_tau.
+    All values share the broadcast shape of the (x, t) the evaluator was
+    given (floats for scalar points from :func:`evaluate`).  ``tau`` is
+    +-inf where |tau| passes the float range.
     """
 
-    x: float | np.ndarray
-    t: float | np.ndarray
-    B: np.ndarray
-    X: np.ndarray
-    Xinv: np.ndarray
-    gamma_star: np.ndarray
     beta: float | np.ndarray
     beta_prime: float | np.ndarray
     log_abs_tau: float | np.ndarray
     tau_sign: float | np.ndarray
+
+    @property
+    def q(self):
+        """KdV field q = 2 beta'."""
+        return 2.0 * self.beta_prime
 
     @property
     def tau(self):
@@ -250,27 +256,21 @@ class EvaluatedState:
 
 
 @dataclass(frozen=True)
-class FieldValues:
-    """beta, beta' and tau = tau_sign * e^log_abs_tau on arrays of points.
+class EvaluatedState(FieldValues):
+    """The fields plus B, X, X^-1 and gamma_* at the points x, t (as given).
 
-    All arrays share the broadcast shape of the (x, t) the evaluator was
-    given.  ``tau`` is +-inf where |tau| passes the float range.
+    For points of broadcast shape S, B is S + (n, 2), X and X^-1 S + (n, n),
+    gamma_* S + (2, 2) and the scalars S (floats for S = ()).
+    ``beta_prime`` is d beta/dx read from the linkage:
+    gamma_*[0,0] = -i(beta' - beta^2).
     """
 
-    beta: np.ndarray
-    beta_prime: np.ndarray
-    log_abs_tau: np.ndarray
-    tau_sign: np.ndarray
-
-    @property
-    def q(self) -> np.ndarray:
-        """KdV field q = 2 beta'."""
-        return 2.0 * self.beta_prime
-
-    @property
-    def tau(self) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            return self.tau_sign * np.exp(self.log_abs_tau)
+    x: float | np.ndarray
+    t: float | np.ndarray
+    B: np.ndarray
+    X: np.ndarray
+    Xinv: np.ndarray
+    gamma_star: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -392,9 +392,7 @@ def _evaluate_stack(vessel, x, t, B, X):
         )
     X = 0.5 * (X + XH)
     logabs, sign = _log_tau_stack(vessel, X)
-    i = _first(sign == 0)
-    if i is not None:
-        raise EvaluationError("singular Gram operator", x=float(x[i]), t=float(t[i]))
+    _check_pivots(sign, x, t)
     Xinv = np.linalg.inv(X)
     defect = _fro_stack(Xinv @ X - np.eye(vessel.n))
     i = _first(defect > _INVERSE_TOL * math.sqrt(vessel.n))
@@ -527,14 +525,7 @@ def normalization_residual(vessel: FiniteVessel, x, t):
     def stack(xs, ts):
         B = vessel.B(xs, ts)
         X = vessel.X(xs, ts)
-        X = 0.5 * (X + _adjoint(X))
-        try:
-            M = _adjoint(B) @ np.linalg.solve(X, B)
-        except np.linalg.LinAlgError as exc:
-            # solve and slogdet share the LU: its zero pivot names the point
-            i = _first(np.linalg.slogdet(X)[0] == 0) or 0
-            raise EvaluationError(f"singular Gram operator: {exc}",
-                                  x=float(xs[i]), t=float(ts[i])) from exc
+        M = _adjoint(B) @ _solve(0.5 * (X + _adjoint(X)), B, xs, ts)
         return np.abs(np.trace(SIGMA1 @ M, axis1=-2, axis2=-1))
 
     return _floats(_per_point(vessel.n, x, t, stack, 1))[0]

@@ -6,8 +6,9 @@ Gamma = {m k0 : m = -M..-1, 1..M} evolve by
     dp_N/dt = -(3/2) k_N^2 sum_{(n,m): k_n + k_m = k_N}
               p_n p_m / (k_n k_m) cos(6 k_n k_m k_N t),
 
-an ordered-pair sum ((n, m) and (m, n) both count).  The reconstructed
-profile is beta(x,t) = sum_N p_N(t) sin^2(k_N x - k_N^3 t) / k_N^2.
+an ordered-pair sum ((n, m) and (m, n) both count).  They are the
+coefficients of the profile beta(x,t) = sum_N p_N(t) sin^2(k_N x - k_N^3 t)
+/ k_N^2; this module evolves the coefficients only.
 
 A finite lattice cannot satisfy Gamma + Gamma = Gamma: pairs whose sum
 falls outside are dropped and the lattice reports the dropped fraction.
@@ -39,8 +40,7 @@ from .exceptions import (
     NumericalConsistencyError,
 )
 
-__all__ = ["Lattice", "make_lattice", "BTrajectory", "dbnt_rhs", "integrate_b",
-           "beta_from_b"]
+__all__ = ["Lattice", "make_lattice", "BTrajectory", "dbnt_rhs", "integrate_b"]
 
 
 def _position(labels, M):
@@ -217,23 +217,3 @@ def integrate_b(
         k1, cons[i] = monitors(p, t_grid[i])
     return BTrajectory(times=t_grid.copy(), p=samples, conservation=cons)
 
-
-def beta_from_b(lattice: Lattice, traj: BTrajectory, x: float, t: float) -> float:
-    """Reconstructed profile sum_N p_N(t) sin^2(k_N x - k_N^3 t) / k_N^2.
-
-    p is interpolated linearly (order 1) in t between stored samples; t
-    must lie within the trajectory range.
-    """
-    times = traj.times
-    if t < times[0] or t > times[-1]:
-        raise ValueError(f"t={t} outside trajectory range [{times[0]}, {times[-1]}]")
-    i = int(np.searchsorted(times, t, side="right"))
-    if i >= times.size:
-        p = traj.p[-1]
-    else:
-        t0, t1 = times[i - 1], times[i]
-        w = (t - t0) / (t1 - t0)
-        p = (1.0 - w) * traj.p[i - 1] + w * traj.p[i]
-    k = lattice.members
-    theta = k * x - k**3 * t
-    return float(np.sum(p * np.sin(theta) ** 2 / k**2))

@@ -15,7 +15,9 @@ coefficient of e^{2 k_j x + 2 k_j^3 t} in tau.
 The evaluators of beta, q and log tau share one stack body, run in
 core's stacks.  It factors X = D M D with D = diag(max(1, e^{k x + k^3 t})),
 so M stays finite at every phase and the fields remain evaluable on
-arbitrarily wide grids; only log tau takes a determinant of M.
+arbitrarily wide grids; only log tau takes a determinant of M.  Where close
+wavenumbers make M singular in floating point, the evaluators raise
+EvaluationError at the first such point in C order, as core does.
 """
 
 from __future__ import annotations
@@ -180,9 +182,10 @@ def _fields_stack(spec: SolitonSpec, x, t, with_tau: bool):
     beta = -tr(X^-1 X') and q = -2 [tr(X^-1 X'') - tr((X^-1 X')^2)] reduce,
     for v = M^-1 w, to beta = -Re(w* v) and q = -2 (2 Re(v* K w) - (w* v)^2);
     det X = det M * prod d^2, with sign +1 since M is positive definite.
+    A singular M raises EvaluationError at the stack's first such point.
     """
     M, w, log_d = _scaled_system(spec, x, t)
-    v = np.linalg.solve(M, w[..., None])[..., 0]
+    v = core._solve(M, w[..., None], x, t)[..., 0]
     wv = np.einsum("...i,...i->...", w.conj(), v).real
     vkw = np.einsum("...i,i,...i->...", v.conj(), spec.k, w).real
     traces = (-wv, -2.0 * (2.0 * vkw - wv**2))

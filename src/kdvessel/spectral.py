@@ -44,8 +44,7 @@ w_n(y) = c_n sin(k_n y)/k_n, a positive-semidefinite perturbation that is
 nonzero whenever x != 0, so X(x,0) v = v + (Gram) v != v; already the 1x1
 case X = 1 + |c|^2 (x/(2k^2) - sin(2kx)/(4k^3)) refutes the identity.
 :func:`fixed_vector_residual` measures the violation rather than assuming
-it away.  The odd-profile sum :func:`beta_odd` likewise matches the vessel
-beta only in the weak-coupling limit: beta_of_state = -beta_odd + O(|b|^4).
+it away.
 """
 
 from __future__ import annotations
@@ -65,8 +64,6 @@ __all__ = [
     "build_discrete_vessel",
     "build_quadrature_vessel",
     "fixed_vector_residual",
-    "beta_odd",
-    "q_odd_continuum",
 ]
 
 # Pairs with | |k_a| - |k_b| | < _NEAR max(|k_a|, |k_b|), the diagonal
@@ -331,30 +328,3 @@ def fixed_vector_residual(vessel: core.FiniteVessel, x):
 
     return core._floats(core._per_point(vessel.n, x, 0.0, stack, 1))[0]
 
-
-def beta_odd(spec: DiscreteSpectrum, x):
-    """Odd-profile partial sum sum_n |b_n|^2 sin^2(k_n x) / k_n^2 at t = 0.
-
-    This is the truncated mode-sum profile; the vessel's own beta satisfies
-    beta_of_state(x, 0) = -beta_odd(x) + O(|b|^4) (weak coupling), not the
-    idealized equality.  Broadcasts over x.
-    """
-    x = np.asarray(x, dtype=float)
-    k = spec.k.reshape(spec.k.shape + (1,) * x.ndim)
-    w = (np.abs(spec.b) ** 2).reshape(spec.b.shape + (1,) * x.ndim)
-    out = np.sum(w * np.sin(k * x) ** 2 / k**2, axis=0)
-    return out if out.ndim else float(out)
-
-
-def q_odd_continuum(spec: QuadratureSpectrum, x):
-    """Quadrature value of q(x) = 2 int |b(i s^2)|^2 sin(2 s x)/s ds at t = 0.
-
-    Term-wise this is 2 d/dx of the continuum analogue of beta_odd, since
-    d/dx sin^2(s x)/s^2 = sin(2 s x)/s.  Broadcasts over x.
-    """
-    x = np.asarray(x, dtype=float)
-    dens = np.abs(np.asarray(spec.density(spec.nodes), dtype=complex)) ** 2
-    s = spec.nodes.reshape(spec.nodes.shape + (1,) * x.ndim)
-    wgt = (spec.weights * dens).reshape(spec.nodes.shape + (1,) * x.ndim)
-    out = 2.0 * np.sum(wgt * np.sin(2.0 * s * x) / s, axis=0)
-    return out if out.ndim else float(out)

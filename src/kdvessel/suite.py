@@ -281,7 +281,8 @@ def transfer_checks(vessel, rng, nlam, suffix=""):
     """
     t0 = time.perf_counter()
     x, t = 0.3, 0.1
-    worst = transfer.symmetry_residual(vessel, _sample_lambdas(rng, vessel, nlam), x, t).max()
+    worst = transfer.symmetry_residual(vessel, _sample_lambdas(rng, vessel, nlam),
+                                       core.evaluate(vessel, x, t)).max()
     r_h = transfer.ds_residual(vessel, 0.7 + 0.4j, x, t, h=1e-3)
     r_h2 = transfer.ds_residual(vessel, 0.7 + 0.4j, x, t, h=5e-4)
     try:

@@ -29,9 +29,10 @@ is resolved empirically and reported).
 
 Every routine evaluates the state at all of its points (stencils and
 kernel points included) in one stacked :func:`core.evaluate` call.  S, the
-symmetry residual and the moments take such a stack; S and the symmetry
-residual also take an array of lambda, with one batched solve of
-(lambda I - A) against B for every lambda and point.
+symmetry residual and the moments take such a state, and only that, as
+their points; S and the symmetry residual also take an array of lambda,
+with one batched solve of (lambda I - A) against B for every lambda and
+point.
 """
 
 from __future__ import annotations
@@ -80,45 +81,29 @@ def _resolvent_solve(vessel: core.FiniteVessel, lam: np.ndarray, rhs: np.ndarray
     return np.linalg.solve(M, np.broadcast_to(rhs, lam.shape + rhs.shape))
 
 
-def eval_S(
-    vessel: core.FiniteVessel,
-    lam,
-    x,
-    t,
-    state: core.EvaluatedState | None = None,
-) -> np.ndarray:
+def eval_S(vessel: core.FiniteVessel, lam, state: core.EvaluatedState) -> np.ndarray:
     """S(lambda, x, t) through a linear solve (no explicit resolvent).
 
-    ``lam`` is a scalar or an array of any shape and x, t broadcast to P
-    (P = () for one point); the result has shape lam.shape + P + (2, 2).
-    ``state`` may carry ``core.evaluate(vessel, x, t)`` to amortize the
-    Gram inversion over many calls.
+    ``state`` is ``core.evaluate(vessel, x, t)`` at points of shape P
+    (P = () for one point) and ``lam`` a scalar or an array of any shape;
+    the result has shape lam.shape + P + (2, 2).
     """
-    if state is None:
-        state = core.evaluate(vessel, x, t)
     lam = np.asarray(lam, dtype=complex)
     R = _resolvent_solve(vessel, lam.ravel(), state.B)
     M = state.B.swapaxes(-1, -2).conj() @ (state.Xinv @ R)
     return (np.eye(2) - M @ SIGMA1).reshape(lam.shape + M.shape[1:])
 
 
-def symmetry_residual(
-    vessel: core.FiniteVessel,
-    lam,
-    x,
-    t,
-    state: core.EvaluatedState | None = None,
-):
+def symmetry_residual(vessel: core.FiniteVessel, lam, state: core.EvaluatedState):
     """Frobenius norm of S*(-conj(lambda)) sigma1 S(lambda) - sigma1.
 
     A float for scalar ``lam`` at one point; an array of shape
-    lam.shape + P otherwise, for points of shape P as in :func:`eval_S`.
+    lam.shape + P otherwise, for a state at points of shape P as in
+    :func:`eval_S`.
     """
-    if state is None:
-        state = core.evaluate(vessel, x, t)
     lam = np.asarray(lam, dtype=complex)
-    S_lam = eval_S(vessel, lam, x, t, state=state)
-    S_ref = eval_S(vessel, -lam.conj(), x, t, state=state)
+    S_lam = eval_S(vessel, lam, state)
+    S_ref = eval_S(vessel, -lam.conj(), state)
     S_ref_adj = np.swapaxes(S_ref, -1, -2).conj()
     res = np.linalg.norm(S_ref_adj @ SIGMA1 @ S_lam - SIGMA1, axis=(-2, -1))
     return float(res) if res.ndim == 0 else res
@@ -130,7 +115,7 @@ def ds_residual(
     """Centered-difference residual of the x-evolution of S."""
     xs = np.array([x, x + h, x - h])
     state = core.evaluate(vessel, xs, t)
-    S0, Sp, Sm = eval_S(vessel, lam, xs, t, state=state)
+    S0, Sp, Sm = eval_S(vessel, lam, state)
     dS = (Sp - Sm) / (2.0 * h)
     rhs = SIGMA1 @ (lam * SIGMA2 + state.gamma_star[0]) @ S0 - S0 @ SIGMA1 @ (
         lam * SIGMA2 + GAMMA
@@ -159,7 +144,7 @@ def intertwining_residual(
     state = core.evaluate(vessel, xs, t)
     e = np.exp(omega * xs)
     u = np.stack([e, -1j * omega * e], axis=-1)
-    y1 = (eval_S(vessel, lam, xs, t, state=state) @ u[..., None])[:, 0, 0]
+    y1 = (eval_S(vessel, lam, state) @ u[..., None])[:, 0, 0]
     beta = state.beta
     y1pp = (y1[2:] - 2.0 * y1[1:-1] + y1[:-2]) / h**2
     beta_p = (beta[2:] - beta[:-2]) / (2.0 * h)
@@ -167,23 +152,15 @@ def intertwining_residual(
     return float(res.max())
 
 
-def moments(
-    vessel: core.FiniteVessel,
-    x,
-    t,
-    nmax: int,
-    state: core.EvaluatedState | None = None,
-) -> np.ndarray:
+def moments(vessel: core.FiniteVessel, state: core.EvaluatedState, nmax: int) -> np.ndarray:
     """Markov moments H_0..H_nmax, H_n = B* X^-1 A^n B sigma1.
 
-    Shape (nmax+1,) + P + (2, 2) for points x, t of broadcast shape P
-    (P = () for one point); ``state`` may carry their evaluated state.
-    A^n B is built by repeated application of A to the columns of B.
+    Shape (nmax+1,) + P + (2, 2) for a state at points of shape P (P = ()
+    for one point).  A^n B is built by repeated application of A to the
+    columns of B.
     """
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
-    if state is None:
-        state = core.evaluate(vessel, x, t)
     left = state.B.swapaxes(-1, -2).conj() @ state.Xinv
     out = np.empty((nmax + 1,) + left.shape[:-1] + (2,), dtype=complex)
     P = state.B
@@ -213,7 +190,7 @@ def moment_recursion_residual(
     x = np.asarray(x, dtype=float)
     xs, ts = np.stack([x, x + h, x - h], axis=-1), np.asarray(t, dtype=float)[..., None]
     state = core.evaluate(vessel, xs, ts)
-    H0, Hp, Hm = np.moveaxis(moments(vessel, xs, ts, n + 1, state=state), -3, 0)
+    H0, Hp, Hm = np.moveaxis(moments(vessel, state, n + 1), -3, 0)
     dH = (Hp - Hm) / (2.0 * h)
     d2H = (Hp - 2.0 * H0 + Hm) / h**2
     H, G = H0[n], H0[n + 1]

@@ -1,9 +1,8 @@
-"""Uniform-grid sampling, centered-difference stencils and PDE residuals.
+"""Uniform grids, centered-difference stencils and the KdV residual.
 
-The KdV field is checked against q_t = -(3/2) q q_x + (1/4) q_xxx and the
-integrated profile against 4 b_t = -6 (b_x)^2 + b_xxx, with those exact
-coefficient conventions.  Boundary cells that a stencil cannot reach are
-masked invalid, never extrapolated.
+The KdV field is checked against q_t = -(3/2) q q_x + (1/4) q_xxx, with
+those exact coefficient conventions.  Boundary cells that a stencil cannot
+reach are masked invalid, never extrapolated.
 """
 
 from __future__ import annotations
@@ -13,16 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = [
-    "Grid2D",
-    "SampledField",
-    "sample_field",
-    "fd_derivative",
-    "kdv_residual",
-    "beta_pde_residual",
-    "q_from_beta",
-    "convergence_order",
-]
+__all__ = ["Grid2D", "SampledField", "fd_derivative", "kdv_residual", "convergence_order"]
 
 
 @dataclass(frozen=True)
@@ -58,11 +48,6 @@ class Grid2D:
     def ts(self) -> np.ndarray:
         return np.linspace(self.t_min, self.t_max, self.nt)
 
-    def refine(self) -> "Grid2D":
-        """Same extents with both spacings halved."""
-        return Grid2D(self.x_min, self.x_max, 2 * self.nx - 1,
-                      self.t_min, self.t_max, 2 * self.nt - 1)
-
 
 @dataclass(frozen=True)
 class SampledField:
@@ -89,12 +74,6 @@ class SampledField:
         if not self.mask.any():
             raise ValueError("field has no valid cells")
         return float(np.max(np.abs(self.values[self.mask])))
-
-
-def sample_field(grid: Grid2D, fn, label: str) -> SampledField:
-    """Tabulate fn(x, t) (numpy-broadcastable) on the grid."""
-    X, T = np.meshgrid(grid.xs, grid.ts, indexing="ij")
-    return SampledField(grid=grid, values=np.asarray(fn(X, T), dtype=float), label=label)
 
 
 # Centered stencils: (order, accuracy) -> (offsets, coefficients, h power).
@@ -145,45 +124,15 @@ def fd_derivative(field: SampledField, axis: str, order: int, accuracy: int = 2)
     )
 
 
-def kdv_residual(
-    q: SampledField,
-    accuracy: int = 4,
-    q_x: Optional[SampledField] = None,
-    q_xxx: Optional[SampledField] = None,
-) -> SampledField:
-    """Residual field q_t + (3/2) q q_x - (1/4) q_xxx on the interior.
-
-    ``q_x`` / ``q_xxx`` may carry analytically computed derivatives
-    (mixed mode), leaving the t derivative as the only stencil error.
-    """
+def kdv_residual(q: SampledField, accuracy: int = 4) -> SampledField:
+    """Residual field q_t + (3/2) q q_x - (1/4) q_xxx on the interior."""
     qt = fd_derivative(q, "t", 1, accuracy)
-    qx = q_x if q_x is not None else fd_derivative(q, "x", 1, accuracy)
-    qxxx = q_xxx if q_xxx is not None else fd_derivative(q, "x", 3, accuracy)
+    qx = fd_derivative(q, "x", 1, accuracy)
+    qxxx = fd_derivative(q, "x", 3, accuracy)
     vals = qt.values + 1.5 * q.values * qx.values - 0.25 * qxxx.values
     mask = qt.mask & qx.mask & qxxx.mask & q.mask
     vals = np.where(mask, vals, 0.0)
     return SampledField(grid=q.grid, values=vals, label=f"kdv_residual[{q.label}]", mask=mask)
-
-
-def beta_pde_residual(beta: SampledField, accuracy: int = 4) -> SampledField:
-    """Residual field 4 b_t + 6 (b_x)^2 - b_xxx on the interior."""
-    bt = fd_derivative(beta, "t", 1, accuracy)
-    bx = fd_derivative(beta, "x", 1, accuracy)
-    bxxx = fd_derivative(beta, "x", 3, accuracy)
-    vals = 4.0 * bt.values + 6.0 * bx.values**2 - bxxx.values
-    mask = bt.mask & bx.mask & bxxx.mask
-    vals = np.where(mask, vals, 0.0)
-    return SampledField(
-        grid=beta.grid, values=vals, label=f"beta_pde_residual[{beta.label}]", mask=mask
-    )
-
-
-def q_from_beta(beta: SampledField, accuracy: int = 2) -> SampledField:
-    """q = 2 d beta / dx."""
-    d = fd_derivative(beta, "x", 1, accuracy)
-    return SampledField(
-        grid=beta.grid, values=2.0 * d.values, label=f"q[{beta.label}]", mask=d.mask
-    )
 
 
 def convergence_order(res_h: float, res_h2: float) -> float:

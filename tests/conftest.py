@@ -45,6 +45,25 @@ def three_soliton():
 
 
 @pytest.fixture(scope="session")
+def close_soliton():
+    """An 8-soliton vessel config whose close wavenumbers (2.227, 2.232,
+    2.247, 2.280) make the scaled Cauchy system singular in floating point.
+
+    On the 301 x 23 grid of [-30, 30] x [-1, 1], 21 points have a zero LU
+    pivot; the first in C order is (x, t) = (5.0, 0.9090909090909092).
+    """
+    return {
+        "type": "soliton",
+        "k": [0.4388861571074426, 0.5348503183556012, 0.877368902837907,
+              1.8262812193448665, 2.227185854887757, 2.2316104828511034,
+              2.2472674640033365, 2.2804413027696646],
+        "b_abs": [1.561243351005766, 0.501799525380243, 1.2550459483304968,
+                  1.1550005782634791, 0.8048792541718472, 0.9874139668634091,
+                  1.7093229965405654, 0.9746781311067352],
+    }
+
+
+@pytest.fixture(scope="session")
 def discrete_12():
     spec = kv.DiscreteSpectrum(k=np.array([1.0, 2.0]), b=np.array([1.0, 1.0], dtype=complex))
     return spec, kv.build_discrete_vessel(spec, self_check=False)

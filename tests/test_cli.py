@@ -110,6 +110,18 @@ class TestFieldDump:
         assert np.array_equal(np.isinf(tau), beyond)
         assert np.all(tau[beyond] > 0)
 
+    def test_singular_soliton_point_is_numerical_failure(self, tmp_path, capsys,
+                                                          close_soliton):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"vessel": close_soliton,
+                                   "grid": {"x_min": -30.0, "x_max": 30.0, "nx": 301,
+                                            "t_min": -1.0, "t_max": 1.0, "nt": 23}}))
+        out = tmp_path / "field.csv"
+        assert run(["soliton", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure") and "x=5.0, t=0.9090909090909092" in err
+        assert not out.exists()
+
     def test_negative_wavenumber_is_config_error(self, tmp_path):
         code = run(["soliton", "--k", "-1", "--b-abs", "1", "--out",
                     str(tmp_path / "x.csv")])

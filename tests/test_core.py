@@ -9,29 +9,25 @@ from kdvessel import core
 
 class TestSLParameters:
     def test_exact_constants(self):
-        p = kv.sl_parameters()
-        assert np.array_equal(p.sigma1, [[0.0, 1.0], [1.0, 0.0]])
-        assert np.array_equal(p.sigma2, [[1.0, 0.0], [0.0, 0.0]])
-        assert np.array_equal(p.gamma, [[0.0, 0.0], [0.0, 1j]])
+        assert np.array_equal(core.SIGMA1, [[0.0, 1.0], [1.0, 0.0]])
+        assert np.array_equal(core.SIGMA2, [[1.0, 0.0], [0.0, 0.0]])
+        assert np.array_equal(core.GAMMA, [[0.0, 0.0], [0.0, 1j]])
 
     def test_sigma1_self_inverse(self):
-        p = kv.sl_parameters()
-        assert np.array_equal(p.sigma1 @ p.sigma1, np.eye(2))
+        assert np.array_equal(core.SIGMA1 @ core.SIGMA1, np.eye(2))
 
     def test_sigma2_idempotent(self):
-        p = kv.sl_parameters()
-        assert np.array_equal(p.sigma2 @ p.sigma2, p.sigma2)
+        assert np.array_equal(core.SIGMA2 @ core.SIGMA2, core.SIGMA2)
 
     def test_gamma_skew_hermitian(self):
-        p = kv.sl_parameters()
-        assert np.array_equal(p.gamma + p.gamma.conj().T, np.zeros((2, 2)))
+        assert np.array_equal(core.GAMMA + core.GAMMA.conj().T, np.zeros((2, 2)))
 
 
 class TestLinkage:
     def test_zero_coupling_gives_gamma(self):
         B = np.zeros((3, 2), dtype=complex)
         gs = kv.linkage_gamma_star(B, np.eye(3, dtype=complex))
-        assert np.array_equal(gs, kv.sl_parameters().gamma)
+        assert np.array_equal(gs, core.GAMMA)
 
     def test_one_soliton_origin(self, one_soliton):
         # X(0,0) = 2, B(0,0) = (sqrt2, i sqrt2): (B* X^-1 B)_11 = 1, beta = -1
@@ -516,14 +512,14 @@ _STATE_FIELDS = ("B", "X", "Xinv", "gamma_star", "beta", "beta_prime", "log_abs_
 def _assert_stack_equals_points(vessel, xs, ts, lams):
     """evaluate and eval_S over the stack xs, ts equal their one-point calls."""
     state = kv.evaluate(vessel, xs, ts)
-    S = kv.eval_S(vessel, lams, xs, ts, state=state)
+    S = kv.eval_S(vessel, lams, state)
     assert state.B.shape == xs.shape + (vessel.n, 2) and state.beta.shape == xs.shape
     assert S.shape == lams.shape + xs.shape + (2, 2)
     for i in np.ndindex(xs.shape):
         one = kv.evaluate(vessel, float(xs[i]), float(ts[i]))
         for name in _STATE_FIELDS:
             assert np.array_equal(getattr(state, name)[i], getattr(one, name)), name
-        S1 = kv.eval_S(vessel, lams, float(xs[i]), float(ts[i]), state=one)
+        S1 = kv.eval_S(vessel, lams, one)
         assert np.array_equal(S[(...,) + i + (slice(None), slice(None))], S1)
 
 

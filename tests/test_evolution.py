@@ -217,54 +217,3 @@ class TestIntegrateB:
         with pytest.raises(kv.InvalidSpecError):
             kv.integrate_b(lat, np.ones(4), np.array([0.0]))
 
-
-@pytest.fixture(scope="module")
-def lattice_traj():
-    lat = kv.make_lattice(1.0, 2)
-    traj = kv.integrate_b(lat, np.ones(4), np.linspace(0, 0.5, 251),
-                          conservation_tol=np.inf)
-    return lat, traj
-
-
-class TestBetaFromB:
-    def test_zero_p_gives_zero(self):
-        lat = kv.make_lattice(1.0, 2)
-        traj = kv.integrate_b(lat, np.zeros(4), np.linspace(0, 1, 5))
-        assert kv.beta_from_b(lat, traj, 0.7, 0.5) == 0.0
-
-    def test_t0_equals_direct_mode_sum(self, lattice_traj):
-        lat, traj = lattice_traj
-        for x in (0.3, 1.0, 2.4):
-            direct = float(np.sum(traj.p[0] * np.sin(lat.members * x) ** 2
-                                  / lat.members**2))
-            assert kv.beta_from_b(lat, traj, x, 0.0) == pytest.approx(direct, abs=1e-14)
-
-    def test_t0_relates_to_beta_odd(self, lattice_traj):
-        # the symmetric lattice counts +-k separately, so the matching
-        # one-sided spectrum carries b_n = sqrt(2 p_n(0))
-        lat, traj = lattice_traj
-        pos = lat.members > 0
-        spec = kv.DiscreteSpectrum(
-            k=lat.members[pos],
-            b=np.sqrt(2.0 * traj.p[0][pos]).astype(complex),
-        )
-        for x in (0.3, 1.0, 2.4):
-            assert kv.beta_from_b(lat, traj, x, 0.0) == pytest.approx(
-                kv.beta_odd(spec, x), abs=1e-12
-            )
-
-    def test_linear_interpolation_between_samples(self, lattice_traj):
-        lat, traj = lattice_traj
-        i = 40
-        tmid = 0.5 * (traj.times[i] + traj.times[i + 1])
-        p_mid = 0.5 * (traj.p[i] + traj.p[i + 1])
-        theta = lat.members * 0.9 - lat.members**3 * tmid
-        direct = float(np.sum(p_mid * np.sin(theta) ** 2 / lat.members**2))
-        assert kv.beta_from_b(lat, traj, 0.9, tmid) == pytest.approx(direct, abs=1e-14)
-
-    def test_out_of_range_rejected(self, lattice_traj):
-        lat, traj = lattice_traj
-        with pytest.raises(ValueError):
-            kv.beta_from_b(lat, traj, 0.0, 0.6)
-        with pytest.raises(ValueError):
-            kv.beta_from_b(lat, traj, 0.0, -0.1)

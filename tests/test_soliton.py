@@ -254,6 +254,36 @@ class TestStacks:
         assert peak < 32e6
 
 
+class TestSingularPoints:
+    """A zero pivot of the scaled system raises EvaluationError at its point."""
+
+    POINT = (5.0, 0.9090909090909092)
+
+    @staticmethod
+    def _spec(cfg):
+        return kv.SolitonSpec(k=cfg["k"], b=cfg["b_abs"])
+
+    def test_the_point(self, close_soliton):
+        spec = self._spec(close_soliton)
+        for fn in (kv.q_soliton, kv.fields_soliton):
+            with pytest.raises(kv.EvaluationError, match="singular") as exc:
+                fn(spec, *self.POINT)
+            assert (exc.value.x, exc.value.t) == self.POINT
+
+    @pytest.mark.parametrize("entries", [core._CHUNK_ENTRIES, 64 * 16],
+                             ids=["default-stacks", "16-point-stacks"])
+    def test_first_point_of_the_grid_in_c_order(self, monkeypatch, close_soliton, entries):
+        X, T = np.meshgrid(np.linspace(-30.0, 30.0, 301), np.linspace(-1.0, 1.0, 23),
+                           indexing="ij")
+        assert X.size > entries // 64  # n = 8: the grid spans several stacks
+        monkeypatch.setattr(core, "_CHUNK_ENTRIES", entries)
+        spec = self._spec(close_soliton)
+        for fn in (kv.beta_soliton, kv.q_soliton, kv.log_tau_soliton, kv.fields_soliton):
+            with pytest.raises(kv.EvaluationError, match="singular") as exc:
+                fn(spec, X, T)
+            assert (exc.value.x, exc.value.t) == self.POINT
+
+
 class TestMpmathOracle:
     """fields_soliton against a 60-digit log det X and its x-derivatives."""
 

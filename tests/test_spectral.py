@@ -248,7 +248,6 @@ class TestBuildQuadratureVessel:
         spec = kv.gauss_legendre_spectrum(1.0, 8, lambda s: np.zeros_like(s))
         vessel = kv.build_quadrature_vessel(spec, self_check=False)
         assert np.array_equal(vessel.X(0.8, 0.1), np.eye(8))
-        assert kv.q_odd_continuum(spec, 0.8) == 0.0
 
     def test_lyapunov_identity(self, quadrature_gauss):
         _, vessel = quadrature_gauss
@@ -353,61 +352,14 @@ class TestFixedVector:
 
 
 class TestBetaOdd:
-    def test_single_term(self):
-        spec = kv.DiscreteSpectrum(k=np.array([1.0]), b=np.array([1.0]))
-        assert kv.beta_odd(spec, np.pi / 2.0) == pytest.approx(1.0, abs=1e-15)
-
-    def test_zero_at_origin(self, discrete_12):
-        spec, _ = discrete_12
-        assert kv.beta_odd(spec, 0.0) == 0.0
-
-    def test_even_in_x(self, discrete_12):
-        spec, _ = discrete_12
-        xs = np.linspace(0.1, 3.0, 7)
-        assert np.allclose(kv.beta_odd(spec, -xs), kv.beta_odd(spec, xs), atol=1e-14)
-
     def test_weak_coupling_links_to_vessel_beta(self):
-        # beta_of_state = -beta_odd + O(|b|^4): the mode sum describes the
-        # vessel only to first order in |b|^2 (and with opposite sign)
+        # the vessel beta at t = 0 is minus the odd-profile mode sum
+        # sum_n |b_n|^2 sin^2(k_n x) / k_n^2 up to O(|b|^4): the mode sum
+        # describes the vessel only to first order in |b|^2
         eps = 1e-3
         spec = kv.DiscreteSpectrum(k=np.array([1.0, 2.0]), b=eps * np.array([1.0, 1.0]))
         vessel = kv.build_discrete_vessel(spec, self_check=False)
         for x in (0.5, 1.0, 2.0):
-            state = kv.evaluate(vessel, x, 0.0)
-            assert abs(state.beta + kv.beta_odd(spec, x)) < 10 * eps**4
+            mode_sum = np.sum(np.abs(spec.b) ** 2 * np.sin(spec.k * x) ** 2 / spec.k**2)
+            assert abs(kv.evaluate(vessel, x, 0.0).beta + mode_sum) < 10 * eps**4
 
-
-class TestQOddContinuum:
-    def test_zero_density(self):
-        spec = kv.gauss_legendre_spectrum(1.0, 8, lambda s: np.zeros_like(s))
-        assert kv.q_odd_continuum(spec, 1.3) == 0.0
-
-    def test_termwise_derivative_identity(self, quadrature_gauss):
-        # q_odd = 2 d/dx of the quadrature mode-sum profile
-        spec, _ = quadrature_gauss
-        dens2 = np.abs(spec.density(spec.nodes)) ** 2
-
-        def profile(x):
-            return float(np.sum(spec.weights * dens2 * np.sin(spec.nodes * x) ** 2
-                                / spec.nodes**2))
-
-        errs = {}
-        for h in (1e-3, 5e-4):
-            fd = 2.0 * (profile(1.0 + h) - profile(1.0 - h)) / (2 * h)
-            errs[h] = abs(kv.q_odd_continuum(spec, 1.0) - fd)
-        assert errs[1e-3] < 1e-5
-        assert kv.convergence_order(errs[1e-3], errs[5e-4]) > 1.9
-
-    def test_odd_in_x(self, quadrature_gauss):
-        spec, _ = quadrature_gauss
-        xs = np.linspace(0.2, 2.0, 5)
-        assert np.allclose(kv.q_odd_continuum(spec, -xs), -kv.q_odd_continuum(spec, xs),
-                           atol=1e-14)
-
-    def test_node_doubling_stability(self):
-        density = lambda s: np.exp(-(s**2))
-        vals = {}
-        for n in (64, 128):
-            spec = kv.gauss_legendre_spectrum(2.0, n, density)
-            vals[n] = kv.q_odd_continuum(spec, 1.0)
-        assert abs(vals[128] - vals[64]) < 1e-8

@@ -12,12 +12,12 @@ from kdvessel import core, suite
 class TestEvalS:
     def test_zero_coupling_gives_identity(self, zero_vessel):
         for lam in (1.0, 2.0 + 3.0j, -0.4j):
-            assert np.array_equal(kv.eval_S(zero_vessel, lam, 0.3, 0.1), np.eye(2))
+            assert np.array_equal(kv.eval_S(zero_vessel, lam, kv.evaluate(zero_vessel, 0.3, 0.1)), np.eye(2))
 
     def test_one_soliton_frozen_value(self, one_soliton):
         # 1-dimensional resolvent arithmetic: A = -i, X(0,0) = 2
         _, vessel = one_soliton
-        S = kv.eval_S(vessel, 1.0, 0.0, 0.0)
+        S = kv.eval_S(vessel, 1.0, kv.evaluate(vessel, 0.0, 0.0))
         expected = np.array(
             [[(1 - 1j) / 2, -(1 - 1j) / 2], [-(1 - 1j) / 2, (3 + 1j) / 2]]
         )
@@ -27,34 +27,35 @@ class TestEvalS:
         _, vessel = one_soliton
         state = kv.evaluate(vessel, 0.2, 0.1)
         M = state.B.conj().T @ state.Xinv @ state.B
-        S = kv.eval_S(vessel, 1e6, 0.2, 0.1, state=state)
+        S = kv.eval_S(vessel, 1e6, state)
         assert np.linalg.norm(S - np.eye(2)) < 1e-5 * np.linalg.norm(M)
 
     def test_pole_rejected(self, one_soliton):
         _, vessel = one_soliton
         with pytest.raises(kv.PoleError):
-            kv.eval_S(vessel, -1j, 0.0, 0.0)  # spectrum of A is {-i}
+            kv.eval_S(vessel, -1j, kv.evaluate(vessel, 0.0, 0.0))  # spectrum of A is {-i}
 
 
 
 class TestSymmetry:
     def test_soliton(self, one_soliton):
         _, vessel = one_soliton
-        assert kv.symmetry_residual(vessel, 1.0, 0.4, 0.2) < 1e-12
+        assert kv.symmetry_residual(vessel, 1.0, kv.evaluate(vessel, 0.4, 0.2)) < 1e-12
 
     def test_discrete(self, discrete_12):
         _, vessel = discrete_12
-        assert kv.symmetry_residual(vessel, 2.0 + 3.0j, 0.7, 0.3) < 1e-12
+        assert kv.symmetry_residual(vessel, 2.0 + 3.0j, kv.evaluate(vessel, 0.7, 0.3)) < 1e-12
 
     def test_zero_coupling_exact(self, zero_vessel):
-        assert kv.symmetry_residual(zero_vessel, 0.7 + 0.2j, 0.0, 0.0) == 0.0
+        assert kv.symmetry_residual(zero_vessel, 0.7 + 0.2j, kv.evaluate(zero_vessel, 0.0, 0.0)) == 0.0
 
     def test_inverse_via_symmetry(self, three_soliton):
         # S(lambda)^-1 = sigma1 S*(-conj(lambda)) sigma1
         _, vessel = three_soliton
         lam = 0.9 - 0.6j
-        S = kv.eval_S(vessel, lam, 0.3, 0.1)
-        S_ref = kv.eval_S(vessel, -np.conj(lam), 0.3, 0.1)
+        state = kv.evaluate(vessel, 0.3, 0.1)
+        S = kv.eval_S(vessel, lam, state)
+        S_ref = kv.eval_S(vessel, -np.conj(lam), state)
         inv = core.SIGMA1 @ S_ref.conj().T @ core.SIGMA1
         assert np.linalg.norm(inv @ S - np.eye(2)) < 1e-10
 
@@ -65,23 +66,24 @@ class TestLambdaArrays:
         lams = rng.uniform(-3, 3, (4, 5)) + 1j * rng.uniform(-3, 3, (4, 5))
         for vessel in (three_soliton[1], rotated_three_soliton):
             state = kv.evaluate(vessel, 0.3, 0.1)
-            S = kv.eval_S(vessel, lams, 0.3, 0.1, state=state)
-            res = kv.symmetry_residual(vessel, lams, 0.3, 0.1, state=state)
+            S = kv.eval_S(vessel, lams, state)
+            res = kv.symmetry_residual(vessel, lams, state)
             assert S.shape == (4, 5, 2, 2) and res.shape == (4, 5)
             for i in np.ndindex(lams.shape):
-                S1 = kv.eval_S(vessel, lams[i], 0.3, 0.1, state=state)
+                S1 = kv.eval_S(vessel, lams[i], state)
                 assert np.linalg.norm(S[i] - S1) <= 1e-15 * np.linalg.norm(S1)
                 # relative to the size of the product S* sigma1 S it measures
-                r1 = kv.symmetry_residual(vessel, lams[i], 0.3, 0.1, state=state)
+                r1 = kv.symmetry_residual(vessel, lams[i], state)
                 assert abs(res[i] - r1) <= 1e-15 * np.linalg.norm(S1) ** 2
 
     def test_pole_entry_is_named(self, three_soliton):
         _, vessel = three_soliton
         pole = complex(vessel.spectrum[1])
         lams = np.array([1.0, 2.0 + 1.0j, pole + 5e-11, -0.5j])
+        state = kv.evaluate(vessel, 0.3, 0.1)
         for fn in (kv.eval_S, kv.symmetry_residual):
             with pytest.raises(kv.PoleError) as exc:
-                fn(vessel, lams, 0.3, 0.1)
+                fn(vessel, lams, state)
             assert exc.value.lam == lams[2] and exc.value.nearest_pole == pole
 
     @settings(max_examples=30, deadline=None)
@@ -104,7 +106,7 @@ class TestLambdaArrays:
         assume(lams.size > 0)
         x = data.draw(st.floats(-1.5, 1.5))
         t = data.draw(st.floats(-0.3, 0.3))
-        assert np.all(kv.symmetry_residual(vessel, lams, x, t) < 1e-10)
+        assert np.all(kv.symmetry_residual(vessel, lams, kv.evaluate(vessel, x, t)) < 1e-10)
 
 
 class TestSampleLambdas:
@@ -177,7 +179,7 @@ class TestIntertwining:
             for x in grid:
                 state = kv.evaluate(vessel, float(x), 0.05)
                 u = np.array([np.exp(omega * x), -1j * omega * np.exp(omega * x)])
-                y1.append((kv.eval_S(vessel, -1j, float(x), 0.05, state=state) @ u)[0])
+                y1.append((kv.eval_S(vessel, -1j, state) @ u)[0])
                 beta.append(state.beta)
             y1, beta = np.array(y1), np.array(beta)
             h = grid[1] - grid[0]
@@ -195,13 +197,13 @@ class TestIntertwining:
 
 class TestMoments:
     def test_zero_coupling(self, zero_vessel):
-        H = kv.moments(zero_vessel, 0.3, 0.1, 5)
+        H = kv.moments(zero_vessel, kv.evaluate(zero_vessel, 0.3, 0.1), 5)
         assert np.array_equal(H, np.zeros((6, 2, 2)))
 
     def test_norm_bound(self, three_soliton):
         _, vessel = three_soliton
         state = kv.evaluate(vessel, 0.4, 0.1)
-        H = kv.moments(vessel, 0.4, 0.1, 8, state=state)
+        H = kv.moments(vessel, state, 8)
         rho = np.max(np.abs(vessel.spectrum))
         bound = (np.linalg.norm(state.B, 2) ** 2 * np.linalg.norm(state.Xinv, 2))
         for n in range(9):
@@ -212,8 +214,8 @@ class TestMoments:
         _, vessel = one_soliton
         lam = 3.0j  # |lambda| = 3 > 2 rho(A) = 2
         state = kv.evaluate(vessel, 0.2, 0.1)
-        S = kv.eval_S(vessel, lam, 0.2, 0.1, state=state)
-        H = kv.moments(vessel, 0.2, 0.1, 12, state=state)
+        S = kv.eval_S(vessel, lam, state)
+        H = kv.moments(vessel, state, 12)
         errs = []
         for N in (4, 8, 12):
             partial = np.eye(2, dtype=complex) - sum(
@@ -225,7 +227,7 @@ class TestMoments:
 
     def test_nmax_validation(self, zero_vessel):
         with pytest.raises(ValueError):
-            kv.moments(zero_vessel, 0.0, 0.0, -1)
+            kv.moments(zero_vessel, kv.evaluate(zero_vessel, 0.0, 0.0), -1)
 
 
 class TestMomentRecursion:
