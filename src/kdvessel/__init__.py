@@ -65,12 +65,6 @@ from .transfer import (
     q_from_K_diag,
     symmetry_residual,
 )
-from .verify import (
-    Grid2D,
-    SampledField,
-    convergence_order,
-    fd_derivative,
-    kdv_residual,
-)
+from .verify import Grid2D, convergence_order, kdv_residual
 
 __version__ = "0.1.0"

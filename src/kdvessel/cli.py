@@ -208,7 +208,10 @@ def _report(args, level, checks, runtime_ms, results):
 # ---------------------------------------------------------------------------
 
 def _cmd_field_dump(args, cfg):
-    vcfg = dict(cfg.get("vessel", {}))
+    vcfg = cfg.get("vessel", {})
+    if not isinstance(vcfg, dict):
+        raise ConfigError("vessel: expected an object")
+    vcfg = dict(vcfg)
     vessel_type = args.command
     if vessel_type == "spectral":
         vessel_type = "quadrature" if vcfg.get("type") == "quadrature" else "discrete"
@@ -310,6 +313,8 @@ def _cmd_suite(args, cfg):
             else:
                 _require_keys(entry, {"name", "tolerance"}, ("name",), f"checks[{i}]")
                 name = entry["name"]
+                if not isinstance(name, str):
+                    raise ConfigError(f"checks[{i}].name: expected a check name, got {name!r}")
                 checks.append(name)
                 if "tolerance" in entry:
                     if name not in suite.ERROR_BOUND_FAMILIES:

@@ -23,8 +23,8 @@ generic "integrate B then accumulate X" construction from admissible
 initial data.  Every evaluation and residual takes points x, t of any
 broadcast shape through one stacked path: :func:`evaluate` keeps the
 whole state of each point, while every other per-point evaluator of the
-package runs in the stacks of one chunk loop.  A singular Gram operator
-raises EvaluationError at its first point in C order, through one
+package runs in the stacks of one chunk loop.  Every error names the first
+failing point in C order; a singular Gram operator raises through one
 zero-pivot check that the soliton routines share.
 
 Sign convention: the Lyapunov condition is used in the homogeneous form
@@ -35,7 +35,7 @@ constructions satisfy identically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -104,19 +104,45 @@ def _adjoint(m) -> np.ndarray:
     return np.swapaxes(m, -1, -2).conj()
 
 
+def _flat_points(x, t):
+    """The broadcast points x, t as two flat float arrays, in C order."""
+    xb, tb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
+    return xb.ravel(), tb.ravel()
+
+
+def _at_first_failure(fn, x, t):
+    """fn(x, t) on a stack of points, or the error of its first failing point
+    in C order: a check can fire at a later point before an earlier point
+    meets the check it fails, so a failing stack is halved down to it."""
+    try:
+        return fn(x, t)
+    except (EvaluationError, NumericalConsistencyError) as exc:
+        err = exc
+    xs, ts = _flat_points(x, t)
+    while xs.size > 1:  # err came from a stack ending where xs ends, passing before xs
+        h = xs.size // 2
+        try:
+            fn(xs[:h], ts[:h])
+        except (EvaluationError, NumericalConsistencyError) as exc:
+            err, xs, ts = exc, xs[:h], ts[:h]
+        else:
+            xs, ts = xs[h:], ts[h:]
+    raise err
+
+
 def _per_point(n: int, x, t, fn, count: int) -> np.ndarray:
     """``count`` per-point results of fn(xs, ts) over the broadcast points x, t.
 
     fn sees 1-D stacks of at most _CHUNK_ENTRIES / n^2 points (at least
-    one); the result has shape (count,) + broadcast shape.
+    one); the result has shape (count,) + broadcast shape.  Raises at the
+    first failing point in C order.
     """
-    xb, tb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
-    xf, tf = xb.ravel(), tb.ravel()
+    xf, tf = _flat_points(x, t)
     out = np.empty((count, xf.size))
     step = max(1, _CHUNK_ENTRIES // n**2)
     for s in range(0, xf.size, step):
-        out[:, s:s + step] = fn(xf[s:s + step], tf[s:s + step])
-    return out.reshape((count,) + xb.shape)
+        out[:, s:s + step] = _at_first_failure(fn, xf[s:s + step], tf[s:s + step])
+    return out.reshape((count,) + np.broadcast_shapes(np.shape(x), np.shape(t)))
 
 
 def _floats(rows) -> tuple:
@@ -211,12 +237,11 @@ class FiniteVessel:
             raise InvalidSpecError(
                 f"{what} evaluator returned shape {values.shape}, expected {want}"
             )
-        if not np.isfinite(values).all():
-            finite = np.isfinite(values).all(axis=(-2, -1))
-            i = np.unravel_index(np.argmin(finite), finite.shape)
-            xb, tb = np.broadcast_arrays(x, t)
+        i = _first(~np.isfinite(values).all(axis=(-2, -1)).ravel())
+        if i is not None:
+            xs, ts = _flat_points(x, t)
             raise EvaluationError(f"{what} overflowed; use log-domain routines",
-                                  x=float(xb[i]), t=float(tb[i]))
+                                  x=float(xs[i]), t=float(ts[i]))
         return values
 
     def B(self, x, t) -> np.ndarray:
@@ -286,15 +311,7 @@ class ResidualReport:
     h: float
 
     def as_dict(self) -> dict:
-        return {
-            "r_DB": self.r_DB,
-            "r_DX": self.r_DX,
-            "r_DBt": self.r_DBt,
-            "r_DXt": self.r_DXt,
-            "r_lyapunov": self.r_lyapunov,
-            "r_normalization": self.r_normalization,
-            "h": self.h,
-        }
+        return asdict(self)
 
     def max_differential(self) -> float:
         return max(self.r_DB, self.r_DX, self.r_DBt, self.r_DXt)
@@ -390,7 +407,8 @@ def _evaluate_stack(vessel, x, t, B, X):
             f"X asymmetry {asym[i]:.3e} exceeds {_HERMIT_TOL:.1e}*(1+||X||) "
             f"at ({x[i]}, {t[i]})"
         )
-    X = 0.5 * (X + XH)
+    with np.errstate(over="ignore"):  # finite X within 2x of the float range
+        X = vessel._checked(0.5 * (X + XH), x, t, "Gram operator X", vessel.n)
     logabs, sign = _log_tau_stack(vessel, X)
     _check_pivots(sign, x, t)
     Xinv = np.linalg.inv(X)
@@ -419,16 +437,19 @@ def evaluate(vessel: FiniteVessel, x, t) -> EvaluatedState:
     One :func:`_evaluate_stack` call over all points, unchunked since it
     keeps B, X and X^-1 of each.  X is symmetrized to (X + X*)/2 before
     inversion; the discarded asymmetry must stay below _HERMIT_TOL relative
-    to 1 + ||X||.  Raises EvaluationError at the first point (C order) where
-    X is singular (or too ill-conditioned for ``Xinv X = I`` to hold within
-    _INVERSE_TOL per sqrt(n)).
+    to 1 + ||X||.  Raises at the first failing point (C order), e.g.
+    EvaluationError where X overflows, is singular or is too ill-conditioned
+    for ``Xinv X = I`` to hold within _INVERSE_TOL per sqrt(n).
     """
     shape = np.broadcast_shapes(np.shape(x), np.shape(t))
     n = vessel.n
-    xs, ts = (np.broadcast_to(np.asarray(v, dtype=float), shape).ravel() for v in (x, t))
-    B = vessel.B(x, t)
-    X, Xinv, gs, *scalars = _evaluate_stack(
-        vessel, xs, ts, B.reshape(-1, n, 2), vessel.X(x, t).reshape(-1, n, n))
+
+    def stack(x, t):  # one-point calls pass the evaluators scalars
+        B = vessel.B(x, t)
+        return B, _evaluate_stack(vessel, *_flat_points(x, t), B.reshape(-1, n, 2),
+                                  vessel.X(x, t).reshape(-1, n, n))
+
+    B, (X, Xinv, gs, *scalars) = _at_first_failure(stack, x, t)
     beta, beta_p, logabs, sign = (s.reshape(shape) if shape else float(s[0]) for s in scalars)
     return EvaluatedState(
         x=x, t=t, B=B, X=X.reshape(shape + (n, n)), Xinv=Xinv.reshape(shape + (n, n)),

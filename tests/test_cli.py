@@ -235,6 +235,21 @@ class TestConfigLoader:
         assert capsys.readouterr().err.startswith(f"configuration error: {section}: ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, config, message", [
+        *(pytest.param(command, {"vessel": vessel}, "vessel: expected an object",
+                       id=f"{command}-vessel={vessel!r}")
+          for command in ("soliton", "spectral") for vessel in ([1, 2], "abc", 5)),
+        pytest.param("suite", {"checks": [{"name": ["a"]}]},
+                     "checks[0].name: expected a check name", id="suite-list-name"),
+    ])
+    def test_mistyped_section_is_config_error(self, tmp_path, capsys, command, config,
+                                              message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: {message}")
+        assert not (tmp_path / "out").exists()
+
 
 # each integer config field: its command and a fast config around one value
 INT_FIELDS = {
@@ -438,9 +453,8 @@ class TestCheckCommands:
         (check,) = json.loads(out.read_text())["checks"]
         grid = kv.Grid2D(**gcfg)
         X, T = np.meshgrid(grid.xs, grid.ts, indexing="ij")
-        q = kv.SampledField(grid=grid, values=kv.evaluate_fields(
-            build_vessel_from_config(vcfg)[0], X, T).q, label="q")
-        res = kv.kdv_residual(q, accuracy=4).max_valid()
+        q = kv.evaluate_fields(build_vessel_from_config(vcfg)[0], X, T).q
+        res = np.abs(kv.kdv_residual(q, grid)).max()
         assert (check["check"], check["value"], check["tolerance"], check["pass"]) == (
             "verify.kdv_residual_max", res, 0.5, res < 0.5)
 

@@ -476,6 +476,60 @@ class TestEvaluateFields:
             kv.evaluate_fields(vessel, np.array([0.0, 0.25, 0.5, 0.75]), 0.0)
 
 
+@pytest.fixture(scope="module")
+def wide_two_soliton():
+    """At t = 0 the inverse-defect gate fails from x ~ 11.9, X overflows
+    from x ~ 177.3 (X + X* from 177.27, X itself from 177.45) and B from
+    x ~ 354.2."""
+    return kv.build_soliton(kv.SolitonSpec.from_c([1.0, 2.0], [1.0, 1.0]))
+
+
+def _first_point_error(vessel, xs):
+    """The message of the first x whose one-point evaluate raises, or None."""
+    for x in xs:
+        try:
+            kv.evaluate(vessel, x, 0.0)
+        except (kv.EvaluationError, kv.NumericalConsistencyError) as exc:
+            return str(exc)
+    return None
+
+
+class TestFirstFailingPoint:
+    """A failing stack names its earliest failing point, whichever check
+    fails there, even when another check fires first on a later point."""
+
+    @pytest.mark.parametrize("call", [
+        lambda v: kv.evaluate(v, np.array([20.0, 400.0]), 0.0),
+        lambda v: kv.evaluate_fields(v, np.array([20.0, 400.0]), 0.0),
+        lambda v: kv.gl_kernels(v, 400.0, 20.0, 0.3),
+    ], ids=["evaluate", "evaluate_fields", "gl_kernels"])
+    def test_gate_failure_before_a_later_overflow(self, wide_two_soliton, call):
+        with pytest.raises(kv.EvaluationError, match="ill-conditioned") as exc:
+            call(wide_two_soliton)
+        assert (exc.value.x, exc.value.t) == (20.0, 0.0)
+
+    @pytest.mark.parametrize("fn", [kv.evaluate, kv.evaluate_fields])
+    def test_symmetrization_overflow_is_named(self, wide_two_soliton, fn):
+        # X is finite at x = 177.375 but X + X* is not: no NaN beta comes back
+        with pytest.raises(kv.EvaluationError, match="X overflowed") as exc:
+            fn(wide_two_soliton, np.array([0.0, 177.375]), 0.0)
+        assert (exc.value.x, exc.value.t) == (177.375, 0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(xs=st.lists(st.one_of(st.floats(-5.0, 11.9), st.floats(11.9, 177.3),
+                                 st.floats(177.3, 354.2), st.floats(354.2, 400.0)),
+                       min_size=1, max_size=9))
+    def test_message_is_that_of_the_first_failing_point(self, wide_two_soliton, xs):
+        expected = _first_point_error(wide_two_soliton, xs)
+        for fn in (kv.evaluate, kv.evaluate_fields):
+            if expected is None:
+                fn(wide_two_soliton, np.array(xs), 0.0)
+            else:
+                with pytest.raises((kv.EvaluationError, kv.NumericalConsistencyError)) as exc:
+                    fn(wide_two_soliton, np.array(xs), 0.0)
+                assert str(exc.value) == expected
+
+
 def _gram_vessel(upper, lower):
     """n = 2, B = 0 and X = [[1, upper(x)], [lower(x), 1]], broadcasting."""
     def X_eval(x, t):
