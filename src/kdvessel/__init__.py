@@ -13,7 +13,6 @@ from .core import (
     FieldValues,
     FiniteVessel,
     ResidualReport,
-    beta_of_state,
     evaluate,
     evaluate_fields,
     evolution_residuals,

@@ -106,7 +106,9 @@ def _density_from_config(cfg, path):
 
 
 def build_vessel_from_config(cfg, path="vessel"):
-    """Construct the configured vessel; raises ConfigError on bad fields."""
+    """Construct the configured vessel; ConfigError on bad fields and on
+    specs the builder refuses, while a numerical failure of the build's
+    self-check (an overflowing X) propagates as it is."""
     _require_keys(cfg, {"type", "k", "b_abs", "flavor", "period",
                         "s_max", "nodes", "density"}, ("type",), path)
     vtype = cfg["type"]
@@ -139,7 +141,7 @@ def build_vessel_from_config(cfg, path="vessel"):
                 _number(cfg["nodes"], f"{path}.nodes", int), density,
             )
             return spectral.build_quadrature_vessel(spec), spec
-    except VesselError as exc:
+    except InvalidSpecError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     raise ConfigError(f"{path}.type: unknown vessel type {vtype!r}")
 

@@ -55,7 +55,6 @@ __all__ = [
     "evaluate",
     "evaluate_fields",
     "linkage_gamma_star",
-    "beta_of_state",
     "log_tau",
     "lyapunov_residual",
     "lyapunov_self_check",
@@ -354,15 +353,6 @@ def _beta_of_gamma_star(gs, x=None, t=None) -> np.ndarray:
     return beta.real
 
 
-def beta_of_state(B: np.ndarray, Xinv: np.ndarray):
-    """Integrated potential beta = -(B* X^-1 B)_{11} = -tau'/tau.
-
-    A float for one (B, X^-1); broadcasts over stacks.
-    """
-    beta = _beta_of_gamma_star(linkage_gamma_star(B, Xinv))
-    return float(beta) if beta.ndim == 0 else beta
-
-
 def _log_tau_stack(vessel, X):
     """(log|tau|, sign tau) of a stack X (m, n, n): tau = det X / det X0.
 
@@ -499,15 +489,24 @@ def _lyapunov_norms(A, a, B, X):
 
 
 def _lyapunov_stack(vessel, x, t) -> np.ndarray:
-    res, norm_x = _lyapunov_norms(vessel.A, vessel.A_diag, vessel.B(x, t), vessel.X(x, t))
-    return res / (1.0 + norm_x)
+    B, X = vessel.B(x, t), vessel.X(x, t)
+    # the squares inside the norms overflow past |X_ij| ~ 1e154; B and X
+    # scaled per point by the exact powers of two 2^-e and 4^-e, with 4^e
+    # ~ max |X_ii| (>= |X_ij| when X >= 0), leave the ratio bit for bit.
+    # The copies are skipped where no point needs them (e = 0).
+    e = np.frexp(np.abs(np.diagonal(X, axis1=-2, axis2=-1)).max(axis=-1))[1] // 2
+    if e.any():
+        B, X = B * np.ldexp(1.0, -e)[:, None, None], X * np.ldexp(1.0, -2 * e)[:, None, None]
+    res, norm_x = _lyapunov_norms(vessel.A, vessel.A_diag, B, X)
+    return res / (np.ldexp(1.0, -2 * e) + norm_x)
 
 
 def lyapunov_residual(vessel: FiniteVessel, x, t):
     """|| A X + X A* + B sigma1 B* ||_F / (1 + ||X||_F).
 
     Broadcasts over arrays of points, evaluated in stacks of at most
-    _CHUNK_ENTRIES matrix entries; a float for scalar x and t.
+    _CHUNK_ENTRIES matrix entries; a float for scalar x and t.  Finite
+    wherever B and X are.
     """
     return _floats(_per_point(vessel.n, x, t,
                               lambda xs, ts: _lyapunov_stack(vessel, xs, ts), 1))[0]
@@ -516,8 +515,10 @@ def lyapunov_residual(vessel: FiniteVessel, x, t):
 def lyapunov_self_check(vessel: FiniteVessel) -> None:
     """Build-time check: Lyapunov residual below 1e-12 at 50 seeded points.
 
-    The points are uniform on [-2, 2] x [-0.5, 0.5] (seed 0), evaluated as
-    one stack.
+    Every closed-form builder runs it on the vessel it returns; there is
+    no opt-out.  The points are uniform on [-2, 2] x [-0.5, 0.5] (seed 0),
+    evaluated as one stack.  A residual above 1e-12 raises InvalidSpecError
+    naming its point; an overflowing B or X, EvaluationError at its point.
 
     Blind spot: for diagonal skew-Hermitian A (the trigonometric vessels)
     the residual weighs X_ij by a_i + conj(a_j) = i (k_i^2 - k_j^2), which

@@ -92,12 +92,12 @@ def _gram(spec: SolitonSpec) -> np.ndarray:
     return G if G.imag.any() else G.real
 
 
-def build_soliton(spec: SolitonSpec, self_check: bool = True) -> core.FiniteVessel:
-    """Closed-form soliton vessel with X0 = I.
+def build_soliton(spec: SolitonSpec) -> core.FiniteVessel:
+    """Closed-form soliton vessel with X0 = I, checked by
+    :func:`core.lyapunov_self_check` before it is returned.
 
-    B and X broadcast over arrays of points.  With ``self_check`` the
-    Lyapunov residual is verified below 1e-12 at 50 random points of
-    [-2, 2] x [-0.5, 0.5].
+    B and X broadcast over arrays of points.  A plain X that overflows at a
+    point of the check (k >= 8.886 for |b| = 1) raises EvaluationError there.
     """
     k, b, n = spec.k, spec.b, spec.n
     A = np.diag(-1j * k**2)
@@ -129,8 +129,7 @@ def build_soliton(spec: SolitonSpec, self_check: bool = True) -> core.FiniteVess
         kind="soliton",
         metadata={"spec": spec, "generators": k, "couplings": b},
     )
-    if self_check:
-        core.lyapunov_self_check(vessel)
+    core.lyapunov_self_check(vessel)
     return vessel
 
 

@@ -248,7 +248,7 @@ def trig_kernel(k: np.ndarray, x, t, tables: Optional[_TrigTables] = None) -> np
 
 
 def _build_trig_vessel(
-    k: np.ndarray, c: np.ndarray, kind: str, metadata: dict, self_check: bool
+    k: np.ndarray, c: np.ndarray, kind: str, metadata: dict
 ) -> core.FiniteVessel:
     n = k.size
     A = np.diag(1j * k**2)
@@ -276,36 +276,33 @@ def _build_trig_vessel(
         n=n, A=A, B_eval=B_eval, X_eval=X_eval,
         X0=np.eye(n, dtype=complex), kind=kind, metadata=metadata,
     )
-    if self_check:
-        core.lyapunov_self_check(vessel)
+    core.lyapunov_self_check(vessel)
     return vessel
 
 
-def build_discrete_vessel(
-    spec: DiscreteSpectrum, self_check: bool = True
-) -> core.FiniteVessel:
-    """Trigonometric vessel on the truncated discrete spectrum; X0 = I."""
+def build_discrete_vessel(spec: DiscreteSpectrum) -> core.FiniteVessel:
+    """Trigonometric vessel on the truncated discrete spectrum; X0 = I.
+
+    Checked by :func:`core.lyapunov_self_check` before it is returned.
+    """
     return _build_trig_vessel(
         spec.k, spec.b, "discrete",
         {"spec": spec, "generators": spec.k, "couplings": spec.b,
          "tail_bound": spec.tail_bound},
-        self_check,
     )
 
 
-def build_quadrature_vessel(
-    spec: QuadratureSpectrum, self_check: bool = True
-) -> core.FiniteVessel:
+def build_quadrature_vessel(spec: QuadratureSpectrum) -> core.FiniteVessel:
     """Nystrom discretization of the continuous-spectrum vessel; X0 = I.
 
     Folding sqrt(weights) into B is a diagonal congruence, so X stays
-    Hermitian and the vessel identities hold node-wise exactly.
+    Hermitian and the vessel identities hold node-wise exactly.  Checked
+    by :func:`core.lyapunov_self_check` before it is returned.
     """
     c = spec.couplings()
     return _build_trig_vessel(
         spec.nodes, c, "quadrature",
         {"spec": spec, "generators": spec.nodes, "couplings": c},
-        self_check,
     )
 
 

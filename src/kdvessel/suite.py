@@ -71,19 +71,17 @@ def _gaussian_density(amplitude: float):
 
 
 def _soliton_vessel(k, c):
-    return soliton.build_soliton(soliton.SolitonSpec.from_c(k, c), self_check=False)
+    return soliton.build_soliton(soliton.SolitonSpec.from_c(k, c))
 
 
 def _discrete_vessel(k, b):
     return spectral.build_discrete_vessel(
-        spectral.DiscreteSpectrum(k=np.asarray(k, float), b=np.asarray(b, complex)),
-        self_check=False,
-    )
+        spectral.DiscreteSpectrum(k=np.asarray(k, float), b=np.asarray(b, complex)))
 
 
 def _quadrature_vessel(s_max, nodes, amplitude):
     spec = spectral.gauss_legendre_spectrum(s_max, nodes, _gaussian_density(amplitude))
-    return spectral.build_quadrature_vessel(spec, self_check=False)
+    return spectral.build_quadrature_vessel(spec)
 
 
 def grid_fields(vessel, grid):
@@ -128,7 +126,7 @@ def check_soliton_profile(level, rng):
 def check_cauchy_determinant(level, rng):
     t0 = time.perf_counter()
     spec = soliton.SolitonSpec.from_c([1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
-    vessel = soliton.build_soliton(spec, self_check=False)
+    vessel = soliton.build_soliton(spec)
     npts = 100 if level == "full" else 25
     xs, ts = rng.uniform(-3.0, 3.0, size=(npts, 2)).T
     logabs, sign = core.log_tau(vessel, xs, ts)
@@ -444,11 +442,13 @@ def check_coefficient_evolution(level, rng):
                            "bit-exact match of the ordered-pair enumeration "
                            "(passes only at value 0.0)", "lt"))
 
+    def trajectory(steps):
+        return evolution.integrate_b(lat, np.ones(lat.size), np.linspace(0.0, 0.5, steps + 1),
+                                     conservation_tol=np.inf)
+
     steps = 500 if level == "full" else 100
-    t_grid = np.linspace(0.0, 0.5, steps + 1)
     t0 = time.perf_counter()
-    traj = evolution.integrate_b(lat, np.ones(lat.size), t_grid,
-                                 conservation_tol=np.inf)
+    traj = trajectory(steps)
     out.append(_lt("coefficient_evolution.conservation", float(traj.conservation.max()),
                    1e-12, t0, _CONSERVATION_NOTE))
 
@@ -459,12 +459,8 @@ def check_coefficient_evolution(level, rng):
                    "p_N = p_-N along the whole trajectory"))
 
     t0 = time.perf_counter()
-    ends = []
-    for n in (125, 250, 500):
-        tr = evolution.integrate_b(lat, np.ones(lat.size),
-                                   np.linspace(0.0, 0.5, n + 1),
-                                   conservation_tol=np.inf)
-        ends.append(tr.p[-1])
+    # each step count runs once: at the full level the finest is traj
+    ends = [(traj if n == steps else trajectory(n)).p[-1] for n in (125, 250, 500)]
     d1 = float(np.max(np.abs(ends[0] - ends[1])))
     d2 = float(np.max(np.abs(ends[1] - ends[2])))
     order = verify.convergence_order(d1, d2)
@@ -497,7 +493,7 @@ def check_periodicity(level, rng):
         flavor="periodic",
         period=T,
     )
-    vessel = spectral.build_discrete_vessel(spec, self_check=False)
+    vessel = spectral.build_discrete_vessel(spec)
     npts = 20 if level == "full" else 8
     xs, ts = rng.uniform([0.0, 0.0], [T, 0.3], size=(npts, 2)).T
     beta = core.evaluate(vessel, np.stack([xs, xs + T, xs], axis=-1),
@@ -518,7 +514,7 @@ def check_kernel_diag_sign(level, rng):
     t0 = time.perf_counter()
     sol_spec = soliton.SolitonSpec.from_c([1.2], [1.0])
     cases = [
-        ("soliton", soliton.build_soliton(sol_spec, self_check=False), 0.4,
+        ("soliton", soliton.build_soliton(sol_spec), 0.4,
          float(soliton.q_soliton(sol_spec, 0.4, 0.0))),
         ("discrete", _discrete_vessel([0.7, 1.1], [0.6, 0.6]), 0.3, None),
         ("quadrature", _quadrature_vessel(1.0, 16, 0.6), 0.3, None),

@@ -35,13 +35,13 @@ def zero_vessel():
 def one_soliton():
     """The k=1, b=sqrt(2) (c=1) workhorse."""
     spec = kv.SolitonSpec(k=np.array([1.0]), b=np.array([np.sqrt(2.0)], dtype=complex))
-    return spec, kv.build_soliton(spec, self_check=False)
+    return spec, kv.build_soliton(spec)
 
 
 @pytest.fixture(scope="session")
 def three_soliton():
     spec = kv.SolitonSpec.from_c([1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
-    return spec, kv.build_soliton(spec, self_check=False)
+    return spec, kv.build_soliton(spec)
 
 
 @pytest.fixture(scope="session")
@@ -66,13 +66,13 @@ def close_soliton():
 @pytest.fixture(scope="session")
 def discrete_12():
     spec = kv.DiscreteSpectrum(k=np.array([1.0, 2.0]), b=np.array([1.0, 1.0], dtype=complex))
-    return spec, kv.build_discrete_vessel(spec, self_check=False)
+    return spec, kv.build_discrete_vessel(spec)
 
 
 @pytest.fixture(scope="session")
 def quadrature_gauss():
     spec = kv.gauss_legendre_spectrum(1.5, 32, lambda s: 0.8 * np.exp(-(s**2)))
-    return spec, kv.build_quadrature_vessel(spec, self_check=False)
+    return spec, kv.build_quadrature_vessel(spec)
 
 
 @pytest.fixture(scope="session")

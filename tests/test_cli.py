@@ -122,6 +122,23 @@ class TestFieldDump:
         assert err.startswith("numerical failure") and "x=5.0, t=0.9090909090909092" in err
         assert not out.exists()
 
+    def test_build_overflow_is_numerical_failure(self, tmp_path, capsys):
+        # the build's self-check meets an overflowing X: a numerical failure
+        # naming its point, not a configuration error
+        out = tmp_path / "field.csv"
+        assert run(["soliton", "--k", "9", "--b-abs", "1", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: Gram operator X overflowed")
+        assert "[at x=" in err
+        assert not out.exists()
+
+    def test_vessel_field_is_named_once(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"vessel": {"k": ["a"], "b_abs": [1.0]}}))
+        assert run(["soliton", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: vessel.k[0]: expected a finite number\n")
+
     def test_negative_wavenumber_is_config_error(self, tmp_path):
         code = run(["soliton", "--k", "-1", "--b-abs", "1", "--out",
                     str(tmp_path / "x.csv")])

@@ -59,7 +59,8 @@ class TestLinkage:
 
 class TestBeta:
     def test_zero_coupling(self):
-        assert kv.beta_of_state(np.zeros((2, 2), dtype=complex), np.eye(2, dtype=complex)) == 0.0
+        gs = kv.linkage_gamma_star(np.zeros((2, 2), dtype=complex), np.eye(2, dtype=complex))
+        assert core._beta_of_gamma_star(gs) == 0.0
 
     def test_matches_log_tau_derivative(self, three_soliton):
         # beta = -d/dx log tau, centered difference, order-2 convergence
@@ -79,7 +80,7 @@ class TestBeta:
         B = np.array([[1.0, 1j]], dtype=complex)
         bad_Xinv = np.array([[1.0 + 0.5j]])  # not Hermitian: residue shows up
         with pytest.raises(kv.NumericalConsistencyError):
-            kv.beta_of_state(B, bad_Xinv)
+            core._beta_of_gamma_star(kv.linkage_gamma_star(B, bad_Xinv))
 
 
 class TestTau:
@@ -138,6 +139,16 @@ class TestLyapunov:
     def test_discrete_identity(self, discrete_12):
         _, vessel = discrete_12
         assert kv.lyapunov_residual(vessel, 0.7, 0.3) < 1e-12
+
+    def test_finite_past_the_range_of_the_plain_norms(self):
+        # entries of X past 1e154 overflow the plain squares of ||X||_F and
+        # of ||A X + X A* + B sigma1 B*||_F; the residual must stay finite
+        rng = np.random.default_rng(0)
+        xs, ts = rng.uniform([-2.0, -0.5], [2.0, 0.5], size=(50, 2)).T
+        vessel = kv.build_soliton(kv.SolitonSpec(k=[7.0, 7.5], b=[1.0, 1.0]))
+        assert np.abs(vessel.X(xs, ts)).max() > 1e154
+        res = kv.lyapunov_residual(vessel, xs, ts)
+        assert np.all(res < 1e-12)
 
     def test_detector_sensitivity(self, discrete_12):
         # off-diagonal corruption is visible; a diagonal bump is annihilated
@@ -215,8 +226,7 @@ class TestNormalization:
 
 class TestEvolutionResiduals:
     def test_soliton_small_amplitude(self):
-        vessel = kv.build_soliton(kv.SolitonSpec.from_c([0.6, 0.9], [0.25, 0.25]),
-                                  self_check=False)
+        vessel = kv.build_soliton(kv.SolitonSpec.from_c([0.6, 0.9], [0.25, 0.25]))
         rep = kv.evolution_residuals(vessel, 0.25, 0.12, h=1e-3)
         assert rep.max_differential() < 1e-6
         assert rep.r_lyapunov < 1e-12
@@ -377,7 +387,7 @@ def soliton_vessels(draw):
     n = draw(st.integers(1, 3))
     k = _distinct(draw, n, 0.5, 2.0, 0.2)
     b = np.array(draw(st.lists(st.floats(0.3, 1.5), min_size=n, max_size=n)))
-    return kv.build_soliton(kv.SolitonSpec(k=k, b=b.astype(complex)), self_check=False)
+    return kv.build_soliton(kv.SolitonSpec(k=k, b=b.astype(complex)))
 
 
 @st.composite
@@ -388,7 +398,7 @@ def discrete_vessels(draw, complex_b):
     # relative phases 0.7 apart keep b_i conj(b_j), and so X, complex
     phase = draw(st.floats(-np.pi, np.pi)) + 0.7 * np.arange(n)
     b = mod * np.exp(1j * phase) if complex_b else mod.astype(complex)
-    return kv.build_discrete_vessel(kv.DiscreteSpectrum(k=k, b=b), self_check=False)
+    return kv.build_discrete_vessel(kv.DiscreteSpectrum(k=k, b=b))
 
 
 @st.composite
@@ -397,7 +407,7 @@ def quadrature_vessels(draw):
     amp = draw(st.floats(0.2, 0.6))
     spec = kv.gauss_legendre_spectrum(draw(st.floats(0.8, 1.5)), n,
                                       lambda s: amp * np.exp(-(s**2)))
-    return kv.build_quadrature_vessel(spec, self_check=False)
+    return kv.build_quadrature_vessel(spec)
 
 
 def _points(draw, count, x_range, t_range):
@@ -552,7 +562,7 @@ def _gram_vessel(upper, lower):
 @pytest.fixture(scope="module")
 def quadrature_64():
     spec = kv.gauss_legendre_spectrum(1.2, 64, lambda s: 0.5 * np.exp(-(s**2)))
-    return kv.build_quadrature_vessel(spec, self_check=False)
+    return kv.build_quadrature_vessel(spec)
 
 
 # ---------------------------------------------------------------------------

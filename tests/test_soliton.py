@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import kdvessel as kv
-from kdvessel import core
+from kdvessel import core, soliton, suite
 
 
 class TestSolitonSpec:
@@ -42,12 +42,34 @@ class TestBuildSoliton:
 
     def test_small_amplitude_limit(self):
         spec = kv.SolitonSpec(k=np.array([1.0]), b=np.array([1e-8 + 0j]))
-        vessel = kv.build_soliton(spec, self_check=False)
+        vessel = kv.build_soliton(spec)
         assert abs(kv.evaluate(vessel, 0.3, 0.1).tau - 1.0) < 1e-15
         assert abs(kv.q_soliton(spec, 0.3, 0.1)) < 1e-14
 
     def test_self_check_runs(self):
         kv.build_soliton(kv.SolitonSpec.from_c([0.7, 1.2], [1.0, 1.0]))  # no raise
+
+    def test_refused_exactly_where_x_overflows(self):
+        # at k = 8.884 the self-check's largest X is finite while the unscaled
+        # B sigma1 B* is not; from k = 8.886 X itself overflows at a point
+        kv.build_soliton(kv.SolitonSpec(k=[8.884], b=[1.0]))
+        with pytest.raises(kv.EvaluationError, match=r"Gram operator X overflowed.*\[at x="):
+            kv.build_soliton(kv.SolitonSpec(k=[8.886], b=[1.0]))
+
+    def test_suite_builds_are_self_checked(self, monkeypatch):
+        # a Hermitian perturbation of one off-diagonal Gram pair breaks the
+        # Lyapunov identity, so the suite's soliton build must refuse it
+        gram = soliton._gram
+
+        def perturbed(spec):
+            G = gram(spec).copy()
+            G[0, 1] += 1e-3
+            G[1, 0] += 1e-3
+            return G
+
+        monkeypatch.setattr(soliton, "_gram", perturbed)
+        with pytest.raises(kv.InvalidSpecError, match="soliton self-check failed"):
+            suite.run_suite(level="quick", checks=["cauchy_determinant"])
 
 
 class TestCauchyTau3:
@@ -127,7 +149,7 @@ class TestQSoliton:
 
     def test_tau_exceeds_one(self):
         spec = kv.SolitonSpec.from_c([0.6, 1.4], [1.0, 2.0])
-        vessel = kv.build_soliton(spec, self_check=False)
+        vessel = kv.build_soliton(spec)
         rng = np.random.default_rng(37)
         for _ in range(20):
             logabs, sign = kv.log_tau(vessel, rng.uniform(-3, 3), rng.uniform(-1, 1))

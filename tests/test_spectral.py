@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import kdvessel as kv
-from kdvessel import core, spectral
+from kdvessel import core, spectral, suite
 from kdvessel.spectral import trig_kernel
 
 
@@ -114,12 +114,12 @@ def mp_gram(k, c, x, t, dps=30):
 
 def _gl_vessel(n):
     spec = kv.gauss_legendre_spectrum(1.3, n, lambda s: 0.45 * np.exp(-((s / 0.9) ** 2)))
-    return spec.nodes, spec.couplings(), kv.build_quadrature_vessel(spec, self_check=False)
+    return spec.nodes, spec.couplings(), kv.build_quadrature_vessel(spec)
 
 
 def _discrete_vessel(k, b):
     spec = kv.DiscreteSpectrum(k=np.array(k), b=np.array(b))
-    return spec.k, spec.b, kv.build_discrete_vessel(spec, self_check=False)
+    return spec.k, spec.b, kv.build_discrete_vessel(spec)
 
 
 # |1 - k| = _NEAR k here: k (1 -+ 1e-9) pairs with 1 just inside / outside
@@ -161,22 +161,40 @@ class TestTrigKernelMpmathOracle:
         assert (0, 1) in near and (0, 2) not in near
 
 
-def test_self_check_guards_the_separable_branch(monkeypatch):
-    # a sign error in one far pair of the per-vessel table (both mirror
-    # entries, so X stays Hermitian) must fail the build-time check
-    spec = kv.DiscreteSpectrum(k=np.array([0.8, 1.9, 2.7]), b=np.array([0.5, 0.4, 0.3]))
+def _flip_first_far_pair(monkeypatch):
+    """Make every trigonometric build flip the sign of the far pair
+    (0, n-1) of its table, both mirror entries, so X stays Hermitian."""
     build = spectral._trig_tables
 
     def flipped(k, C):
         tab = build(k, C)
         W = tab.W.copy()
-        W[0, 2], W[2, 0] = -W[0, 2], -W[2, 0]
+        assert W[0, -1] != 0  # a far pair
+        W[0, -1], W[-1, 0] = -W[0, -1], -W[-1, 0]
         return tab._replace(W=W)
 
-    kv.build_discrete_vessel(spec)
     monkeypatch.setattr(spectral, "_trig_tables", flipped)
-    with pytest.raises(kv.InvalidSpecError):
-        kv.build_discrete_vessel(spec)
+
+
+@pytest.mark.parametrize("build, spec", [
+    (kv.build_discrete_vessel,
+     kv.DiscreteSpectrum(k=np.array([0.8, 1.9, 2.7]), b=np.array([0.5, 0.4, 0.3]))),
+    (kv.build_quadrature_vessel,
+     kv.gauss_legendre_spectrum(1.2, 8, lambda s: 0.5 * np.exp(-(s**2)))),
+], ids=["discrete", "quadrature"])
+def test_self_check_guards_the_separable_branch(monkeypatch, build, spec):
+    # a sign error in one far pair of the per-vessel table must fail the
+    # build-time check
+    build(spec)
+    _flip_first_far_pair(monkeypatch)
+    with pytest.raises(kv.InvalidSpecError, match="self-check failed"):
+        build(spec)
+
+
+def test_suite_builds_are_self_checked(monkeypatch):
+    _flip_first_far_pair(monkeypatch)
+    with pytest.raises(kv.InvalidSpecError, match="discrete self-check failed"):
+        suite.run_suite(level="quick", checks=["fixed_vector"])
 
 
 def test_assembly_emits_no_warnings():
@@ -207,7 +225,7 @@ class TestBuildDiscreteVessel:
 
     def test_diagonal_entry_at_pi(self):
         spec = kv.DiscreteSpectrum(k=np.array([1.0]), b=np.array([1.0]))
-        vessel = kv.build_discrete_vessel(spec, self_check=False)
+        vessel = kv.build_discrete_vessel(spec)
         assert vessel.X(np.pi, 0.0)[0, 0] == pytest.approx(1.0 + np.pi / 2.0, abs=1e-12)
 
     def test_vessel_conditions_hold(self, discrete_12):
@@ -224,7 +242,7 @@ class TestBuildDiscreteVessel:
 
     def test_small_wavenumber_conditions_below_tolerance(self):
         spec = kv.DiscreteSpectrum(k=np.array([0.7, 1.1]), b=np.array([0.6, 0.6]))
-        vessel = kv.build_discrete_vessel(spec, self_check=False)
+        vessel = kv.build_discrete_vessel(spec)
         rep = kv.evolution_residuals(vessel, 0.3, 0.15, h=1e-3)
         assert rep.max_differential() < 1e-6
 
@@ -234,7 +252,7 @@ class TestBuildDiscreteVessel:
         # periodicity failure of beta for truncations
         spec = kv.DiscreteSpectrum(k=np.array([1.0, 2.0]), b=np.array([0.4, 0.3]),
                                    flavor="periodic", period=2 * np.pi)
-        vessel = kv.build_discrete_vessel(spec, self_check=False)
+        vessel = kv.build_discrete_vessel(spec)
         T = 2 * np.pi
         x, t = 0.7, 0.2
         assert np.allclose(vessel.B(x + T, t), vessel.B(x, t), atol=1e-12)
@@ -246,7 +264,7 @@ class TestBuildDiscreteVessel:
 class TestBuildQuadratureVessel:
     def test_zero_density(self):
         spec = kv.gauss_legendre_spectrum(1.0, 8, lambda s: np.zeros_like(s))
-        vessel = kv.build_quadrature_vessel(spec, self_check=False)
+        vessel = kv.build_quadrature_vessel(spec)
         assert np.array_equal(vessel.X(0.8, 0.1), np.eye(8))
 
     def test_lyapunov_identity(self, quadrature_gauss):
@@ -260,7 +278,7 @@ class TestBuildQuadratureVessel:
         betas = {}
         for n in (32, 64):
             spec = kv.gauss_legendre_spectrum(1.5, n, density)
-            vessel = kv.build_quadrature_vessel(spec, self_check=False)
+            vessel = kv.build_quadrature_vessel(spec)
             betas[n] = kv.evaluate(vessel, 0.7, 0.0).beta
         assert abs(betas[64] - betas[32]) < 1e-10
 
@@ -298,7 +316,7 @@ class TestFixedVector:
         for eps in (1e-2, 1e-3):
             spec = kv.DiscreteSpectrum(k=np.array([1.0, 2.0]),
                                        b=eps * np.array([1.0, 1.0]))
-            vessel = kv.build_discrete_vessel(spec, self_check=False)
+            vessel = kv.build_discrete_vessel(spec)
             res[eps] = kv.fixed_vector_residual(vessel, 1.0)
         assert res[1e-2] / res[1e-3] == pytest.approx(100.0, rel=1e-2)
 
@@ -358,7 +376,7 @@ class TestBetaOdd:
         # describes the vessel only to first order in |b|^2
         eps = 1e-3
         spec = kv.DiscreteSpectrum(k=np.array([1.0, 2.0]), b=eps * np.array([1.0, 1.0]))
-        vessel = kv.build_discrete_vessel(spec, self_check=False)
+        vessel = kv.build_discrete_vessel(spec)
         for x in (0.5, 1.0, 2.0):
             mode_sum = np.sum(np.abs(spec.b) ** 2 * np.sin(spec.k * x) ** 2 / spec.k**2)
             assert abs(kv.evaluate(vessel, x, 0.0).beta + mode_sum) < 10 * eps**4

@@ -96,7 +96,7 @@ class TestLambdaArrays:
         mod = np.array(data.draw(st.lists(st.floats(0.05, 0.5), min_size=n, max_size=n)))
         phase = np.array(data.draw(st.lists(st.floats(-np.pi, np.pi), min_size=n, max_size=n)))
         vessel = kv.build_discrete_vessel(
-            kv.DiscreteSpectrum(k=k, b=mod * np.exp(1j * phase)), self_check=False)
+            kv.DiscreteSpectrum(k=k, b=mod * np.exp(1j * phase)))
         lams = np.array(data.draw(st.lists(
             st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0,
                                allow_nan=False, allow_infinity=False),
@@ -151,7 +151,7 @@ class TestDSResidual:
 class TestIntertwining:
     def test_soliton_off_spectrum(self):
         # k = 1.2 keeps the spectrum {-1.44i} away from lambda = -i
-        vessel = kv.build_soliton(kv.SolitonSpec.from_c([1.2], [1.0]), self_check=False)
+        vessel = kv.build_soliton(kv.SolitonSpec.from_c([1.2], [1.0]))
         grid = 0.1 + 1e-3 * np.arange(-10, 11)
         assert kv.intertwining_residual(vessel, -1j, grid, 0.05) < 1e-5
 
@@ -162,7 +162,7 @@ class TestIntertwining:
         assert kv.intertwining_residual(zero_vessel, -1j, grid, 0.0) < 1e-7
 
     def test_order_under_refinement(self):
-        vessel = kv.build_soliton(kv.SolitonSpec.from_c([1.2], [1.0]), self_check=False)
+        vessel = kv.build_soliton(kv.SolitonSpec.from_c([1.2], [1.0]))
         res = {}
         for h in (2e-3, 1e-3):
             grid = 0.1 + h * np.arange(-8, 9)
@@ -305,7 +305,7 @@ class TestGLResidual:
 class TestQFromKDiag:
     def test_matches_analytic_soliton(self):
         spec = kv.SolitonSpec.from_c([1.0], [1.0])
-        vessel = kv.build_soliton(spec, self_check=False)
+        vessel = kv.build_soliton(spec)
         q_ref = float(kv.q_soliton(spec, 0.4, 0.0))
         rep = kv.q_from_K_diag(vessel, 0.4, h=1e-3, reference=q_ref)
         assert rep.sigma == 1
@@ -313,7 +313,7 @@ class TestQFromKDiag:
 
     def test_order_two_in_step(self):
         spec = kv.SolitonSpec.from_c([1.0], [1.0])
-        vessel = kv.build_soliton(spec, self_check=False)
+        vessel = kv.build_soliton(spec)
         q_ref = float(kv.q_soliton(spec, 0.4, 0.0))
         e1 = abs(kv.q_from_K_diag(vessel, 0.4, h=2e-3, reference=q_ref).value - q_ref)
         e2 = abs(kv.q_from_K_diag(vessel, 0.4, h=1e-3, reference=q_ref).value - q_ref)
