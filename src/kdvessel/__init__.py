@@ -18,7 +18,6 @@ from .core import (
     evolution_residuals,
     inertia,
     integrate_standard_construction,
-    linkage_gamma_star,
     log_tau,
     lyapunov_residual,
     normalization_residual,
@@ -37,10 +36,7 @@ from .exceptions import (
 )
 from .soliton import (
     SolitonSpec,
-    beta_soliton,
     build_soliton,
-    fields_soliton,
-    log_tau_soliton,
     one_soliton_reference,
     q_soliton,
     tau_cauchy_3,

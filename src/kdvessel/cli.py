@@ -197,7 +197,7 @@ def _write_csv(path, header, columns):
 
 def _report(args, level, checks, runtime_ms, results):
     """Header built from the final results; text to stdout, JSON to --out."""
-    header = suite.report_header(level, args.seed, checks, runtime_ms, results)
+    header = suite.report_header(level, getattr(args, "seed", None), checks, runtime_ms, results)
     print("\n".join(suite.format_report_lines(header, results)))
     if args.out:
         _write_text(args.out, json.dumps(suite.report_as_dict(header, results),
@@ -364,7 +364,7 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=True):
+    def common(p, seed=False):  # --seed only where an rng reads it
         p.add_argument("--config", help="JSON configuration file")
         p.add_argument("--out", help="output path ('-' for stdout)")
         if seed:
@@ -372,15 +372,15 @@ def _build_parser():
 
     for name in ("soliton", "spectral"):
         p = sub.add_parser(name, help=f"dump {name} vessel fields as CSV")
-        common(p, seed=False)
+        common(p)
         p.add_argument("--k", help="comma-separated wavenumbers")
         p.add_argument("--b-abs", dest="b_abs", help="comma-separated |b| amplitudes")
 
     p = sub.add_parser("evolve", help="integrate the coefficient system")
-    common(p, seed=False)
+    common(p)
 
     p = sub.add_parser("transfer", help="transfer-function checks")
-    common(p)
+    common(p, seed=True)
 
     p = sub.add_parser("scatter", help="reconstruction-kernel checks")
     common(p)
@@ -390,7 +390,7 @@ def _build_parser():
     p.add_argument("--tolerance", default=1e-3)
 
     p = sub.add_parser("suite", help="run the named verification checks")
-    common(p)
+    common(p, seed=True)
     p.add_argument("--level", choices=("quick", "full"), default="quick")
     return parser
 

@@ -25,7 +25,7 @@ broadcast shape through one stacked path: :func:`evaluate` keeps the
 whole state of each point, while every other per-point evaluator of the
 package runs in the stacks of one chunk loop.  Every error names the first
 failing point in C order; a singular Gram operator raises through one
-zero-pivot check that the soliton routines share.
+zero-pivot check that ``soliton.q_soliton`` shares.
 
 Sign convention: the Lyapunov condition is used in the homogeneous form
 A X + X A* + B sigma1 B* = 0, which is the form the closed-form
@@ -54,7 +54,6 @@ __all__ = [
     "ResidualReport",
     "evaluate",
     "evaluate_fields",
-    "linkage_gamma_star",
     "log_tau",
     "lyapunov_residual",
     "lyapunov_self_check",
@@ -193,6 +192,11 @@ class FiniteVessel:
     ``A_diag`` holds the diagonal of A when A is diagonal (every
     closed-form family), else None; ``log_abs_det_X0`` and ``sign_det_X0``
     are computed once for the tau function.
+
+    ``scaled_eval(x, t)``, if given, returns the finite pair (D^-1 B, M) and
+    log det D with X = D M D, D positive diagonal, stacked like B and X;
+    :func:`evaluate_fields` and :func:`log_tau` read it (D = I without it),
+    so they stay finite where X overflows.
     """
 
     n: int
@@ -204,6 +208,7 @@ class FiniteVessel:
     # construction metadata: generator wavenumbers / folded couplings /
     # grids for tabulated vessels
     metadata: Optional[dict] = field(default=None, compare=False)
+    scaled_eval: Optional[Callable] = field(default=None, compare=False, repr=False)
     spectrum: np.ndarray = field(init=False, compare=False)
     A_diag: Optional[np.ndarray] = field(init=False, compare=False, repr=False)
     log_abs_det_X0: float = field(init=False, compare=False, repr=False)
@@ -239,8 +244,7 @@ class FiniteVessel:
         i = _first(~np.isfinite(values).all(axis=(-2, -1)).ravel())
         if i is not None:
             xs, ts = _flat_points(x, t)
-            raise EvaluationError(f"{what} overflowed; use log-domain routines",
-                                  x=float(xs[i]), t=float(ts[i]))
+            raise EvaluationError(f"{what} overflowed", x=float(xs[i]), t=float(ts[i]))
         return values
 
     def B(self, x, t) -> np.ndarray:
@@ -316,22 +320,35 @@ class ResidualReport:
         return max(self.r_DB, self.r_DX, self.r_DBt, self.r_DXt)
 
 
-def linkage_gamma_star(B: np.ndarray, Xinv: np.ndarray) -> np.ndarray:
+def _gamma_star(B: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Output parameter matrix gamma_* from the linkage condition.
 
-    Returns gamma + sigma2 M sigma1 - sigma1 M sigma2 with M = B* X^-1 B.
-    The result has the shape [[-i(beta'-beta^2), -beta], [beta, i]] for the
-    real scalars beta, beta' encoded by the vessel.  Broadcasts over stacks
-    of (B, X^-1).
+    Returns gamma + sigma2 M sigma1 - sigma1 M sigma2 with M = B* X^-1 B,
+    from stacks of B and Y = X^-1 B, summing only the entries M_00, M_01
+    and M_10 that it reads.  The result has the shape
+    [[-i(beta'-beta^2), -beta], [beta, i]] for the real scalars beta, beta'
+    encoded by the vessel.
     """
-    M = _adjoint(B) @ Xinv @ B
+    m00, m01, m10 = (np.einsum("...k,...k->...", B[..., i].conj(), Y[..., j])
+                     for i, j in ((0, 0), (0, 1), (1, 0)))
     # gamma + sigma2 M sigma1 - sigma1 M sigma2, entry by entry
-    gs = np.empty(M.shape, dtype=complex)
-    gs[..., 0, 0] = M[..., 0, 1] - M[..., 1, 0]
-    gs[..., 0, 1] = M[..., 0, 0]
-    gs[..., 1, 0] = -M[..., 0, 0]
-    gs[..., 1, 1] = GAMMA[1, 1]
+    gs = np.empty(m00.shape + (2, 2), dtype=complex)
+    gs[..., 0, 0] = m01 - m10
+    gs[..., 0, 1], gs[..., 1, 0], gs[..., 1, 1] = m00, -m00, GAMMA[1, 1]
     return gs
+
+
+def _solve_with_inverse(X, Xinv, B):
+    """Y = X^-1 B for stacks of X, X^-1 and B, in real arithmetic (on the
+    float view of B) when X is real.  Xinv @ B is refined once,
+    Y += Xinv (B - X Y): the product alone put q up to 300x further from
+    60-digit values than a solve (3-soliton, cond(X) ~ 2e4), and one step
+    recovers most of it."""
+    real = not np.iscomplexobj(X)
+    Bv = np.ascontiguousarray(B).view(float) if real else B
+    Y = Xinv @ Bv
+    Y += Xinv @ (Bv - X @ Y)
+    return Y.view(complex) if real else Y
 
 
 def _beta_of_gamma_star(gs, x=None, t=None) -> np.ndarray:
@@ -409,7 +426,7 @@ def _evaluate_stack(vessel, x, t, B, X):
             f"Gram operator too ill-conditioned (inverse defect {defect[i]:.3e})",
             x=float(x[i]), t=float(t[i]),
         )
-    gs = linkage_gamma_star(B, Xinv)
+    gs = _gamma_star(B, _solve_with_inverse(X, Xinv, B))
     beta = _beta_of_gamma_star(gs, x, t)
     sign = _real_tau_sign(logabs, sign, x, t)
     beta_p = beta**2 + 1j * gs[:, 0, 0]
@@ -448,16 +465,30 @@ def evaluate(vessel: FiniteVessel, x, t) -> EvaluatedState:
     )
 
 
+def _scaled(vessel, x, t, with_B=True):
+    """(D^-1 B, M, log det D) with X = D M D on the stack x, t: the vessel's
+    ``scaled_eval`` where it has one, else (B, X, 0) with D = I.  Without
+    ``with_B``, D^-1 B is None and only M is checked."""
+    if vessel.scaled_eval is None:
+        return vessel.B(x, t) if with_B else None, vessel.X(x, t), 0.0
+    B, M, log_det_d = vessel.scaled_eval(x, t)
+    B = vessel._checked(np.asarray(B, dtype=complex), x, t, "coupling B", 2) if with_B else None
+    return B, vessel._checked(M, x, t, "Gram operator X", vessel.n), log_det_d
+
+
 def evaluate_fields(vessel: FiniteVessel, x, t) -> FieldValues:
     """beta, beta' and log|tau| with its sign at every point of arrays x, t.
 
-    Applies every check of :func:`evaluate` to each point and raises at
-    the first offending (x, t).  Points go through in stacks of at most
+    Reads the vessel's scaled pair (D^-1 B, M), applies every check of
+    :func:`evaluate` to M and raises at the first offending (x, t);
+    log|tau| gains 2 log det D.  Points go through in stacks of at most
     _CHUNK_ENTRIES matrix entries: one LU (slogdet) for tau and one inverse
-    per point, in the dtype of X.
+    per point, in the dtype of M.
     """
     def stack(xs, ts):
-        return _evaluate_stack(vessel, xs, ts, vessel.B(xs, ts), vessel.X(xs, ts))[3:]
+        B, M, log_det_d = _scaled(vessel, xs, ts)
+        beta, beta_p, logabs, sign = _evaluate_stack(vessel, xs, ts, B, M)[3:]
+        return beta, beta_p, logabs + 2.0 * log_det_d, sign
 
     beta, beta_p, logabs, sign = _per_point(vessel.n, x, t, stack, 4)
     return FieldValues(beta=beta, beta_prime=beta_p, log_abs_tau=logabs, tau_sign=sign)
@@ -467,13 +498,16 @@ def log_tau(vessel: FiniteVessel, x, t):
     """(log|tau|, sign) of tau = det X / det X0 from one LU determinant per point.
 
     Needs no inverse, so it also serves points where X is too
-    ill-conditioned for :func:`evaluate`; tau = sign e^{log|tau|}.  Raises
-    EvaluationError when the entries of X overflow (the soliton routines
-    have an overflow-free variant).  Broadcasts like :func:`lyapunov_residual`.
+    ill-conditioned for :func:`evaluate`; tau = sign e^{log|tau|}.  Reads
+    M of the vessel's scaled pair like :func:`evaluate_fields`, so it
+    raises EvaluationError where M overflows or has a zero pivot.
+    Broadcasts like :func:`lyapunov_residual`.
     """
     def stack(xs, ts):
-        logabs, sign = _log_tau_stack(vessel, vessel.X(xs, ts))
-        return logabs, _real_tau_sign(logabs, sign, xs, ts)
+        M, log_det_d = _scaled(vessel, xs, ts, with_B=False)[1:]
+        logabs, sign = _log_tau_stack(vessel, M)
+        _check_pivots(sign, xs, ts)
+        return logabs + 2.0 * log_det_d, _real_tau_sign(logabs, sign, xs, ts)
 
     return _floats(_per_point(vessel.n, x, t, stack, 2))
 

@@ -12,12 +12,14 @@ so every soliton vessel is dissipative and tau = det X > 1.  Only |b_j|
 enters tau; the alternative normalization c_j = |b_j|^2 / (2 k_j) is the
 coefficient of e^{2 k_j x + 2 k_j^3 t} in tau.
 
-The evaluators of beta, q and log tau share one stack body, run in
-core's stacks.  It factors X = D M D with D = diag(max(1, e^{k x + k^3 t})),
-so M stays finite at every phase and the fields remain evaluable on
-arbitrarily wide grids; only log tau takes a determinant of M.  Where close
-wavenumbers make M singular in floating point, the evaluators raise
-EvaluationError at the first such point in C order, as core does.
+The vessel carries the scaled pair of ``core.FiniteVessel.scaled_eval``:
+X = D M D with D = diag(max(1, e^{k x + k^3 t})), so M and D^-1 B stay
+finite at every phase, and ``core.evaluate_fields`` and ``core.log_tau``
+evaluate the fields on arbitrarily wide grids (tau = inf past the float
+range) with core's checks on M.  :func:`q_soliton` is the q-only trace
+formula on the same M, solved in core's stacks; where close wavenumbers
+make M singular in floating point it raises EvaluationError at the first
+such point in C order, as core does, but it has no conditioning gate.
 """
 
 from __future__ import annotations
@@ -33,10 +35,7 @@ __all__ = [
     "SolitonSpec",
     "build_soliton",
     "tau_cauchy_3",
-    "beta_soliton",
     "q_soliton",
-    "log_tau_soliton",
-    "fields_soliton",
     "one_soliton_reference",
 ]
 
@@ -96,8 +95,9 @@ def build_soliton(spec: SolitonSpec) -> core.FiniteVessel:
     """Closed-form soliton vessel with X0 = I, checked by
     :func:`core.lyapunov_self_check` before it is returned.
 
-    B and X broadcast over arrays of points.  A plain X that overflows at a
-    point of the check (k >= 8.886 for |b| = 1) raises EvaluationError there.
+    B, X and the scaled pair of :func:`_scaled_system` broadcast over arrays
+    of points.  A plain X that overflows at a point of the check
+    (k >= 8.886 for |b| = 1) raises EvaluationError there.
     """
     k, b, n = spec.k, spec.b, spec.n
     A = np.diag(-1j * k**2)
@@ -115,10 +115,14 @@ def build_soliton(spec: SolitonSpec) -> core.FiniteVessel:
 
     def X_eval(x, t):
         # overflow deliberately passes through as inf: FiniteVessel.X turns
-        # it into an EvaluationError pointing at the log-domain routines
+        # it into an EvaluationError at its point
         with np.errstate(over="ignore", invalid="ignore"):
             E = np.exp(phases(x, t))
             return eye + E[..., :, None] * E[..., None, :] * G
+
+    def scaled_eval(x, t):
+        M, w, log_det_d = _scaled_system(spec, x, t)
+        return w[..., None] * row, M, log_det_d  # D^-1 B row j = w_j (1, i k_j)
 
     vessel = core.FiniteVessel(
         n=n,
@@ -128,6 +132,7 @@ def build_soliton(spec: SolitonSpec) -> core.FiniteVessel:
         X0=np.eye(n, dtype=complex),
         kind="soliton",
         metadata={"spec": spec, "generators": k, "couplings": b},
+        scaled_eval=scaled_eval,
     )
     core.lyapunov_self_check(vessel)
     return vessel
@@ -156,7 +161,7 @@ def tau_cauchy_3(spec: SolitonSpec, x, t):
 
 
 def _scaled_system(spec: SolitonSpec, x, t):
-    """X = D M D at each point of the 1-D stacks x, t, with M finite at any phase.
+    """X = D M D at each point of x, t, with M finite at any phase.
 
     With d = max(1, e^phi) and e = min(1, e^phi) per generator,
     M = D^-2 + diag(e) G diag(e) and X = I + diag(e^phi) G diag(e^phi)
@@ -166,7 +171,7 @@ def _scaled_system(spec: SolitonSpec, x, t):
     stacked over the points.
     """
     k, b, n = spec.k, spec.b, spec.n
-    phi = np.multiply.outer(x, k) + np.multiply.outer(t, k**3)  # (m, n)
+    phi = np.multiply.outer(x, k) + np.multiply.outer(t, k**3)  # (..., n)
     log_d = np.maximum(phi, 0.0)
     e = np.exp(np.minimum(phi, 0.0))
     M = e[..., :, None] * e[..., None, :] * _gram(spec)
@@ -174,63 +179,24 @@ def _scaled_system(spec: SolitonSpec, x, t):
     return M, e * (b if b.imag.any() else b.real), log_d.sum(axis=-1)
 
 
-def _fields_stack(spec: SolitonSpec, x, t, with_tau: bool):
-    """(beta, q), then log tau and its sign ``with_tau``, on one stack of points.
-
-    With X' = B sigma2 B* and X'' = K X' + X' K, K = diag(k_j), the traces
-    beta = -tr(X^-1 X') and q = -2 [tr(X^-1 X'') - tr((X^-1 X')^2)] reduce,
-    for v = M^-1 w, to beta = -Re(w* v) and q = -2 (2 Re(v* K w) - (w* v)^2);
-    det X = det M * prod d^2, with sign +1 since M is positive definite.
-    A singular M raises EvaluationError at the stack's first such point.
-    """
-    M, w, log_d = _scaled_system(spec, x, t)
-    v = core._solve(M, w[..., None], x, t)[..., 0]
-    wv = np.einsum("...i,...i->...", w.conj(), v).real
-    vkw = np.einsum("...i,i,...i->...", v.conj(), spec.k, w).real
-    traces = (-wv, -2.0 * (2.0 * vkw - wv**2))
-    if not with_tau:
-        return traces
-    sign, logdet = np.linalg.slogdet(M)
-    return traces + (logdet + 2.0 * log_d, np.real(sign))
-
-
-def _fields(spec: SolitonSpec, x, t, with_tau: bool):
-    """[beta, q] (+ [log tau, sign]) over the broadcast x, t, in core's stacks."""
-    return core._per_point(spec.n, x, t, lambda xs, ts: _fields_stack(spec, xs, ts, with_tau),
-                           4 if with_tau else 2)
-
-
-def beta_soliton(spec: SolitonSpec, x, t):
-    """beta = -tau'/tau of the soliton vessel; broadcasts over x, t."""
-    return core._floats(_fields(spec, x, t, with_tau=False))[0]
-
-
 def q_soliton(spec: SolitonSpec, x, t):
     """KdV field q = -2 d^2/dx^2 log tau, evaluated analytically.
 
-    Uses q = -2 [tr(X^-1 X'') - tr((X^-1 X')^2)] with X' = B sigma2 B* and
-    X'' = K X' + X' K, K = diag(k_j); broadcasts over x, t.
+    With X' = B sigma2 B* and X'' = K X' + X' K, K = diag(k_j), the trace
+    formula q = -2 [tr(X^-1 X'') - tr((X^-1 X')^2)] reduces, for
+    v = M^-1 w with (M, w) of :func:`_scaled_system`, to
+    q = -2 (2 Re(v* K w) - (w* v)^2).  One solve per point, in core's
+    stacks; broadcasts over x, t.  A singular M raises EvaluationError at
+    its first point in C order.
     """
-    return core._floats(_fields(spec, x, t, with_tau=False))[1]
+    def stack(xs, ts):
+        M, w, _ = _scaled_system(spec, xs, ts)
+        v = core._solve(M, w[..., None], xs, ts)[..., 0]
+        wv = np.einsum("...i,...i->...", w.conj(), v).real
+        vkw = np.einsum("...i,i,...i->...", v.conj(), spec.k, w).real
+        return -2.0 * (2.0 * vkw - wv**2)
 
-
-def log_tau_soliton(spec: SolitonSpec, x, t):
-    """(log tau, sign=+1) stable against exponential overflow; broadcasts over x, t.
-
-    log tau = log det M + 2 sum log d for X = D M D (see the module notes).
-    """
-    return core._floats(_fields(spec, x, t, with_tau=True))[2:]
-
-
-def fields_soliton(spec: SolitonSpec, x, t) -> core.FieldValues:
-    """beta, beta' = q/2 and log tau with its sign on arrays of points.
-
-    One scaled system M per stack gives the trace formulas and log tau, so
-    every value stays finite on arbitrarily wide grids; ``tau`` of the
-    result is inf where it passes the float range.
-    """
-    beta, q, logabs, sign = _fields(spec, x, t, with_tau=True)
-    return core.FieldValues(beta=beta, beta_prime=0.5 * q, log_abs_tau=logabs, tau_sign=sign)
+    return core._floats(core._per_point(spec.n, x, t, stack, 1))[0]
 
 
 def one_soliton_reference(k: float, c: float, x, t):

@@ -298,13 +298,11 @@ def q_from_K_diag(
     Both candidates +-2 d/dx K(x, x) (centered difference) are reported;
     the primary value is the candidate matching the reference (by default
     the linkage-exact 2 beta', independent of this finite difference).
-    K(x, x) = beta(x), whose imaginary residue the evaluation already
-    bounds, so K's real part is taken unchecked.
+    K(x, x) = -b* X^-1 b = beta(x) for b the first column of B, so the
+    diagonal is read from the evaluated beta at x +- h.
     """
     s = core.evaluate(vessel, np.array([x + h, x, x - h]), t)
-    b = s.B[::2, :, 0]
-    k_plus, k_minus = -(b.conj()[:, None, :] @ s.Xinv[::2] @ b[:, :, None])[:, 0, 0].real
-    cd = (k_plus - k_minus) / (2.0 * h)
+    cd = (s.beta[0] - s.beta[2]) / (2.0 * h)
     if reference is None:
         reference = 2.0 * s.beta_prime[1]
     plus, minus = 2.0 * cd, -2.0 * cd

@@ -47,10 +47,13 @@ def three_soliton():
 @pytest.fixture(scope="session")
 def close_soliton():
     """An 8-soliton vessel config whose close wavenumbers (2.227, 2.232,
-    2.247, 2.280) make the scaled Cauchy system singular in floating point.
+    2.247, 2.280) make the scaled Cauchy system M ill-conditioned, and at
+    some points singular, in floating point.
 
-    On the 301 x 23 grid of [-30, 30] x [-1, 1], 21 points have a zero LU
-    pivot; the first in C order is (x, t) = (5.0, 0.9090909090909092).
+    On the 301 x 23 grid of [-30, 30] x [-1, 1] (``close_soliton_grid``),
+    21 points have a zero LU pivot of M; the first in C order is
+    (x, t) = (5.0, 0.9090909090909092).  The inverse-defect gate of
+    ``evaluate_fields`` refuses earlier points (``close_soliton_first_gated``).
     """
     return {
         "type": "soliton",
@@ -61,6 +64,30 @@ def close_soliton():
                   1.1550005782634791, 0.8048792541718472, 0.9874139668634091,
                   1.7093229965405654, 0.9746781311067352],
     }
+
+
+@pytest.fixture(scope="session")
+def close_soliton_grid():
+    """The 301 x 23 points of [-30, 30] x [-1, 1], indexed [ix, it]."""
+    return np.meshgrid(np.linspace(-30.0, 30.0, 301), np.linspace(-1.0, 1.0, 23),
+                       indexing="ij")
+
+
+@pytest.fixture(scope="session")
+def close_soliton_first_gated(close_soliton, close_soliton_grid):
+    """(x, t, message) of the first grid point in C order whose one-point
+    evaluate_fields on the ``close_soliton`` vessel raises.
+
+    Computed, not pinned: its inverse defect is a small multiple of the
+    gate and may move with the BLAS.
+    """
+    vessel = kv.build_soliton(kv.SolitonSpec(k=close_soliton["k"], b=close_soliton["b_abs"]))
+    for x, t in zip(*(a.ravel().tolist() for a in close_soliton_grid)):
+        try:
+            kv.evaluate_fields(vessel, x, t)
+        except kv.EvaluationError as exc:
+            return x, t, str(exc)
+    raise AssertionError("every point of the grid passes")
 
 
 @pytest.fixture(scope="session")

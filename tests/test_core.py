@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,7 @@ class TestSLParameters:
 class TestLinkage:
     def test_zero_coupling_gives_gamma(self):
         B = np.zeros((3, 2), dtype=complex)
-        gs = kv.linkage_gamma_star(B, np.eye(3, dtype=complex))
+        gs = core._gamma_star(B, B)  # Y = X^-1 B = 0
         assert np.array_equal(gs, core.GAMMA)
 
     def test_one_soliton_origin(self, one_soliton):
@@ -59,7 +61,7 @@ class TestLinkage:
 
 class TestBeta:
     def test_zero_coupling(self):
-        gs = kv.linkage_gamma_star(np.zeros((2, 2), dtype=complex), np.eye(2, dtype=complex))
+        gs = core._gamma_star(np.zeros((2, 2), dtype=complex), np.zeros((2, 2), dtype=complex))
         assert core._beta_of_gamma_star(gs) == 0.0
 
     def test_matches_log_tau_derivative(self, three_soliton):
@@ -80,7 +82,7 @@ class TestBeta:
         B = np.array([[1.0, 1j]], dtype=complex)
         bad_Xinv = np.array([[1.0 + 0.5j]])  # not Hermitian: residue shows up
         with pytest.raises(kv.NumericalConsistencyError):
-            core._beta_of_gamma_star(kv.linkage_gamma_star(B, bad_Xinv))
+            core._beta_of_gamma_star(core._gamma_star(B, bad_Xinv @ B))
 
 
 class TestTau:
@@ -107,25 +109,28 @@ class TestTau:
             - X[0, 0] * X[1, 2] * X[2, 1]
             - X[0, 1] * X[1, 0] * X[2, 2]
         )
-        logabs, sign = kv.log_tau(vessel, 0.0, 0.0)
-        val = sign * np.exp(logabs)
-        assert val == pytest.approx(sarrus, rel=1e-13)
-        assert val == pytest.approx(4.0 + 362.0 / 900.0, rel=1e-13)
+        for v in (vessel, _without_scaled_pair(vessel)):
+            logabs, sign = kv.log_tau(v, 0.0, 0.0)
+            val = sign * np.exp(logabs)
+            assert val == pytest.approx(sarrus, rel=1e-13)
+            assert val == pytest.approx(4.0 + 362.0 / 900.0, rel=1e-13)
 
     def test_overflow_raises_with_log_route(self, one_soliton):
-        spec, vessel = one_soliton
+        # the plain X overflows; the vessel's scaled pair is the log route
+        _, vessel = one_soliton
         with pytest.raises(kv.EvaluationError):
-            kv.log_tau(vessel, 400.0, 0.0)
-        logabs, sign = kv.log_tau_soliton(spec, 400.0, 0.0)
+            kv.log_tau(_without_scaled_pair(vessel), 400.0, 0.0)
+        logabs, sign = kv.log_tau(vessel, 400.0, 0.0)
         assert sign == 1.0
         # tau = 1 + e^{2x} here, so log tau ~ 2x
         assert logabs == pytest.approx(800.0, abs=1e-9)
 
     def test_log_tau_matches_tau_in_normal_regime(self, three_soliton):
         spec, vessel = three_soliton
-        logabs, sign = kv.log_tau(vessel, 0.8, -0.2)
-        assert sign == 1.0
-        assert logabs == pytest.approx(np.log(kv.tau_cauchy_3(spec, 0.8, -0.2)), abs=1e-12)
+        for v in (vessel, _without_scaled_pair(vessel)):
+            logabs, sign = kv.log_tau(v, 0.8, -0.2)
+            assert sign == 1.0
+            assert logabs == pytest.approx(np.log(kv.tau_cauchy_3(spec, 0.8, -0.2)), abs=1e-12)
 
 
 class TestLyapunov:
@@ -486,12 +491,18 @@ class TestEvaluateFields:
             kv.evaluate_fields(vessel, np.array([0.0, 0.25, 0.5, 0.75]), 0.0)
 
 
+def _without_scaled_pair(vessel):
+    """The same vessel (A, B, X, X0) with D = I: evaluate_fields and log_tau
+    then read the plain B and X, as evaluate does."""
+    return dataclasses.replace(vessel, scaled_eval=None)
+
+
 @pytest.fixture(scope="module")
 def wide_two_soliton():
-    """At t = 0 the inverse-defect gate fails from x ~ 11.9, X overflows
-    from x ~ 177.3 (X + X* from 177.27, X itself from 177.45) and B from
-    x ~ 354.2."""
-    return kv.build_soliton(kv.SolitonSpec.from_c([1.0, 2.0], [1.0, 1.0]))
+    """The plain two-soliton vessel: at t = 0 the inverse-defect gate fails
+    from x ~ 11.9, X overflows from x ~ 177.3 (X + X* from 177.27, X itself
+    from 177.45) and B from x ~ 354.2."""
+    return _without_scaled_pair(kv.build_soliton(kv.SolitonSpec.from_c([1.0, 2.0], [1.0, 1.0])))
 
 
 def _first_point_error(vessel, xs):
@@ -517,6 +528,22 @@ class TestFirstFailingPoint:
         with pytest.raises(kv.EvaluationError, match="ill-conditioned") as exc:
             call(wide_two_soliton)
         assert (exc.value.x, exc.value.t) == (20.0, 0.0)
+
+    def test_scaled_pair_is_finite_where_the_plain_vessel_raises(self, wide_two_soliton):
+        # the hooked vessel reads M and D^-1 B: beta -> -2 (k1 + k2) = -6
+        # and q -> 0 on the right, with log tau past the float range at 400
+        xs = np.array([20.0, 177.375, 400.0])
+        hooked = kv.build_soliton(kv.SolitonSpec.from_c([1.0, 2.0], [1.0, 1.0]))
+        fields = kv.evaluate_fields(hooked, xs, 0.0)
+        for v in (fields.beta, fields.beta_prime, fields.log_abs_tau):
+            assert np.all(np.isfinite(v))
+        assert fields.beta == pytest.approx(-6.0, abs=1e-12)
+        assert fields.q == pytest.approx(0.0, abs=1e-12)
+        assert np.isinf(fields.tau[2]) and np.all(fields.tau_sign == 1.0)
+        for x in xs:
+            with pytest.raises(kv.EvaluationError) as exc:
+                kv.evaluate_fields(wide_two_soliton, x, 0.0)
+            assert exc.value.x == x
 
     @pytest.mark.parametrize("fn", [kv.evaluate, kv.evaluate_fields])
     def test_symmetrization_overflow_is_named(self, wide_two_soliton, fn):
@@ -635,7 +662,7 @@ class TestStackedState:
             assert (exc.value.x, exc.value.t) == (1.0, 0.0)
 
     def test_overflow_is_named_in_order(self, one_soliton):
-        _, vessel = one_soliton
+        vessel = _without_scaled_pair(one_soliton[1])
         for fn in (kv.evaluate, kv.log_tau, kv.lyapunov_residual):
             with pytest.raises(kv.EvaluationError, match="overflowed") as exc:
                 fn(vessel, np.array([0.0, 400.0, 500.0]), 0.0)

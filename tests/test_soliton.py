@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -86,13 +87,15 @@ class TestCauchyTau3:
         assert kv.tau_cauchy_3(spec, 0.0, 0.0) == pytest.approx(4.0 + 362.0 / 900.0, rel=1e-14)
 
     def test_matches_determinant_at_random_points(self, three_soliton):
+        # det D M D of the scaled pair and det X of the vessel's own X
         spec, vessel = three_soliton
         rng = np.random.default_rng(23)
         for _ in range(100):
             x, t = rng.uniform(-3, 3), rng.uniform(-3, 3)
-            logabs, sign = kv.log_tau(vessel, x, t)
-            tv = sign * np.exp(logabs)
-            assert abs(tv - kv.tau_cauchy_3(spec, x, t)) / abs(tv) < 1e-10
+            for v in (vessel, dataclasses.replace(vessel, scaled_eval=None)):
+                logabs, sign = kv.log_tau(v, x, t)
+                tv = sign * np.exp(logabs)
+                assert abs(tv - kv.tau_cauchy_3(spec, x, t)) / abs(tv) < 1e-10
 
     def test_independent_expansion_oracle(self):
         # full closed form re-derived in place at a generic point
@@ -207,25 +210,27 @@ class TestOverflowRegime:
 
     def test_beta_saturates(self):
         # beta -> -2 sum k on the right tail, -> 0 on the left tail
-        spec = kv.SolitonSpec.from_c([0.5, 1.5], [1.0, 1.0])
-        assert kv.beta_soliton(spec, 200.0, 0.0) == pytest.approx(-2 * (0.5 + 1.5), abs=1e-10)
-        assert abs(kv.beta_soliton(spec, -200.0, 0.0)) < 1e-30
+        vessel = kv.build_soliton(kv.SolitonSpec.from_c([0.5, 1.5], [1.0, 1.0]))
+        beta = kv.evaluate_fields(vessel, np.array([200.0, -200.0]), 0.0).beta
+        assert beta[0] == pytest.approx(-2 * (0.5 + 1.5), abs=1e-10)
+        assert abs(beta[1]) < 1e-30
 
     def test_branches_agree_at_switch(self):
         # continuity of beta/q where D = diag(max(1, e^phi)) switches at
         # phi = 0: both generators cross it at x = 0, then the phases pass 8
         spec = kv.SolitonSpec.from_c([1.0, 1.6], [1.0, 0.5])
         xs = np.linspace(-3.0, 7.0, 5001)
-        q = kv.q_soliton(spec, xs, 0.0)
-        beta = kv.beta_soliton(spec, xs, 0.0)
-        assert np.all(np.isfinite(q)) and np.all(np.isfinite(beta))
-        # second difference stays at truncation scale: no jump at the seam
-        d2 = np.abs(np.diff(q, n=2))
-        assert d2.max() < 1e-4
+        fields = kv.evaluate_fields(kv.build_soliton(spec), xs, 0.0)
+        assert np.all(np.isfinite(fields.beta))
+        for q in (kv.q_soliton(spec, xs, 0.0), fields.q):
+            assert np.all(np.isfinite(q))
+            # second difference stays at truncation scale: no jump at the seam
+            d2 = np.abs(np.diff(q, n=2))
+            assert d2.max() < 1e-4
 
     def test_log_tau_deep_regime(self):
-        spec = kv.SolitonSpec.from_c([1.0, 2.0], [1.0, 1.0])
-        logabs, sign = kv.log_tau_soliton(spec, 500.0, 0.0)
+        vessel = kv.build_soliton(kv.SolitonSpec.from_c([1.0, 2.0], [1.0, 1.0]))
+        logabs, sign = kv.log_tau(vessel, 500.0, 0.0)
         assert sign == 1.0
         # tau ~ c1 c2 a12 e^{2(k1+k2)x}: log tau ~ 2*3*500 + log(a12)
         a12 = (1.0 - 2.0) ** 2 / (1.0 + 2.0) ** 2
@@ -233,14 +238,15 @@ class TestOverflowRegime:
 
 
 class TestStacks:
-    """The four routines evaluate in the stacks of ``core._per_point``."""
+    """q_soliton and the scaled pair's evaluate_fields and log_tau evaluate
+    in the stacks of ``core._per_point``."""
 
     SPEC = kv.SolitonSpec(k=[0.6, 1.1, 1.7], b=[1.2, 0.8, 1.5])
+    VESSEL = kv.build_soliton(SPEC)
 
     def _values(self, x, t):
-        fields = kv.fields_soliton(self.SPEC, x, t)
-        return [kv.beta_soliton(self.SPEC, x, t), kv.q_soliton(self.SPEC, x, t),
-                *kv.log_tau_soliton(self.SPEC, x, t),
+        fields = kv.evaluate_fields(self.VESSEL, x, t)
+        return [kv.q_soliton(self.SPEC, x, t), *kv.log_tau(self.VESSEL, x, t),
                 fields.beta, fields.beta_prime, fields.log_abs_tau, fields.tau_sign]
 
     @pytest.mark.parametrize("entries", [1, 4 * 9], ids=["one-point", "four-points"])
@@ -249,7 +255,7 @@ class TestStacks:
         X, T = np.meshgrid(np.linspace(-150.0, 150.0, 31), np.linspace(-0.5, 0.5, 7),
                            indexing="ij")
         whole = self._values(X, T)
-        assert np.isinf(kv.fields_soliton(self.SPEC, X, T).tau).any()
+        assert np.isinf(kv.evaluate_fields(self.VESSEL, X, T).tau).any()
         monkeypatch.setattr(core, "_CHUNK_ENTRIES", entries)
         for one, stacked in zip(whole, self._values(X, T)):
             assert stacked.shape == X.shape
@@ -257,27 +263,37 @@ class TestStacks:
 
     def test_scalar_points_give_floats(self, monkeypatch):
         monkeypatch.setattr(core, "_CHUNK_ENTRIES", 1)
-        beta, q, logabs, sign = self._values(0.3, 0.1)[:4]
-        for v in (beta, q, logabs, sign):
+        q, logabs, sign = self._values(0.3, 0.1)[:3]
+        for v in (q, logabs, sign):
             assert type(v) is float
-        assert q == kv.fields_soliton(self.SPEC, 0.3, 0.1).q
+        assert q == pytest.approx(kv.evaluate_fields(self.VESSEL, 0.3, 0.1).q, rel=1e-13)
 
     def test_fields_memory_is_flat_in_the_grid(self):
-        # 2001 x 101 points at n = 8: one unstacked M alone is 208 MB
+        # 2001 x 101 points at n = 8: one unstacked M alone is 208 MB.  From
+        # x ~ 2.6 M tends to the Cauchy matrix G (cond up to 4e11), where
+        # most values miss 60-digit mpmath by more than TestMpmathOracle
+        # allows (q by up to 1.8e-5), so evaluate_fields' gate refuses them
+        # and its pass stops at the first; q_soliton, which has no gate,
+        # runs over every point.
         spec = kv.SolitonSpec(k=np.linspace(0.6, 2.0, 8), b=np.ones(8))
+        vessel = kv.build_soliton(spec)
         X, T = np.meshgrid(np.linspace(-10.0, 10.0, 2001), np.linspace(-0.5, 0.5, 101),
                            indexing="ij")
         tracemalloc.start()
         try:
-            kv.fields_soliton(spec, X, T)
+            kv.q_soliton(spec, X, T)
+            with pytest.raises(kv.EvaluationError, match="ill-conditioned") as exc:
+                kv.evaluate_fields(vessel, X, T)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 32e6
+        assert exc.value.x > 0.0  # the pass got past the grid's left half
 
 
 class TestSingularPoints:
-    """A zero pivot of the scaled system raises EvaluationError at its point."""
+    """A zero pivot of the scaled M raises EvaluationError at its point in
+    q_soliton and log_tau; evaluate_fields' gate refuses earlier points."""
 
     POINT = (5.0, 0.9090909090909092)
 
@@ -287,27 +303,36 @@ class TestSingularPoints:
 
     def test_the_point(self, close_soliton):
         spec = self._spec(close_soliton)
-        for fn in (kv.q_soliton, kv.fields_soliton):
+        vessel = kv.build_soliton(spec)
+        for call in (lambda: kv.q_soliton(spec, *self.POINT),
+                     lambda: kv.log_tau(vessel, *self.POINT),
+                     lambda: kv.evaluate_fields(vessel, *self.POINT)):
             with pytest.raises(kv.EvaluationError, match="singular") as exc:
-                fn(spec, *self.POINT)
+                call()
             assert (exc.value.x, exc.value.t) == self.POINT
 
     @pytest.mark.parametrize("entries", [core._CHUNK_ENTRIES, 64 * 16],
                              ids=["default-stacks", "16-point-stacks"])
-    def test_first_point_of_the_grid_in_c_order(self, monkeypatch, close_soliton, entries):
-        X, T = np.meshgrid(np.linspace(-30.0, 30.0, 301), np.linspace(-1.0, 1.0, 23),
-                           indexing="ij")
+    def test_first_point_of_the_grid_in_c_order(self, monkeypatch, entries, close_soliton,
+                                                close_soliton_grid, close_soliton_first_gated):
+        X, T = close_soliton_grid
         assert X.size > entries // 64  # n = 8: the grid spans several stacks
         monkeypatch.setattr(core, "_CHUNK_ENTRIES", entries)
         spec = self._spec(close_soliton)
-        for fn in (kv.beta_soliton, kv.q_soliton, kv.log_tau_soliton, kv.fields_soliton):
+        vessel = kv.build_soliton(spec)
+        for fn in (lambda: kv.q_soliton(spec, X, T), lambda: kv.log_tau(vessel, X, T)):
             with pytest.raises(kv.EvaluationError, match="singular") as exc:
-                fn(spec, X, T)
+                fn()
             assert (exc.value.x, exc.value.t) == self.POINT
+        with pytest.raises(kv.EvaluationError) as exc:
+            kv.evaluate_fields(vessel, X, T)
+        x, t, message = close_soliton_first_gated
+        assert (exc.value.x, exc.value.t) == (x, t) and str(exc.value) == message
 
 
 class TestMpmathOracle:
-    """fields_soliton against a 60-digit log det X and its x-derivatives."""
+    """evaluate_fields of the soliton vessel against a 60-digit log det X and
+    its x-derivatives."""
 
     K = {1: [0.9], 2: [0.6, 1.3], 3: [0.5, 1.1, 1.8]}
     B = {1: [1.4], 2: [1.1, 0.7], 3: [0.8, 1.5, 1.2]}
@@ -341,7 +366,7 @@ class TestMpmathOracle:
         phi = np.multiply.outer(xs, spec.k) + np.multiply.outer(ts, spec.k**3)
         assert (phi[0] < 0).all() and (0 < phi[2]).all() and (phi[2] < 8).all()
         assert (phi[3] > 8).all() and (n == 1 or phi[1].min() < 0 < phi[1].max())
-        fields = kv.fields_soliton(spec, xs, ts)
+        fields = kv.evaluate_fields(kv.build_soliton(spec), xs, ts)
         bound = {"log tau": 1e-13, "beta": 1e-12, "q": 5e-11}
         with mpmath.workdps(60):
             k = [mpmath.mpf(v) for v in self.K[n]]
@@ -360,3 +385,50 @@ class TestMpmathOracle:
                     err = abs(got[what] - r) / (1 + abs(r))
                     assert err <= bound[what], (what, x, t, float(err))
                 assert fields.tau_sign[i] == 1.0
+
+
+class TestCloseWavenumberDump:
+    """The close-wavenumber 8-soliton of ``close_soliton`` on the dump path:
+    a point whose scaled M is too ill-conditioned is refused, and the points
+    that pass the gate match 60-digit values."""
+
+    @staticmethod
+    def _vessel(cfg):
+        return kv.build_soliton(kv.SolitonSpec(k=cfg["k"], b=cfg["b_abs"]))
+
+    def test_dump_path_refuses_the_ill_conditioned_point(self, close_soliton):
+        # the trace formula returns q = +1.262 at (7.6, 1.0), where the
+        # 60-digit value is -0.345; this grid's first point is (7.6, 1.0)
+        vessel = self._vessel(close_soliton)
+        grid = kv.Grid2D(7.6, 9.2, 9, 1.0, 1.8, 9)
+        for call in (lambda: kv.evaluate_fields(vessel, 7.6, 1.0),
+                     lambda: suite.grid_fields(vessel, grid)):
+            with pytest.raises(kv.EvaluationError, match="ill-conditioned") as exc:
+                call()
+            assert (exc.value.x, exc.value.t) == (7.6, 1.0)
+
+    @staticmethod
+    def _log_det(k, b, x, t, log_d0):
+        # log det of D0^-1 X D0^-1 with D0 fixed, so x-derivatives are those
+        # of log tau; the scaled entries stay within the working precision
+        n = len(k)
+        e = [mpmath.exp(k[i] * x + k[i] ** 3 * t - log_d0[i]) for i in range(n)]
+        X = mpmath.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                X[i, j] = (i == j) * mpmath.exp(-2 * log_d0[i]) + e[i] * e[j] * b[i] * b[j] / (k[i] + k[j])
+        return mpmath.log(mpmath.det(X))
+
+    @pytest.mark.parametrize("point", [(-2.0, 0.9090909090909092), (2.8000000000000043, 0.0),
+                                       (7.600000000000001, -1.0)])
+    def test_q_matches_high_precision_where_the_gate_passes(self, close_soliton, point):
+        # grid points of close_soliton_grid where the plain X fails the gate
+        q = float(kv.evaluate_fields(self._vessel(close_soliton), *point).q)
+        with mpmath.workdps(60):
+            k = [mpmath.mpf(v) for v in close_soliton["k"]]
+            b = [mpmath.mpf(v) for v in close_soliton["b_abs"]]
+            x, t = (mpmath.mpf(v) for v in point)
+            log_d0 = [max(mpmath.mpf(0), k[i] * x + k[i] ** 3 * t) for i in range(len(k))]
+            ref = -2 * mpmath.diff(lambda z: self._log_det(k, b, z, t, log_d0), x, 2)
+            err = abs(q - ref) / (1 + abs(ref))
+        assert err <= 5e-11, (point, float(err))  # the bound of TestMpmathOracle
