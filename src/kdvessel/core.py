@@ -16,8 +16,9 @@ coupled algebraic and differential conditions:
 
 Everything a vessel produces -- the tau function det(X0^-1 X(x,t)), the
 integrated potential beta = -(B* X^-1 B)_{11} and the KdV field q = 2 beta'
--- is derived from these operators.  This module holds the parameter
-matrices SIGMA1, SIGMA2 and GAMMA, the vessel data model, state
+-- is derived from these operators, stored as one finite pair (D^-1 B, M)
+with X = D M D (see :class:`FiniteVessel`).  This module holds the
+parameter matrices SIGMA1, SIGMA2 and GAMMA, the vessel data model, state
 evaluation and residual checks for every condition above, plus the
 generic "integrate B then accumulate X" construction from admissible
 initial data.  Every evaluation and residual takes points x, t of any
@@ -178,37 +179,33 @@ def _solve(X, rhs, x, t) -> np.ndarray:
 class FiniteVessel:
     """A finite-dimensional vessel realization.
 
-    ``B_eval(x, t)`` returns the n x 2 coupling, ``X_eval(x, t)`` the n x n
-    Hermitian Gram operator.  ``X0`` is the reference operator for the tau
-    function.  ``kind`` tags the construction family
-    (soliton | discrete | quadrature | tabulated).
+    ``operators(x, t)`` is the one operator source: the pair (D^-1 B, M)
+    and ``log d`` with X = D M D for D = diag(e^log d), B the n x 2
+    coupling and X the n x n Hermitian Gram operator.  ``log d`` has one
+    entry per generator, or is the scalar 0.0 where D = I (every family
+    but the soliton); a nonzero one needs a diagonal A, which D commutes
+    with.  ``X0`` is the reference operator for the tau function.  ``kind``
+    tags the construction family (soliton | discrete | quadrature | tabulated).
 
-    The evaluators must be pure functions of (x, t) that broadcast over
+    ``operators`` must be a pure function of (x, t) that broadcasts over
     arrays of points: for x, t of broadcast shape S (S = () for scalars)
-    they return arrays of shape S + (n, 2) and S + (n, n).  Every routine
-    of the package relies on this, one-point routines included.  X keeps
+    it returns shapes S + (n, 2), S + (n, n) and S + (n,).  Every routine
+    of the package relies on this, one-point routines included.  M keeps
     the dtype its construction gives it (real whenever the couplings are
     real).
     ``A_diag`` holds the diagonal of A when A is diagonal (every
     closed-form family), else None; ``log_abs_det_X0`` and ``sign_det_X0``
     are computed once for the tau function.
-
-    ``scaled_eval(x, t)``, if given, returns the finite pair (D^-1 B, M) and
-    log det D with X = D M D, D positive diagonal, stacked like B and X;
-    :func:`evaluate_fields` and :func:`log_tau` read it (D = I without it),
-    so they stay finite where X overflows.
     """
 
     n: int
     A: np.ndarray
-    B_eval: Callable[[float, float], np.ndarray]
-    X_eval: Callable[[float, float], np.ndarray]
+    operators: Callable
     X0: np.ndarray
     kind: str
     # construction metadata: generator wavenumbers / folded couplings /
     # grids for tabulated vessels
     metadata: Optional[dict] = field(default=None, compare=False)
-    scaled_eval: Optional[Callable] = field(default=None, compare=False, repr=False)
     spectrum: np.ndarray = field(init=False, compare=False)
     A_diag: Optional[np.ndarray] = field(init=False, compare=False, repr=False)
     log_abs_det_X0: float = field(init=False, compare=False, repr=False)
@@ -238,23 +235,41 @@ class FiniteVessel:
         values = np.asarray(values)
         want = np.broadcast_shapes(np.shape(x), np.shape(t)) + (self.n, cols)
         if values.shape != want:
-            raise InvalidSpecError(
-                f"{what} evaluator returned shape {values.shape}, expected {want}"
-            )
+            raise InvalidSpecError(f"{what} has shape {values.shape}, expected {want}")
         i = _first(~np.isfinite(values).all(axis=(-2, -1)).ravel())
         if i is not None:
             xs, ts = _flat_points(x, t)
             raise EvaluationError(f"{what} overflowed", x=float(xs[i]), t=float(ts[i]))
         return values
 
+    def _checked_pair(self, B, X, x, t):
+        return (self._checked(np.asarray(B, dtype=complex), x, t, "coupling B", 2),
+                self._checked(X, x, t, "Gram operator X", self.n))
+
+    def scaled(self, x, t):
+        """(D^-1 B, M, log det D) at the points x, t, checked like :meth:`plain`."""
+        B, M, log_d = self.operators(x, t)
+        return (*self._checked_pair(B, M, x, t),
+                np.sum(log_d, axis=-1) if np.ndim(log_d) else log_d)
+
+    def plain(self, x, t):
+        """(B, X) = (D (D^-1 B), D M D) at the points x, t; EvaluationError
+        at the first point where either overflows."""
+        B, M, log_d = self.operators(x, t)
+        if np.any(log_d):
+            # an overflow passes through as inf, which _checked names
+            with np.errstate(over="ignore", invalid="ignore"):
+                d = np.exp(log_d)
+                B, M = d[..., None] * B, d[..., :, None] * d[..., None, :] * M
+        return self._checked_pair(B, M, x, t)
+
     def B(self, x, t) -> np.ndarray:
         """Coupling B(x, t); broadcasts over arrays of points."""
-        return self._checked(np.asarray(self.B_eval(x, t), dtype=complex), x, t,
-                             "coupling B", 2)
+        return self.plain(x, t)[0]
 
     def X(self, x, t) -> np.ndarray:
         """Gram operator X(x, t) in its construction's dtype; broadcasts over points."""
-        return self._checked(self.X_eval(x, t), x, t, "Gram operator X", self.n)
+        return self.plain(x, t)[1]
 
 
 @dataclass(frozen=True)
@@ -451,10 +466,10 @@ def evaluate(vessel: FiniteVessel, x, t) -> EvaluatedState:
     shape = np.broadcast_shapes(np.shape(x), np.shape(t))
     n = vessel.n
 
-    def stack(x, t):  # one-point calls pass the evaluators scalars
-        B = vessel.B(x, t)
+    def stack(x, t):  # one-point calls pass the operators scalars
+        B, X = vessel.plain(x, t)
         return B, _evaluate_stack(vessel, *_flat_points(x, t), B.reshape(-1, n, 2),
-                                  vessel.X(x, t).reshape(-1, n, n))
+                                  X.reshape(-1, n, n))
 
     B, (X, Xinv, gs, *scalars) = _at_first_failure(stack, x, t)
     beta, beta_p, logabs, sign = (s.reshape(shape) if shape else float(s[0]) for s in scalars)
@@ -463,17 +478,6 @@ def evaluate(vessel: FiniteVessel, x, t) -> EvaluatedState:
         gamma_star=gs.reshape(shape + (2, 2)), beta=beta, beta_prime=beta_p,
         log_abs_tau=logabs, tau_sign=sign,
     )
-
-
-def _scaled(vessel, x, t, with_B=True):
-    """(D^-1 B, M, log det D) with X = D M D on the stack x, t: the vessel's
-    ``scaled_eval`` where it has one, else (B, X, 0) with D = I.  Without
-    ``with_B``, D^-1 B is None and only M is checked."""
-    if vessel.scaled_eval is None:
-        return vessel.B(x, t) if with_B else None, vessel.X(x, t), 0.0
-    B, M, log_det_d = vessel.scaled_eval(x, t)
-    B = vessel._checked(np.asarray(B, dtype=complex), x, t, "coupling B", 2) if with_B else None
-    return B, vessel._checked(M, x, t, "Gram operator X", vessel.n), log_det_d
 
 
 def evaluate_fields(vessel: FiniteVessel, x, t) -> FieldValues:
@@ -486,7 +490,7 @@ def evaluate_fields(vessel: FiniteVessel, x, t) -> FieldValues:
     per point, in the dtype of M.
     """
     def stack(xs, ts):
-        B, M, log_det_d = _scaled(vessel, xs, ts)
+        B, M, log_det_d = vessel.scaled(xs, ts)
         beta, beta_p, logabs, sign = _evaluate_stack(vessel, xs, ts, B, M)[3:]
         return beta, beta_p, logabs + 2.0 * log_det_d, sign
 
@@ -499,12 +503,12 @@ def log_tau(vessel: FiniteVessel, x, t):
 
     Needs no inverse, so it also serves points where X is too
     ill-conditioned for :func:`evaluate`; tau = sign e^{log|tau|}.  Reads
-    M of the vessel's scaled pair like :func:`evaluate_fields`, so it
-    raises EvaluationError where M overflows or has a zero pivot.
+    the vessel's scaled pair like :func:`evaluate_fields`, so it raises
+    EvaluationError where the pair overflows or M has a zero pivot.
     Broadcasts like :func:`lyapunov_residual`.
     """
     def stack(xs, ts):
-        M, log_det_d = _scaled(vessel, xs, ts, with_B=False)[1:]
+        M, log_det_d = vessel.scaled(xs, ts)[1:]
         logabs, sign = _log_tau_stack(vessel, M)
         _check_pivots(sign, xs, ts)
         return logabs + 2.0 * log_det_d, _real_tau_sign(logabs, sign, xs, ts)
@@ -522,8 +526,8 @@ def _lyapunov_norms(A, a, B, X):
     return _fro_stack(R), _fro_stack(X)
 
 
-def _lyapunov_stack(vessel, x, t) -> np.ndarray:
-    B, X = vessel.B(x, t), vessel.X(x, t)
+def _lyapunov_stack(vessel, B, X) -> np.ndarray:
+    """The normalized Lyapunov residual of each pair in the stacks B, X."""
     # the squares inside the norms overflow past |X_ij| ~ 1e154; B and X
     # scaled per point by the exact powers of two 2^-e and 4^-e, with 4^e
     # ~ max |X_ii| (>= |X_ij| when X >= 0), leave the ratio bit for bit.
@@ -543,27 +547,36 @@ def lyapunov_residual(vessel: FiniteVessel, x, t):
     wherever B and X are.
     """
     return _floats(_per_point(vessel.n, x, t,
-                              lambda xs, ts: _lyapunov_stack(vessel, xs, ts), 1))[0]
+                              lambda xs, ts: _lyapunov_stack(vessel, *vessel.plain(xs, ts)),
+                              1))[0]
 
 
 def lyapunov_self_check(vessel: FiniteVessel) -> None:
     """Build-time check: Lyapunov residual below 1e-12 at 50 seeded points.
 
     Every closed-form builder runs it on the vessel it returns; there is
-    no opt-out.  The points are uniform on [-2, 2] x [-0.5, 0.5] (seed 0),
-    evaluated as one stack.  A residual above 1e-12 raises InvalidSpecError
-    naming its point; an overflowing B or X, EvaluationError at its point.
+    no opt-out.  The points are uniform on [-2, 2] x [-0.5, 0.5] (seed 0).
+    It checks the finite pair of :meth:`FiniteVessel.scaled`: as D commutes
+    with the diagonal A,
+    A M + M A* + (D^-1 B) sigma1 (D^-1 B)* = D^-1 (A X + X A* + B sigma1 B*) D^-1,
+    relative to 1 + ||M||, so solitons of any k build; where D = I it is
+    :func:`lyapunov_residual`.  A residual above 1e-12 raises
+    InvalidSpecError naming its point; an overflowing D^-1 B or M,
+    EvaluationError at its point.
 
-    Blind spot: for diagonal skew-Hermitian A (the trigonometric vessels)
-    the residual weighs X_ij by a_i + conj(a_j) = i (k_i^2 - k_j^2), which
-    is 0 on the diagonal and O(|k_i - k_j|) on near-degenerate pairs, so
-    errors in those entries (the near-set branch of
-    ``spectral.trig_kernel``) go unseen.  The 30-digit mpmath comparison in
-    ``tests/test_spectral.py`` covers them instead.
+    Blind spot: for diagonal skew-Hermitian A the residual weighs M_ij by
+    a_i + conj(a_j) = +-i (k_i^2 - k_j^2), which is 0 on the diagonal and
+    O(|k_i - k_j|) on near-degenerate pairs, so errors there go unseen.
+    On the trigonometric vessels (A = diag(i k^2)) that is the near-set
+    branch of ``spectral.trig_kernel``, which the 30-digit mpmath
+    comparison in ``tests/test_spectral.py`` covers; on the soliton
+    (A = diag(-i k^2)) the diagonal M_ii, which criterion 2's closed-form
+    determinant (``suite.check_cauchy_determinant``) guards.
     """
     rng = np.random.default_rng(0)
     xs, ts = rng.uniform([-2.0, -0.5], [2.0, 0.5], size=(50, 2)).T
-    res = lyapunov_residual(vessel, xs, ts)
+    res = _per_point(vessel.n, xs, ts,
+                     lambda xs, ts: _lyapunov_stack(vessel, *vessel.scaled(xs, ts)[:2]), 1)[0]
     i = _first(res > 1e-12)
     if i is not None:
         raise InvalidSpecError(
@@ -579,8 +592,7 @@ def normalization_residual(vessel: FiniteVessel, x, t):
     states remain checkable.  Broadcasts like :func:`lyapunov_residual`.
     """
     def stack(xs, ts):
-        B = vessel.B(xs, ts)
-        X = vessel.X(xs, ts)
+        B, X = vessel.plain(xs, ts)
         M = _adjoint(B) @ _solve(0.5 * (X + _adjoint(X)), B, xs, ts)
         return np.abs(np.trace(SIGMA1 @ M, axis1=-2, axis2=-1))
 
@@ -601,8 +613,7 @@ def evolution_residuals(
     A = vessel.A
     xs = np.array([x, x + h, x - h, x, x])
     ts = np.array([t, t, t, t + h, t - h])
-    B, Bxp, Bxm, Btp, Btm = vessel.B(xs, ts)
-    X, Xxp, Xxm, Xtp, Xtm = vessel.X(xs, ts)
+    (B, Bxp, Bxm, Btp, Btm), (X, Xxp, Xxm, Xtp, Xtm) = vessel.plain(xs, ts)
 
     dBx = (Bxp - Bxm) / (2.0 * h)
     dXx = (Xxp - Xxm) / (2.0 * h)
@@ -726,7 +737,7 @@ def integrate_standard_construction(
             t=t0,
         )
 
-    def lookup(x, t):
+    def operators(x, t):  # D = I
         # nearest grid index per point (ties to the lower one)
         x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
         j = np.clip(np.searchsorted(grid, x), 1, grid.size - 1)
@@ -739,13 +750,12 @@ def integrate_standard_construction(
             if bad.any():
                 k = np.unravel_index(np.argmax(bad), bad.shape)
                 raise EvaluationError(what, x=float(x[k]), t=float(t[k]))
-        return i
+        return Bs[i], Xs[i], 0.0
 
     return FiniteVessel(
         n=n,
         A=A,
-        B_eval=lambda x, t: Bs[lookup(x, t)],
-        X_eval=lambda x, t: Xs[lookup(x, t)],
+        operators=operators,
         X0=X0,
         kind="tabulated",
         metadata={"x_grid": grid, "t0": t0, "B_table": Bs, "X_table": Xs},

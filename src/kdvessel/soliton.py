@@ -12,11 +12,13 @@ so every soliton vessel is dissipative and tau = det X > 1.  Only |b_j|
 enters tau; the alternative normalization c_j = |b_j|^2 / (2 k_j) is the
 coefficient of e^{2 k_j x + 2 k_j^3 t} in tau.
 
-The vessel carries the scaled pair of ``core.FiniteVessel.scaled_eval``:
-X = D M D with D = diag(max(1, e^{k x + k^3 t})), so M and D^-1 B stay
-finite at every phase, and ``core.evaluate_fields`` and ``core.log_tau``
-evaluate the fields on arbitrarily wide grids (tau = inf past the float
-range) with core's checks on M.  :func:`q_soliton` is the q-only trace
+The vessel's one operator source (``core.FiniteVessel.operators``) is
+the scaled pair X = D M D with D = diag(max(1, e^{k x + k^3 t})), so M and
+D^-1 B stay finite at every phase; the plain B and X above are derived
+from it.  The build's self-check runs on the pair, so solitons of any k
+build, and ``core.evaluate_fields`` and ``core.log_tau`` evaluate the
+fields on arbitrarily wide grids (tau = inf past the float range) with
+core's checks on M.  :func:`q_soliton` is the q-only trace
 formula on the same M, solved in core's stacks; where close wavenumbers
 make M singular in floating point it raises EvaluationError at the first
 such point in C order, as core does, but it has no conditioning gate.
@@ -86,53 +88,37 @@ class SolitonSpec:
 
 def _gram(spec: SolitonSpec) -> np.ndarray:
     # Cauchy-type Gram matrix b_i conj(b_j) / (k_i + k_j); PSD, and real
-    # when the amplitudes are
-    G = np.outer(spec.b, spec.b.conj()) / (spec.k[:, None] + spec.k[None, :])
-    return G if G.imag.any() else G.real
+    # when the products b_i conj(b_j) are.  An overflow passes through as
+    # inf, which core.FiniteVessel names at its point (the complex division
+    # of an inf leaves a NaN in the imaginary part that a real G drops).
+    with np.errstate(over="ignore", invalid="ignore"):
+        P = np.outer(spec.b, spec.b.conj())
+        G = P / (spec.k[:, None] + spec.k[None, :])
+    return G if P.imag.any() else G.real
 
 
 def build_soliton(spec: SolitonSpec) -> core.FiniteVessel:
     """Closed-form soliton vessel with X0 = I, checked by
     :func:`core.lyapunov_self_check` before it is returned.
 
-    B, X and the scaled pair of :func:`_scaled_system` broadcast over arrays
-    of points.  A plain X that overflows at a point of the check
-    (k >= 8.886 for |b| = 1) raises EvaluationError there.
+    Its one operator source is the scaled pair of :func:`_scaled_system`,
+    which broadcasts over arrays of points and stays finite at every
+    phase, so solitons of any k build; the plain B and X derive from it.
     """
-    k, b, n = spec.k, spec.b, spec.n
-    A = np.diag(-1j * k**2)
-    G = _gram(spec)
-    eye = np.eye(n)
-    row = np.stack([np.ones(n), 1j * k], axis=-1)  # B row j = e^phi_j b_j (1, i k_j)
-    k3 = k**3
+    k, n = spec.k, spec.n
+    row = np.stack([np.ones(n), 1j * k], axis=-1)
 
-    def phases(x, t):
-        return np.multiply.outer(x, k) + np.multiply.outer(t, k3)
-
-    def B_eval(x, t):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return (np.exp(phases(x, t)) * b)[..., None] * row
-
-    def X_eval(x, t):
-        # overflow deliberately passes through as inf: FiniteVessel.X turns
-        # it into an EvaluationError at its point
-        with np.errstate(over="ignore", invalid="ignore"):
-            E = np.exp(phases(x, t))
-            return eye + E[..., :, None] * E[..., None, :] * G
-
-    def scaled_eval(x, t):
-        M, w, log_det_d = _scaled_system(spec, x, t)
-        return w[..., None] * row, M, log_det_d  # D^-1 B row j = w_j (1, i k_j)
+    def operators(x, t):
+        M, w, log_d = _scaled_system(spec, x, t)
+        return w[..., None] * row, M, log_d  # D^-1 B row j = w_j (1, i k_j)
 
     vessel = core.FiniteVessel(
         n=n,
-        A=A,
-        B_eval=B_eval,
-        X_eval=X_eval,
+        A=np.diag(-1j * k**2),
+        operators=operators,
         X0=np.eye(n, dtype=complex),
         kind="soliton",
-        metadata={"spec": spec, "generators": k, "couplings": b},
-        scaled_eval=scaled_eval,
+        metadata={"spec": spec, "generators": k, "couplings": spec.b},
     )
     core.lyapunov_self_check(vessel)
     return vessel
@@ -167,8 +153,8 @@ def _scaled_system(spec: SolitonSpec, x, t):
     M = D^-2 + diag(e) G diag(e) and X = I + diag(e^phi) G diag(e^phi)
     = D M D; M equals X where every phase is <= 0, is real for real
     amplitudes, and a generator whose e^phi leaves the float range in
-    either direction decouples in M.  Returns (M, w = e b, sum log d),
-    stacked over the points.
+    either direction decouples in M.  Returns (M, w = e b, log d), one
+    log d per generator, stacked over the points.
     """
     k, b, n = spec.k, spec.b, spec.n
     phi = np.multiply.outer(x, k) + np.multiply.outer(t, k**3)  # (..., n)
@@ -176,7 +162,7 @@ def _scaled_system(spec: SolitonSpec, x, t):
     e = np.exp(np.minimum(phi, 0.0))
     M = e[..., :, None] * e[..., None, :] * _gram(spec)
     M[..., np.arange(n), np.arange(n)] += np.exp(-2.0 * log_d)
-    return M, e * (b if b.imag.any() else b.real), log_d.sum(axis=-1)
+    return M, e * (b if b.imag.any() else b.real), log_d
 
 
 def q_soliton(spec: SolitonSpec, x, t):

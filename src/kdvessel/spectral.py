@@ -259,21 +259,18 @@ def _build_trig_vessel(
     k3 = k**3
     diag = np.arange(n)
 
-    def B_eval(x, t):
+    def operators(x, t):  # D = I
         th = np.multiply.outer(x, k) - np.multiply.outer(t, k3)
         B = np.empty(th.shape + (2,), dtype=complex)
         B[..., 0] = c * np.sin(th) / k
         # +i cos: forced by the translation condition (see module docstring)
         B[..., 1] = 1j * c * np.cos(th)
-        return B
-
-    def X_eval(x, t):
         X = trig_kernel(k, x, t, tables)
         X[..., diag, diag] += 1.0
-        return X
+        return B, X, 0.0
 
     vessel = core.FiniteVessel(
-        n=n, A=A, B_eval=B_eval, X_eval=X_eval,
+        n=n, A=A, operators=operators,
         X0=np.eye(n, dtype=complex), kind=kind, metadata=metadata,
     )
     core.lyapunov_self_check(vessel)
@@ -318,9 +315,10 @@ def fixed_vector_residual(vessel: core.FiniteVessel, x):
         raise InvalidSpecError("fixed_vector_residual applies to discrete/quadrature vessels")
 
     def stack(xs, ts):
-        v = vessel.B(xs, ts)[..., 0]
+        B, X = vessel.plain(xs, ts)
+        v = B[..., 0]
         nv = np.linalg.norm(v, axis=-1)
-        r = np.linalg.norm((vessel.X(xs, ts) @ v[..., None])[..., 0] - v, axis=-1)
+        r = np.linalg.norm((X @ v[..., None])[..., 0] - v, axis=-1)
         return np.divide(r, nv, out=np.zeros_like(nv), where=nv > 0)
 
     return core._floats(core._per_point(vessel.n, x, 0.0, stack, 1))[0]

@@ -16,7 +16,7 @@ The 1/lambda expansion at infinity S = I - sum_n lambda^{-n-1} H_n has
 Markov moments H_n = B* X^-1 A^n B sigma1, linked level to level by four
 scalar recursion relations in beta (checked here by finite differences).
 
-The reconstruction kernels at a fixed time slice are
+The reconstruction kernels at t = 0 are
 
     Omega(x, y) = [1 0] B*(x) X^-1(x0) B(y) [1 0]^T
     K(x, y)     = -[1 0] B*(x) X^-1(x)  B(y) [1 0]^T
@@ -209,17 +209,17 @@ def moment_recursion_residual(
 
 
 def gl_kernels(
-    vessel: core.FiniteVessel, x0: float, x: float, y: float, t: float = 0.0
+    vessel: core.FiniteVessel, x0: float, x: float, y: float
 ) -> tuple[float, float]:
-    """(Omega(x, y), K(x, y)) at the time slice t (default 0).
+    """(Omega(x, y), K(x, y)) at t = 0.
 
     Both scalars are real for the shipped constructions (X is a diagonal
     congruence of a real symmetric matrix); the imaginary residue is
     checked and discarded.
     """
-    s = core.evaluate(vessel, np.array([x, x0]), t)
+    s = core.evaluate(vessel, np.array([x, x0]), 0.0)
     bx = s.B[0, :, 0].conj()
-    by = vessel.B(y, t)[:, 0]
+    by = vessel.B(y, 0.0)[:, 0]
     omega = bx @ s.Xinv[1] @ by
     kval = -(bx @ s.Xinv[0] @ by)
     for name, v in (("Omega", omega), ("K", kval)):
@@ -236,9 +236,8 @@ def gl_residual(
     x: float,
     y: float,
     quadrature_nodes: int = 201,
-    t: float = 0.0,
 ) -> float:
-    """|K(x,y) + Omega(x,y) + int_x0^x K(x,s) Omega(s,y) ds|, composite Simpson.
+    """|K(x,y) + Omega(x,y) + int_x0^x K(x,s) Omega(s,y) ds| at t = 0, composite Simpson.
 
     Requires x > y and an odd node count (even interval count) spanning
     [x0, x]; InvalidSpecError otherwise.  The kernels are smooth, so uniform Simpson converges at
@@ -251,10 +250,10 @@ def gl_residual(
         raise InvalidSpecError("the kernel identity is stated for x > y")
     if quadrature_nodes < 3 or quadrature_nodes % 2 == 0:
         raise InvalidSpecError("composite Simpson needs an odd node count >= 3")
-    s = core.evaluate(vessel, np.array([x, x0]), t)
+    s = core.evaluate(vessel, np.array([x, x0]), 0.0)
     ss = np.linspace(x0, x, quadrature_nodes)  # ss[-1] == x exactly
-    bs = vessel.B(ss, t)[:, :, 0]
-    by = vessel.B(y, t)[:, 0]
+    bs = vessel.B(ss, 0.0)[:, :, 0]
+    by = vessel.B(y, 0.0)[:, 0]
     k_row = -(s.B[0, :, 0].conj() @ s.Xinv[0])
     om_col = s.Xinv[1] @ by
     K_xs = (bs @ k_row).real
@@ -290,10 +289,9 @@ def q_from_K_diag(
     vessel: core.FiniteVessel,
     x: float,
     h: float = 1e-3,
-    t: float = 0.0,
     reference: float | None = None,
 ) -> QFromKReport:
-    """Potential from the kernel diagonal, sign matched against 2 beta'.
+    """Potential from the kernel diagonal at t = 0, sign matched against 2 beta'.
 
     Both candidates +-2 d/dx K(x, x) (centered difference) are reported;
     the primary value is the candidate matching the reference (by default
@@ -301,7 +299,7 @@ def q_from_K_diag(
     K(x, x) = -b* X^-1 b = beta(x) for b the first column of B, so the
     diagonal is read from the evaluated beta at x +- h.
     """
-    s = core.evaluate(vessel, np.array([x + h, x, x - h]), t)
+    s = core.evaluate(vessel, np.array([x + h, x, x - h]), 0.0)
     cd = (s.beta[0] - s.beta[2]) / (2.0 * h)
     if reference is None:
         reference = 2.0 * s.beta_prime[1]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,21 +11,34 @@ def make_zero_vessel(n=2):
 
     Wavenumbers chosen so the spectrum avoids the lambda = -i used in the
     intertwining tests.  B and X broadcast over arrays of points, as every
-    vessel's evaluators must.
+    vessel's operators must.
     """
     k = 1.2 + 0.7 * np.arange(n)
 
-    def points(x, t):
-        return np.broadcast_shapes(np.shape(x), np.shape(t))
+    def operators(x, t):
+        points = np.broadcast_shapes(np.shape(x), np.shape(t))
+        return (np.zeros(points + (n, 2), dtype=complex),
+                np.broadcast_to(np.eye(n, dtype=complex), points + (n, n)), 0.0)
 
     return kv.FiniteVessel(
         n=n,
         A=np.diag(-1j * k**2),
-        B_eval=lambda x, t: np.zeros(points(x, t) + (n, 2), dtype=complex),
-        X_eval=lambda x, t: np.broadcast_to(np.eye(n, dtype=complex), points(x, t) + (n, n)),
+        operators=operators,
         X0=np.eye(n, dtype=complex),
         kind="soliton",
     )
+
+
+def _plain_copy(vessel):
+    """The same vessel (A, B, X, X0) with D = I: its operators are the
+    derived plain B and X, so evaluate_fields, log_tau and the self-check
+    read them as evaluate does."""
+    return dataclasses.replace(vessel, operators=lambda x, t: (*vessel.plain(x, t), 0.0))
+
+
+@pytest.fixture(scope="session")
+def plain_copy():
+    return _plain_copy
 
 
 @pytest.fixture(scope="session")
@@ -113,8 +128,10 @@ def rotated_three_soliton(three_soliton):
     rng = np.random.default_rng(5)
     U, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
     Uh = U.conj().T
-    return kv.FiniteVessel(
-        n=3, A=U @ vessel.A @ Uh, B_eval=lambda x, t: U @ vessel.B(x, t),
-        X_eval=lambda x, t: U @ vessel.X(x, t) @ Uh, X0=U @ vessel.X0 @ Uh,
-        kind="rotated",
-    )
+
+    def operators(x, t):
+        B, X = vessel.plain(x, t)
+        return U @ B, U @ X @ Uh, 0.0
+
+    return kv.FiniteVessel(n=3, A=U @ vessel.A @ Uh, operators=operators,
+                           X0=U @ vessel.X0 @ Uh, kind="rotated")

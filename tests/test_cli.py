@@ -128,10 +128,12 @@ class TestFieldDump:
         assert not out.exists()
 
     def test_build_overflow_is_numerical_failure(self, tmp_path, capsys):
-        # the build's self-check meets an overflowing X: a numerical failure
-        # naming its point, not a configuration error
+        # |b|^2 overflows the Gram matrix, so the build's self-check meets a
+        # non-finite M: a numerical failure naming its point, with no
+        # RuntimeWarning (an error under the test settings), not a
+        # configuration error
         out = tmp_path / "field.csv"
-        assert run(["soliton", "--k", "9", "--b-abs", "1", "--out", str(out)]) == 3
+        assert run(["soliton", "--k", "1", "--b-abs", "1e160", "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: Gram operator X overflowed")
         assert "[at x=" in err

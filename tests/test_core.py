@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -96,7 +94,7 @@ class TestTau:
         _, vessel = one_soliton
         assert kv.evaluate(vessel, 0.0, 0.0).tau == pytest.approx(2.0, abs=1e-14)
 
-    def test_three_soliton_origin_brute_force(self, three_soliton):
+    def test_three_soliton_origin_brute_force(self, three_soliton, plain_copy):
         # rule-of-Sarrus determinant of the explicitly assembled 3x3 matrix
         spec, vessel = three_soliton
         k, b = spec.k, spec.b.real
@@ -109,25 +107,25 @@ class TestTau:
             - X[0, 0] * X[1, 2] * X[2, 1]
             - X[0, 1] * X[1, 0] * X[2, 2]
         )
-        for v in (vessel, _without_scaled_pair(vessel)):
+        for v in (vessel, plain_copy(vessel)):
             logabs, sign = kv.log_tau(v, 0.0, 0.0)
             val = sign * np.exp(logabs)
             assert val == pytest.approx(sarrus, rel=1e-13)
             assert val == pytest.approx(4.0 + 362.0 / 900.0, rel=1e-13)
 
-    def test_overflow_raises_with_log_route(self, one_soliton):
+    def test_overflow_raises_with_log_route(self, one_soliton, plain_copy):
         # the plain X overflows; the vessel's scaled pair is the log route
         _, vessel = one_soliton
         with pytest.raises(kv.EvaluationError):
-            kv.log_tau(_without_scaled_pair(vessel), 400.0, 0.0)
+            kv.log_tau(plain_copy(vessel), 400.0, 0.0)
         logabs, sign = kv.log_tau(vessel, 400.0, 0.0)
         assert sign == 1.0
         # tau = 1 + e^{2x} here, so log tau ~ 2x
         assert logabs == pytest.approx(800.0, abs=1e-9)
 
-    def test_log_tau_matches_tau_in_normal_regime(self, three_soliton):
+    def test_log_tau_matches_tau_in_normal_regime(self, three_soliton, plain_copy):
         spec, vessel = three_soliton
-        for v in (vessel, _without_scaled_pair(vessel)):
+        for v in (vessel, plain_copy(vessel)):
             logabs, sign = kv.log_tau(v, 0.8, -0.2)
             assert sign == 1.0
             assert logabs == pytest.approx(np.log(kv.tau_cauchy_3(spec, 0.8, -0.2)), abs=1e-12)
@@ -197,8 +195,9 @@ class TestLyapunov:
                                    kv.evaluate_fields(vessel, xs, ts).beta, atol=1e-12)
         # a corruption of X is detected, at the size the plain products give
         bad = kv.FiniteVessel(
-            n=3, A=rotated.A, B_eval=rotated.B_eval,
-            X_eval=lambda x, t: rotated.X(x, t) + 1e-3 * np.eye(3)[[1, 0, 2]],
+            n=3, A=rotated.A,
+            operators=lambda x, t: (rotated.B(x, t),
+                                    rotated.X(x, t) + 1e-3 * np.eye(3)[[1, 0, 2]], 0.0),
             X0=rotated.X0, kind="rotated",
         )
         X, B, A = bad.X(0.1, 0.0), bad.B(0.1, 0.0), bad.A
@@ -292,8 +291,8 @@ class TestEvaluate:
         vessel = kv.FiniteVessel(
             n=2,
             A=np.diag([-1j, -4j]),
-            B_eval=lambda x, t: np.zeros((2, 2), dtype=complex),
-            X_eval=lambda x, t: np.array([[1.0, 1e-6], [0.0, 1.0]], dtype=complex),
+            operators=lambda x, t: (np.zeros((2, 2), dtype=complex),
+                                    np.array([[1.0, 1e-6], [0.0, 1.0]], dtype=complex), 0.0),
             X0=np.eye(2, dtype=complex),
             kind="soliton",
         )
@@ -491,18 +490,12 @@ class TestEvaluateFields:
             kv.evaluate_fields(vessel, np.array([0.0, 0.25, 0.5, 0.75]), 0.0)
 
 
-def _without_scaled_pair(vessel):
-    """The same vessel (A, B, X, X0) with D = I: evaluate_fields and log_tau
-    then read the plain B and X, as evaluate does."""
-    return dataclasses.replace(vessel, scaled_eval=None)
-
-
 @pytest.fixture(scope="module")
-def wide_two_soliton():
+def wide_two_soliton(plain_copy):
     """The plain two-soliton vessel: at t = 0 the inverse-defect gate fails
     from x ~ 11.9, X overflows from x ~ 177.3 (X + X* from 177.27, X itself
     from 177.45) and B from x ~ 354.2."""
-    return _without_scaled_pair(kv.build_soliton(kv.SolitonSpec.from_c([1.0, 2.0], [1.0, 1.0])))
+    return plain_copy(kv.build_soliton(kv.SolitonSpec.from_c([1.0, 2.0], [1.0, 1.0])))
 
 
 def _first_point_error(vessel, xs):
@@ -569,18 +562,17 @@ class TestFirstFailingPoint:
 
 def _gram_vessel(upper, lower):
     """n = 2, B = 0 and X = [[1, upper(x)], [lower(x), 1]], broadcasting."""
-    def X_eval(x, t):
+    def operators(x, t):
         x = np.asarray(x, dtype=float) + 0.0 * np.asarray(t, dtype=float)
         X = np.zeros(x.shape + (2, 2))
         X[..., 0, 0] = X[..., 1, 1] = 1.0
         X[..., 0, 1], X[..., 1, 0] = upper(x), lower(x)
-        return X
+        return np.zeros(x.shape + (2, 2)), X, 0.0
 
     return kv.FiniteVessel(
         n=2,
         A=np.diag([-1j, -4j]),
-        B_eval=lambda x, t: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(t)) + (2, 2)),
-        X_eval=X_eval,
+        operators=operators,
         X0=np.eye(2, dtype=complex),
         kind="custom",
     )
@@ -661,8 +653,8 @@ class TestStackedState:
                 fn(vessel, xs, 0.0)
             assert (exc.value.x, exc.value.t) == (1.0, 0.0)
 
-    def test_overflow_is_named_in_order(self, one_soliton):
-        vessel = _without_scaled_pair(one_soliton[1])
+    def test_overflow_is_named_in_order(self, one_soliton, plain_copy):
+        vessel = plain_copy(one_soliton[1])
         for fn in (kv.evaluate, kv.log_tau, kv.lyapunov_residual):
             with pytest.raises(kv.EvaluationError, match="overflowed") as exc:
                 fn(vessel, np.array([0.0, 400.0, 500.0]), 0.0)

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import tracemalloc
 
@@ -50,12 +49,17 @@ class TestBuildSoliton:
     def test_self_check_runs(self):
         kv.build_soliton(kv.SolitonSpec.from_c([0.7, 1.2], [1.0, 1.0]))  # no raise
 
-    def test_refused_exactly_where_x_overflows(self):
-        # at k = 8.884 the self-check's largest X is finite while the unscaled
-        # B sigma1 B* is not; from k = 8.886 X itself overflows at a point
-        kv.build_soliton(kv.SolitonSpec(k=[8.884], b=[1.0]))
-        with pytest.raises(kv.EvaluationError, match=r"Gram operator X overflowed.*\[at x="):
-            kv.build_soliton(kv.SolitonSpec(k=[8.886], b=[1.0]))
+    @pytest.mark.parametrize("k", [8.884, 8.886, 9.0, 20.0, 40.0])
+    def test_builds_at_any_k(self, k):
+        # the self-check reads the finite scaled pair: from k = 8.886 the
+        # plain X overflows in its box, and the fields on the CLI's default
+        # grid still match the sech^2 profile
+        vessel = kv.build_soliton(kv.SolitonSpec(k=[k], b=[1.0]))
+        X, T = np.meshgrid(np.linspace(-5.0, 5.0, 41), np.linspace(-0.5, 0.5, 9),
+                           indexing="ij")
+        q = kv.evaluate_fields(vessel, X, T).q
+        ref = kv.one_soliton_reference(k, 1.0 / (2.0 * k), X, T)
+        assert np.all(np.abs(q - ref) <= 1e-11 * (1.0 + np.abs(q)))
 
     def test_suite_builds_are_self_checked(self, monkeypatch):
         # a Hermitian perturbation of one off-diagonal Gram pair breaks the
@@ -73,6 +77,29 @@ class TestBuildSoliton:
             suite.run_suite(level="quick", checks=["cauchy_determinant"])
 
 
+class TestDerivedOperators:
+    """The plain B and X that a soliton vessel derives from its scaled pair,
+    against the closed forms X = I + E G E and B row j = e^phi_j b_j (1, i k_j)
+    assembled here from the spec."""
+
+    def test_match_the_closed_forms(self, three_soliton):
+        spec, vessel = three_soliton
+        k, b = spec.k, spec.b
+        xs, ts = np.random.default_rng(0).uniform([-3.0, -0.5], [3.0, 0.5], size=(2000, 2)).T
+        phi = np.multiply.outer(xs, k) + np.multiply.outer(ts, k**3)
+        E = np.exp(phi)
+        G = np.outer(b, b.conj()) / (k[:, None] + k[None, :])
+        want_X = np.eye(3) + E[:, :, None] * E[:, None, :] * G
+        want_B = (E * b)[:, :, None] * np.stack([np.ones(3), 1j * k], axis=-1)
+        got_B, got_X = vessel.B(xs, ts), vessel.X(xs, ts)
+        for got, want in ((got_B, want_B), (got_X, want_X)):
+            assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+        cold = (phi <= 0.0).all(axis=-1)  # D = I: no rounding of its own
+        assert 0 < cold.sum() < cold.size
+        assert np.array_equal(got_B[cold], want_B[cold])
+        assert np.array_equal(got_X[cold], want_X[cold])
+
+
 class TestCauchyTau3:
     def test_pair_coefficients(self):
         # a_ij = (k_i - k_j)^2 / (k_i + k_j)^2 for k = (1, 2, 3)
@@ -86,13 +113,13 @@ class TestCauchyTau3:
         spec, _ = three_soliton
         assert kv.tau_cauchy_3(spec, 0.0, 0.0) == pytest.approx(4.0 + 362.0 / 900.0, rel=1e-14)
 
-    def test_matches_determinant_at_random_points(self, three_soliton):
-        # det D M D of the scaled pair and det X of the vessel's own X
+    def test_matches_determinant_at_random_points(self, three_soliton, plain_copy):
+        # det D M D of the scaled pair and det X of the derived plain X
         spec, vessel = three_soliton
         rng = np.random.default_rng(23)
         for _ in range(100):
             x, t = rng.uniform(-3, 3), rng.uniform(-3, 3)
-            for v in (vessel, dataclasses.replace(vessel, scaled_eval=None)):
+            for v in (vessel, plain_copy(vessel)):
                 logabs, sign = kv.log_tau(v, x, t)
                 tv = sign * np.exp(logabs)
                 assert abs(tv - kv.tau_cauchy_3(spec, x, t)) / abs(tv) < 1e-10
