@@ -28,6 +28,16 @@ package runs in the stacks of one chunk loop.  Every error names the first
 failing point in C order; a singular Gram operator raises through one
 zero-pivot check that ``soliton.q_soliton`` shares.
 
+Each point of a stack costs one LU determinant (slogdet) for tau and one
+of two routes for Y = X^-1 B, chosen by n alone.  At or below
+_PROBE_ABOVE_N (8) it is the explicit inverse, the dense inverse-defect
+gate ||X^-1 X - I||_F <= _INVERSE_TOL sqrt(n) and one refinement of
+X^-1 B.  Above it, one solve X^-1 [B | X P] with a fixed Gaussian probe
+block P gives Y and an estimate of the defect; the dense defect then runs
+only on the points the estimate does not clear by a margin of 100, so
+both routes refuse the same points up to a failure probability of about
+2e-8 per point (see _PROBE_MARGIN).
+
 Sign convention: the Lyapunov condition is used in the homogeneous form
 A X + X A* + B sigma1 B* = 0, which is the form the closed-form
 constructions satisfy identically.
@@ -35,6 +45,7 @@ constructions satisfy identically.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
@@ -79,11 +90,30 @@ for _m in (SIGMA1, SIGMA2, GAMMA):
 _CHUNK_ENTRIES = 2**16
 
 # Tolerances of state evaluation: the discarded asymmetry of X relative to
-# 1 + ||X||, the inverse defect ||X^-1 X - I|| per sqrt(n), and the
-# imaginary residues of beta and tau.
+# 1 + ||X||, the inverse defect ||X^-1 X - I||_F per sqrt(n), and the
+# imaginary residues of beta and tau.  The defect gate is always the dense
+# one, inv(X) X - I; above _PROBE_ABOVE_N it runs only on the points that
+# the probe certificate of _probe_solve does not clear.
 _HERMIT_TOL = 1e-12
 _INVERSE_TOL = 1e-10
 _IMAG_TOL = 1e-10
+
+# Above this n a stack makes one solve per point, X^-1 [B | X P], with no
+# explicit inverse; at or below it the inverse route is faster (one inv,
+# the dense defect and one refinement per point).  The cut is the measured
+# crossover of the two routes' per-point cost on stacks of one chunk.
+_PROBE_ABOVE_N = 8
+# The probe block P is n x _PROBES standard Gaussian, drawn once per n from
+# the fixed seed _PROBE_SEED, so results are reproducible and the same for
+# any stack size.  est = ||X^-1 (X P) - P||_F / 2 estimates the defect
+# ||E||_F, E = X^-1 X - I, since ||E p||^2 has mean ||E||_F^2 for one probe p.  A
+# point is cleared when est <= gate / _PROBE_MARGIN.  The worst case is a
+# rank-one E, where ||E P||_F^2 = ||E||_F^2 chi^2_4: the chance that the
+# probes read below 1/100 of ||E||_F is P(chi^2_4 < 4e-4) ~ 2e-8
+# (Dixon, SIAM J. Numer. Anal. 20 (1983) 812-814).
+_PROBES = 4
+_PROBE_SEED = 20110
+_PROBE_MARGIN = 100.0
 
 
 def _fro(m) -> float:
@@ -303,7 +333,10 @@ class EvaluatedState(FieldValues):
     """The fields plus B, X, X^-1 and gamma_* at the points x, t (as given).
 
     For points of broadcast shape S, B is S + (n, 2), X and X^-1 S + (n, n),
-    gamma_* S + (2, 2) and the scalars S (floats for S = ()).
+    gamma_* S + (2, 2) and the scalars S (floats for S = ()).  X^-1 is
+    ``np.linalg.inv`` of the symmetrized X on either route of
+    :func:`_evaluate_stack`, for the transfer routines; the fields do not
+    read it above _PROBE_ABOVE_N.
     ``beta_prime`` is d beta/dx read from the linkage:
     gamma_*[0,0] = -i(beta' - beta^2).
     """
@@ -353,17 +386,68 @@ def _gamma_star(B: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return gs
 
 
-def _solve_with_inverse(X, Xinv, B):
-    """Y = X^-1 B for stacks of X, X^-1 and B, in real arithmetic (on the
-    float view of B) when X is real.  Xinv @ B is refined once,
-    Y += Xinv (B - X Y): the product alone put q up to 300x further from
-    60-digit values than a solve (3-soliton, cond(X) ~ 2e4), and one step
-    recovers most of it."""
-    real = not np.iscomplexobj(X)
-    Bv = np.ascontiguousarray(B).view(float) if real else B
+def _real_view(X, B):
+    """B as the right-hand side of X: its float view when X is real, so the
+    work stays in real arithmetic, else B itself."""
+    return B if np.iscomplexobj(X) else np.ascontiguousarray(B).view(float)
+
+
+def _check_inverse_defect(X, Xinv, x, t) -> None:
+    """Raise EvaluationError at the first point of the stack x, t whose
+    dense defect ||Xinv X - I||_F exceeds _INVERSE_TOL * sqrt(n)."""
+    n = X.shape[-1]
+    defect = _fro_stack(Xinv @ X - np.eye(n))
+    i = _first(defect > _INVERSE_TOL * math.sqrt(n))
+    if i is not None:
+        raise EvaluationError(
+            f"Gram operator too ill-conditioned (inverse defect {defect[i]:.3e})",
+            x=float(x[i]), t=float(t[i]),
+        )
+
+
+def _inverse_solve(X, B, x, t):
+    """(X^-1, Y = X^-1 B) for stacks of X and B, with the dense defect gate.
+
+    Y is Xinv @ B refined once, Y += Xinv (B - X Y), on the float view of B
+    when X is real: the product alone put q up to 300x further from 60-digit
+    values than a solve (3-soliton, cond(X) ~ 2e4), and one step recovers
+    most of it."""
+    Xinv = np.linalg.inv(X)
+    _check_inverse_defect(X, Xinv, x, t)
+    Bv = _real_view(X, B)
     Y = Xinv @ Bv
     Y += Xinv @ (Bv - X @ Y)
-    return Y.view(complex) if real else Y
+    return Xinv, Y if np.iscomplexobj(Y) else Y.view(complex)
+
+
+@functools.lru_cache(maxsize=None)
+def _probe_block(n: int) -> np.ndarray:
+    P = np.random.default_rng(_PROBE_SEED).standard_normal((n, _PROBES))
+    P.setflags(write=False)
+    return P
+
+
+def _probe_solve(X, B, x, t):
+    """Y = X^-1 B for stacks of X and B from one solve per point,
+    X^-1 [B | X P], certified by the probe columns (see _PROBE_MARGIN).
+
+    The solve is backward stable, so Y takes no refinement.  Points whose
+    estimate est = ||X^-1 (X P) - P||_F / 2 does not clear them (a NaN
+    included) get the dense defect of :func:`_inverse_solve`, on those
+    points only, and raise at the first that fails it.
+    """
+    n = X.shape[-1]
+    P = _probe_block(n)
+    Bv = _real_view(X, B)
+    c = Bv.shape[-1]
+    Z = _solve(X, np.concatenate((Bv, X @ P), axis=-1), x, t)
+    est = 0.5 * _fro_stack(Z[..., c:] - P)
+    hard = np.flatnonzero(~(est <= _INVERSE_TOL * math.sqrt(n) / _PROBE_MARGIN))
+    if hard.size:
+        Xh = X[hard]
+        _check_inverse_defect(Xh, np.linalg.inv(Xh), x[hard], t[hard])
+    Y = np.ascontiguousarray(Z[..., :c])
+    return Y if np.iscomplexobj(Y) else Y.view(complex)
 
 
 def _beta_of_gamma_star(gs, x=None, t=None) -> np.ndarray:
@@ -418,8 +502,10 @@ def _evaluate_stack(vessel, x, t, B, X):
     """Checked evaluation of one stack of points x, t (m,) with B, X (m, n, .).
 
     Returns (X symmetrized, X^-1, gamma_*, beta, beta', log|tau|, sign tau),
-    each stacked over the m points.  Every check names the first offending
-    point.
+    each stacked over the m points, with X^-1 None above _PROBE_ABOVE_N:
+    there Y = X^-1 B comes from one certified solve per point
+    (:func:`_probe_solve`), at or below it from the explicit inverse
+    (:func:`_inverse_solve`).  Every check names the first offending point.
     """
     XH = _adjoint(X)
     asym = _fro_stack(X - XH)
@@ -433,15 +519,11 @@ def _evaluate_stack(vessel, x, t, B, X):
         X = vessel._checked(0.5 * (X + XH), x, t, "Gram operator X", vessel.n)
     logabs, sign = _log_tau_stack(vessel, X)
     _check_pivots(sign, x, t)
-    Xinv = np.linalg.inv(X)
-    defect = _fro_stack(Xinv @ X - np.eye(vessel.n))
-    i = _first(defect > _INVERSE_TOL * math.sqrt(vessel.n))
-    if i is not None:
-        raise EvaluationError(
-            f"Gram operator too ill-conditioned (inverse defect {defect[i]:.3e})",
-            x=float(x[i]), t=float(t[i]),
-        )
-    gs = _gamma_star(B, _solve_with_inverse(X, Xinv, B))
+    if vessel.n > _PROBE_ABOVE_N:
+        Xinv, Y = None, _probe_solve(X, B, x, t)
+    else:
+        Xinv, Y = _inverse_solve(X, B, x, t)
+    gs = _gamma_star(B, Y)
     beta = _beta_of_gamma_star(gs, x, t)
     sign = _real_tau_sign(logabs, sign, x, t)
     beta_p = beta**2 + 1j * gs[:, 0, 0]
@@ -457,11 +539,13 @@ def evaluate(vessel: FiniteVessel, x, t) -> EvaluatedState:
     """Evaluate a vessel at points x, t and derive gamma_*, beta, beta' and tau.
 
     One :func:`_evaluate_stack` call over all points, unchunked since it
-    keeps B, X and X^-1 of each.  X is symmetrized to (X + X*)/2 before
-    inversion; the discarded asymmetry must stay below _HERMIT_TOL relative
-    to 1 + ||X||.  Raises at the first failing point (C order), e.g.
-    EvaluationError where X overflows, is singular or is too ill-conditioned
-    for ``Xinv X = I`` to hold within _INVERSE_TOL per sqrt(n).
+    keeps B, X and X^-1 of each.  X is symmetrized to (X + X*)/2 before it
+    is factored; the discarded asymmetry must stay below _HERMIT_TOL
+    relative to 1 + ||X||.  Raises at the first failing point (C order),
+    e.g. EvaluationError where X overflows, is singular or is too
+    ill-conditioned for ``inv(X) X = I`` to hold within _INVERSE_TOL per
+    sqrt(n).  Above _PROBE_ABOVE_N the stack takes its one-solve route
+    and X^-1 is formed afterwards by the same ``np.linalg.inv`` call.
     """
     shape = np.broadcast_shapes(np.shape(x), np.shape(t))
     n = vessel.n
@@ -472,6 +556,8 @@ def evaluate(vessel: FiniteVessel, x, t) -> EvaluatedState:
                                   X.reshape(-1, n, n))
 
     B, (X, Xinv, gs, *scalars) = _at_first_failure(stack, x, t)
+    if Xinv is None:
+        Xinv = np.linalg.inv(X)
     beta, beta_p, logabs, sign = (s.reshape(shape) if shape else float(s[0]) for s in scalars)
     return EvaluatedState(
         x=x, t=t, B=B, X=X.reshape(shape + (n, n)), Xinv=Xinv.reshape(shape + (n, n)),
@@ -486,8 +572,10 @@ def evaluate_fields(vessel: FiniteVessel, x, t) -> FieldValues:
     Reads the vessel's scaled pair (D^-1 B, M), applies every check of
     :func:`evaluate` to M and raises at the first offending (x, t);
     log|tau| gains 2 log det D.  Points go through in stacks of at most
-    _CHUNK_ENTRIES matrix entries: one LU (slogdet) for tau and one inverse
-    per point, in the dtype of M.
+    _CHUNK_ENTRIES matrix entries, in the dtype of M: one LU (slogdet) for
+    tau per point, and for Y = M^-1 (D^-1 B) one inverse or, above
+    _PROBE_ABOVE_N, one probe-certified solve (:func:`_probe_solve`).
+    Stacks of any size give bit-identical values.
     """
     def stack(xs, ts):
         B, M, log_det_d = vessel.scaled(xs, ts)

@@ -490,6 +490,147 @@ class TestEvaluateFields:
             kv.evaluate_fields(vessel, np.array([0.0, 0.25, 0.5, 0.75]), 0.0)
 
 
+# ---------------------------------------------------------------------------
+# the probe route above core._PROBE_ABOVE_N against the dense inverse
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def aim1_quadrature():
+    """The indefinite Gaussian-density quadrature vessel (s_max 1.5,
+    amplitude 0.8; tau < 0 on a third of [-6, 6] x [-1, 1]) for n nodes."""
+    built = {}
+
+    def build(n):
+        if n not in built:
+            spec = kv.gauss_legendre_spectrum(1.5, n, lambda s: 0.8 * np.exp(-(s**2)))
+            built[n] = kv.build_quadrature_vessel(spec)
+        return built[n]
+
+    return build
+
+
+@pytest.fixture(scope="module")
+def close_soliton_12():
+    """Twelve solitons with close wavenumbers and 1,500 seeded points of
+    [-8, 8] x [-0.5, 0.5], about a fifth of which the gate refuses."""
+    vessel = kv.build_soliton(kv.SolitonSpec(k=np.linspace(0.8, 1.4, 12), b=np.ones(12)))
+    rng = np.random.default_rng(12)
+    return vessel, rng.uniform(-8.0, 8.0, 1500), rng.uniform(-0.5, 0.5, 1500)
+
+
+def _symmetrized_pair(vessel, xs, ts):
+    B, M, _ = vessel.scaled(xs, ts)
+    return B, 0.5 * (M + M.swapaxes(-1, -2).conj())
+
+
+def _dense_refusals(vessel, xs, ts):
+    """Points whose dense defect ||inv(M) M - I||_F exceeds the gate."""
+    M = _symmetrized_pair(vessel, xs, ts)[1]
+    defect = np.linalg.norm(np.linalg.inv(M) @ M - np.eye(vessel.n), axis=(-2, -1))
+    return defect > core._INVERSE_TOL * np.sqrt(vessel.n)
+
+
+def _dense_fields(vessel, xs, ts):
+    """beta, q, log|tau| and sign from the explicit inverse, Y = inv(M) B
+    refined once in real arithmetic: the inverse route's formula."""
+    B, M = _symmetrized_pair(vessel, xs, ts)
+    assert not np.iscomplexobj(M)
+    Minv = np.linalg.inv(M)
+    Bv = np.ascontiguousarray(B).view(float)
+    Y = Minv @ Bv
+    Y = (Y + Minv @ (Bv - M @ Y)).view(complex)
+    m00, m01, m10 = (np.einsum("...k,...k->...", B[..., i].conj(), Y[..., j])
+                     for i, j in ((0, 0), (0, 1), (1, 0)))
+    beta = -m00.real
+    sign, logdet = np.linalg.slogdet(M)
+    return beta, 2.0 * (beta**2 + (1j * (m01 - m10)).real), logdet, sign
+
+
+def _one_point_errors(vessel, xs, ts):
+    """{index: message} of the points whose one-point evaluate_fields raises."""
+    errors = {}
+    for i, (x, t) in enumerate(zip(xs.tolist(), ts.tolist())):
+        try:
+            kv.evaluate_fields(vessel, x, t)
+        except (kv.EvaluationError, kv.NumericalConsistencyError) as exc:
+            errors[i] = str(exc)
+    return errors
+
+
+class TestProbeRoute:
+    """Above core._PROBE_ABOVE_N a stack makes one solve per point and runs
+    the dense inverse defect only where the probe certificate cannot clear
+    the point: it refuses the same points and keeps the values of the
+    explicit inverse."""
+
+    @pytest.fixture(autouse=True)
+    def probe_calls(self, monkeypatch):
+        calls = []
+
+        def counted(X, B, x, t):
+            calls.append(x.size)
+            return probe_solve(X, B, x, t)
+
+        probe_solve = core._probe_solve
+        monkeypatch.setattr(core, "_probe_solve", counted)
+        return calls
+
+    def test_refusals_are_the_dense_gates_on_close_solitons(self, close_soliton_12,
+                                                             probe_calls):
+        vessel, xs, ts = close_soliton_12
+        assert vessel.n > core._PROBE_ABOVE_N
+        refused = _dense_refusals(vessel, xs, ts)
+        assert 100 < refused.sum() < 1000
+        errors = _one_point_errors(vessel, xs, ts)
+        assert len(probe_calls) == xs.size
+        assert sorted(errors) == np.flatnonzero(refused).tolist()
+        assert all("ill-conditioned" in m for m in errors.values())
+        first = min(errors)
+        with pytest.raises(kv.EvaluationError) as exc:
+            kv.evaluate_fields(vessel, xs, ts)
+        assert (exc.value.x, exc.value.t) == (xs[first], ts[first])
+        assert str(exc.value) == errors[first]
+
+    @pytest.mark.parametrize("n, count", [(64, 300), (128, 100), (256, 40)])
+    def test_refusals_are_the_dense_gates_on_the_indefinite_quadrature(
+            self, aim1_quadrature, probe_calls, n, count):
+        vessel = aim1_quadrature(n)
+        assert vessel.n > core._PROBE_ABOVE_N
+        rng = np.random.default_rng(n)
+        xs, ts = rng.uniform(-6.0, 6.0, count), rng.uniform(-1.0, 1.0, count)
+        errors = _one_point_errors(vessel, xs, ts)
+        assert len(probe_calls) == count
+        assert sorted(errors) == np.flatnonzero(_dense_refusals(vessel, xs, ts)).tolist()
+        if not errors:
+            kv.evaluate_fields(vessel, xs, ts)
+
+    @pytest.mark.parametrize("n, count", [(64, 40), (128, 16), (256, 10)])
+    def test_values_are_the_dense_inverses(self, aim1_quadrature, probe_calls, n, count):
+        vessel = aim1_quadrature(n)
+        rng = np.random.default_rng(n + 1)
+        xs, ts = rng.uniform(-6.0, 6.0, count), rng.uniform(-1.0, 1.0, count)
+        fields = kv.evaluate_fields(vessel, xs, ts)
+        assert probe_calls
+        beta, q, logabs, sign = _dense_fields(vessel, xs, ts)
+        for got, want in ((fields.beta, beta), (fields.q, q)):
+            assert np.all(np.abs(got - want) <= 1e-13 * (1.0 + np.abs(want)))
+        assert np.array_equal(fields.log_abs_tau, logabs - vessel.log_abs_det_X0)
+        assert np.array_equal(fields.tau_sign, sign / vessel.sign_det_X0)
+        assert np.any(sign < 0)  # the indefinite part of the grid is sampled
+
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    def test_values_do_not_depend_on_the_stack_size(self, aim1_quadrature, monkeypatch, n):
+        vessel = aim1_quadrature(n)
+        rng = np.random.default_rng(n + 2)
+        xs, ts = rng.uniform(-6.0, 6.0, 15), rng.uniform(-1.0, 1.0, 15)
+        default = kv.evaluate_fields(vessel, xs, ts)
+        for size in (1, 7):
+            monkeypatch.setattr(core, "_CHUNK_ENTRIES", size * n**2)
+            fields = kv.evaluate_fields(vessel, xs, ts)
+            for name in ("beta", "beta_prime", "log_abs_tau", "tau_sign"):
+                assert np.array_equal(getattr(fields, name), getattr(default, name)), (size, name)
+
+
 @pytest.fixture(scope="module")
 def wide_two_soliton(plain_copy):
     """The plain two-soliton vessel: at t = 0 the inverse-defect gate fails
