@@ -556,8 +556,8 @@ def _gate_readings(M):
 
 def _dense_fields(vessel, xs, ts):
     """beta, q, log|tau| and sign from the explicit inverse, Y = inv(M) B
-    refined once (in real arithmetic for a real M): the formula the probe
-    route replaced."""
+    refined once (in real arithmetic for a real M): the reference the
+    probe route is held to."""
     B, M, _ = vessel.scaled(xs, ts)
     M = _symmetrized(M)
     real = not np.iscomplexobj(M)
