@@ -20,11 +20,13 @@ integrated potential beta = -(B* X^-1 B)_{11} and the KdV field q = 2 beta'
 with X = D M D (see :class:`FiniteVessel`).  This module holds the
 parameter matrices SIGMA1, SIGMA2 and GAMMA, the vessel data model, state
 evaluation and residual checks for every condition above, plus the
-generic "integrate B then accumulate X" construction from admissible
-initial data.  Every evaluation and residual takes points x, t of any
-broadcast shape through one stacked path: :func:`evaluate` keeps the
-whole state of each point, while every other per-point evaluator of the
-package runs in the stacks of one chunk loop.  Every error names the first
+standard construction: :func:`integrate_standard_construction` tabulates
+B and X from (A, B(x0), X(x0)) by RK4, and criterion 4 uses it as an
+oracle for every entry of each closed-form family's B and X.  Every
+evaluation and residual takes points x, t of any broadcast shape through
+one stacked path: :func:`evaluate` keeps the whole state of each point,
+while every other per-point evaluator of the package runs in the stacks
+of one chunk loop.  Every error names the first
 failing point in C order; a singular Gram operator raises through one
 zero-pivot check that ``soliton.q_soliton`` shares.
 
@@ -185,6 +187,12 @@ def _first(bad) -> Optional[int]:
     return int(bad.argmax()) if bad.any() else None
 
 
+def _check_step(h) -> None:
+    """ValueError unless the finite-difference step h is positive and finite."""
+    if not 0 < h < math.inf:
+        raise ValueError(f"step h must be positive and finite, got {h!r}")
+
+
 def _check_pivots(sign, x, t) -> None:
     """Raise EvaluationError at the first point of the stack x, t whose LU
     has a zero pivot, i.e. whose determinant sign (from slogdet) is 0."""
@@ -216,7 +224,7 @@ class FiniteVessel:
     entry per generator, or is the scalar 0.0 where D = I (every family
     but the soliton); a nonzero one needs a diagonal A, which D commutes
     with.  ``X0`` is the reference operator for the tau function.  ``kind``
-    tags the construction family (soliton | discrete | quadrature | tabulated).
+    tags the construction family (soliton | discrete | quadrature).
 
     ``operators`` must be a pure function of (x, t) that broadcasts over
     arrays of points: for x, t of broadcast shape S (S = () for scalars)
@@ -234,8 +242,7 @@ class FiniteVessel:
     operators: Callable
     X0: np.ndarray
     kind: str
-    # construction metadata: generator wavenumbers / folded couplings /
-    # grids for tabulated vessels
+    # construction metadata: generator wavenumbers / folded couplings
     metadata: Optional[dict] = field(default=None, compare=False)
     spectrum: np.ndarray = field(init=False, compare=False)
     A_diag: Optional[np.ndarray] = field(init=False, compare=False, repr=False)
@@ -331,12 +338,13 @@ class FieldValues:
 
 @dataclass(frozen=True)
 class EvaluatedState(FieldValues):
-    """The fields plus B, X, X^-1 and gamma_* at the points x, t (as given).
+    """The fields plus B, X, Y = X^-1 B and gamma_* at the points x, t (as given).
 
-    For points of broadcast shape S, B is S + (n, 2), X and X^-1 S + (n, n),
-    gamma_* S + (2, 2) and the scalars S (floats for S = ()).  X^-1 is
-    ``np.linalg.inv`` of the symmetrized X, formed after the checked
-    stack for the transfer routines; the fields do not read it.
+    For points of broadcast shape S, B and Y are S + (n, 2), X S + (n, n),
+    gamma_* S + (2, 2) and the scalars S (floats for S = ()).  X is the
+    symmetrized operator, and Y comes from the same certified solve per
+    point that gives the fields (see :func:`_probe_solve`); as X is
+    Hermitian, B* X^-1 = Y*.
     ``beta_prime`` is d beta/dx read from the linkage:
     gamma_*[0,0] = -i(beta' - beta^2).
     """
@@ -345,7 +353,7 @@ class EvaluatedState(FieldValues):
     t: float | np.ndarray
     B: np.ndarray
     X: np.ndarray
-    Xinv: np.ndarray
+    Y: np.ndarray
     gamma_star: np.ndarray
 
 
@@ -475,10 +483,10 @@ def _real_tau_sign(logabs, sign, x, t) -> np.ndarray:
 def _evaluate_stack(vessel, x, t, B, X):
     """Checked evaluation of one stack of points x, t (m,) with B, X (m, n, .).
 
-    Returns (X symmetrized, gamma_*, beta, beta', log|tau|, sign tau), each
-    stacked over the m points, with Y = X^-1 B from one certified solve per
-    point (:func:`_probe_solve`).  Every check names the first offending
-    point.
+    Returns (X symmetrized, Y = X^-1 B, gamma_*, beta, beta', log|tau|,
+    sign tau), each stacked over the m points, with Y from one certified
+    solve per point (:func:`_probe_solve`).  Every check names the first
+    offending point.
     """
     XH = _adjoint(X)
     asym = _fro_stack(X - XH)
@@ -492,7 +500,8 @@ def _evaluate_stack(vessel, x, t, B, X):
         X = vessel._checked(0.5 * (X + XH), x, t, "Gram operator X", vessel.n)
     logabs, sign = _log_tau_stack(vessel, X)
     _check_pivots(sign, x, t)
-    gs = _gamma_star(B, _probe_solve(X, B, x, t))
+    Y = _probe_solve(X, B, x, t)
+    gs = _gamma_star(B, Y)
     beta = _beta_of_gamma_star(gs, x, t)
     sign = _real_tau_sign(logabs, sign, x, t)
     beta_p = beta**2 + 1j * gs[:, 0, 0]
@@ -501,20 +510,19 @@ def _evaluate_stack(vessel, x, t, B, X):
         raise NumericalConsistencyError(
             f"beta' has imaginary residue {beta_p[i].imag:.3e} at ({x[i]}, {t[i]})"
         )
-    return X, gs, beta, beta_p.real, logabs, sign
+    return X, Y, gs, beta, beta_p.real, logabs, sign
 
 
 def evaluate(vessel: FiniteVessel, x, t) -> EvaluatedState:
     """Evaluate a vessel at points x, t and derive gamma_*, beta, beta' and tau.
 
     One :func:`_evaluate_stack` call over all points, unchunked since it
-    keeps B, X and X^-1 of each.  X is symmetrized to (X + X*)/2 before it
-    is factored; the discarded asymmetry must stay below _HERMIT_TOL
+    keeps B, X and Y = X^-1 B of each.  X is symmetrized to (X + X*)/2
+    before it is factored; the discarded asymmetry must stay below _HERMIT_TOL
     relative to 1 + ||X||.  Raises at the first failing point (C order),
     e.g. EvaluationError where X overflows, is singular or is too
     ill-conditioned for ``inv(X) X = I`` to hold within _INVERSE_TOL per
-    sqrt(n).  The fields come from the stack's one solve per point;
-    X^-1 is formed afterwards by ``np.linalg.inv`` for the state.
+    sqrt(n).  The fields and Y come from the stack's one solve per point.
     """
     shape = np.broadcast_shapes(np.shape(x), np.shape(t))
     n = vessel.n
@@ -524,11 +532,10 @@ def evaluate(vessel: FiniteVessel, x, t) -> EvaluatedState:
         return B, _evaluate_stack(vessel, *_flat_points(x, t), B.reshape(-1, n, 2),
                                   X.reshape(-1, n, n))
 
-    B, (X, gs, *scalars) = _at_first_failure(stack, x, t)
-    Xinv = np.linalg.inv(X)
+    B, (X, Y, gs, *scalars) = _at_first_failure(stack, x, t)
     beta, beta_p, logabs, sign = (s.reshape(shape) if shape else float(s[0]) for s in scalars)
     return EvaluatedState(
-        x=x, t=t, B=B, X=X.reshape(shape + (n, n)), Xinv=Xinv.reshape(shape + (n, n)),
+        x=x, t=t, B=B, X=X.reshape(shape + (n, n)), Y=Y.reshape(shape + (n, 2)),
         gamma_star=gs.reshape(shape + (2, 2)), beta=beta, beta_prime=beta_p,
         log_abs_tau=logabs, tau_sign=sign,
     )
@@ -547,7 +554,7 @@ def evaluate_fields(vessel: FiniteVessel, x, t) -> FieldValues:
     """
     def stack(xs, ts):
         B, M, log_det_d = vessel.scaled(xs, ts)
-        beta, beta_p, logabs, sign = _evaluate_stack(vessel, xs, ts, B, M)[2:]
+        beta, beta_p, logabs, sign = _evaluate_stack(vessel, xs, ts, B, M)[3:]
         return beta, beta_p, logabs + 2.0 * log_det_d, sign
 
     beta, beta_p, logabs, sign = _per_point(vessel.n, x, t, stack, 4)
@@ -627,7 +634,11 @@ def lyapunov_self_check(vessel: FiniteVessel) -> None:
     branch of ``spectral.trig_kernel``, which the 30-digit mpmath
     comparison in ``tests/test_spectral.py`` covers; on the soliton
     (A = diag(-i k^2)) the diagonal M_ii, which criterion 2's closed-form
-    determinant (``suite.check_cauchy_determinant``) guards.
+    determinant (``suite.check_cauchy_determinant``) guards.  On every
+    family, criterion 4's construction oracle sees both: X' = B sigma2 B*
+    fixes each entry (X_ii' = |B_i1|^2 on the diagonal), and the RK4
+    tables of :func:`integrate_standard_construction` from the family's
+    own (A, B(x0), X(x0)) must match its plain B and X.
     """
     rng = np.random.default_rng(0)
     xs, ts = rng.uniform([-2.0, -0.5], [2.0, 0.5], size=(50, 2)).T
@@ -664,8 +675,7 @@ def evolution_residuals(
     X from one call each.  The x derivative inside the t-evolution of B is
     taken with the same step.
     """
-    if h <= 0:
-        raise ValueError("step h must be positive")
+    _check_step(h)
     A = vessel.A
     xs = np.array([x, x + h, x - h, x, x])
     ts = np.array([t, t, t, t + h, t - h])
@@ -722,31 +732,19 @@ def inertia_label(X: np.ndarray) -> str:
     return "dissipative" if nneg == 0 else f"pontryagin({nneg})"
 
 
-def _translation_rhs(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    # d/dx B = -(A B sigma2 + B gamma) sigma1, using sigma1^-1 = sigma1
-    return -(A @ B @ SIGMA2 + B @ GAMMA) @ SIGMA1
-
-
 def integrate_standard_construction(
-    A: np.ndarray,
-    B0: np.ndarray,
-    X0: np.ndarray,
-    x0: float,
-    grid: np.ndarray,
-    t0: float = 0.0,
-) -> FiniteVessel:
-    """Build a tabulated vessel from admissible initial data.
+    A: np.ndarray, B0: np.ndarray, X0: np.ndarray, x0: float, grid: np.ndarray, t0: float = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Tables (B_grid, X_grid) of the standard construction from admissible
+    initial data, shapes (len(grid), n, 2) and (len(grid), n, n).
 
     Solves the translation condition for B with a classical fixed-step
     4th-order one-step integrator, accumulating X(x) = X0 + int B sigma2 B*
-    along the way, outward from x0 over the given grid.  The initial data
-    must satisfy the Lyapunov condition A X0 + X0 A* + B0 sigma1 B0* = 0
-    within 1e-10; the residual is then monitored across the whole grid and
-    must stay below 1e-8 relative to 1 + ||X||.
-
-    The returned vessel evaluates only at grid points (x matched to
-    1e-9 relative tolerance) and at the fixed time slice t0; it broadcasts
-    over arrays of such points.
+    along the way, outward from x0 over the given grid at the time t0.  The
+    initial data must satisfy the Lyapunov condition
+    A X0 + X0 A* + B0 sigma1 B0* = 0 within 1e-10; the residual is then
+    monitored across the whole grid and must stay below 1e-8 relative to
+    1 + ||X||, else EvaluationError names the first failing grid point at t0.
     """
     A = np.asarray(A, dtype=complex)
     B0 = np.asarray(B0, dtype=complex)
@@ -765,16 +763,15 @@ def integrate_standard_construction(
         )
 
     def rk4_step(B, X, h):
-        def f(Bc):
-            return _translation_rhs(A, Bc), Bc @ SIGMA2 @ Bc.conj().T
+        def f(Bc):  # B' = -(A B sigma2 + B gamma) sigma1, as sigma1^-1 = sigma1
+            return -(A @ Bc @ SIGMA2 + Bc @ GAMMA) @ SIGMA1, Bc @ SIGMA2 @ Bc.conj().T
 
         kB1, kX1 = f(B)
         kB2, kX2 = f(B + 0.5 * h * kB1)
         kB3, kX3 = f(B + 0.5 * h * kB2)
         kB4, kX4 = f(B + h * kB3)
-        Bn = B + (h / 6.0) * (kB1 + 2 * kB2 + 2 * kB3 + kB4)
-        Xn = X + (h / 6.0) * (kX1 + 2 * kX2 + 2 * kX3 + kX4)
-        return Bn, Xn
+        return (B + (h / 6.0) * (kB1 + 2 * kB2 + 2 * kB3 + kB4),
+                X + (h / 6.0) * (kX1 + 2 * kX2 + 2 * kX3 + kX4))
 
     Bs = np.empty((grid.size, n, 2), dtype=complex)
     Xs = np.empty((grid.size, n, n), dtype=complex)
@@ -787,32 +784,6 @@ def integrate_standard_construction(
     res, norm_x = _lyapunov_norms(A, None, Bs, Xs)
     i = _first(~np.isfinite(res) | (res > 1e-8 * (1.0 + norm_x)))
     if i is not None:
-        raise EvaluationError(
-            f"Lyapunov residual {res[i]:.3e} above 1e-8 during construction",
-            x=float(grid[i]),
-            t=t0,
-        )
-
-    def operators(x, t):  # D = I
-        # nearest grid index per point (ties to the lower one)
-        x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
-        j = np.clip(np.searchsorted(grid, x), 1, grid.size - 1)
-        i = np.where(np.abs(grid[j - 1] - x) <= np.abs(grid[j] - x), j - 1, j)
-        for bad, what in (
-            (np.abs(t - t0) > 1e-12 * max(1.0, abs(t0)), "tabulated vessel is a fixed-time slice"),
-            (np.abs(grid[i] - x) > 1e-9 * np.maximum(1.0, np.abs(x)),
-             "x is not a tabulation grid point"),
-        ):
-            if bad.any():
-                k = np.unravel_index(np.argmax(bad), bad.shape)
-                raise EvaluationError(what, x=float(x[k]), t=float(t[k]))
-        return Bs[i], Xs[i], 0.0
-
-    return FiniteVessel(
-        n=n,
-        A=A,
-        operators=operators,
-        X0=X0,
-        kind="tabulated",
-        metadata={"x_grid": grid, "t0": t0, "B_table": Bs, "X_table": Xs},
-    )
+        raise EvaluationError(f"Lyapunov residual {res[i]:.3e} above 1e-8 during construction",
+                              x=float(grid[i]), t=t0)
+    return Bs, Xs

@@ -10,7 +10,7 @@ class InvalidSpecError(VesselError, ValueError):
 
 
 class EvaluationError(VesselError):
-    """Operator evaluation failed at a point (singular Gram operator, overflow, off-grid lookup)."""
+    """Operator evaluation failed at a point (singular Gram operator, overflow)."""
 
     def __init__(self, message, x=None, t=None):
         if x is not None or t is not None:

@@ -165,8 +165,18 @@ def check_vessel_identities(level, rng):
 
 
 # ---------------------------------------------------------------------------
-# criterion 4: differential vessel conditions, residual + order
+# criterion 4: differential vessel conditions, residual + order, and the
+# standard construction as an oracle for every entry of B and X
 # ---------------------------------------------------------------------------
+
+def _construction_error(vessel, x, t, h):
+    """Max entry error of the RK4 tables of the standard construction from
+    the vessel's own (A, B(x, t), X(x, t)), step h over [x, x + 0.5],
+    against its plain B and X on that grid at time t."""
+    grid = np.linspace(x, x + 0.5, round(0.5 / h) + 1)
+    tables = core.integrate_standard_construction(vessel.A, *vessel.plain(x, t), x, grid, t)
+    return max(np.abs(a - b).max() for a, b in zip(tables, vessel.plain(grid, t)))
+
 
 def check_evolution_conditions(level, rng):
     cases = [
@@ -187,11 +197,17 @@ def check_evolution_conditions(level, rng):
                 (rep_h2.r_DB, rep_h2.r_DX, rep_h2.r_DBt, rep_h2.r_DXt),
             )
         ]
+        err_h, err_h2 = (_construction_error(vessel, x, t, h) for h in (0.05, 0.025))
+        detail = (f"RK4 tables vs plain B, X on [{x}, {x + 0.5}] at t={t}: "
+                  f"max error {err_h:.3e} at h=0.05, {err_h2:.3e} at h=0.025")
         return [
             _lt(f"evolution_conditions.residual[{name}]", rep_h.max_differential(),
                 1e-6, t0, f"h=1e-3 residuals {rep_h.as_dict()}"),
             _gt(f"evolution_conditions.order[{name}]", min(orders), 1.9, t0,
                 f"orders per condition: {[round(o, 3) for o in orders]}"),
+            _lt(f"evolution_conditions.construction[{name}]", err_h2, 1e-8, t0, detail),
+            _gt(f"evolution_conditions.construction_order[{name}]",
+                verify.convergence_order(err_h, err_h2), 3.5, t0, detail),
         ]
 
     return [r for case in cases for r in one(case)]

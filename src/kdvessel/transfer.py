@@ -82,7 +82,8 @@ def _resolvent_solve(vessel: core.FiniteVessel, lam: np.ndarray, rhs: np.ndarray
 
 
 def eval_S(vessel: core.FiniteVessel, lam, state: core.EvaluatedState) -> np.ndarray:
-    """S(lambda, x, t) through a linear solve (no explicit resolvent).
+    """S(lambda, x, t) = I - Y* (lambda I - A)^-1 B sigma1 through a linear
+    solve (no explicit resolvent), with Y* = B* X^-1 from the state.
 
     ``state`` is ``core.evaluate(vessel, x, t)`` at points of shape P
     (P = () for one point) and ``lam`` a scalar or an array of any shape;
@@ -90,7 +91,7 @@ def eval_S(vessel: core.FiniteVessel, lam, state: core.EvaluatedState) -> np.nda
     """
     lam = np.asarray(lam, dtype=complex)
     R = _resolvent_solve(vessel, lam.ravel(), state.B)
-    M = state.B.swapaxes(-1, -2).conj() @ (state.Xinv @ R)
+    M = state.Y.swapaxes(-1, -2).conj() @ R
     return (np.eye(2) - M @ SIGMA1).reshape(lam.shape + M.shape[1:])
 
 
@@ -113,6 +114,7 @@ def ds_residual(
     vessel: core.FiniteVessel, lam: complex, x: float, t: float, h: float = 1e-3
 ) -> float:
     """Centered-difference residual of the x-evolution of S."""
+    core._check_step(h)
     xs = np.array([x, x + h, x - h])
     state = core.evaluate(vessel, xs, t)
     S0, Sp, Sm = eval_S(vessel, lam, state)
@@ -156,12 +158,12 @@ def moments(vessel: core.FiniteVessel, state: core.EvaluatedState, nmax: int) ->
     """Markov moments H_0..H_nmax, H_n = B* X^-1 A^n B sigma1.
 
     Shape (nmax+1,) + P + (2, 2) for a state at points of shape P (P = ()
-    for one point).  A^n B is built by repeated application of A to the
-    columns of B.
+    for one point).  B* X^-1 is Y* of the state, and A^n B is built by
+    repeated application of A to the columns of B.
     """
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
-    left = state.B.swapaxes(-1, -2).conj() @ state.Xinv
+    left = state.Y.swapaxes(-1, -2).conj()
     out = np.empty((nmax + 1,) + left.shape[:-1] + (2,), dtype=complex)
     P = state.B
     for n in range(nmax + 1):
@@ -187,6 +189,7 @@ def moment_recursion_residual(
     """
     if n < 0:
         raise ValueError("n must be >= 0")
+    core._check_step(h)
     x = np.asarray(x, dtype=float)
     xs, ts = np.stack([x, x + h, x - h], axis=-1), np.asarray(t, dtype=float)[..., None]
     state = core.evaluate(vessel, xs, ts)
@@ -215,13 +218,13 @@ def gl_kernels(
 
     Both scalars are real for the shipped constructions (X is a diagonal
     congruence of a real symmetric matrix); the imaginary residue is
-    checked and discarded.
+    checked and discarded.  K reads b(x)* X^-1(x) from the state's Y at x;
+    Omega solves X(x0) against b(y).
     """
     s = core.evaluate(vessel, np.array([x, x0]), 0.0)
-    bx = s.B[0, :, 0].conj()
     by = vessel.B(y, 0.0)[:, 0]
-    omega = bx @ s.Xinv[1] @ by
-    kval = -(bx @ s.Xinv[0] @ by)
+    omega = s.B[0, :, 0].conj() @ np.linalg.solve(s.X[1], by)
+    kval = -(s.Y[0, :, 0].conj() @ by)
     for name, v in (("Omega", omega), ("K", kval)):
         if abs(v.imag) > 1e-10 * (1.0 + abs(v.real)):
             raise NumericalConsistencyError(
@@ -243,8 +246,8 @@ def gl_residual(
     [x0, x]; InvalidSpecError otherwise.  The kernels are smooth, so uniform Simpson converges at
     fourth order until roundoff.  With b = first column of B, every kernel
     value comes from two vectors: K(x, s) = k_row b(s) with
-    k_row = -b(x)* X^-1(x), and Omega(s, y) = b(s)* om_col with
-    om_col = X^-1(x0) b(y).
+    k_row = -b(x)* X^-1(x), the state's Y at x, and Omega(s, y) = b(s)* om_col
+    with om_col = X^-1(x0) b(y) from one solve.
     """
     if not x > y:
         raise InvalidSpecError("the kernel identity is stated for x > y")
@@ -254,8 +257,8 @@ def gl_residual(
     ss = np.linspace(x0, x, quadrature_nodes)  # ss[-1] == x exactly
     bs = vessel.B(ss, 0.0)[:, :, 0]
     by = vessel.B(y, 0.0)[:, 0]
-    k_row = -(s.B[0, :, 0].conj() @ s.Xinv[0])
-    om_col = s.Xinv[1] @ by
+    k_row = -s.Y[0, :, 0].conj()
+    om_col = np.linalg.solve(s.X[1], by)
     K_xs = (bs @ k_row).real
     om_sy = (bs.conj() @ om_col).real
     w = np.ones(quadrature_nodes)
@@ -299,6 +302,7 @@ def q_from_K_diag(
     K(x, x) = -b* X^-1 b = beta(x) for b the first column of B, so the
     diagonal is read from the evaluated beta at x +- h.
     """
+    core._check_step(h)
     s = core.evaluate(vessel, np.array([x + h, x, x - h]), 0.0)
     cd = (s.beta[0] - s.beta[2]) / (2.0 * h)
     if reference is None:

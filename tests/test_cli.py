@@ -21,7 +21,7 @@ SUITE_CHECK_NAMES = [
     *(f"vessel_identities.{c}[{v}]" for v in ("soliton", "discrete", "quadrature")
       for c in ("lyapunov", "normalization")),
     *(f"evolution_conditions.{c}[{v}]" for v in ("soliton", "discrete", "quadrature")
-      for c in ("residual", "order")),
+      for c in ("residual", "order", "construction", "construction_order")),
     "kdv_residual.max[soliton2]", "kdv_residual.order[soliton2]",
     "kdv_residual.max[soliton3]", "kdv_residual.order[soliton3]", "kdv_residual.runtime_s",
     *(f"transfer.{c}[{v}]" for v in ("soliton1", "soliton2", "discrete", "quadrature")

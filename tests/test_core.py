@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kdvessel as kv
-from kdvessel import core
+from kdvessel import core, soliton, suite
 
 
 class TestSLParameters:
@@ -285,7 +285,7 @@ class TestEvaluate:
     def test_inverse_defect(self, three_soliton):
         _, vessel = three_soliton
         state = kv.evaluate(vessel, 0.5, 0.1)
-        assert np.linalg.norm(state.Xinv @ state.X - np.eye(3)) < 1e-10
+        assert np.linalg.norm(state.X @ state.Y - state.B) < 1e-10 * np.linalg.norm(state.B)
 
     def test_asymmetry_guard(self):
         vessel = kv.FiniteVessel(
@@ -305,38 +305,36 @@ class TestStandardConstruction:
         n = 3
         A = np.diag(-1j * np.array([1.0, 4.0, 9.0]))
         grid = np.linspace(-1.0, 1.0, 21)
-        vessel = kv.integrate_standard_construction(
+        Bs, Xs = kv.integrate_standard_construction(
             A, np.zeros((n, 2), dtype=complex), np.eye(n, dtype=complex), 0.0, grid
         )
-        for x in grid[::5]:
-            assert np.array_equal(vessel.B(x, 0.0), np.zeros((n, 2)))
-            assert np.array_equal(vessel.X(x, 0.0), np.eye(n))
+        assert Bs.shape == (grid.size, n, 2) and Xs.shape == (grid.size, n, n)
+        assert np.array_equal(Bs, np.zeros_like(Bs))
+        assert np.array_equal(Xs, np.broadcast_to(np.eye(n), Xs.shape))
 
     def test_recovers_soliton_closed_form(self, one_soliton):
         spec, closed = one_soliton
         grid = np.arange(0.0, 1.0 + 1e-12, 1e-3)
-        vessel = kv.integrate_standard_construction(
+        Bs, Xs = kv.integrate_standard_construction(
             closed.A, closed.B(0.0, 0.0), closed.X(0.0, 0.0), 0.0, grid
         )
-        for x in (0.25, 0.5, 1.0):
-            assert np.linalg.norm(vessel.B(x, 0.0) - closed.B(x, 0.0)) < 1e-8
-            assert np.linalg.norm(vessel.X(x, 0.0) - closed.X(x, 0.0)) < 1e-8
+        B, X = closed.plain(grid, 0.0)
+        assert np.abs(Bs - B).max() < 1e-8
+        assert np.abs(Xs - X).max() < 1e-8
 
     def test_derivative_recovery_order_two(self, one_soliton):
-        # centered difference of the tabulated X recovers B sigma2 B*
+        # centered difference of the X table recovers B sigma2 B*
         spec, closed = one_soliton
         errs = {}
         for h in (2e-3, 1e-3):
             grid = np.arange(-0.5, 0.5 + 1e-12, h)
-            vessel = kv.integrate_standard_construction(
+            Bs, Xs = kv.integrate_standard_construction(
                 closed.A, closed.B(-0.5, 0.0),
                 closed.X(-0.5, 0.0), -0.5, grid,
             )
             i = len(grid) // 2
-            x = grid[i]
-            dX = (vessel.X(grid[i + 1], 0.0) - vessel.X(grid[i - 1], 0.0)) / (2 * h)
-            B = vessel.B(x, 0.0)
-            errs[h] = np.linalg.norm(dX - B @ core.SIGMA2 @ B.conj().T)
+            dX = (Xs[i + 1] - Xs[i - 1]) / (2 * h)
+            errs[h] = np.linalg.norm(dX - Bs[i] @ core.SIGMA2 @ Bs[i].conj().T)
         assert 3.0 < errs[2e-3] / errs[1e-3] < 5.0
 
     def test_lyapunov_precondition_checked(self):
@@ -362,16 +360,24 @@ class TestStandardConstruction:
                                                closed.X(x0, 0.0), x0, grid)
         assert (err.value.x, err.value.t) == (first_bad, 0.0)
 
-    def test_off_grid_lookup_rejected(self, one_soliton):
-        _, closed = one_soliton
-        grid = np.linspace(0.0, 1.0, 11)
-        vessel = kv.integrate_standard_construction(
-            closed.A, closed.B(0.0, 0.0), np.eye(1, dtype=complex), 0.0, grid
-        )
-        with pytest.raises(kv.EvaluationError):
-            vessel.B(0.05001, 0.0)
-        with pytest.raises(kv.EvaluationError):
-            vessel.B(0.1, 1.0)  # wrong time slice
+    def test_oracle_sees_the_soliton_gram_diagonal(self, monkeypatch):
+        # the build's Lyapunov self-check weighs the diagonal of M by
+        # a_i + conj(a_i) = 0, so a soliton with a wrong Gram diagonal builds;
+        # X_ii' = |B_i1|^2 makes the construction oracle of criterion 4 see it
+        gram = soliton._gram
+
+        def scaled_diagonal(spec):
+            G = np.array(gram(spec))
+            G[np.diag_indices_from(G)] *= 1.5
+            return G
+
+        monkeypatch.setattr(soliton, "_gram", scaled_diagonal)
+        kv.build_soliton(kv.SolitonSpec.from_c([1.0, 2.0, 3.0], [1.0, 1.0, 1.0]))
+        results = {r.check: r for r in suite.check_evolution_conditions("quick", None)}
+        assert not results["evolution_conditions.construction[soliton]"].passed
+        assert not results["evolution_conditions.construction_order[soliton]"].passed
+        for name in ("discrete", "quadrature"):
+            assert results[f"evolution_conditions.construction[{name}]"].passed
 
 
 # ---------------------------------------------------------------------------
@@ -452,17 +458,6 @@ class TestEvaluateFields:
     def test_quadrature_batch_matches_pointwise(self, data):
         vessel = data.draw(quadrature_vessels())
         _assert_batch_matches_pointwise(vessel, *_points(data.draw, 5, (-1.5, 1.5), (-0.3, 0.3)))
-
-    @settings(max_examples=10, deadline=None)
-    @given(idx=st.lists(st.integers(0, 100), min_size=1, max_size=12))
-    def test_tabulated_batch_matches_pointwise(self, one_soliton, idx):
-        _, closed = one_soliton
-        grid = np.linspace(-0.5, 0.5, 101)
-        vessel = kv.integrate_standard_construction(
-            closed.A, closed.B(-0.5, 0.0), closed.X(-0.5, 0.0), -0.5, grid
-        )
-        xs = grid[idx]
-        _assert_batch_matches_pointwise(vessel, xs, np.zeros_like(xs))
 
     def test_batch_not_a_multiple_of_the_chunk(self, quadrature_64):
         per_chunk = core._CHUNK_ENTRIES // 64**2
@@ -759,7 +754,7 @@ def quadrature_64():
 # one stacked state over arrays of points against the one-point calls
 # ---------------------------------------------------------------------------
 
-_STATE_FIELDS = ("B", "X", "Xinv", "gamma_star", "beta", "beta_prime", "log_abs_tau",
+_STATE_FIELDS = ("B", "X", "Y", "gamma_star", "beta", "beta_prime", "log_abs_tau",
                  "tau_sign", "tau")
 
 
@@ -806,15 +801,6 @@ class TestStackedState:
         lams = np.array([0.5 + 1.0j, -2.0 + 0.3j])
         _assert_stack_equals_points(rotated_three_soliton, xs, np.broadcast_to(ts, xs.shape),
                                     lams)
-
-    def test_tabulated_vessel(self, one_soliton):
-        _, closed = one_soliton
-        grid = np.linspace(-0.5, 0.5, 101)
-        vessel = kv.integrate_standard_construction(
-            closed.A, closed.B(-0.5, 0.0), closed.X(-0.5, 0.0), -0.5, grid
-        )
-        xs = grid[[3, 50, 97, 20]]
-        _assert_stack_equals_points(vessel, xs, np.zeros_like(xs), np.array([0.7 - 0.2j]))
 
     def test_bad_points_are_named_in_order(self):
         vessel = _gram_vessel(lambda x: x, lambda x: x)  # X = [[1, x], [x, 1]]

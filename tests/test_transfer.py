@@ -26,7 +26,7 @@ class TestEvalS:
     def test_identity_at_infinity(self, one_soliton):
         _, vessel = one_soliton
         state = kv.evaluate(vessel, 0.2, 0.1)
-        M = state.B.conj().T @ state.Xinv @ state.B
+        M = state.B.conj().T @ np.linalg.inv(state.X) @ state.B
         S = kv.eval_S(vessel, 1e6, state)
         assert np.linalg.norm(S - np.eye(2)) < 1e-5 * np.linalg.norm(M)
 
@@ -205,7 +205,7 @@ class TestMoments:
         state = kv.evaluate(vessel, 0.4, 0.1)
         H = kv.moments(vessel, state, 8)
         rho = np.max(np.abs(vessel.spectrum))
-        bound = (np.linalg.norm(state.B, 2) ** 2 * np.linalg.norm(state.Xinv, 2))
+        bound = (np.linalg.norm(state.B, 2) ** 2 * np.linalg.norm(np.linalg.inv(state.X), 2))
         for n in range(9):
             assert np.linalg.norm(H[n], 2) <= bound * rho**n * (1 + 1e-12)
 
@@ -300,6 +300,19 @@ class TestGLResidual:
             kv.gl_residual(vessel, 0.0, 0.7, 1.5)  # needs x > y
         with pytest.raises(ValueError):
             kv.gl_residual(vessel, 0.0, 1.5, 0.7, quadrature_nodes=200)  # even
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-3, float("nan"), float("inf")])
+@pytest.mark.parametrize("routine", [
+    lambda v, h: kv.evolution_residuals(v, 0.3, 0.1, h=h),
+    lambda v, h: kv.ds_residual(v, 0.7 + 0.4j, 0.3, 0.1, h=h),
+    lambda v, h: kv.moment_recursion_residual(v, 0.3, 0.1, 1, h=h),
+    lambda v, h: kv.q_from_K_diag(v, 0.3, h=h),
+], ids=["evolution_residuals", "ds_residual", "moment_recursion_residual", "q_from_K_diag"])
+def test_finite_difference_step_must_be_positive_and_finite(one_soliton, routine, h):
+    # h = 0 used to give NaN silently, h = nan an overflow error on B
+    with pytest.raises(ValueError, match="step h must be positive and finite"):
+        routine(one_soliton[1], h)
 
 
 class TestQFromKDiag:
