@@ -184,15 +184,23 @@ def _write_text(path, text):
             fh.write(text)
 
 
-def _write_csv(path, header, columns):
-    """CSV of equal-length 1-D array columns at 17 significant digits.
+_FLOAT = "%.17g"
 
-    Each column goes through ``tolist()`` first: formatting Python floats
-    is faster than formatting numpy scalars, with the same text.
+
+def _write_csv(path, header, columns, lead=()):
+    """The one CSV writer, for field dumps and trajectories: 17 significant
+    digits, LF line endings.
+
+    ``columns`` are equal-length 1-D float arrays.  ``lead`` are columns of
+    text that the caller already formatted with ``_FLOAT``; they come
+    first in each row, so a value repeated across rows (a grid coordinate)
+    is formatted once.  Each row is one ``%`` on a prebuilt template over
+    ``tolist()`` floats, which gives the text of ``f"{v:.17g}"`` for every
+    value (``inf``, ``nan`` and ``-0`` included) in less time.
     """
-    rows = zip(*(c.tolist() for c in columns))
-    _write_text(path, "\n".join([header, *(",".join(f"{v:.17g}" for v in row)
-                                           for row in rows)]) + "\n")
+    template = ",".join(["%s"] * len(lead) + [_FLOAT] * len(columns))
+    rows = zip(*lead, *(c.tolist() for c in columns))
+    _write_text(path, "\n".join([header, *(template % row for row in rows)]) + "\n")
 
 
 def _report(args, level, checks, runtime_ms, results):
@@ -230,9 +238,11 @@ def _cmd_field_dump(args, cfg):
     vessel, _ = build_vessel_from_config(vcfg)
     grid = grid_from_config(gcfg)
     fields = suite.grid_fields(vessel, grid)  # q is the exact 2 beta'
-    X, T = np.meshgrid(grid.xs, grid.ts, indexing="ij")
+    # rows run x-major; each coordinate is formatted once and its text reused
+    xs, ts = ([_FLOAT % v for v in axis.tolist()] for axis in (grid.xs, grid.ts))
     _write_csv(args.out, "x,t,tau,beta,q",
-               [a.ravel() for a in (X, T, fields.tau, fields.beta, fields.q)])
+               [a.ravel() for a in (fields.tau, fields.beta, fields.q)],
+               lead=([x for x in xs for _ in ts], ts * len(xs)))
     return 0
 
 

@@ -6,7 +6,7 @@ import pytest
 
 import kdvessel as kv
 from kdvessel import suite
-from kdvessel.cli import build_vessel_from_config, main
+from kdvessel.cli import _write_csv, build_vessel_from_config, main
 from kdvessel.suite import EXPECTED_FAILURES
 
 
@@ -197,6 +197,52 @@ COMMAND_CONFIGS = {
     "verify": ({"grid": {**SMALL_GRID, "nx": 41}}, "{"),
     "suite": ({"checks": ["cauchy_determinant"]}, "{"),
 }
+
+
+def per_value_csv(header, columns):
+    """CSV text formed value by value with ``f"{v:.17g}"``, as a reference."""
+    rows = zip(*(np.asarray(c).ravel().tolist() for c in columns))
+    return "\n".join([header, *(",".join(f"{v:.17g}" for v in row) for row in rows)]) + "\n"
+
+
+class TestCsvWriter:
+    WIDE = ({"type": "soliton", "k": [3.0], "b_abs": [2.0]},
+            {"x_min": -200.0, "x_max": 200.0, "nx": 401, "t_min": -0.05, "t_max": 0.05, "nt": 9})
+    DISCRETE = ({"type": "discrete", "k": [0.7, 1.1, 1.6], "b_abs": [0.6, 0.4, 0.3]},
+                {"x_min": -4.0, "x_max": 3.5, "nx": 41, "t_min": -0.5, "t_max": 0.3, "nt": 11})
+
+    @pytest.mark.parametrize("case", ["wide_soliton", "discrete"])
+    def test_dump_is_the_per_value_text(self, tmp_path, capsys, case):
+        vcfg, gcfg = self.WIDE if case == "wide_soliton" else self.DISCRETE
+        grid = kv.Grid2D(**gcfg)
+        fields = suite.grid_fields(build_vessel_from_config(vcfg)[0], grid)
+        X, T = np.meshgrid(grid.xs, grid.ts, indexing="ij")
+        expected = per_value_csv("x,t,tau,beta,q", (X, T, fields.tau, fields.beta, fields.q))
+        if case == "wide_soliton":
+            assert ",inf," in expected  # far rows carry tau = inf
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"vessel": vcfg, "grid": gcfg}))
+        command = "soliton" if case == "wide_soliton" else "spectral"
+        out = tmp_path / "field.csv"
+        assert run([command, "--config", str(cfg), "--out", str(out)]) == 0
+        assert out.read_bytes() == expected.encode()
+        capsys.readouterr()
+        assert run([command, "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_special_values(self, tmp_path):
+        values = np.array([np.inf, -np.inf, np.nan, -0.0, 5e-324, 1.7976931348623157e308, 1.0])
+        columns = [values, values[::-1].copy()]
+        out = tmp_path / "special.csv"
+        _write_csv(str(out), "a,b", columns)
+        text = out.read_text()
+        assert text == per_value_csv("a,b", columns)
+        assert text.splitlines()[1:4] == ["inf,1", "-inf,1.7976931348623157e+308",
+                                          "nan,4.9406564584124654e-324"]
+        assert text.splitlines()[4] == "-0,-0"
+        lead = ["%.17g" % v for v in values.tolist()]
+        _write_csv(str(out), "key,a,b", columns, lead=(lead,))
+        assert out.read_text() == per_value_csv("key,a,b", [values, *columns])
 
 
 class TestConfigLoader:

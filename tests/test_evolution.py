@@ -71,6 +71,20 @@ class TestLattice:
         for arr in (lat.indices, lat.members, lat.pair_out, lat.pair_a, lat.pair_b):
             assert not arr.flags.writeable
 
+    @pytest.mark.parametrize("M", [1, 2, 24, 48])
+    def test_frequency_table_gives_every_pair_its_frequency(self, M):
+        lat = kv.make_lattice(0.93, M)
+        k = lat.members
+        omega = 6.0 * k[lat.pair_a] * k[lat.pair_b] * k[lat.pair_out]
+        assert lat.omega[lat.pair_omega_index].tobytes() == omega.tobytes()
+        assert np.all(np.diff(lat.omega) > 0)  # sorted and distinct
+        if M == 1:
+            assert lat.omega.size == 0 and lat.pair_omega_index.size == 0
+        else:
+            assert 0 < lat.omega.size < lat.kept_pairs
+        for arr in (lat.omega, lat.pair_omega_index):
+            assert not arr.flags.writeable
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(kv.InvalidSpecError):
             kv.make_lattice(0.0, 2)
@@ -105,7 +119,7 @@ class TestDbntRhs:
                 t = 0.0 if trial == 0 else rng.uniform(0, 1)
                 assert np.array_equal(kv.dbnt_rhs(lat, p, t), brute_rhs(lat, p, t))
 
-    @pytest.mark.parametrize("M", [1, 16])
+    @pytest.mark.parametrize("M", [1, 16, 24])
     def test_bitwise_vs_brute_force_random(self, M):
         # M = 1 keeps no pair: every entry is -1.5 k^2 * 0.0 = -0.0
         rng = np.random.default_rng(100 + M)
