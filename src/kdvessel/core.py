@@ -26,17 +26,18 @@ oracle for every entry of each closed-form family's B and X.  Every
 evaluation and residual takes points x, t of any broadcast shape through
 one stacked path: :func:`evaluate` keeps the whole state of each point,
 while every other per-point evaluator of the package runs in the stacks
-of one chunk loop.  Every error names the first
-failing point in C order; a singular Gram operator raises through one
-zero-pivot check that ``soliton.q_soliton`` shares.
+of one chunk loop.  All of them read the pair except the Lyapunov and
+evolution residuals, which are about the plain B and X.  Every error names
+the first failing point in C order; a singular Gram operator raises
+through one zero-pivot check that ``soliton.q_soliton`` shares.
 
-Each point of a stack costs one LU determinant (slogdet) for tau and one
-solve X^-1 [B | X P] with a fixed Gaussian probe block P, which gives
-Y = X^-1 B and an estimate of the inverse defect ||X^-1 X - I||_F.  The
-dense defect gate ||X^-1 X - I||_F <= _INVERSE_TOL sqrt(n) runs only on
-the points the estimate does not clear by a margin of 1000.  That it
-clears no point the gate would refuse is measured, not proved (see
-_PROBE_MARGIN).
+Each point of a stack costs one LU determinant (slogdet) of M for tau and
+one solve M^-1 [D^-1 B | M P] with a fixed Gaussian probe block P, which
+gives Y = M^-1 D^-1 B and an estimate of the inverse defect
+||M^-1 M - I||_F.  The dense defect gate ||M^-1 M - I||_F <= _INVERSE_TOL
+sqrt(n) runs only on the points the estimate does not clear by a margin
+of 1000.  That it clears no point the gate would refuse is measured, not
+proved (see _PROBE_MARGIN).
 
 Sign convention: the Lyapunov condition is used in the homogeneous form
 A X + X A* + B sigma1 B* = 0, which is the form the closed-form
@@ -89,10 +90,10 @@ for _m in (SIGMA1, SIGMA2, GAMMA):
 # grid size.
 _CHUNK_ENTRIES = 2**16
 
-# Tolerances of state evaluation: the discarded asymmetry of X relative to
-# 1 + ||X||, the inverse defect ||X^-1 X - I||_F per sqrt(n), and the
+# Tolerances of state evaluation: the discarded asymmetry of M relative to
+# 1 + ||M||, the inverse defect ||M^-1 M - I||_F per sqrt(n), and the
 # imaginary residues of beta and tau.  The defect gate is always the dense
-# one, inv(X) X - I; it runs only on the points that the probe certificate
+# one, inv(M) M - I; it runs only on the points that the probe certificate
 # of _probe_solve does not clear.
 _HERMIT_TOL = 1e-12
 _INVERSE_TOL = 1e-10
@@ -100,20 +101,20 @@ _IMAG_TOL = 1e-10
 
 # The probe block P is n x _PROBES standard Gaussian, drawn once per n from
 # the fixed seed _PROBE_SEED, so results are reproducible and the same for
-# any stack size.  est = ||X^-1 (X P) - P||_F / 2 comes from the solve that
+# any stack size.  est = ||M^-1 (M P) - P||_F / 2 comes from the solve that
 # gives Y; a point is cleared when est <= gate / _PROBE_MARGIN, and every
 # other point gets the dense defect.  That no cleared point would fail the
-# dense gate is measured, not bounded: est reads the solve's error on X P,
-# not the gated defect E = inv(X) X - I.  On the points sent to the dense
+# dense gate is measured, not bounded: est reads the solve's error on M P,
+# not the gated defect E = inv(M) M - I.  On the points sent to the dense
 # gate, ||E||_F / est reached 31 (twelve close solitons), 67 (the same with
 # a complex M) and 73 (an 8-soliton), 13x inside the margin.  On a badly
-# scaled plain X, as `evaluate` reads it, the ratio has no bound, but only
-# where ||E||_F is far above the gate; no cleared point came within 1/20 of
-# the gate.  The margin cannot grow much: est reaches 6e-5 of the gate on
-# well-conditioned n = 256 quadrature dumps.  The random draw adds a miss
-# of its own: for a rank-one E, 4 probes read below 1/1000 of ||E||_F with
-# probability P(chi^2_4 < 4e-6) ~ 2e-12 (Dixon, SIAM J. Numer. Anal. 20
-# (1983) 812-814), and P is one fixed draw.
+# scaled M, as a soliton's plain X (D = I) is, the ratio has no bound, but
+# only where ||E||_F is far above the gate; no cleared point came within
+# 1/20 of the gate.  The margin cannot grow much: est reaches 6e-5 of the
+# gate on well-conditioned n = 256 quadrature dumps.  The random draw adds
+# a miss of its own: for a rank-one E, 4 probes read below 1/1000 of
+# ||E||_F with probability P(chi^2_4 < 4e-6) ~ 2e-12 (Dixon, SIAM J. Numer.
+# Anal. 20 (1983) 812-814), and P is one fixed draw.
 _PROBES = 4
 _PROBE_SEED = 20110
 _PROBE_MARGIN = 1000.0
@@ -285,10 +286,11 @@ class FiniteVessel:
                 self._checked(X, x, t, "Gram operator X", self.n))
 
     def scaled(self, x, t):
-        """(D^-1 B, M, log det D) at the points x, t, checked like :meth:`plain`."""
+        """(D^-1 B, M, log d) at the points x, t, checked like :meth:`plain`;
+        log d has one entry per generator at every point, shape S + (n,)."""
         B, M, log_d = self.operators(x, t)
         return (*self._checked_pair(B, M, x, t),
-                np.sum(log_d, axis=-1) if np.ndim(log_d) else log_d)
+                np.broadcast_to(log_d, np.shape(M)[:-1]))
 
     def plain(self, x, t):
         """(B, X) = (D (D^-1 B), D M D) at the points x, t; EvaluationError
@@ -338,13 +340,14 @@ class FieldValues:
 
 @dataclass(frozen=True)
 class EvaluatedState(FieldValues):
-    """The fields plus B, X, Y = X^-1 B and gamma_* at the points x, t (as given).
+    """The fields plus the pair and gamma_* at the points x, t (as given).
 
-    For points of broadcast shape S, B and Y are S + (n, 2), X S + (n, n),
-    gamma_* S + (2, 2) and the scalars S (floats for S = ()).  X is the
-    symmetrized operator, and Y comes from the same certified solve per
-    point that gives the fields (see :func:`_probe_solve`); as X is
-    Hermitian, B* X^-1 = Y*.
+    ``B`` is D^-1 B, ``M`` the symmetrized M, ``Y`` = M^-1 D^-1 B from the
+    certified solve that gives the fields (:func:`_probe_solve`) and
+    ``log_d`` the per-generator log d.  For points of broadcast shape S,
+    B and Y are S + (n, 2), M S + (n, n), log_d S + (n,), gamma_* S + (2, 2)
+    and the scalars S (floats for S = ()).  B* X^-1 F(A) B = Y* F(A) B for
+    diagonal A, as D commutes with it.
     ``beta_prime`` is d beta/dx read from the linkage:
     gamma_*[0,0] = -i(beta' - beta^2).
     """
@@ -352,8 +355,9 @@ class EvaluatedState(FieldValues):
     x: float | np.ndarray
     t: float | np.ndarray
     B: np.ndarray
-    X: np.ndarray
+    M: np.ndarray
     Y: np.ndarray
+    log_d: np.ndarray
     gamma_star: np.ndarray
 
 
@@ -480,27 +484,32 @@ def _real_tau_sign(logabs, sign, x, t) -> np.ndarray:
     return sign.real
 
 
-def _evaluate_stack(vessel, x, t, B, X):
-    """Checked evaluation of one stack of points x, t (m,) with B, X (m, n, .).
+def _state_stack(vessel, x, t):
+    """Checked evaluation of the pair at the points x, t (scalars for one point).
 
-    Returns (X symmetrized, Y = X^-1 B, gamma_*, beta, beta', log|tau|,
-    sign tau), each stacked over the m points, with Y from one certified
-    solve per point (:func:`_probe_solve`).  Every check names the first
+    Returns (D^-1 B, M symmetrized, Y, log d, gamma_*, beta, beta', log|tau|,
+    sign tau) stacked over the flat points, with Y = M^-1 D^-1 B from one
+    certified solve per point (:func:`_probe_solve`) and log|tau| =
+    log|det M / det X0| + 2 sum log d.  Every check names the first
     offending point.
     """
-    XH = _adjoint(X)
-    asym = _fro_stack(X - XH)
-    i = _first(asym > _HERMIT_TOL * (1.0 + _fro_stack(X)))
+    n = vessel.n
+    B, M, log_d = vessel.scaled(x, t)
+    B, M, log_d = B.reshape(-1, n, 2), M.reshape(-1, n, n), log_d.reshape(-1, n)
+    x, t = _flat_points(x, t)
+    MH = _adjoint(M)
+    asym = _fro_stack(M - MH)
+    i = _first(asym > _HERMIT_TOL * (1.0 + _fro_stack(M)))
     if i is not None:
         raise NumericalConsistencyError(
             f"X asymmetry {asym[i]:.3e} exceeds {_HERMIT_TOL:.1e}*(1+||X||) "
             f"at ({x[i]}, {t[i]})"
         )
-    with np.errstate(over="ignore"):  # finite X within 2x of the float range
-        X = vessel._checked(0.5 * (X + XH), x, t, "Gram operator X", vessel.n)
-    logabs, sign = _log_tau_stack(vessel, X)
+    with np.errstate(over="ignore"):  # finite M within 2x of the float range
+        M = vessel._checked(0.5 * (M + MH), x, t, "Gram operator X", n)
+    logabs, sign = _log_tau_stack(vessel, M)
     _check_pivots(sign, x, t)
-    Y = _probe_solve(X, B, x, t)
+    Y = _probe_solve(M, B, x, t)
     gs = _gamma_star(B, Y)
     beta = _beta_of_gamma_star(gs, x, t)
     sign = _real_tau_sign(logabs, sign, x, t)
@@ -510,71 +519,53 @@ def _evaluate_stack(vessel, x, t, B, X):
         raise NumericalConsistencyError(
             f"beta' has imaginary residue {beta_p[i].imag:.3e} at ({x[i]}, {t[i]})"
         )
-    return X, Y, gs, beta, beta_p.real, logabs, sign
+    return B, M, Y, log_d, gs, beta, beta_p.real, logabs + 2.0 * np.sum(log_d, axis=-1), sign
 
 
 def evaluate(vessel: FiniteVessel, x, t) -> EvaluatedState:
-    """Evaluate a vessel at points x, t and derive gamma_*, beta, beta' and tau.
+    """Evaluate a vessel's pair at points x, t and derive gamma_*, beta, beta' and tau.
 
-    One :func:`_evaluate_stack` call over all points, unchunked since it
-    keeps B, X and Y = X^-1 B of each.  X is symmetrized to (X + X*)/2
-    before it is factored; the discarded asymmetry must stay below _HERMIT_TOL
-    relative to 1 + ||X||.  Raises at the first failing point (C order),
-    e.g. EvaluationError where X overflows, is singular or is too
-    ill-conditioned for ``inv(X) X = I`` to hold within _INVERSE_TOL per
-    sqrt(n).  The fields and Y come from the stack's one solve per point.
+    One :func:`_state_stack` over all points, unchunked since it keeps the
+    pair and Y of each.  M is symmetrized; the discarded asymmetry must stay
+    below _HERMIT_TOL (1 + ||M||).  Raises at the first failing point (C
+    order), e.g. EvaluationError where the pair overflows or M is singular
+    or too ill-conditioned for ``inv(M) M = I`` within _INVERSE_TOL sqrt(n).
     """
     shape = np.broadcast_shapes(np.shape(x), np.shape(t))
-    n = vessel.n
-
-    def stack(x, t):  # one-point calls pass the operators scalars
-        B, X = vessel.plain(x, t)
-        return B, _evaluate_stack(vessel, *_flat_points(x, t), B.reshape(-1, n, 2),
-                                  X.reshape(-1, n, n))
-
-    B, (X, Y, gs, *scalars) = _at_first_failure(stack, x, t)
-    beta, beta_p, logabs, sign = (s.reshape(shape) if shape else float(s[0]) for s in scalars)
-    return EvaluatedState(
-        x=x, t=t, B=B, X=X.reshape(shape + (n, n)), Y=Y.reshape(shape + (n, 2)),
-        gamma_star=gs.reshape(shape + (2, 2)), beta=beta, beta_prime=beta_p,
-        log_abs_tau=logabs, tau_sign=sign,
-    )
+    out = _at_first_failure(lambda x, t: _state_stack(vessel, x, t), x, t)
+    B, M, Y, log_d, gs, *fields = (a.reshape(shape + a.shape[1:]) for a in out)
+    beta, beta_p, logabs, sign = _floats(fields)
+    return EvaluatedState(x=x, t=t, B=B, M=M, Y=Y, log_d=log_d, gamma_star=gs, beta=beta,
+                          beta_prime=beta_p, log_abs_tau=logabs, tau_sign=sign)
 
 
 def evaluate_fields(vessel: FiniteVessel, x, t) -> FieldValues:
     """beta, beta' and log|tau| with its sign at every point of arrays x, t.
 
-    Reads the vessel's scaled pair (D^-1 B, M), applies every check of
-    :func:`evaluate` to M and raises at the first offending (x, t);
-    log|tau| gains 2 log det D.  Points go through in stacks of at most
-    _CHUNK_ENTRIES matrix entries, in the dtype of M: one LU (slogdet) for
-    tau per point, and for Y = M^-1 (D^-1 B) one probe-certified solve
-    (:func:`_probe_solve`).
-    Stacks of any size give bit-identical values.
+    The fields of :func:`evaluate`, with every check, from its
+    :func:`_state_stack` in stacks of at most _CHUNK_ENTRIES matrix
+    entries, keeping no matrix.  Stacks of any size give bit-identical
+    values.
     """
-    def stack(xs, ts):
-        B, M, log_det_d = vessel.scaled(xs, ts)
-        beta, beta_p, logabs, sign = _evaluate_stack(vessel, xs, ts, B, M)[3:]
-        return beta, beta_p, logabs + 2.0 * log_det_d, sign
-
-    beta, beta_p, logabs, sign = _per_point(vessel.n, x, t, stack, 4)
+    beta, beta_p, logabs, sign = _per_point(
+        vessel.n, x, t, lambda xs, ts: _state_stack(vessel, xs, ts)[-4:], 4)
     return FieldValues(beta=beta, beta_prime=beta_p, log_abs_tau=logabs, tau_sign=sign)
 
 
 def log_tau(vessel: FiniteVessel, x, t):
     """(log|tau|, sign) of tau = det X / det X0 from one LU determinant per point.
 
-    Needs no inverse, so it also serves points where X is too
+    Needs no inverse, so it also serves points where M is too
     ill-conditioned for :func:`evaluate`; tau = sign e^{log|tau|}.  Reads
-    the vessel's scaled pair like :func:`evaluate_fields`, so it raises
-    EvaluationError where the pair overflows or M has a zero pivot.
-    Broadcasts like :func:`lyapunov_residual`.
+    the vessel's pair like :func:`evaluate`, det X = det M e^{2 sum log d},
+    so it raises EvaluationError where the pair overflows or M has a zero
+    pivot.  Broadcasts like :func:`lyapunov_residual`.
     """
     def stack(xs, ts):
-        M, log_det_d = vessel.scaled(xs, ts)[1:]
+        _, M, log_d = vessel.scaled(xs, ts)
         logabs, sign = _log_tau_stack(vessel, M)
         _check_pivots(sign, xs, ts)
-        return logabs + 2.0 * log_det_d, _real_tau_sign(logabs, sign, xs, ts)
+        return logabs + 2.0 * np.sum(log_d, axis=-1), _real_tau_sign(logabs, sign, xs, ts)
 
     return _floats(_per_point(vessel.n, x, t, stack, 2))
 
@@ -658,10 +649,10 @@ def normalization_residual(vessel: FiniteVessel, x, t):
     Computed through a direct solve so ill-conditioned (but nonsingular)
     states remain checkable.  Broadcasts like :func:`lyapunov_residual`.
     """
-    def stack(xs, ts):
-        B, X = vessel.plain(xs, ts)
-        M = _adjoint(B) @ _solve(0.5 * (X + _adjoint(X)), B, xs, ts)
-        return np.abs(np.trace(SIGMA1 @ M, axis1=-2, axis2=-1))
+    def stack(xs, ts):  # D cancels: B* X^-1 B = (D^-1 B)* M^-1 (D^-1 B)
+        B, M, _ = vessel.scaled(xs, ts)
+        G = _adjoint(B) @ _solve(0.5 * (M + _adjoint(M)), B, xs, ts)
+        return np.abs(np.trace(SIGMA1 @ G, axis1=-2, axis2=-1))
 
     return _floats(_per_point(vessel.n, x, t, stack, 1))[0]
 

@@ -16,9 +16,9 @@ The vessel's one operator source (``core.FiniteVessel.operators``) is
 the scaled pair X = D M D with D = diag(max(1, e^{k x + k^3 t})), so M and
 D^-1 B stay finite at every phase; the plain B and X above are derived
 from it.  The build's self-check runs on the pair, so solitons of any k
-build, and ``core.evaluate_fields`` and ``core.log_tau`` evaluate the
-fields on arbitrarily wide grids (tau = inf past the float range) with
-core's checks on M.  :func:`q_soliton` is the q-only trace
+build, and core's evaluators and the transfer routines read the pair on
+arbitrarily wide grids (tau = inf past the float range) with core's
+checks on M.  :func:`q_soliton` is the q-only trace
 formula on the same M, solved in core's stacks; where close wavenumbers
 make M singular in floating point it raises EvaluationError at the first
 such point in C order, as core does, but it has no conditioning gate.

@@ -28,11 +28,13 @@ K(x, x) = beta and q = 2 beta' under this kernel normalization; the sign
 is resolved empirically and reported).
 
 Every routine evaluates the state at all of its points (stencils and
-kernel points included) in one stacked :func:`core.evaluate` call.  S, the
-symmetry residual and the moments take such a state, and only that, as
-their points; S and the symmetry residual also take an array of lambda,
-with one batched solve of (lambda I - A) against B for every lambda and
-point.
+kernel points included) in one stacked :func:`core.evaluate` call on the
+pair (D^-1 B, M), X = D M D.  As D commutes with the diagonal A, S and the
+moments read the pair unchanged; the kernels mix two points and take
+ratios of their log d.  S, the symmetry residual and the moments take a
+state, and only that, as their points; S and the symmetry residual also
+take an array of lambda, with one batched solve of (lambda I - A) against
+B for every lambda and point.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import numpy as np
 
 from . import core
 from .core import GAMMA, SIGMA1, SIGMA2
-from .exceptions import InvalidSpecError, NumericalConsistencyError, PoleError
+from .exceptions import EvaluationError, InvalidSpecError, NumericalConsistencyError, PoleError
 
 __all__ = [
     "eval_S",
@@ -83,7 +85,7 @@ def _resolvent_solve(vessel: core.FiniteVessel, lam: np.ndarray, rhs: np.ndarray
 
 def eval_S(vessel: core.FiniteVessel, lam, state: core.EvaluatedState) -> np.ndarray:
     """S(lambda, x, t) = I - Y* (lambda I - A)^-1 B sigma1 through a linear
-    solve (no explicit resolvent), with Y* = B* X^-1 from the state.
+    solve (no explicit resolvent), with B = D^-1 B and Y from the state.
 
     ``state`` is ``core.evaluate(vessel, x, t)`` at points of shape P
     (P = () for one point) and ``lam`` a scalar or an array of any shape;
@@ -158,8 +160,8 @@ def moments(vessel: core.FiniteVessel, state: core.EvaluatedState, nmax: int) ->
     """Markov moments H_0..H_nmax, H_n = B* X^-1 A^n B sigma1.
 
     Shape (nmax+1,) + P + (2, 2) for a state at points of shape P (P = ()
-    for one point).  B* X^-1 is Y* of the state, and A^n B is built by
-    repeated application of A to the columns of B.
+    for one point), read as Y* A^n B from the state's pair; A^n B is built
+    by repeated application of A to the columns of B.
     """
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
@@ -211,26 +213,42 @@ def moment_recursion_residual(
     return float(res) if res.ndim == 0 else res
 
 
-def gl_kernels(
-    vessel: core.FiniteVessel, x0: float, x: float, y: float
-) -> tuple[float, float]:
+def _kernels(vessel: core.FiniteVessel, x0: float, x: float, s: np.ndarray, y: float):
+    """(K(x, s), Omega(s, y)) at t = 0 for the nodes s (1-D), real.
+
+    With b, c the first columns of the pair's D^-1 B and Y, and E(u, v) =
+    diag(e^{log d(u) - log d(v)}), K(x, s) = -c(x)* E(s, x) b(s) and
+    Omega(s, y) = (E(s, x0) b(s))* M(x0)^-1 E(y, x0) b(y); D is never formed.
+    Raises, Omega first, EvaluationError at the first node where a kernel
+    leaves the float range and NumericalConsistencyError at the first
+    imaginary residue above 1e-10 (1 + |value|).
+    """
+    st = core.evaluate(vessel, np.array([x, x0]), 0.0)
+    B, _, log_d = vessel.scaled(np.append(s, y), 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        kval = -(np.exp(log_d[:-1] - st.log_d[0]) * B[:-1, :, 0]) @ st.Y[0, :, 0].conj()
+        b = np.exp(log_d - st.log_d[1]) * B[..., 0]
+        omega = b[:-1].conj() @ np.linalg.solve(st.M[1], b[-1])
+    for name, v in ((f"Omega({{}}, {y})", omega), (f"K({x}, {{}})", kval)):
+        i = core._first(~np.isfinite(v))
+        if i is not None:
+            raise EvaluationError(f"{name.format(s[i])} overflowed", x=float(s[i]), t=0.0)
+        i = core._first(np.abs(v.imag) > 1e-10 * (1.0 + np.abs(v.real)))
+        if i is not None:
+            raise NumericalConsistencyError(
+                f"{name.format(s[i])} has imaginary residue {v[i].imag:.3e}")
+    return kval.real, omega.real
+
+
+def gl_kernels(vessel: core.FiniteVessel, x0: float, x: float, y: float) -> tuple[float, float]:
     """(Omega(x, y), K(x, y)) at t = 0.
 
     Both scalars are real for the shipped constructions (X is a diagonal
     congruence of a real symmetric matrix); the imaginary residue is
-    checked and discarded.  K reads b(x)* X^-1(x) from the state's Y at x;
-    Omega solves X(x0) against b(y).
+    checked and discarded (see :func:`_kernels`).
     """
-    s = core.evaluate(vessel, np.array([x, x0]), 0.0)
-    by = vessel.B(y, 0.0)[:, 0]
-    omega = s.B[0, :, 0].conj() @ np.linalg.solve(s.X[1], by)
-    kval = -(s.Y[0, :, 0].conj() @ by)
-    for name, v in (("Omega", omega), ("K", kval)):
-        if abs(v.imag) > 1e-10 * (1.0 + abs(v.real)):
-            raise NumericalConsistencyError(
-                f"{name}({x}, {y}) has imaginary residue {v.imag:.3e}"
-            )
-    return float(omega.real), float(kval.real)
+    kval, omega = _kernels(vessel, x0, x, np.array([x, y], dtype=float), y)
+    return float(omega[0]), float(kval[1])
 
 
 def gl_residual(
@@ -244,28 +262,19 @@ def gl_residual(
 
     Requires x > y and an odd node count (even interval count) spanning
     [x0, x]; InvalidSpecError otherwise.  The kernels are smooth, so uniform Simpson converges at
-    fourth order until roundoff.  With b = first column of B, every kernel
-    value comes from two vectors: K(x, s) = k_row b(s) with
-    k_row = -b(x)* X^-1(x), the state's Y at x, and Omega(s, y) = b(s)* om_col
-    with om_col = X^-1(x0) b(y) from one solve.
+    fourth order until roundoff.  The kernels come from :func:`_kernels`.
     """
     if not x > y:
         raise InvalidSpecError("the kernel identity is stated for x > y")
     if quadrature_nodes < 3 or quadrature_nodes % 2 == 0:
         raise InvalidSpecError("composite Simpson needs an odd node count >= 3")
-    s = core.evaluate(vessel, np.array([x, x0]), 0.0)
     ss = np.linspace(x0, x, quadrature_nodes)  # ss[-1] == x exactly
-    bs = vessel.B(ss, 0.0)[:, :, 0]
-    by = vessel.B(y, 0.0)[:, 0]
-    k_row = -s.Y[0, :, 0].conj()
-    om_col = np.linalg.solve(s.X[1], by)
-    K_xs = (bs @ k_row).real
-    om_sy = (bs.conj() @ om_col).real
+    kval, omega = _kernels(vessel, x0, x, np.append(ss, y), y)
     w = np.ones(quadrature_nodes)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     w *= (ss[1] - ss[0]) / 3.0
-    return float(abs((k_row @ by).real + om_sy[-1] + w @ (K_xs * om_sy)))
+    return float(abs(kval[-1] + omega[-2] + w @ (kval[:-1] * omega[:-1])))
 
 
 @dataclass(frozen=True)

@@ -31,8 +31,8 @@ def make_zero_vessel(n=2):
 
 def _plain_copy(vessel):
     """The same vessel (A, B, X, X0) with D = I: its operators are the
-    derived plain B and X, so evaluate_fields, log_tau and the self-check
-    read them as evaluate does."""
+    derived plain B and X, so every evaluator and the self-check read
+    them in place of the scaled pair."""
     return dataclasses.replace(vessel, operators=lambda x, t: (*vessel.plain(x, t), 0.0))
 
 

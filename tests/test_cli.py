@@ -493,6 +493,17 @@ class TestCheckCommands:
         out = tmp_path / "report.json"
         assert run(["verify", "--out", str(out)]) == 0
 
+    def test_far_field_scatter_names_the_kernel_overflow(self, tmp_path, capsys):
+        # x = 20 and x0 = 400 evaluate on the pair, but K(20, s) carries
+        # e^{2 (s - 20)}, past the float range at the first Simpson node s = x0
+        cfg = tmp_path / "far.json"
+        cfg.write_text(json.dumps({
+            "vessel": {"type": "soliton", "k": [1.0, 2.0], "b_abs": [1.4142135623730951, 2.0]},
+            "scatter": {"x0": 400, "x": 20, "y": 0.3}}))
+        assert run(["scatter", "--config", str(cfg), "--out", str(tmp_path / "far.out")]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: K(20.0, 400.0) overflowed [at x=400.0, t=0.0]\n")
+
     def test_scatter_values_are_the_direct_calls(self, tmp_path):
         vcfg = {"type": "soliton", "k": [0.7, 1.1], "b_abs": [0.5, 0.5]}
         cfg = tmp_path / "cfg.json"

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -285,7 +286,7 @@ class TestEvaluate:
     def test_inverse_defect(self, three_soliton):
         _, vessel = three_soliton
         state = kv.evaluate(vessel, 0.5, 0.1)
-        assert np.linalg.norm(state.X @ state.Y - state.B) < 1e-10 * np.linalg.norm(state.B)
+        assert np.linalg.norm(state.M @ state.Y - state.B) < 1e-10 * np.linalg.norm(state.B)
 
     def test_asymmetry_guard(self):
         vessel = kv.FiniteVessel(
@@ -589,12 +590,14 @@ class TestProbeCertificate:
     @pytest.mark.parametrize("fn, kind, pair", [
         (kv.evaluate_fields, "real", "scaled"),
         (kv.evaluate_fields, "complex", "scaled"),
+        (kv.evaluate, "real", "scaled"),
         (kv.evaluate, "real", "plain"),
     ])
-    def test_refusals_are_the_dense_gates(self, close_soliton_12, fn, kind, pair):
+    def test_refusals_are_the_dense_gates(self, close_soliton_12, plain_copy, fn, kind, pair):
+        # "plain" is the vessel's plain copy (D = I), whose M is the plain X
         vessels, (xs, ts) = close_soliton_12
-        vessel = vessels[kind]
-        M = getattr(vessel, pair)(xs, ts)[1]
+        vessel = vessels[kind] if pair == "scaled" else plain_copy(vessels[kind])
+        M = vessel.scaled(xs, ts)[1]
         assert np.iscomplexobj(M) == (kind == "complex")
         est, dense, gate = _gate_readings(_symmetrized(M))
         refused = dense > gate
@@ -611,15 +614,16 @@ class TestProbeCertificate:
 
     @pytest.mark.parametrize("kind, pair", [("real", "scaled"), ("complex", "scaled"),
                                             ("real", "plain")])
-    def test_the_estimate_clears_with_headroom(self, close_soliton_12, kind, pair):
+    def test_the_estimate_clears_with_headroom(self, close_soliton_12, plain_copy, kind, pair):
         # The estimate reads the solve's error on P, not the gated defect
         # inv(M) M - I, so the margin rests on the measured gap between the
         # two: the cleared points stay 3x inside the gate and, for the scaled
-        # pairs of the fields, dense / est stays 3x inside the margin.  The
-        # plain X of evaluate is badly scaled, where inv(X) X - I far above
-        # the gate can exceed est by any factor.
+        # pairs, dense / est stays 3x inside the margin.  The plain X that a
+        # plain copy (D = I) gives as M is badly scaled, where inv(X) X - I
+        # far above the gate can exceed est by any factor.
         vessels, (xs, ts) = close_soliton_12
-        est, dense, gate = _gate_readings(_symmetrized(getattr(vessels[kind], pair)(xs, ts)[1]))
+        vessel = vessels[kind] if pair == "scaled" else plain_copy(vessels[kind])
+        est, dense, gate = _gate_readings(_symmetrized(vessel.scaled(xs, ts)[1]))
         fallback = ~(est <= gate / core._PROBE_MARGIN)
         assert fallback.any() and not fallback.all()
         assert dense[~fallback].max() <= gate / 3
@@ -654,6 +658,54 @@ class TestProbeCertificate:
             fields = kv.evaluate_fields(vessel, xs, ts)
             for name in ("beta", "beta_prime", "log_abs_tau", "tau_sign"):
                 assert np.array_equal(getattr(fields, name), getattr(default, name)), (size, name)
+
+
+def _soliton_reference(k, b, x, t, lam):
+    """60-digit beta, beta', log|tau| and S(lam) of the soliton (k, b) with
+    X0 = I at (x, t), from M = E^-1 X E^-1 = E^-2 + G for E = diag(e^phi)."""
+    with mpmath.workdps(60):
+        k, b = [mpmath.mpf(v) for v in k], [mpmath.mpf(v) for v in b]
+        n, x, t = len(k), mpmath.mpf(x), mpmath.mpf(t)
+        phi = [k[i] * x + k[i] ** 3 * t for i in range(n)]
+        M = mpmath.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                M[i, j] = (i == j) * mpmath.exp(-2 * phi[i]) + b[i] * b[j] / (k[i] + k[j])
+        Bt = mpmath.matrix([[b[i], 1j * k[i] * b[i]] for i in range(n)])  # E^-1 B
+        Yt = mpmath.inverse(M) * Bt
+        m = Bt.H * Yt
+        beta = -mpmath.re(m[0, 0])
+        beta_p = beta**2 + mpmath.re(1j * (m[0, 1] - m[1, 0]))
+        R = mpmath.diag([1 / (lam + 1j * k[i] ** 2) for i in range(n)]) * Bt
+        S = mpmath.eye(2) - Yt.H * R * mpmath.matrix([[0, 1], [1, 0]])
+        return (beta, beta_p, mpmath.log(mpmath.det(M)) + 2 * sum(phi),
+                np.array(S.tolist(), dtype=complex))
+
+
+def test_points_the_plain_x_refused_match_60_digits(close_soliton_12, plain_copy):
+    # a seeded sample of the points whose plain X (the plain copy's M)
+    # fails the dense gate while the vessel's own M passes it; evaluate
+    # refused them before it read the pair
+    vessels, (xs, ts) = close_soliton_12
+    vessel = vessels["real"]
+    gated = [_gate_readings(_symmetrized(v.scaled(xs, ts)[1]))
+             for v in (plain_copy(vessel), vessel)]
+    lifted = np.flatnonzero((gated[0][1] > gated[0][2]) & (gated[1][1] <= gated[1][2]))
+    assert lifted.size > 20
+    pick = np.random.default_rng(14).choice(lifted, 8, replace=False)
+    for i in pick:
+        with pytest.raises(kv.EvaluationError, match="ill-conditioned"):
+            kv.evaluate(plain_copy(vessel), xs[i], ts[i])
+    lam = 0.7 + 0.4j
+    state = kv.evaluate(vessel, xs[pick], ts[pick])
+    S = kv.eval_S(vessel, lam, state)
+    k = vessel.metadata["generators"]
+    for j, i in enumerate(pick):
+        beta, beta_p, logabs, S_ref = _soliton_reference(k, np.ones(12), xs[i], ts[i], lam)
+        for got, ref in ((state.beta[j], beta), (state.beta_prime[j], beta_p),
+                         (state.log_abs_tau[j], logabs)):
+            assert abs(got - ref) <= 1e-10 * (1 + abs(ref)), (xs[i], ts[i])
+        assert np.linalg.norm(S[j] - S_ref) <= 1e-10 * np.linalg.norm(S_ref)
 
 
 @pytest.fixture(scope="module")
@@ -754,7 +806,7 @@ def quadrature_64():
 # one stacked state over arrays of points against the one-point calls
 # ---------------------------------------------------------------------------
 
-_STATE_FIELDS = ("B", "X", "Y", "gamma_star", "beta", "beta_prime", "log_abs_tau",
+_STATE_FIELDS = ("B", "M", "Y", "log_d", "gamma_star", "beta", "beta_prime", "log_abs_tau",
                  "tau_sign", "tau")
 
 

@@ -1,5 +1,7 @@
+import dataclasses
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -26,9 +28,9 @@ class TestEvalS:
     def test_identity_at_infinity(self, one_soliton):
         _, vessel = one_soliton
         state = kv.evaluate(vessel, 0.2, 0.1)
-        M = state.B.conj().T @ np.linalg.inv(state.X) @ state.B
+        G = state.B.conj().T @ np.linalg.inv(state.M) @ state.B
         S = kv.eval_S(vessel, 1e6, state)
-        assert np.linalg.norm(S - np.eye(2)) < 1e-5 * np.linalg.norm(M)
+        assert np.linalg.norm(S - np.eye(2)) < 1e-5 * np.linalg.norm(G)
 
     def test_pole_rejected(self, one_soliton):
         _, vessel = one_soliton
@@ -205,7 +207,7 @@ class TestMoments:
         state = kv.evaluate(vessel, 0.4, 0.1)
         H = kv.moments(vessel, state, 8)
         rho = np.max(np.abs(vessel.spectrum))
-        bound = (np.linalg.norm(state.B, 2) ** 2 * np.linalg.norm(np.linalg.inv(state.X), 2))
+        bound = (np.linalg.norm(state.B, 2) ** 2 * np.linalg.norm(np.linalg.inv(state.M), 2))
         for n in range(9):
             assert np.linalg.norm(H[n], 2) <= bound * rho**n * (1 + 1e-12)
 
@@ -300,6 +302,92 @@ class TestGLResidual:
             kv.gl_residual(vessel, 0.0, 0.7, 1.5)  # needs x > y
         with pytest.raises(ValueError):
             kv.gl_residual(vessel, 0.0, 1.5, 0.7, quadrature_nodes=200)  # even
+
+    def test_imaginary_kernel_parts_are_refused(self):
+        # B times e^{0.3 i x} turns K(x, s) and Omega(s, y) complex by the
+        # phases e^{0.3 i (s - x)} and e^{0.3 i (y - s)}: both routines refuse
+        base = kv.build_soliton(kv.SolitonSpec(k=[0.7, 1.1], b=[0.5, 0.5]))
+
+        def operators(x, t):
+            B, M, log_d = base.operators(x, t)
+            return np.exp(0.3j * np.asarray(x, dtype=float))[..., None, None] * B, M, log_d
+
+        vessel = dataclasses.replace(base, operators=operators)
+        with pytest.raises(kv.NumericalConsistencyError,
+                           match=r"^Omega\(1\.5, 0\.7\) has imaginary residue -7\.541e-01$"):
+            kv.gl_kernels(vessel, 0.0, 1.5, 0.7)
+        with pytest.raises(kv.NumericalConsistencyError,
+                           match=r"^Omega\(0\.0, 0\.7\) has imaginary residue"):
+            kv.gl_residual(vessel, 0.0, 1.5, 0.7)
+
+
+class TestFarField:
+    """S, the moments H_0..H_3 and the kernels of the two-soliton k = [1, 2],
+    b = [1, 1] far to the right, where its plain X fails the inverse-defect
+    gate from x ~ 12, against 60 digits.  The reference scales X by
+    E = diag(e^phi), not by the vessel's D = diag(max(1, e^phi))."""
+
+    K, B, XS, LAM, Y = [1.0, 2.0], [1.0, 1.0], [20.0, 100.0, 400.0], 0.7 + 0.4j, 0.3
+
+    @classmethod
+    def _reference(cls, x):
+        """(S(LAM), [H_0..H_3], K(x, Y), Omega(x, Y)) at t = 0 with x0 = 0."""
+        with mpmath.workdps(60):
+            k, b = [mpmath.mpf(v) for v in cls.K], [mpmath.mpf(v) for v in cls.B]
+            n, x, y = len(k), mpmath.mpf(x), mpmath.mpf(cls.Y)
+            G = mpmath.matrix(n, n)
+            for i in range(n):
+                for j in range(n):
+                    G[i, j] = b[i] * b[j] / (k[i] + k[j])
+            M = G + mpmath.diag([mpmath.exp(-2 * k[i] * x) for i in range(n)])
+            Bt = mpmath.matrix([[b[i], 1j * k[i] * b[i]] for i in range(n)])  # E^-1 B
+            Yt = mpmath.inverse(M) * Bt
+            sigma1 = mpmath.matrix([[0, 1], [1, 0]])
+
+            def left(f):  # Yt* diag(f(a_i)) Bt sigma1 for A = diag(a)
+                return Yt.H * mpmath.diag([f(-1j * k[i] ** 2) for i in range(n)]) * Bt * sigma1
+
+            S = mpmath.eye(2) - left(lambda a: 1 / (cls.LAM - a))
+            H = [left(lambda a, m=m: a**m) for m in range(4)]
+            K = -sum(Yt[i, 0] * mpmath.exp(k[i] * (y - x)) * b[i] for i in range(n))
+            e = mpmath.matrix([mpmath.exp(k[i] * x) * b[i] for i in range(n)])
+            f = mpmath.matrix([mpmath.exp(k[i] * y) * b[i] for i in range(n)])
+            Omega = (e.T * mpmath.inverse(mpmath.eye(n) + G) * f)[0]
+            return (np.array(S.tolist(), dtype=complex),
+                    np.array([h.tolist() for h in H], dtype=complex), K, Omega)
+
+    def test_values_are_finite_and_match_60_digits(self):
+        vessel = kv.build_soliton(kv.SolitonSpec(k=self.K, b=self.B))
+        state = kv.evaluate(vessel, np.array(self.XS), 0.0)
+        S = kv.eval_S(vessel, self.LAM, state)
+        H = kv.moments(vessel, state, 3)
+        assert np.isfinite(S).all() and np.isfinite(H).all()
+        for i, x in enumerate(self.XS):
+            S_ref, H_ref, K_ref, omega_ref = self._reference(x)
+            assert np.linalg.norm(S[i] - S_ref) <= 1e-10 * np.linalg.norm(S_ref), x
+            for m in range(4):
+                assert np.linalg.norm(H[m, i] - H_ref[m]) <= 1e-10 * np.linalg.norm(H_ref[m])
+            if x < 400.0:
+                omega, kval = kv.gl_kernels(vessel, 0.0, x, self.Y)
+                assert np.isfinite(omega) and abs(omega - omega_ref) <= 1e-10 * abs(omega_ref)
+            else:  # Omega(400, 0.3) ~ e^800 lies past the float range: refused there
+                assert abs(omega_ref) > np.finfo(float).max
+                with pytest.raises(kv.EvaluationError,
+                                   match=r"^Omega\(400\.0, 0\.3\) overflowed") as exc:
+                    kv.gl_kernels(vessel, 0.0, x, self.Y)
+                assert (exc.value.x, exc.value.t) == (400.0, 0.0)
+                kval = kv.gl_kernels(vessel, x, x, self.Y)[1]  # K does not read x0
+            assert np.isfinite(kval) and abs(kval - K_ref) <= 1e-10 * abs(K_ref)
+        # the scattering limit: S stops moving with x
+        assert np.linalg.norm(S - S[-1], axis=(-2, -1)).max() <= 1e-6 * np.linalg.norm(S[-1])
+
+    def test_kernel_overflow_names_its_node(self):
+        # from x0 = 400 to x = 20, K(20, s) carries e^{2 (s - 20)}: the first
+        # Simpson node, s = x0, leaves the float range
+        vessel = kv.build_soliton(kv.SolitonSpec(k=self.K, b=self.B))
+        with pytest.raises(kv.EvaluationError, match=r"^K\(20\.0, 400\.0\) overflowed") as exc:
+            kv.gl_residual(vessel, 400.0, 20.0, self.Y)
+        assert (exc.value.x, exc.value.t) == (400.0, 0.0)
 
 
 @pytest.mark.parametrize("h", [0.0, -1e-3, float("nan"), float("inf")])
