@@ -32,7 +32,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -345,7 +344,7 @@ def _cmd_suite(args, cfg):
 def _override_tolerance(result, overrides):
     """The result re-judged at its family's override tolerance, if it has one."""
     tol = overrides.get(result.check.split(".", 1)[0])
-    return result if tol is None else replace(result, tolerance=tol, passed=result.value < tol)
+    return result if tol is None else result.at_tolerance(tol)
 
 
 # the command of each subcommand and the top-level config keys it reads

@@ -27,9 +27,14 @@ evaluation and residual takes points x, t of any broadcast shape through
 one stacked path: :func:`evaluate` keeps the whole state of each point,
 while every other per-point evaluator of the package runs in the stacks
 of one chunk loop.  All of them read the pair except the Lyapunov and
-evolution residuals, which are about the plain B and X.  Every error names
-the first failing point in C order; a singular Gram operator raises
-through one zero-pivot check that ``soliton.q_soliton`` shares.
+evolution residuals, which are about the plain B and X.  The operators are
+checked where they are read (:meth:`FiniteVessel.scaled` and ``plain``):
+shapes, finite entries and a Hermitian M, which every evaluator then uses
+as given.  Every check at a point refuses through one helper,
+:func:`_refuse`, so each such error carries the first failing point in C
+order as ``.x``, ``.t`` and ends in ``[at x=..., t=...]``; a singular Gram
+operator raises through one zero-pivot check that ``soliton.q_soliton``
+shares.
 
 Each point of a stack costs one LU determinant (slogdet) of M for tau and
 one solve M^-1 [D^-1 B | M P] with a fixed Gaussian probe block P, which
@@ -90,11 +95,12 @@ for _m in (SIGMA1, SIGMA2, GAMMA):
 # grid size.
 _CHUNK_ENTRIES = 2**16
 
-# Tolerances of state evaluation: the discarded asymmetry of M relative to
-# 1 + ||M||, the inverse defect ||M^-1 M - I||_F per sqrt(n), and the
-# imaginary residues of beta and tau.  The defect gate is always the dense
-# one, inv(M) M - I; it runs only on the points that the probe certificate
-# of _probe_solve does not clear.
+# Tolerances of state evaluation: the asymmetry ||M - M*||_F that the
+# operator read allows relative to 1 + ||M||_F (X0's too), the inverse
+# defect ||M^-1 M - I||_F per sqrt(n), and the imaginary residues of beta
+# and tau.  The defect gate is always the dense one, inv(M) M - I; it runs
+# only on the points that the probe certificate of _probe_solve does not
+# clear.
 _HERMIT_TOL = 1e-12
 _INVERSE_TOL = 1e-10
 _IMAG_TOL = 1e-10
@@ -183,9 +189,18 @@ def _floats(rows) -> tuple:
     return tuple(r if r.ndim else float(r) for r in rows)
 
 
-def _first(bad) -> Optional[int]:
-    """Index of the first flagged point of a stack, or None."""
-    return int(bad.argmax()) if bad.any() else None
+def _refuse(bad, x, t, error, message, *values) -> None:
+    """Raise ``error`` at the first flagged point of a stack, if any.
+
+    ``bad`` flags the points x, t (the three broadcast together, C order).
+    The message is ``message.format`` of each of ``values`` (flat or of
+    bad's shape) at that point, and the error carries its x and t.
+    """
+    if np.any(bad):
+        bad, x, t = np.broadcast_arrays(bad, x, t)
+        i = int(np.argmax(bad))
+        raise error(message.format(*(np.ravel(v)[i] for v in values)),
+                    x=float(x.flat[i]), t=float(t.flat[i]))
 
 
 def _check_step(h) -> None:
@@ -197,9 +212,7 @@ def _check_step(h) -> None:
 def _check_pivots(sign, x, t) -> None:
     """Raise EvaluationError at the first point of the stack x, t whose LU
     has a zero pivot, i.e. whose determinant sign (from slogdet) is 0."""
-    i = _first(sign == 0)
-    if i is not None:
-        raise EvaluationError("singular Gram operator", x=float(x[i]), t=float(t[i]))
+    _refuse(sign == 0, x, t, EvaluationError, "singular Gram operator")
 
 
 def _solve(X, rhs, x, t) -> np.ndarray:
@@ -255,7 +268,7 @@ class FiniteVessel:
         if A.shape != (self.n, self.n):
             raise InvalidSpecError(f"A must be {self.n}x{self.n}, got {A.shape}")
         X0 = np.asarray(self.X0, dtype=complex)
-        if _fro(X0 - X0.conj().T) > 1e-12 * (1.0 + _fro(X0)):
+        if _fro(X0 - X0.conj().T) > _HERMIT_TOL * (1.0 + _fro(X0)):
             raise InvalidSpecError("X0 must be Hermitian")
         sign0, logdet0 = np.linalg.slogdet(X0)
         if sign0 == 0:
@@ -275,15 +288,19 @@ class FiniteVessel:
         want = np.broadcast_shapes(np.shape(x), np.shape(t)) + (self.n, cols)
         if values.shape != want:
             raise InvalidSpecError(f"{what} has shape {values.shape}, expected {want}")
-        i = _first(~np.isfinite(values).all(axis=(-2, -1)).ravel())
-        if i is not None:
-            xs, ts = _flat_points(x, t)
-            raise EvaluationError(f"{what} overflowed", x=float(xs[i]), t=float(ts[i]))
+        _refuse(~np.isfinite(values).all(axis=(-2, -1)), x, t, EvaluationError,
+                f"{what} overflowed")
         return values
 
     def _checked_pair(self, B, X, x, t):
-        return (self._checked(np.asarray(B, dtype=complex), x, t, "coupling B", 2),
-                self._checked(X, x, t, "Gram operator X", self.n))
+        """B and X with the shapes of the points x, t, finite, and X
+        Hermitian: ||X - X*||_F <= _HERMIT_TOL (1 + ||X||_F) at each point."""
+        B = self._checked(np.asarray(B, dtype=complex), x, t, "coupling B", 2)
+        X = self._checked(X, x, t, "Gram operator X", self.n)
+        asym = _fro_stack(X - _adjoint(X))
+        _refuse(asym > _HERMIT_TOL * (1.0 + _fro_stack(X)), x, t, NumericalConsistencyError,
+                "X asymmetry {:.3e} exceeds " f"{_HERMIT_TOL:.1e}*(1+||X||)", asym)
+        return B, X
 
     def scaled(self, x, t):
         """(D^-1 B, M, log d) at the points x, t, checked like :meth:`plain`;
@@ -294,7 +311,8 @@ class FiniteVessel:
 
     def plain(self, x, t):
         """(B, X) = (D (D^-1 B), D M D) at the points x, t; EvaluationError
-        at the first point where either overflows."""
+        at the first point where either overflows, NumericalConsistencyError
+        where X is not Hermitian."""
         B, M, log_d = self.operators(x, t)
         if np.any(log_d):
             # an overflow passes through as inf, which _checked names
@@ -342,7 +360,7 @@ class FieldValues:
 class EvaluatedState(FieldValues):
     """The fields plus the pair and gamma_* at the points x, t (as given).
 
-    ``B`` is D^-1 B, ``M`` the symmetrized M, ``Y`` = M^-1 D^-1 B from the
+    ``B`` is D^-1 B, ``M`` the M that was read, ``Y`` = M^-1 D^-1 B from the
     certified solve that gives the fields (:func:`_probe_solve`) and
     ``log_d`` the per-generator log d.  For points of broadcast shape S,
     B and Y are S + (n, 2), M S + (n, n), log_d S + (n,), gamma_* S + (2, 2)
@@ -363,14 +381,13 @@ class EvaluatedState(FieldValues):
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Frobenius norms of the vessel-condition residuals at one (x, t)."""
+    """Frobenius norms of the differential vessel-condition residuals at one
+    (x, t), from centered differences of step h."""
 
     r_DB: float
     r_DX: float
     r_DBt: float
     r_DXt: float
-    r_lyapunov: float
-    r_normalization: float
     h: float
 
     def as_dict(self) -> dict:
@@ -426,32 +443,21 @@ def _probe_solve(X, B, x, t):
     if hard.size:
         Xh = X[hard]
         defect = _fro_stack(np.linalg.inv(Xh) @ Xh - np.eye(n))
-        i = _first(defect > gate)
-        if i is not None:
-            raise EvaluationError(
-                f"Gram operator too ill-conditioned (inverse defect {defect[i]:.3e})",
-                x=float(x[hard[i]]), t=float(t[hard[i]]),
-            )
+        _refuse(defect > gate, x[hard], t[hard], EvaluationError,
+                "Gram operator too ill-conditioned (inverse defect {:.3e})", defect)
     Y = np.ascontiguousarray(Z[..., :c])
     return Y if np.iscomplexobj(Y) else Y.view(complex)
 
 
-def _beta_of_gamma_star(gs, x=None, t=None) -> np.ndarray:
-    """Real beta = (gamma_*)_{21} of a stack of gamma_*, residue-checked.
+def _beta_of_gamma_star(gs, x, t) -> np.ndarray:
+    """Real beta = (gamma_*)_{21} of a stack of gamma_* at the points x, t.
 
-    The imaginary residue must stay below _IMAG_TOL relative to 1 + |beta|;
-    the error names the first offending point when the stack's points x, t
-    are given.
+    The imaginary residue must stay below _IMAG_TOL relative to 1 + |beta|.
     """
     beta = gs[..., 1, 0]
-    bad = np.ravel(np.abs(beta.imag) > _IMAG_TOL * (1.0 + np.abs(beta.real)))
-    i = _first(bad)
-    if i is not None:
-        at = "" if x is None else f" at ({x[i]}, {t[i]})"
-        raise NumericalConsistencyError(
-            f"beta has imaginary residue {np.ravel(beta)[i].imag:.3e} above "
-            f"tolerance {_IMAG_TOL:.1e}{at}"
-        )
+    _refuse(np.abs(beta.imag) > _IMAG_TOL * (1.0 + np.abs(beta.real)), x, t,
+            NumericalConsistencyError,
+            "beta has imaginary residue {:.3e} above " f"tolerance {_IMAG_TOL:.1e}", beta.imag)
     return beta.real
 
 
@@ -475,38 +481,24 @@ def _real_tau_sign(logabs, sign, x, t) -> np.ndarray:
         return sign
     with np.errstate(over="ignore"):
         bound = _IMAG_TOL * np.maximum(np.exp(-logabs), np.abs(sign.real))
-    i = _first(np.abs(sign.imag) > bound)
-    if i is not None:
-        raise NumericalConsistencyError(
-            f"tau has relative imaginary residue {sign[i].imag:.3e} "
-            f"at ({x[i]}, {t[i]})"
-        )
+    _refuse(np.abs(sign.imag) > bound, x, t, NumericalConsistencyError,
+            "tau has relative imaginary residue {:.3e}", sign.imag)
     return sign.real
 
 
 def _state_stack(vessel, x, t):
     """Checked evaluation of the pair at the points x, t (scalars for one point).
 
-    Returns (D^-1 B, M symmetrized, Y, log d, gamma_*, beta, beta', log|tau|,
-    sign tau) stacked over the flat points, with Y = M^-1 D^-1 B from one
-    certified solve per point (:func:`_probe_solve`) and log|tau| =
-    log|det M / det X0| + 2 sum log d.  Every check names the first
-    offending point.
+    Returns (D^-1 B, M, Y, log d, gamma_*, beta, beta', log|tau|, sign tau)
+    stacked over the flat points, with M as :meth:`FiniteVessel.scaled`
+    reads it, Y = M^-1 D^-1 B from one certified solve per point
+    (:func:`_probe_solve`) and log|tau| = log|det M / det X0| + 2 sum log d.
+    Every check names the first offending point.
     """
     n = vessel.n
     B, M, log_d = vessel.scaled(x, t)
     B, M, log_d = B.reshape(-1, n, 2), M.reshape(-1, n, n), log_d.reshape(-1, n)
     x, t = _flat_points(x, t)
-    MH = _adjoint(M)
-    asym = _fro_stack(M - MH)
-    i = _first(asym > _HERMIT_TOL * (1.0 + _fro_stack(M)))
-    if i is not None:
-        raise NumericalConsistencyError(
-            f"X asymmetry {asym[i]:.3e} exceeds {_HERMIT_TOL:.1e}*(1+||X||) "
-            f"at ({x[i]}, {t[i]})"
-        )
-    with np.errstate(over="ignore"):  # finite M within 2x of the float range
-        M = vessel._checked(0.5 * (M + MH), x, t, "Gram operator X", n)
     logabs, sign = _log_tau_stack(vessel, M)
     _check_pivots(sign, x, t)
     Y = _probe_solve(M, B, x, t)
@@ -514,11 +506,8 @@ def _state_stack(vessel, x, t):
     beta = _beta_of_gamma_star(gs, x, t)
     sign = _real_tau_sign(logabs, sign, x, t)
     beta_p = beta**2 + 1j * gs[:, 0, 0]
-    i = _first(np.abs(beta_p.imag) > 1e-9 * (1.0 + np.abs(beta_p.real)))
-    if i is not None:
-        raise NumericalConsistencyError(
-            f"beta' has imaginary residue {beta_p[i].imag:.3e} at ({x[i]}, {t[i]})"
-        )
+    _refuse(np.abs(beta_p.imag) > 1e-9 * (1.0 + np.abs(beta_p.real)), x, t,
+            NumericalConsistencyError, "beta' has imaginary residue {:.3e}", beta_p.imag)
     return B, M, Y, log_d, gs, beta, beta_p.real, logabs + 2.0 * np.sum(log_d, axis=-1), sign
 
 
@@ -526,8 +515,8 @@ def evaluate(vessel: FiniteVessel, x, t) -> EvaluatedState:
     """Evaluate a vessel's pair at points x, t and derive gamma_*, beta, beta' and tau.
 
     One :func:`_state_stack` over all points, unchunked since it keeps the
-    pair and Y of each.  M is symmetrized; the discarded asymmetry must stay
-    below _HERMIT_TOL (1 + ||M||).  Raises at the first failing point (C
+    pair and Y of each, with M as the operator read checked it (Hermitian
+    within _HERMIT_TOL (1 + ||M||)).  Raises at the first failing point (C
     order), e.g. EvaluationError where the pair overflows or M is singular
     or too ill-conditioned for ``inv(M) M = I`` within _INVERSE_TOL sqrt(n).
     """
@@ -635,12 +624,8 @@ def lyapunov_self_check(vessel: FiniteVessel) -> None:
     xs, ts = rng.uniform([-2.0, -0.5], [2.0, 0.5], size=(50, 2)).T
     res = _per_point(vessel.n, xs, ts,
                      lambda xs, ts: _lyapunov_stack(vessel, *vessel.scaled(xs, ts)[:2]), 1)[0]
-    i = _first(res > 1e-12)
-    if i is not None:
-        raise InvalidSpecError(
-            f"{vessel.kind} self-check failed: Lyapunov residual {res[i]:.3e} "
-            f"at ({xs[i]}, {ts[i]})"
-        )
+    _refuse(res > 1e-12, xs, ts, InvalidSpecError,
+            f"{vessel.kind} self-check failed: " "Lyapunov residual {:.3e}", res)
 
 
 def normalization_residual(vessel: FiniteVessel, x, t):
@@ -651,7 +636,7 @@ def normalization_residual(vessel: FiniteVessel, x, t):
     """
     def stack(xs, ts):  # D cancels: B* X^-1 B = (D^-1 B)* M^-1 (D^-1 B)
         B, M, _ = vessel.scaled(xs, ts)
-        G = _adjoint(B) @ _solve(0.5 * (M + _adjoint(M)), B, xs, ts)
+        G = _adjoint(B) @ _solve(M, B, xs, ts)
         return np.abs(np.trace(SIGMA1 @ G, axis1=-2, axis2=-1))
 
     return _floats(_per_point(vessel.n, x, t, stack, 1))[0]
@@ -687,15 +672,7 @@ def evolution_residuals(
         + 1j * B @ GAMMA @ BH
     )
     r_dxt = _fro(dXt - rhs_t)
-    return ResidualReport(
-        r_DB=r_db,
-        r_DX=r_dx,
-        r_DBt=r_dbt,
-        r_DXt=r_dxt,
-        r_lyapunov=lyapunov_residual(vessel, x, t),
-        r_normalization=normalization_residual(vessel, x, t),
-        h=h,
-    )
+    return ResidualReport(r_DB=r_db, r_DX=r_dx, r_DBt=r_dbt, r_DXt=r_dxt, h=h)
 
 
 def inertia(X: np.ndarray):
@@ -773,8 +750,6 @@ def integrate_standard_construction(
         Bs[i], Xs[i] = rk4_step(Bs[i + 1], Xs[i + 1], grid[i] - grid[i + 1])
 
     res, norm_x = _lyapunov_norms(A, None, Bs, Xs)
-    i = _first(~np.isfinite(res) | (res > 1e-8 * (1.0 + norm_x)))
-    if i is not None:
-        raise EvaluationError(f"Lyapunov residual {res[i]:.3e} above 1e-8 during construction",
-                              x=float(grid[i]), t=t0)
+    _refuse(~np.isfinite(res) | (res > 1e-8 * (1.0 + norm_x)), grid, t0, EvaluationError,
+            "Lyapunov residual {:.3e} above 1e-8 during construction", res)
     return Bs, Xs

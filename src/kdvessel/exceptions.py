@@ -2,7 +2,18 @@
 
 
 class VesselError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    An error at a point (x, t) carries it as ``x`` and ``t`` and ends its
+    message in ``[at x=..., t=...]``; both are None otherwise.
+    """
+
+    def __init__(self, message, x=None, t=None):
+        if x is not None or t is not None:
+            message = f"{message} [at x={x!r}, t={t!r}]"
+        super().__init__(message)
+        self.x = x
+        self.t = t
 
 
 class InvalidSpecError(VesselError, ValueError):
@@ -11,13 +22,6 @@ class InvalidSpecError(VesselError, ValueError):
 
 class EvaluationError(VesselError):
     """Operator evaluation failed at a point (singular Gram operator, overflow)."""
-
-    def __init__(self, message, x=None, t=None):
-        if x is not None or t is not None:
-            message = f"{message} [at x={x!r}, t={t!r}]"
-        super().__init__(message)
-        self.x = x
-        self.t = t
 
 
 class NumericalConsistencyError(VesselError):

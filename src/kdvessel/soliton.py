@@ -88,11 +88,17 @@ class SolitonSpec:
 
 def _gram(spec: SolitonSpec) -> np.ndarray:
     # Cauchy-type Gram matrix b_i conj(b_j) / (k_i + k_j); PSD, and real
-    # when the products b_i conj(b_j) are.  An overflow passes through as
-    # inf, which core.FiniteVessel names at its point (the complex division
-    # of an inf leaves a NaN in the imaginary part that a real G drops).
+    # when the products b_i conj(b_j) are.  The products of a complex b
+    # round apart from Hermitian (the diagonal keeps imaginary parts near
+    # 1e-17), so P is averaged with P* once, halves first so that no finite
+    # P overflows; that leaves a real P as it is and makes M exactly
+    # Hermitian at every point.  An overflow passes
+    # through as inf, which core.FiniteVessel names at its point (the
+    # complex division of an inf leaves a NaN in the imaginary part that a
+    # real G drops).
     with np.errstate(over="ignore", invalid="ignore"):
         P = np.outer(spec.b, spec.b.conj())
+        P = 0.5 * P + 0.5 * P.conj().T
         G = P / (spec.k[:, None] + spec.k[None, :])
     return G if P.imag.any() else G.real
 

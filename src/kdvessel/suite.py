@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,38 +28,51 @@ __all__ = ["CheckResult", "CHECKS", "EXPECTED_FAILURES", "ERROR_BOUND_FAMILIES",
            "report_header", "format_report_lines", "report_as_dict"]
 
 
+# How a sub-check's value is judged against its tolerance, keyed by the
+# text the report prints between "need" and the tolerance.
+_RULES = {
+    "<": lambda value, tol: value < tol,
+    ">": lambda value, tol: value > tol,
+    "==": lambda value, tol: value == tol,
+    "within 0.5 of": lambda value, tol: abs(value - tol) < 0.5,
+}
+
+
 @dataclass(frozen=True)
 class CheckResult:
+    """One sub-check, judged by ``passed = _RULES[rule](value, tolerance)``
+    in :func:`_judged` and :meth:`at_tolerance`."""
+
     check: str
     value: float
     tolerance: float
     passed: bool
     runtime_ms: float
     detail: str = ""
-    # direction of the comparison, for report readability: "lt" means the
-    # check passes when value < tolerance, "gt" when value > tolerance.
-    mode: str = "lt"
+    rule: str = "<"
+
+    def at_tolerance(self, tolerance) -> "CheckResult":
+        """This result judged by its rule at another tolerance."""
+        tolerance = float(tolerance)
+        return replace(self, tolerance=tolerance,
+                       passed=bool(_RULES[self.rule](self.value, tolerance)))
 
     def line(self) -> str:
-        rel = "<" if self.mode == "lt" else ">"
         status = "PASS" if self.passed else "FAIL"
         out = (
             f"[{status}] {self.check}: value={self.value:.6e} "
-            f"(need {rel} {self.tolerance:.3e}, {self.runtime_ms:.0f} ms)"
+            f"(need {self.rule} {self.tolerance:.3e}, {self.runtime_ms:.0f} ms)"
         )
         if self.detail and not self.passed:
             out += f"\n       {self.detail}"
         return out
 
 
-def _lt(check, value, tol, t0, detail="") -> CheckResult:
-    return CheckResult(check, float(value), float(tol), bool(value < tol),
-                       (time.perf_counter() - t0) * 1e3, detail, "lt")
-
-
-def _gt(check, value, tol, t0, detail="") -> CheckResult:
-    return CheckResult(check, float(value), float(tol), bool(value > tol),
-                       (time.perf_counter() - t0) * 1e3, detail, "gt")
+def _judged(check, value, rule, tol, t0, detail="") -> CheckResult:
+    """The sub-check ``value <rule> tol``, timed from the perf_counter t0."""
+    value, tol = float(value), float(tol)
+    return CheckResult(check, value, tol, bool(_RULES[rule](value, tol)),
+                       (time.perf_counter() - t0) * 1e3, detail, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -107,9 +120,9 @@ def check_soliton_profile(level, rng):
         worst = max(worst, float(diff))
     elapsed = time.perf_counter() - t0
     return [
-        _lt("soliton_profile.max_error", worst, 1e-8, t0,
-            "max |analytic q - sech^2 reference| over k in {0.5, 1, 2}"),
-        _lt("soliton_profile.runtime_s", elapsed, 2.0, t0),
+        _judged("soliton_profile.max_error", worst, "<", 1e-8, t0,
+                "max |analytic q - sech^2 reference| over k in {0.5, 1, 2}"),
+        _judged("soliton_profile.runtime_s", elapsed, "<", 2.0, t0),
     ]
 
 
@@ -131,9 +144,9 @@ def check_cauchy_determinant(level, rng):
                 for tv in (sign_x * np.exp(logdet_x), sign * np.exp(logabs)))
     elapsed = time.perf_counter() - t0
     return [
-        _lt("cauchy_determinant.rel_error", worst, 1e-10, t0,
-            f"determinant vs closed form at {npts} random points of [-3,3]^2"),
-        _lt("cauchy_determinant.runtime_s", elapsed, 1.0, t0),
+        _judged("cauchy_determinant.rel_error", worst, "<", 1e-10, t0,
+                f"determinant vs closed form at {npts} random points of [-3,3]^2"),
+        _judged("cauchy_determinant.runtime_s", elapsed, "<", 1.0, t0),
     ]
 
 
@@ -155,11 +168,11 @@ def check_vessel_identities(level, rng):
         xs, ts = rng.uniform(lo, hi, size=(npts, 2)).T
         scale = 1.0 + np.linalg.norm(vessel.X(xs, ts), axis=(-2, -1))
         out += [
-            _lt(f"vessel_identities.lyapunov[{name}]",
-                core.lyapunov_residual(vessel, xs, ts).max(), 1e-12, t0,
-                f"normalized Lyapunov residual at {npts} random points"),
-            _lt(f"vessel_identities.normalization[{name}]",
-                (core.normalization_residual(vessel, xs, ts) / scale).max(), 1e-12, t0),
+            _judged(f"vessel_identities.lyapunov[{name}]",
+                    core.lyapunov_residual(vessel, xs, ts).max(), "<", 1e-12, t0,
+                    f"normalized Lyapunov residual at {npts} random points"),
+            _judged(f"vessel_identities.normalization[{name}]",
+                    (core.normalization_residual(vessel, xs, ts) / scale).max(), "<", 1e-12, t0),
         ]
     return out
 
@@ -201,13 +214,13 @@ def check_evolution_conditions(level, rng):
         detail = (f"RK4 tables vs plain B, X on [{x}, {x + 0.5}] at t={t}: "
                   f"max error {err_h:.3e} at h=0.05, {err_h2:.3e} at h=0.025")
         return [
-            _lt(f"evolution_conditions.residual[{name}]", rep_h.max_differential(),
-                1e-6, t0, f"h=1e-3 residuals {rep_h.as_dict()}"),
-            _gt(f"evolution_conditions.order[{name}]", min(orders), 1.9, t0,
-                f"orders per condition: {[round(o, 3) for o in orders]}"),
-            _lt(f"evolution_conditions.construction[{name}]", err_h2, 1e-8, t0, detail),
-            _gt(f"evolution_conditions.construction_order[{name}]",
-                verify.convergence_order(err_h, err_h2), 3.5, t0, detail),
+            _judged(f"evolution_conditions.residual[{name}]", rep_h.max_differential(),
+                    "<", 1e-6, t0, f"h=1e-3 residuals {rep_h.as_dict()}"),
+            _judged(f"evolution_conditions.order[{name}]", min(orders), ">", 1.9, t0,
+                    f"orders per condition: {[round(o, 3) for o in orders]}"),
+            _judged(f"evolution_conditions.construction[{name}]", err_h2, "<", 1e-8, t0, detail),
+            _judged(f"evolution_conditions.construction_order[{name}]",
+                    verify.convergence_order(err_h, err_h2), ">", 3.5, t0, detail),
         ]
 
     return [r for case in cases for r in one(case)]
@@ -241,12 +254,12 @@ def check_kdv_residual(level, rng):
         res_h = np.abs(verify.kdv_residual(q[::2, ::2], coarse)).max()
         res_h2 = np.abs(verify.kdv_residual(q, base)).max()
         order = verify.convergence_order(res_h, res_h2)
-        out.append(_lt(f"kdv_residual.max[{name}]", res_h2, 1e-3, t0,
-                       f"accuracy-4 stencils at hx=ht={base.hx:.3g}"))
-        out.append(_gt(f"kdv_residual.order[{name}]", order, 3.5, t0,
-                       f"residual {res_h:.3e} -> {res_h2:.3e} under h -> h/2"))
-    out.append(_lt("kdv_residual.runtime_s", time.perf_counter() - t_start, 30.0,
-                   t_start))
+        out.append(_judged(f"kdv_residual.max[{name}]", res_h2, "<", 1e-3, t0,
+                           f"accuracy-4 stencils at hx=ht={base.hx:.3g}"))
+        out.append(_judged(f"kdv_residual.order[{name}]", order, ">", 3.5, t0,
+                           f"residual {res_h:.3e} -> {res_h2:.3e} under h -> h/2"))
+    out.append(_judged("kdv_residual.runtime_s", time.perf_counter() - t_start, "<", 30.0,
+                       t_start))
     return out
 
 
@@ -255,8 +268,8 @@ def verify_checks(vessel, grid, tolerance=1e-3):
     q = 2 beta' of one vessel on ``grid``, below ``tolerance``."""
     t0 = time.perf_counter()
     residual = np.abs(verify.kdv_residual(grid_fields(vessel, grid).q, grid)).max()
-    return [_lt("verify.kdv_residual_max", residual, tolerance, t0,
-                f"accuracy-4 stencils, hx={grid.hx:.4g} ht={grid.ht:.4g}")]
+    return [_judged("verify.kdv_residual_max", residual, "<", tolerance, t0,
+                    f"accuracy-4 stencils, hx={grid.hx:.4g} ht={grid.ht:.4g}")]
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +314,9 @@ def transfer_checks(vessel, rng, nlam, suffix=""):
             f"transfer.ds_order{suffix}: {exc} (r_h={r_h:.3e}, r_h/2={r_h2:.3e})"
         ) from exc
     return [
-        _lt(f"transfer.symmetry{suffix}", worst, 1e-10, t0,
-            f"{nlam} seeded lambdas, |lambda| in [0.1, 10], off-spectrum by > 1e-3"),
-        _gt(f"transfer.ds_order{suffix}", order, 1.9, t0),
+        _judged(f"transfer.symmetry{suffix}", worst, "<", 1e-10, t0,
+                f"{nlam} seeded lambdas, |lambda| in [0.1, 10], off-spectrum by > 1e-3"),
+        _judged(f"transfer.ds_order{suffix}", order, ">", 1.9, t0),
     ]
 
 
@@ -321,8 +334,8 @@ def check_transfer_function(level, rng):
         t0 = time.perf_counter()
         out += transfer_checks(vessel, rng, nlam, f"[{name}]")
         inter = transfer.intertwining_residual(vessel, -1j, grid, 0.05)
-        out.append(_lt(f"transfer.intertwining[{name}]", inter, 1e-5, t0,
-                       "lambda = -i, centered grid h = 1e-3"))
+        out.append(_judged(f"transfer.intertwining[{name}]", inter, "<", 1e-5, t0,
+                           "lambda = -i, centered grid h = 1e-3"))
     return out
 
 
@@ -340,11 +353,11 @@ def check_gelfand_levitan(level, rng):
         t0 = time.perf_counter()
         r201 = transfer.gl_residual(vessel, 0.0, 1.5, 0.7, quadrature_nodes=201)
         r401 = transfer.gl_residual(vessel, 0.0, 1.5, 0.7, quadrature_nodes=401)
-        out.append(_lt(f"gelfand_levitan.residual[{name}]", r201, 1e-8, t0,
-                       "201 Simpson nodes, x0=0, (x, y) = (1.5, 0.7)"))
-        out.append(_gt(f"gelfand_levitan.node_doubling[{name}]",
-                       r201 / r401 if r401 > 0 else np.inf, 12.0, t0,
-                       f"residual {r201:.3e} -> {r401:.3e}"))
+        out.append(_judged(f"gelfand_levitan.residual[{name}]", r201, "<", 1e-8, t0,
+                           "201 Simpson nodes, x0=0, (x, y) = (1.5, 0.7)"))
+        out.append(_judged(f"gelfand_levitan.node_doubling[{name}]",
+                           r201 / r401 if r401 > 0 else np.inf, ">", 12.0, t0,
+                           f"residual {r201:.3e} -> {r401:.3e}"))
     return out
 
 
@@ -356,10 +369,9 @@ def scatter_checks(vessel, x0=0.0, x=1.5, y=0.7, nodes=201):
     res = transfer.gl_residual(vessel, x0, x, y, quadrature_nodes=nodes)
     rep = transfer.q_from_K_diag(vessel, 0.5 * (x + y))
     return [
-        _lt("scatter.gl_residual", res, 1e-8, t0,
-            f"Omega={omega:.6e}, K={kval:.6e}, {nodes} Simpson nodes"),
-        CheckResult("scatter.sign_sigma", float(rep.sigma), 1.0, rep.sigma == 1,
-                    (time.perf_counter() - t0) * 1e3, rep.describe(), "gt"),
+        _judged("scatter.gl_residual", res, "<", 1e-8, t0,
+                f"Omega={omega:.6e}, K={kval:.6e}, {nodes} Simpson nodes"),
+        _judged("scatter.sign_sigma", rep.sigma, "==", 1.0, t0, rep.describe()),
     ]
 
 
@@ -381,11 +393,11 @@ def check_fixed_vector(level, rng):
     t0 = time.perf_counter()
     disc = _discrete_vessel(0.4 + 0.22 * np.arange(8), np.full(8, 0.5))
     worst = spectral.fixed_vector_residual(disc, rng.uniform(-5.0, 5.0, size=npts)).max()
-    out.append(_lt("fixed_vector.discrete", worst, 1e-10, t0, _FIXED_VECTOR_NOTE))
+    out.append(_judged("fixed_vector.discrete", worst, "<", 1e-10, t0, _FIXED_VECTOR_NOTE))
     t0 = time.perf_counter()
     quad = _quadrature_vessel(2.0, 64, 1.0)
     worst = spectral.fixed_vector_residual(quad, rng.uniform(-5.0, 5.0, size=npts)).max()
-    out.append(_lt("fixed_vector.quadrature", worst, 1e-8, t0, _FIXED_VECTOR_NOTE))
+    out.append(_judged("fixed_vector.quadrature", worst, "<", 1e-8, t0, _FIXED_VECTOR_NOTE))
     return out
 
 
@@ -400,8 +412,8 @@ def check_moment_recursion(level, rng):
     xs, ts = rng.uniform([-1.0, -0.5], [1.0, 0.5], size=(npts, 2)).T
     worst = max(transfer.moment_recursion_residual(vessel, xs, ts, n, h=1e-4).max()
                 for n in range(4))
-    return [_lt("moment_recursion.max", worst, 1e-6, t0,
-                f"levels n = 0..3 at {npts} random points, FD step 1e-4")]
+    return [_judged("moment_recursion.max", worst, "<", 1e-6, t0,
+                    f"levels n = 0..3 at {npts} random points, FD step 1e-4")]
 
 
 # ---------------------------------------------------------------------------
@@ -450,10 +462,8 @@ def check_coefficient_evolution(level, rng):
         tv = rng.uniform(0.0, 0.6) if trial else 0.0
         worst = max(worst, float(np.max(np.abs(
             evolution.dbnt_rhs(lat, p, tv) - _dbnt_brute(lat, p, tv)))))
-    out.append(CheckResult("coefficient_evolution.rhs_vs_bruteforce", worst, 0.0,
-                           worst == 0.0, (time.perf_counter() - t0) * 1e3,
-                           "bit-exact match of the ordered-pair enumeration "
-                           "(passes only at value 0.0)", "lt"))
+    out.append(_judged("coefficient_evolution.rhs_vs_bruteforce", worst, "==", 0.0, t0,
+                       "bit-exact match of the ordered-pair enumeration"))
 
     def trajectory(steps):
         return evolution.integrate_b(lat, np.ones(lat.size), np.linspace(0.0, 0.5, steps + 1),
@@ -462,14 +472,14 @@ def check_coefficient_evolution(level, rng):
     steps = 500 if level == "full" else 100
     t0 = time.perf_counter()
     traj = trajectory(steps)
-    out.append(_lt("coefficient_evolution.conservation", float(traj.conservation.max()),
-                   1e-12, t0, _CONSERVATION_NOTE))
+    out.append(_judged("coefficient_evolution.conservation", float(traj.conservation.max()),
+                       "<", 1e-12, t0, _CONSERVATION_NOTE))
 
     t0 = time.perf_counter()
     mirror = lat.mirror_permutation()
     sym = float(np.max(np.abs(traj.p - traj.p[:, mirror])))
-    out.append(_lt("coefficient_evolution.symmetry", sym, 1e-12, t0,
-                   "p_N = p_-N along the whole trajectory"))
+    out.append(_judged("coefficient_evolution.symmetry", sym, "<", 1e-12, t0,
+                       "p_N = p_-N along the whole trajectory"))
 
     t0 = time.perf_counter()
     # each step count runs once: at the full level the finest is traj
@@ -477,10 +487,8 @@ def check_coefficient_evolution(level, rng):
     d1 = float(np.max(np.abs(ends[0] - ends[1])))
     d2 = float(np.max(np.abs(ends[1] - ends[2])))
     order = verify.convergence_order(d1, d2)
-    out.append(CheckResult("coefficient_evolution.integrator_order", order, 3.5,
-                           bool(3.5 < order < 4.5),
-                           (time.perf_counter() - t0) * 1e3,
-                           "successive-refinement order, target 4 +- 0.5", "gt"))
+    out.append(_judged("coefficient_evolution.integrator_order", order, "within 0.5 of", 4.0,
+                       t0, "successive-refinement order"))
     return out
 
 
@@ -514,8 +522,8 @@ def check_periodicity(level, rng):
     worst_x = np.max(np.abs(beta[:, 1] - beta[:, 0]))
     worst_t = np.max(np.abs(beta[:, 2] - beta[:, 0]))
     return [
-        _lt("periodicity.x_shift", worst_x, 1e-10, t0, _PERIODICITY_NOTE),
-        _lt("periodicity.t_shift", worst_t, 1e-10, t0, _PERIODICITY_NOTE),
+        _judged("periodicity.x_shift", worst_x, "<", 1e-10, t0, _PERIODICITY_NOTE),
+        _judged("periodicity.t_shift", worst_t, "<", 1e-10, t0, _PERIODICITY_NOTE),
     ]
 
 
@@ -544,11 +552,9 @@ def check_kernel_diag_sign(level, rng):
         details.append(f"{name}: sigma={rep.sigma:+d}")
     report = "; ".join(details) + ". " + reports[0].describe()
     return [
-        _lt("kernel_diag_sign.match_error", worst, 1e-4, t0,
-            "matched candidate vs analytic reference, O(h^2) bound at h = 1e-3"),
-        CheckResult("kernel_diag_sign.sigma_consistent", float(min(sigmas)), 1.0,
-                    all(s == 1 for s in sigmas), (time.perf_counter() - t0) * 1e3,
-                    report, "gt"),
+        _judged("kernel_diag_sign.match_error", worst, "<", 1e-4, t0,
+                "matched candidate vs analytic reference, O(h^2) bound at h = 1e-3"),
+        _judged("kernel_diag_sign.sigma_consistent", min(sigmas), "==", 1.0, t0, report),
     ]
 
 
@@ -630,6 +636,7 @@ def report_as_dict(header, results):
                 "value": float(r.value),
                 "tolerance": float(r.tolerance),
                 "pass": bool(r.passed),
+                "rule": r.rule,
                 "runtime_ms": float(r.runtime_ms),
                 "detail": r.detail,
             }

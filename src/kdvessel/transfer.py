@@ -219,9 +219,9 @@ def _kernels(vessel: core.FiniteVessel, x0: float, x: float, s: np.ndarray, y: f
     With b, c the first columns of the pair's D^-1 B and Y, and E(u, v) =
     diag(e^{log d(u) - log d(v)}), K(x, s) = -c(x)* E(s, x) b(s) and
     Omega(s, y) = (E(s, x0) b(s))* M(x0)^-1 E(y, x0) b(y); D is never formed.
-    Raises, Omega first, EvaluationError at the first node where a kernel
+    Raises, Omega first, EvaluationError at the first node s where a kernel
     leaves the float range and NumericalConsistencyError at the first
-    imaginary residue above 1e-10 (1 + |value|).
+    imaginary residue above 1e-10 (1 + |value|), both at the point (s, 0).
     """
     st = core.evaluate(vessel, np.array([x, x0]), 0.0)
     B, _, log_d = vessel.scaled(np.append(s, y), 0.0)
@@ -230,13 +230,9 @@ def _kernels(vessel: core.FiniteVessel, x0: float, x: float, s: np.ndarray, y: f
         b = np.exp(log_d - st.log_d[1]) * B[..., 0]
         omega = b[:-1].conj() @ np.linalg.solve(st.M[1], b[-1])
     for name, v in ((f"Omega({{}}, {y})", omega), (f"K({x}, {{}})", kval)):
-        i = core._first(~np.isfinite(v))
-        if i is not None:
-            raise EvaluationError(f"{name.format(s[i])} overflowed", x=float(s[i]), t=0.0)
-        i = core._first(np.abs(v.imag) > 1e-10 * (1.0 + np.abs(v.real)))
-        if i is not None:
-            raise NumericalConsistencyError(
-                f"{name.format(s[i])} has imaginary residue {v[i].imag:.3e}")
+        core._refuse(~np.isfinite(v), s, 0.0, EvaluationError, f"{name} overflowed", s)
+        core._refuse(np.abs(v.imag) > 1e-10 * (1.0 + np.abs(v.real)), s, 0.0,
+                     NumericalConsistencyError, name + " has imaginary residue {:.3e}", s, v.imag)
     return kval.real, omega.real
 
 

@@ -1,5 +1,7 @@
 import argparse
 import json
+import operator
+import re
 
 import numpy as np
 import pytest
@@ -621,13 +623,27 @@ class TestSuite:
         cfg.write_text(json.dumps({"checks": [{"name": "kdv_residual", "tolerance": 1e-2}]}))
         assert run(["suite", "--level", "quick", "--config", str(cfg)]) == 2
 
+    def test_every_verdict_follows_its_printed_rule(self):
+        # the rule each line prints between "need" and the tolerance, read
+        # independently of suite.RULES
+        rules = {"<": operator.lt, ">": operator.gt, "==": operator.eq,
+                 "within 0.5 of": lambda value, tol: abs(value - tol) < 0.5}
+        _, results = suite.run_suite(level="quick")
+        results += suite.scatter_checks(build_vessel_from_config(
+            {"type": "soliton", "k": [1.0], "b_abs": [1.4142135623730951]})[0])
+        for r in results:
+            status, rule, tol = re.match(r"\[(PASS|FAIL)\] .*\(need (.+) (\S+), \d+ ms\)$",
+                                         r.line().split("\n")[0]).groups()
+            assert tol == f"{r.tolerance:.3e}", r.check
+            assert (status == "PASS") == rules[rule](r.value, r.tolerance) == r.passed, r.check
+
     def test_error_bound_families_match_the_gates(self):
         # the families whose every sub-check is a positive upper bound on an
         # error, read off a run: the set the CLI accepts overrides for
         _, results = suite.run_suite(level="quick")
         families = {}
         for r in results:
-            bound = r.mode == "lt" and r.tolerance > 0 and not r.check.endswith(".runtime_s")
+            bound = r.rule == "<" and r.tolerance > 0 and not r.check.endswith(".runtime_s")
             family = r.check.split(".", 1)[0]
             families[family] = families.get(family, True) and bound
         assert set(suite.ERROR_BOUND_FAMILIES) == {f for f, ok in families.items() if ok}

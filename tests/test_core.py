@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import mpmath
 import numpy as np
 import pytest
@@ -61,7 +64,7 @@ class TestLinkage:
 class TestBeta:
     def test_zero_coupling(self):
         gs = core._gamma_star(np.zeros((2, 2), dtype=complex), np.zeros((2, 2), dtype=complex))
-        assert core._beta_of_gamma_star(gs) == 0.0
+        assert core._beta_of_gamma_star(gs, 0.0, 0.0) == 0.0
 
     def test_matches_log_tau_derivative(self, three_soliton):
         # beta = -d/dx log tau, centered difference, order-2 convergence
@@ -80,8 +83,8 @@ class TestBeta:
     def test_imaginary_residue_guard(self):
         B = np.array([[1.0, 1j]], dtype=complex)
         bad_Xinv = np.array([[1.0 + 0.5j]])  # not Hermitian: residue shows up
-        with pytest.raises(kv.NumericalConsistencyError):
-            core._beta_of_gamma_star(core._gamma_star(B, bad_Xinv @ B))
+        with pytest.raises(kv.NumericalConsistencyError, match=r"\[at x=0\.5, t=0\.1\]$"):
+            core._beta_of_gamma_star(core._gamma_star(B, bad_Xinv @ B), 0.5, 0.1)
 
 
 class TestTau:
@@ -234,8 +237,8 @@ class TestEvolutionResiduals:
         vessel = kv.build_soliton(kv.SolitonSpec.from_c([0.6, 0.9], [0.25, 0.25]))
         rep = kv.evolution_residuals(vessel, 0.25, 0.12, h=1e-3)
         assert rep.max_differential() < 1e-6
-        assert rep.r_lyapunov < 1e-12
-        assert rep.r_normalization < 1e-12
+        assert kv.lyapunov_residual(vessel, 0.25, 0.12) < 1e-12
+        assert kv.normalization_residual(vessel, 0.25, 0.12) < 1e-12
 
     def test_order_two(self, three_soliton):
         _, vessel = three_soliton
@@ -248,7 +251,7 @@ class TestEvolutionResiduals:
     def test_zero_coupling_everything_constant(self, zero_vessel):
         rep = kv.evolution_residuals(zero_vessel, 0.5, 0.2, h=1e-3)
         assert rep.max_differential() < 1e-14
-        assert rep.r_lyapunov < 1e-14
+        assert kv.lyapunov_residual(zero_vessel, 0.5, 0.2) < 1e-14
 
     def test_rejects_nonpositive_step(self, zero_vessel):
         with pytest.raises(ValueError):
@@ -482,8 +485,10 @@ class TestEvaluateFields:
     def test_asymmetry_guard_fires_inside_a_batch(self):
         vessel = _gram_vessel(lambda x: np.where(x == 0.5, 1e-6, 0.0), lambda x: 0.0 * x)
         kv.evaluate_fields(vessel, np.array([0.0, 0.25]), 0.0)
-        with pytest.raises(kv.NumericalConsistencyError, match=r"at \(0\.5, 0\.0\)"):
+        with pytest.raises(kv.NumericalConsistencyError,
+                           match=r"asymmetry .* \[at x=0\.5, t=0\.0\]$") as exc:
             kv.evaluate_fields(vessel, np.array([0.0, 0.25, 0.5, 0.75]), 0.0)
+        assert (exc.value.x, exc.value.t) == (0.5, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -537,10 +542,6 @@ def complex_discrete_12():
     return kv.build_discrete_vessel(kv.DiscreteSpectrum(k=np.linspace(0.8, 1.4, 12), b=b))
 
 
-def _symmetrized(M):
-    return 0.5 * (M + M.swapaxes(-1, -2).conj())
-
-
 def _gate_readings(M):
     """(est, dense defect, gate) of a stack M as core._probe_solve reads it."""
     n = M.shape[-1]
@@ -552,10 +553,9 @@ def _gate_readings(M):
 
 def _dense_fields(vessel, xs, ts):
     """beta, q, log|tau| and sign from the explicit inverse, Y = inv(M) B
-    refined once (in real arithmetic for a real M): the reference the
-    probe route is held to."""
+    refined once (in real arithmetic for a real M), with M as evaluate reads
+    it: the reference the probe route is held to."""
     B, M, _ = vessel.scaled(xs, ts)
-    M = _symmetrized(M)
     real = not np.iscomplexobj(M)
     Minv = np.linalg.inv(M)
     Bv = np.ascontiguousarray(B).view(float) if real else B
@@ -599,7 +599,7 @@ class TestProbeCertificate:
         vessel = vessels[kind] if pair == "scaled" else plain_copy(vessels[kind])
         M = vessel.scaled(xs, ts)[1]
         assert np.iscomplexobj(M) == (kind == "complex")
-        est, dense, gate = _gate_readings(_symmetrized(M))
+        est, dense, gate = _gate_readings(M)
         refused = dense > gate
         # the fallback runs, and refuses only some of the points it gets
         assert 100 < refused.sum() < np.sum(~(est <= gate / core._PROBE_MARGIN)) < 1000
@@ -623,7 +623,7 @@ class TestProbeCertificate:
         # far above the gate can exceed est by any factor.
         vessels, (xs, ts) = close_soliton_12
         vessel = vessels[kind] if pair == "scaled" else plain_copy(vessels[kind])
-        est, dense, gate = _gate_readings(_symmetrized(vessel.scaled(xs, ts)[1]))
+        est, dense, gate = _gate_readings(vessel.scaled(xs, ts)[1])
         fallback = ~(est <= gate / core._PROBE_MARGIN)
         assert fallback.any() and not fallback.all()
         assert dense[~fallback].max() <= gate / 3
@@ -688,7 +688,7 @@ def test_points_the_plain_x_refused_match_60_digits(close_soliton_12, plain_copy
     # refused them before it read the pair
     vessels, (xs, ts) = close_soliton_12
     vessel = vessels["real"]
-    gated = [_gate_readings(_symmetrized(v.scaled(xs, ts)[1]))
+    gated = [_gate_readings(v.scaled(xs, ts)[1])
              for v in (plain_copy(vessel), vessel)]
     lifted = np.flatnonzero((gated[0][1] > gated[0][2]) & (gated[1][1] <= gated[1][2]))
     assert lifted.size > 20
@@ -711,8 +711,7 @@ def test_points_the_plain_x_refused_match_60_digits(close_soliton_12, plain_copy
 @pytest.fixture(scope="module")
 def wide_two_soliton(plain_copy):
     """The plain two-soliton vessel: at t = 0 the inverse-defect gate fails
-    from x ~ 11.9, X overflows from x ~ 177.3 (X + X* from 177.27, X itself
-    from 177.45) and B from x ~ 354.2."""
+    from x ~ 11.9, X overflows from x ~ 177.45 and B from x ~ 354.2."""
     return plain_copy(kv.build_soliton(kv.SolitonSpec.from_c([1.0, 2.0], [1.0, 1.0])))
 
 
@@ -757,9 +756,10 @@ class TestFirstFailingPoint:
             assert exc.value.x == x
 
     @pytest.mark.parametrize("fn", [kv.evaluate, kv.evaluate_fields])
-    def test_symmetrization_overflow_is_named(self, wide_two_soliton, fn):
-        # X is finite at x = 177.375 but X + X* is not: no NaN beta comes back
-        with pytest.raises(kv.EvaluationError, match="X overflowed") as exc:
+    def test_finite_x_at_the_edge_of_the_float_range_is_named(self, wide_two_soliton, fn):
+        # X is finite at x = 177.375, where no X + X* is formed any more: the
+        # inverse-defect gate refuses the point, and no NaN beta comes back
+        with pytest.raises(kv.EvaluationError, match="ill-conditioned") as exc:
             fn(wide_two_soliton, np.array([0.0, 177.375]), 0.0)
         assert (exc.value.x, exc.value.t) == (177.375, 0.0)
 
@@ -868,3 +868,168 @@ class TestStackedState:
             with pytest.raises(kv.EvaluationError, match="overflowed") as exc:
                 fn(vessel, np.array([0.0, 400.0, 500.0]), 0.0)
             assert exc.value.x == 400.0
+
+
+# ---------------------------------------------------------------------------
+# one way to refuse a point: every gate names its first failing (x, t)
+# ---------------------------------------------------------------------------
+
+# a 3 x 2 grid whose failing points x + t >= 1.5 are (1, 0.5), (2, 0) and
+# (2, 0.5): the first in C order is (1, 0.5), in Fortran order (2, 0)
+_FAULT_X, _FAULT_T = np.meshgrid([0.0, 1.0, 2.0], [0.0, 0.5], indexing="ij")
+_FAULT_FIRST = (1.0, 0.5)
+
+# M = 1e-4 I plus an antisymmetric 5e-13 inside the Hermitian tolerance:
+# M^-1 = 1e4 I carries an antisymmetric part ~ 5e-5 into B* M^-1 B
+_SMALL_M = [[1e-4, 5e-13], [0.0, 1e-4]]
+# a rotation of diag(1, 1e-13), exactly symmetric: inv(M) M - I ~ 1e-4
+_C, _S = np.cos(0.3), np.sin(0.3)
+_ILL_M = [[_C * _C + 1e-13 * _S * _S, (1 - 1e-13) * _C * _S],
+          [(1 - 1e-13) * _C * _S, _S * _S + 1e-13 * _C * _C]]
+# 1e3 [[1, c], [conj(c) + 1e-12 i, 1]] with |c|^2 = 1 - 1e-4: tau ~ 100
+# with an imaginary part ~ 1e-6
+_TAU_C = np.sqrt(1 - 1e-4) * np.exp(0.3j)
+_TAU_M = 1e3 * np.array([[1.0, _TAU_C], [_TAU_C.conjugate() + 1e-12j, 1.0]])
+
+# (B, M) at the failing points of the fault grid; B = 0 and M = I elsewhere
+_FAULTS = {
+    "B overflow": (np.full((2, 2), np.inf), np.eye(2)),
+    "M overflow": (np.zeros((2, 2)), [[1.0, np.inf], [0.0, 1.0]]),
+    "asymmetry": (np.zeros((2, 2)), [[1.0, 1e-6], [0.0, 1.0]]),
+    "zero pivot": (np.zeros((2, 2)), np.ones((2, 2))),
+    "inverse defect": (np.zeros((2, 2)), _ILL_M),
+    "beta residue": ([[1.0, 0.0], [1j, 0.0]], _SMALL_M),
+    "beta' residue": ([[1e-2, 0.0], [0.0, 1.0]], _SMALL_M),
+    "tau residue": (np.zeros((2, 2)), _TAU_M),
+}
+
+
+def _fault_vessel(B_bad, M_bad):
+    """n = 2 with B = 0 and M = I, but (B_bad, M_bad) where x + t >= 1.5."""
+    def operators(x, t):
+        x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
+        bad = (x + t >= 1.5)[..., None, None]
+        return (np.where(bad, np.asarray(B_bad, dtype=complex), 0j),
+                np.where(bad, np.asarray(M_bad, dtype=complex), np.eye(2)), 0.0)
+
+    return kv.FiniteVessel(n=2, A=np.diag([-1j, -4j]), operators=operators,
+                           X0=np.eye(2, dtype=complex), kind="custom")
+
+
+def _self_check_case():
+    # B sigma1 B* = 2 I breaks the Lyapunov condition where x > 0; the
+    # self-check draws its 50 points from seed 0
+    def operators(x, t):
+        x = np.asarray(x, dtype=float) + 0.0 * np.asarray(t, dtype=float)
+        B = np.where((x > 0)[..., None, None], np.ones((2, 2), dtype=complex), 0j)
+        return B, np.broadcast_to(np.eye(2, dtype=complex), x.shape + (2, 2)), 0.0
+
+    vessel = kv.FiniteVessel(n=2, A=np.diag([-1j, -4j]), operators=operators,
+                             X0=np.eye(2, dtype=complex), kind="custom")
+    xs, ts = np.random.default_rng(0).uniform([-2.0, -0.5], [2.0, 0.5], size=(50, 2)).T
+    first = np.flatnonzero(xs > 0)
+    assert first.size > 1
+    return lambda: core.lyapunov_self_check(vessel), (xs[first[0]], ts[first[0]])
+
+
+def _construction_case():
+    # the coarse steps to x = 1 and 1.5 break the monitored Lyapunov residual
+    closed = kv.build_soliton(kv.SolitonSpec.from_c([1.0, 2.0], [1.0, 1.0]))
+    grid = np.concatenate([np.linspace(-0.5, 0.5, 1001), [1.0, 1.5]])
+    return (lambda: kv.integrate_standard_construction(
+        closed.A, closed.B(-0.5, 0.0), closed.X(-0.5, 0.0), -0.5, grid)), (1.0, 0.0)
+
+
+def _kernel_overflow_case():
+    # K(20, s) ~ e^{2 (s - 20)} leaves the float range on the Simpson nodes
+    # s from x0 = 400 down to ~375, the first of them s = 400
+    vessel = kv.build_soliton(kv.SolitonSpec(k=[1.0, 2.0], b=[np.sqrt(2.0), 2.0]))
+    return lambda: kv.gl_residual(vessel, 400.0, 20.0, 0.3), (400.0, 0.0)
+
+
+def _kernel_residue_case():
+    # B times e^{0.3 i max(x - 1, 0)} leaves Omega(s, 0.7) real up to s = 1
+    # and complex on every Simpson node past it
+    base = kv.build_soliton(kv.SolitonSpec(k=[0.7, 1.1], b=[0.5, 0.5]))
+
+    def operators(x, t):
+        B, M, log_d = base.operators(x, t)
+        phase = np.exp(0.3j * np.maximum(np.asarray(x, dtype=float) - 1.0, 0.0))
+        return phase[..., None, None] * B, M, log_d
+
+    vessel = dataclasses.replace(base, operators=operators)
+    nodes = np.linspace(0.0, 1.5, 201)
+    return lambda: kv.gl_residual(vessel, 0.0, 1.5, 0.7), (nodes[nodes > 1.0][0], 0.0)
+
+
+_STACK_GATES = [
+    (name, fn, _FAULTS[name], error, pattern)
+    for name, error, pattern in [
+        ("B overflow", kv.EvaluationError, "coupling B overflowed"),
+        ("M overflow", kv.EvaluationError, "Gram operator X overflowed"),
+        ("asymmetry", kv.NumericalConsistencyError, "X asymmetry"),
+        ("zero pivot", kv.EvaluationError, "singular Gram operator"),
+        ("inverse defect", kv.EvaluationError, "ill-conditioned"),
+        ("beta residue", kv.NumericalConsistencyError, "^beta has imaginary residue"),
+        ("beta' residue", kv.NumericalConsistencyError, "^beta' has imaginary residue"),
+        ("tau residue", kv.NumericalConsistencyError, "^tau has relative imaginary residue"),
+    ]
+    for fn in (kv.evaluate, kv.evaluate_fields)
+]
+
+_OTHER_GATES = [
+    ("self-check", _self_check_case, kv.InvalidSpecError, "self-check failed"),
+    ("construction", _construction_case, kv.EvaluationError, "during construction"),
+    ("kernel overflow", _kernel_overflow_case, kv.EvaluationError, r"^K\(20\.0, 400\.0\) overflowed"),
+    ("kernel residue", _kernel_residue_case, kv.NumericalConsistencyError,
+     r"^Omega\(1\.0\d*, 0\.7\) has imaginary residue"),
+]
+
+
+def _assert_names_first(exc, first, pattern):
+    x, t = first
+    assert (exc.value.x, exc.value.t) == (x, t)
+    message = str(exc.value)
+    assert message.endswith(f" [at x={float(x)!r}, t={float(t)!r}]"), message
+    assert re.search(pattern, message), message
+
+
+class TestOneRefusal:
+    """Every gate refuses a stack at its first failing point in C order, as
+    ``.x``, ``.t`` and the message suffix ``[at x=..., t=...]``."""
+
+    @pytest.mark.parametrize("name, fn, fault, error, pattern", _STACK_GATES,
+                             ids=[f"{g[0]}-{g[1].__name__}" for g in _STACK_GATES])
+    def test_stack_gates(self, name, fn, fault, error, pattern):
+        vessel = _fault_vessel(*fault)
+        fn(vessel, _FAULT_X[:1], _FAULT_T[:1])  # the first row passes
+        with pytest.raises(error) as exc:
+            fn(vessel, _FAULT_X, _FAULT_T)
+        _assert_names_first(exc, _FAULT_FIRST, pattern)
+
+    @pytest.mark.parametrize("name, case, error, pattern", _OTHER_GATES,
+                             ids=[g[0] for g in _OTHER_GATES])
+    def test_other_gates(self, name, case, error, pattern):
+        call, first = case()
+        with pytest.raises(error) as exc:
+            call()
+        _assert_names_first(exc, first, pattern)
+
+
+@pytest.mark.parametrize("build", [
+    lambda b: kv.build_soliton(kv.SolitonSpec(k=[0.6, 0.9, 1.3, 1.7], b=b)),
+    lambda b: kv.build_discrete_vessel(kv.DiscreteSpectrum(k=np.array([0.6, 0.9, 1.3, 1.7]),
+                                                           b=b)),
+    lambda b: kv.build_quadrature_vessel(kv.gauss_legendre_spectrum(
+        1.5, 4, lambda s: 0.8 * np.exp(-(s**2) + 2j * s))),
+], ids=["soliton", "discrete", "quadrature"])
+def test_builders_give_an_exactly_hermitian_m(build):
+    # the operator read allows an asymmetry of 1e-12 (1 + ||M||); every
+    # builder's M and plain X meet it with none, complex couplings included
+    rng = np.random.default_rng(21)
+    b = rng.uniform(0.3, 1.5, 4) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 4))
+    vessel = build(b)
+    xs, ts = rng.uniform(-6.0, 6.0, 200), rng.uniform(-0.5, 0.5, 200)
+    for M in (vessel.scaled(xs, ts)[1], vessel.plain(xs, ts)[1]):
+        assert np.iscomplexobj(M)
+        assert np.array_equal(M, M.swapaxes(-1, -2).conj())

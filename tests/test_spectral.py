@@ -237,8 +237,8 @@ class TestBuildDiscreteVessel:
         for a, b in zip((rep.r_DB, rep.r_DX, rep.r_DBt, rep.r_DXt),
                         (rep2.r_DB, rep2.r_DX, rep2.r_DBt, rep2.r_DXt)):
             assert 3.5 < a / b < 4.5
-        assert rep.r_lyapunov < 1e-12
-        assert rep.r_normalization < 1e-12
+        assert kv.lyapunov_residual(vessel, 0.7, 0.3) < 1e-12
+        assert kv.normalization_residual(vessel, 0.7, 0.3) < 1e-12
 
     def test_small_wavenumber_conditions_below_tolerance(self):
         spec = kv.DiscreteSpectrum(k=np.array([0.7, 1.1]), b=np.array([0.6, 0.6]))

@@ -314,7 +314,8 @@ class TestGLResidual:
 
         vessel = dataclasses.replace(base, operators=operators)
         with pytest.raises(kv.NumericalConsistencyError,
-                           match=r"^Omega\(1\.5, 0\.7\) has imaginary residue -7\.541e-01$"):
+                           match=r"^Omega\(1\.5, 0\.7\) has imaginary residue -7\.541e-01 "
+                                 r"\[at x=1\.5, t=0\.0\]$"):
             kv.gl_kernels(vessel, 0.0, 1.5, 0.7)
         with pytest.raises(kv.NumericalConsistencyError,
                            match=r"^Omega\(0\.0, 0\.7\) has imaginary residue"):
