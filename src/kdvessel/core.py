@@ -138,6 +138,13 @@ def _fro_stack(m) -> np.ndarray:
     return np.sqrt(np.einsum("...i,...i->...", v, v))
 
 
+def _exponent(m, axis) -> np.ndarray:
+    """Binary exponents e of max |m| over ``axis``, max |m| = f 2^e with
+    1/2 <= f < 1 (0 where it is 0): m 2^-e has entries below 1, and the
+    power of two scales every entry exactly."""
+    return np.frexp(np.abs(m).max(axis=axis))[1]
+
+
 def _adjoint(m) -> np.ndarray:
     """Conjugate transpose of each matrix in a stack."""
     return np.swapaxes(m, -1, -2).conj()
@@ -297,8 +304,18 @@ class FiniteVessel:
         Hermitian: ||X - X*||_F <= _HERMIT_TOL (1 + ||X||_F) at each point."""
         B = self._checked(np.asarray(B, dtype=complex), x, t, "coupling B", 2)
         X = self._checked(X, x, t, "Gram operator X", self.n)
-        asym = _fro_stack(X - _adjoint(X))
-        _refuse(asym > _HERMIT_TOL * (1.0 + _fro_stack(X)), x, t, NumericalConsistencyError,
+        with np.errstate(over="ignore"):  # an asymmetry past the float range reads inf
+            asym, norm = _fro_stack(X - _adjoint(X)), _fro_stack(X)
+            bad = asym > _HERMIT_TOL * (1.0 + norm)
+            if not np.isfinite(norm).all():
+                # the squares overflow past |X_ij| ~ 1e154, so those points
+                # are judged at X 2^-e: the power of two leaves asym / (1 + ||X||)
+                unit = np.ldexp(1.0, -np.where(np.isfinite(norm), 0, _exponent(X, (-2, -1))))
+                Xs = X * unit[..., None, None]
+                asym = _fro_stack(Xs - _adjoint(Xs))
+                bad = asym > _HERMIT_TOL * (unit + _fro_stack(Xs))
+                asym = asym / unit
+        _refuse(bad, x, t, NumericalConsistencyError,
                 "X asymmetry {:.3e} exceeds " f"{_HERMIT_TOL:.1e}*(1+||X||)", asym)
         return B, X
 
@@ -436,7 +453,8 @@ def _probe_solve(X, B, x, t):
     if not np.iscomplexobj(X):  # keep the work in real arithmetic
         B = np.ascontiguousarray(B).view(float)
     c = B.shape[-1]
-    Z = _solve(X, np.concatenate((B, X @ P), axis=-1), x, t)
+    XP = (X.reshape(-1, n) @ P).reshape(X.shape[:-1] + P.shape[-1:])  # one GEMM for the stack
+    Z = _solve(X, np.concatenate((B, XP), axis=-1), x, t)
     est = 0.5 * _fro_stack(Z[..., c:] - P)
     gate = _INVERSE_TOL * math.sqrt(n)
     hard = np.flatnonzero(~(est <= gate / _PROBE_MARGIN))
@@ -575,7 +593,7 @@ def _lyapunov_stack(vessel, B, X) -> np.ndarray:
     # scaled per point by the exact powers of two 2^-e and 4^-e, with 4^e
     # ~ max |X_ii| (>= |X_ij| when X >= 0), leave the ratio bit for bit.
     # The copies are skipped where no point needs them (e = 0).
-    e = np.frexp(np.abs(np.diagonal(X, axis1=-2, axis2=-1)).max(axis=-1))[1] // 2
+    e = _exponent(np.diagonal(X, axis1=-2, axis2=-1), -1) // 2
     if e.any():
         B, X = B * np.ldexp(1.0, -e)[:, None, None], X * np.ldexp(1.0, -2 * e)[:, None, None]
     res, norm_x = _lyapunov_norms(vessel.A, vessel.A_diag, B, X)

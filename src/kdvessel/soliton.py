@@ -18,7 +18,10 @@ D^-1 B stay finite at every phase; the plain B and X above are derived
 from it.  The build's self-check runs on the pair, so solitons of any k
 build, and core's evaluators and the transfer routines read the pair on
 arbitrarily wide grids (tau = inf past the float range) with core's
-checks on M.  :func:`q_soliton` is the q-only trace
+checks on M.  The pair is assembled generator-major, with the points on
+the last axis so that every elementwise pass runs over the points, and is
+returned C-contiguous in the contract shapes S + (n, n) and S + (n,) for
+points of broadcast shape S.  :func:`q_soliton` is the q-only trace
 formula on the same M, solved in core's stacks; where close wavenumbers
 make M singular in floating point it raises EvaluationError at the first
 such point in C order, as core does, but it has no conditioning gate.
@@ -160,15 +163,26 @@ def _scaled_system(spec: SolitonSpec, x, t):
     = D M D; M equals X where every phase is <= 0, is real for real
     amplitudes, and a generator whose e^phi leaves the float range in
     either direction decouples in M.  Returns (M, w = e b, log d), one
-    log d per generator, stacked over the points.
+    log d per generator, for x, t of broadcast shape S.
+
+    Every pass runs generator-major, with the generator axes first and the
+    flat points last, so its inner loop runs over the points, not over the
+    n generators; the results come back C-contiguous in the contract
+    shapes S + (n, n), S + (n,) and S + (n,).
     """
     k, b, n = spec.k, spec.b, spec.n
-    phi = np.multiply.outer(x, k) + np.multiply.outer(t, k**3)  # (..., n)
+    x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
+    phi = np.multiply.outer(k, x.ravel()) + np.multiply.outer(k**3, t.ravel())  # (n, points)
     log_d = np.maximum(phi, 0.0)
     e = np.exp(np.minimum(phi, 0.0))
-    M = e[..., :, None] * e[..., None, :] * _gram(spec)
-    M[..., np.arange(n), np.arange(n)] += np.exp(-2.0 * log_d)
-    return M, e * (b if b.imag.any() else b.real), log_d
+    M = e[:, None] * e * _gram(spec)[..., None]  # M[i, j] = e_i e_j G_ij
+    M[np.arange(n), np.arange(n)] += np.exp(-2.0 * log_d)
+    w = e * (b if b.imag.any() else b.real)[:, None]
+
+    def points_first(a):
+        return np.ascontiguousarray(np.moveaxis(a, -1, 0)).reshape(x.shape + a.shape[:-1])
+
+    return points_first(M), points_first(w), points_first(log_d)
 
 
 def q_soliton(spec: SolitonSpec, x, t):

@@ -70,14 +70,25 @@ def kdv_residual(q, grid: Grid2D) -> np.ndarray:
     def shifted(ix, it):
         return q[3 + ix:nx - 3 + ix, 2 + it:nt - 2 + it]
 
+    term = np.empty((nx - 6, nt - 4))  # the one scratch array of every stencil term
+
     def derivative(stencil, axis, h):
         offsets, coeffs, hpow = stencil
-        terms = (cf * (shifted(off, 0) if axis == "x" else shifted(0, off))
-                 for off, cf in zip(offsets, coeffs))
-        return sum(terms, np.zeros((nx - 6, nt - 4))) / h**hpow
+        acc = np.zeros((nx - 6, nt - 4))
+        for off, cf in zip(offsets, coeffs):
+            acc += np.multiply(cf, shifted(off, 0) if axis == "x" else shifted(0, off), out=term)
+        acc /= h**hpow
+        return acc
 
-    return (derivative(_D1, "t", grid.ht) + 1.5 * shifted(0, 0) * derivative(_D1, "x", grid.hx)
-            - 0.25 * derivative(_D3, "x", grid.hx))
+    # q_t + (1.5 q) q_x - 0.25 q_xxx, left to right, in place
+    res = derivative(_D1, "t", grid.ht)
+    q_x = derivative(_D1, "x", grid.hx)
+    q_x *= np.multiply(1.5, shifted(0, 0), out=term)
+    res += q_x
+    q_xxx = derivative(_D3, "x", grid.hx)
+    q_xxx *= 0.25
+    res -= q_xxx
+    return res
 
 
 def convergence_order(res_h: float, res_h2: float) -> float:

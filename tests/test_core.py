@@ -1016,6 +1016,57 @@ class TestOneRefusal:
         _assert_names_first(exc, first, pattern)
 
 
+def _huge_vessel():
+    """n = 2 with B = 0 and an exactly Hermitian M of entries near 1e200,
+    except where x >= 0: there M_21 = 0, a relative asymmetry of 1e-10,
+    100x the tolerance.  ||M||_F squares the entries and overflows at
+    every point."""
+    def operators(x, t):
+        x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
+        lower = np.where(x >= 0.0, 0.0, 1e190)[..., None, None]
+        M = np.where([[True, True], [False, True]], np.array([[1e200, 1e190], [0.0, 1e200]]),
+                     lower)
+        return np.zeros(x.shape + (2, 2), dtype=complex), M, 0.0
+
+    return kv.FiniteVessel(n=2, A=np.diag([-1j, -4j]), operators=operators,
+                           X0=np.eye(2, dtype=complex), kind="custom")
+
+
+class TestHermitianCheckPastTheSquares:
+    """The Hermitian check of the operator read where ||X||_F overflows."""
+
+    @pytest.mark.parametrize("call", [
+        lambda v, x, t: v.scaled(x, t), lambda v, x, t: v.plain(x, t),
+        kv.log_tau, kv.evaluate, kv.evaluate_fields,
+    ], ids=["scaled", "plain", "log_tau", "evaluate", "evaluate_fields"])
+    def test_asymmetry_is_refused(self, call):
+        vessel = _huge_vessel()
+        with pytest.raises(kv.NumericalConsistencyError) as exc:
+            call(vessel, 0.0, 0.0)
+        _assert_names_first(exc, (0.0, 0.0), r"^X asymmetry 1\.414e\+190 ")
+        # in a stack, the Hermitian points pass and the first asymmetric one is named
+        with pytest.raises(kv.NumericalConsistencyError) as exc:
+            call(vessel, np.array([-1.0, -0.5, 0.0, 2.0]), 0.0)
+        _assert_names_first(exc, (0.0, 0.0), r"^X asymmetry 1\.414e\+190 ")
+
+    def test_asymmetry_past_the_float_range_is_refused(self):
+        # X - X* overflows on the diagonal (2i Im X_ii = 2e308 i), the
+        # entries of X do not
+        M = np.array([[1e308 + 1e308j, 1e300], [1e300, 1.0]])
+        vessel = kv.FiniteVessel(
+            n=2, A=np.diag([-1j, -4j]), X0=np.eye(2, dtype=complex), kind="custom",
+            operators=lambda x, t: (np.zeros((2, 2), dtype=complex), M, 0.0))
+        with pytest.raises(kv.NumericalConsistencyError) as exc:
+            vessel.scaled(0.0, 0.0)
+        _assert_names_first(exc, (0.0, 0.0), r"^X asymmetry inf ")
+
+    def test_hermitian_points_pass(self):
+        vessel = _huge_vessel()
+        logabs, sign = kv.log_tau(vessel, np.array([-1.0, -0.5]), 0.0)
+        # det M = 1e400 - 1e380, past the float range but not its logarithm
+        assert np.allclose(logabs, 400.0 * np.log(10.0), rtol=1e-15) and np.all(sign == 1.0)
+
+
 @pytest.mark.parametrize("build", [
     lambda b: kv.build_soliton(kv.SolitonSpec(k=[0.6, 0.9, 1.3, 1.7], b=b)),
     lambda b: kv.build_discrete_vessel(kv.DiscreteSpectrum(k=np.array([0.6, 0.9, 1.3, 1.7]),

@@ -264,6 +264,56 @@ class TestOverflowRegime:
         assert logabs == pytest.approx(3000.0 + np.log(a12), abs=1e-6)
 
 
+def _point_major_scaled_system(spec, x, t):
+    """The scaled pair formed point-major, the generator axes last: the
+    formula _scaled_system must reproduce bit for bit."""
+    k, b, n = spec.k, spec.b, spec.n
+    phi = np.multiply.outer(x, k) + np.multiply.outer(t, k**3)
+    log_d = np.maximum(phi, 0.0)
+    e = np.exp(np.minimum(phi, 0.0))
+    M = e[..., :, None] * e[..., None, :] * soliton._gram(spec)
+    M[..., np.arange(n), np.arange(n)] += np.exp(-2.0 * log_d)
+    return M, e * (b if b.imag.any() else b.real), log_d
+
+
+class TestScaledSystem:
+    """soliton._scaled_system: the contract shapes, C-contiguous, with the
+    bits of the point-major formula."""
+
+    RNG = np.random.default_rng(5)
+    POINTS = {
+        "scalar": (0.3, -0.2),
+        "1-D": (RNG.uniform(-20.0, 20.0, 37), RNG.uniform(-1.0, 1.0, 37)),
+        "2-D": (RNG.uniform(-20.0, 20.0, (9, 5)), RNG.uniform(-1.0, 1.0, (9, 5))),
+        "array x, scalar t": (RNG.uniform(-20.0, 20.0, 23), 0.4),
+        "broadcast": (RNG.uniform(-20.0, 20.0, (6, 1)), RNG.uniform(-1.0, 1.0, 4)),
+        # k x past +-745 for k up to 2.5: e^phi underflows to 0 or overflows
+        "past the float range": (np.array([-800.0, -745.5, -300.0, 0.0, 300.0, 745.5, 800.0]),
+                                 np.array([0.0, -1.0, 0.5, 0.0, 1.0, 0.0, -0.5])),
+    }
+
+    @pytest.mark.parametrize("points", list(POINTS), ids=list(POINTS))
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("phased", [False, True], ids=["real-b", "complex-b"])
+    def test_bitwise_equal_to_the_point_major_formula(self, points, n, phased):
+        rng = np.random.default_rng(n + 10 * phased)
+        b = rng.uniform(0.5, 2.0, n) * (np.exp(1j * rng.uniform(0.0, 6.0, n)) if phased else 1.0)
+        spec = kv.SolitonSpec(k=np.linspace(0.4, 2.5, n) if n > 1 else [1.3], b=b)
+        x, t = self.POINTS[points]
+        S = np.broadcast_shapes(np.shape(x), np.shape(t))
+        got = soliton._scaled_system(spec, x, t)
+        for a, want, shape in zip(got, _point_major_scaled_system(spec, x, t),
+                                  (S + (n, n), S + (n,), S + (n,))):
+            assert a.shape == shape and a.dtype == want.dtype
+            assert a.flags.c_contiguous
+            assert a.tobytes() == want.tobytes()
+        assert np.iscomplexobj(got[0]) == (phased and n > 1)  # relative phases only
+        assert np.isfinite(got[0]).all()
+        if points == "past the float range":
+            phi = np.multiply.outer(x, spec.k) + np.multiply.outer(t, spec.k**3)
+            assert phi.min() < -745.0 and phi.max() > 745.0
+
+
 class TestStacks:
     """q_soliton and the scaled pair's evaluate_fields and log_tau evaluate
     in the stacks of ``core._per_point``."""

@@ -68,6 +68,25 @@ class TestKdVResidual:
             res[nx] = np.max(np.abs(kv.kdv_residual(q, g)))
         assert kv.convergence_order(res[161], res[321]) > 3.5
 
+    def test_bitwise_equal_to_the_term_sum(self):
+        # the residual formed from one temporary per stencil term, summed from
+        # zeros in stencil order: kdv_residual must keep its bits, zeros'
+        # signs included
+        g = grid(-3.0, 3.0, 61, -1.0, 1.0, 17)
+        q = np.random.default_rng(8).standard_normal((61, 17))
+        q[::7, ::3], q[::5, ::4] = 0.0, -0.0
+
+        def derivative(offsets, coeffs, hpow, axis, h):
+            terms = (cf * (q[3 + off:58 + off, 2:15] if axis == "x" else q[3:58, 2 + off:15 + off])
+                     for off, cf in zip(offsets, coeffs))
+            return sum(terms, np.zeros((55, 13))) / h**hpow
+
+        d1 = ((-2, -1, 1, 2), (1 / 12, -2 / 3, 2 / 3, -1 / 12), 1)
+        d3 = ((-3, -2, -1, 1, 2, 3), (1 / 8, -1.0, 13 / 8, -13 / 8, 1.0, -1 / 8), 3)
+        want = (derivative(*d1, "t", g.ht) + 1.5 * q[3:58, 2:15] * derivative(*d1, "x", g.hx)
+                - 0.25 * derivative(*d3, "x", g.hx))
+        assert kv.kdv_residual(q, g).tobytes() == want.tobytes()
+
 
 class TestConvergenceOrder:
     def test_exact_ratios(self):
