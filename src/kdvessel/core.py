@@ -36,10 +36,18 @@ order as ``.x``, ``.t`` and ends in ``[at x=..., t=...]``; a singular Gram
 operator raises through one zero-pivot check that ``soliton.q_soliton``
 shares.
 
-Each point of a stack costs one LU determinant (slogdet) of M for tau and
-one solve M^-1 [D^-1 B | M P] with a fixed Gaussian probe block P, which
-gives Y = M^-1 D^-1 B and an estimate of the inverse defect
-||M^-1 M - I||_F.  The dense defect gate ||M^-1 M - I||_F <= _INVERSE_TOL
+Each point of a stack costs one factorization of M (:func:`_factor`),
+which gives the sign and log|det M| for tau and the solve
+M^-1 [D^-1 B | M P] with a fixed Gaussian probe block P: Y = M^-1 D^-1 B
+and an estimate of the inverse defect ||M^-1 M - I||_F.  At n <= 3 it is
+one partially pivoted elimination, elementwise over the points of the
+stack (:func:`_eliminate`); above n = 3 LAPACK's slogdet and solve factor
+M once each, as numpy exposes no LU.  Per point on one default stack of
+real M with 8 right-hand sides (1 BLAS thread), the elimination took
+0.19-0.36 of the time of slogdet and solve at n = 1-3, 0.36-0.57 at n = 4
+and 0.78-1.22 at n = 8, and 1.0-1.8 from n = 12 (README, "Numerical
+conventions"); the split cannot go as high as the tie (see
+_ELIMINATION_N).  The dense defect gate ||M^-1 M - I||_F <= _INVERSE_TOL
 sqrt(n) runs only on the points the estimate does not clear by a margin
 of 1000.  That it clears no point the gate would refuse is measured, not
 proved (see _PROBE_MARGIN).
@@ -124,6 +132,15 @@ _IMAG_TOL = 1e-10
 _PROBES = 4
 _PROBE_SEED = 20110
 _PROBE_MARGIN = 1000.0
+
+# Up to this n every stacked determinant and solve of M comes from one
+# _eliminate per stack, elementwise over the points; above it from LAPACK,
+# whose per-matrix call costs more than the arithmetic at small n and
+# which ties with it near n = 8.  The split is not that high because at
+# n = 8 the elimination rounds past the exact zero pivot that LAPACK's LU
+# meets on the close 8-soliton at (5.0, 0.9090909090909092), where
+# log_tau and q_soliton would then return numbers.
+_ELIMINATION_N = 3
 
 
 def _fro(m) -> float:
@@ -217,22 +234,128 @@ def _check_step(h) -> None:
 
 
 def _check_pivots(sign, x, t) -> None:
-    """Raise EvaluationError at the first point of the stack x, t whose LU
-    has a zero pivot, i.e. whose determinant sign (from slogdet) is 0."""
+    """Raise EvaluationError at the first point of the stack x, t whose
+    factorization has a zero pivot, i.e. whose determinant sign is 0."""
     _refuse(sign == 0, x, t, EvaluationError, "singular Gram operator")
 
 
-def _solve(X, rhs, x, t) -> np.ndarray:
-    """np.linalg.solve over the stack X at the points x, t.
+def _cmul(a, b) -> np.ndarray:
+    """The complex product a b, elementwise, from real products: numpy's
+    complex multiply rounds differently in its loops for one element and
+    for many, which would make values depend on the stack size."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
-    A singular X raises EvaluationError at its first point: solve and
-    slogdet share the LU, so the zero pivot names the point.
+
+def _eliminate(M, R=None):
+    """(sign det M, log|det M|, M^-1 R) of a stack M (m, n, n) and right-hand
+    sides R (m, n, r), from one Gaussian elimination with partial pivoting.
+
+    The points are moved to the last axis, so every step is an elementwise
+    pass over them, done in the same order at any stack size; complex
+    products and quotients are formed from real ones (:func:`_cmul`), so
+    the values do not depend on the stack size.  Each pivot is the entry
+    of largest |re| + |im| in its column (the first of equals), as LAPACK
+    picks it.  The sign is a unit phase for complex M; where a pivot is
+    exactly 0 it is 0, log|det M| is -inf and the solve is not finite.
+    With R None the solve is None.
+    """
+    m, n = M.shape[0], M.shape[-1]
+    r = 0 if R is None else R.shape[-1]
+    W = np.empty((n, n + r, m), dtype=np.result_type(M, R) if r else M.dtype)
+    W[:, :n] = np.moveaxis(M, 0, -1)  # W[i] is row i of [M | R], points last
+    if r:
+        W[:, n:] = np.moveaxis(R, 0, -1)
+    real, U = not np.iscomplexobj(W), W.view(np.uint64)
+    mul = np.multiply if real else _cmul
+    swapped, singular = np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
+    phase, logabs, recip = np.ones(m, dtype=W.dtype), np.zeros(m), []
+
+    def over_pivot(a, k):  # a / W[k, k]: one division, or a product with 1 / W[k, k]
+        return a / W[k, k] if real else _cmul(a, recip[k])
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(n):
+            col = W[k:, k]
+            mag = np.abs(col) if real else np.abs(col.real) + np.abs(col.imag)
+            for i in range(k + 1, n):
+                # row i takes row k's place where it is strictly larger in
+                # column k, so the first largest entry ends there
+                s = mag[i - k] > mag[0]
+                if s.any():  # exchange rows k and i where s, bit by bit
+                    d = U[k, k:] ^ U[i, k:]
+                    d &= np.repeat(s, U.shape[-1] // m) * ~np.uint64(0)
+                    U[k, k:] ^= d
+                    U[i, k:] ^= d
+                    swapped ^= s
+                    mag[0] = np.maximum(mag[0], mag[i - k])
+            piv = W[k, k]
+            if real:
+                size, unit = np.abs(piv), np.sign(piv)
+            else:  # piv / |piv| and 1 / piv = conj(piv / |piv|) / |piv|, part by part
+                size = np.hypot(piv.real, piv.imag)
+                unit, inverse = np.empty_like(piv), np.empty_like(piv)
+                unit.real, unit.imag = piv.real / size, piv.imag / size
+                inverse.real, inverse.imag = unit.real / size, -unit.imag / size
+                recip.append(inverse)
+            singular |= size == 0
+            logabs += np.log(size)
+            phase = mul(phase, unit)
+            for i in range(k + 1, n):
+                W[i, k + 1:] -= mul(over_pivot(W[i, k], k), W[k, k + 1:])
+        sign = np.where(singular, 0.0, np.where(swapped, -phase, phase))
+        if not r:
+            return sign, logabs, None
+        Z = W[:, n:]  # back substitution in place, row by row
+        for i in reversed(range(n)):
+            for j in range(i + 1, n):
+                Z[i] -= mul(W[i, j], Z[j])
+            Z[i] = over_pivot(Z[i], i)
+    return sign, logabs, np.ascontiguousarray(np.moveaxis(Z, -1, 0))
+
+
+def _lapack(fn, M, x, t, *args):
+    """fn(M, *args) of numpy.linalg over the stack M at the points x, t.
+
+    Where LAPACK meets a zero pivot, the first such point raises
+    EvaluationError: slogdet factors M as fn does and reads its sign 0.
     """
     try:
-        return np.linalg.solve(X, rhs)
+        return fn(M, *args)
     except np.linalg.LinAlgError:
-        _check_pivots(np.linalg.slogdet(X)[0], x, t)
+        _check_pivots(np.linalg.slogdet(M)[0], x, t)
         raise
+
+
+def _factor(M, R, x, t):
+    """(sign det M, log|det M|, M^-1 R) over the stack M (m, n, n) at the
+    points x, t; R None gives no solve.
+
+    At n <= _ELIMINATION_N from one :func:`_eliminate`; above it LAPACK's
+    slogdet, and solve for R, factor M once each.  The first point with a
+    zero pivot raises EvaluationError.
+    """
+    if M.shape[-1] <= _ELIMINATION_N:
+        sign, logabs, Z = _eliminate(M, R)
+        _check_pivots(sign, x, t)
+        return sign, logabs, Z
+    sign, logabs = np.linalg.slogdet(M)
+    _check_pivots(sign, x, t)
+    return sign, logabs, None if R is None else np.linalg.solve(M, R)
+
+
+def _solve(M, R, x, t) -> np.ndarray:
+    """M^-1 R over the stack M at the points x, t; EvaluationError at the
+    first point with a zero pivot.
+
+    One :func:`_eliminate` at n <= _ELIMINATION_N; above it one LAPACK
+    solve, with slogdet run only to name a singular point.
+    """
+    if M.shape[-1] <= _ELIMINATION_N:
+        return _factor(M, R, x, t)[2]
+    return _lapack(np.linalg.solve, M, x, t, R)
 
 
 @dataclass(frozen=True)
@@ -440,13 +563,15 @@ def _probe_block(n: int) -> np.ndarray:
 
 
 def _probe_solve(X, B, x, t):
-    """Y = X^-1 B for stacks of X and B from one solve per point,
-    X^-1 [B | X P], certified by the probe columns (see _PROBE_MARGIN).
+    """(sign det X, log|det X|, Y = X^-1 B) for stacks of X and B from one
+    :func:`_factor` per point, X^-1 [B | X P], with Y certified by the
+    probe columns (see _PROBE_MARGIN).
 
     The solve is backward stable, so Y takes no refinement.  Points whose
     estimate est = ||X^-1 (X P) - P||_F / 2 does not clear them (a NaN
     included) get the dense defect inv(X) X - I, on those points only, and
-    raise at the first that fails it.
+    raise at the first that fails it, or that LAPACK's inverse finds
+    singular.
     """
     n = X.shape[-1]
     P = _probe_block(n)
@@ -454,17 +579,17 @@ def _probe_solve(X, B, x, t):
         B = np.ascontiguousarray(B).view(float)
     c = B.shape[-1]
     XP = (X.reshape(-1, n) @ P).reshape(X.shape[:-1] + P.shape[-1:])  # one GEMM for the stack
-    Z = _solve(X, np.concatenate((B, XP), axis=-1), x, t)
+    sign, logabs, Z = _factor(X, np.concatenate((B, XP), axis=-1), x, t)
     est = 0.5 * _fro_stack(Z[..., c:] - P)
     gate = _INVERSE_TOL * math.sqrt(n)
     hard = np.flatnonzero(~(est <= gate / _PROBE_MARGIN))
     if hard.size:
         Xh = X[hard]
-        defect = _fro_stack(np.linalg.inv(Xh) @ Xh - np.eye(n))
+        defect = _fro_stack(_lapack(np.linalg.inv, Xh, x[hard], t[hard]) @ Xh - np.eye(n))
         _refuse(defect > gate, x[hard], t[hard], EvaluationError,
                 "Gram operator too ill-conditioned (inverse defect {:.3e})", defect)
     Y = np.ascontiguousarray(Z[..., :c])
-    return Y if np.iscomplexobj(Y) else Y.view(complex)
+    return sign, logabs, Y if np.iscomplexobj(Y) else Y.view(complex)
 
 
 def _beta_of_gamma_star(gs, x, t) -> np.ndarray:
@@ -479,29 +604,21 @@ def _beta_of_gamma_star(gs, x, t) -> np.ndarray:
     return beta.real
 
 
-def _log_tau_stack(vessel, X):
-    """(log|tau|, sign tau) of a stack X (m, n, n): tau = det X / det X0.
-
-    One LU of each X (slogdet).  The sign is complex for complex X; see
-    :func:`_real_tau_sign`.
-    """
-    sign, logdet = np.linalg.slogdet(X)
-    return logdet - vessel.log_abs_det_X0, sign / vessel.sign_det_X0
-
-
-def _real_tau_sign(logabs, sign, x, t) -> np.ndarray:
-    """The real sign of tau at the stack's points x, t.
+def _tau_stack(vessel, sign, logdet, x, t):
+    """(log|tau|, real sign tau) of tau = det M / det X0 at the stack's
+    points x, t, from the sign and log|det M| of :func:`_factor`.
 
     A complex sign's imaginary residue relative to max(1, |tau|) must stay
     below _IMAG_TOL.
     """
+    logabs, sign = logdet - vessel.log_abs_det_X0, sign / vessel.sign_det_X0
     if not np.iscomplexobj(sign):
-        return sign
+        return logabs, sign
     with np.errstate(over="ignore"):
         bound = _IMAG_TOL * np.maximum(np.exp(-logabs), np.abs(sign.real))
     _refuse(np.abs(sign.imag) > bound, x, t, NumericalConsistencyError,
             "tau has relative imaginary residue {:.3e}", sign.imag)
-    return sign.real
+    return logabs, sign.real
 
 
 def _state_stack(vessel, x, t):
@@ -509,20 +626,19 @@ def _state_stack(vessel, x, t):
 
     Returns (D^-1 B, M, Y, log d, gamma_*, beta, beta', log|tau|, sign tau)
     stacked over the flat points, with M as :meth:`FiniteVessel.scaled`
-    reads it, Y = M^-1 D^-1 B from one certified solve per point
-    (:func:`_probe_solve`) and log|tau| = log|det M / det X0| + 2 sum log d.
+    reads it, Y = M^-1 D^-1 B certified and det M from one factorization
+    per point (:func:`_probe_solve`) and log|tau| = log|det M / det X0| +
+    2 sum log d.
     Every check names the first offending point.
     """
     n = vessel.n
     B, M, log_d = vessel.scaled(x, t)
     B, M, log_d = B.reshape(-1, n, 2), M.reshape(-1, n, n), log_d.reshape(-1, n)
     x, t = _flat_points(x, t)
-    logabs, sign = _log_tau_stack(vessel, M)
-    _check_pivots(sign, x, t)
-    Y = _probe_solve(M, B, x, t)
+    sign, logdet, Y = _probe_solve(M, B, x, t)
     gs = _gamma_star(B, Y)
     beta = _beta_of_gamma_star(gs, x, t)
-    sign = _real_tau_sign(logabs, sign, x, t)
+    logabs, sign = _tau_stack(vessel, sign, logdet, x, t)
     beta_p = beta**2 + 1j * gs[:, 0, 0]
     _refuse(np.abs(beta_p.imag) > 1e-9 * (1.0 + np.abs(beta_p.real)), x, t,
             NumericalConsistencyError, "beta' has imaginary residue {:.3e}", beta_p.imag)
@@ -560,7 +676,7 @@ def evaluate_fields(vessel: FiniteVessel, x, t) -> FieldValues:
 
 
 def log_tau(vessel: FiniteVessel, x, t):
-    """(log|tau|, sign) of tau = det X / det X0 from one LU determinant per point.
+    """(log|tau|, sign) of tau = det X / det X0 from one factorization per point.
 
     Needs no inverse, so it also serves points where M is too
     ill-conditioned for :func:`evaluate`; tau = sign e^{log|tau|}.  Reads
@@ -570,9 +686,8 @@ def log_tau(vessel: FiniteVessel, x, t):
     """
     def stack(xs, ts):
         _, M, log_d = vessel.scaled(xs, ts)
-        logabs, sign = _log_tau_stack(vessel, M)
-        _check_pivots(sign, xs, ts)
-        return logabs + 2.0 * np.sum(log_d, axis=-1), _real_tau_sign(logabs, sign, xs, ts)
+        logabs, sign = _tau_stack(vessel, *_factor(M, None, xs, ts)[:2], xs, ts)
+        return logabs + 2.0 * np.sum(log_d, axis=-1), sign
 
     return _floats(_per_point(vessel.n, x, t, stack, 2))
 

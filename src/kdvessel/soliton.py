@@ -22,9 +22,12 @@ checks on M.  The pair is assembled generator-major, with the points on
 the last axis so that every elementwise pass runs over the points, and is
 returned C-contiguous in the contract shapes S + (n, n) and S + (n,) for
 points of broadcast shape S.  :func:`q_soliton` is the q-only trace
-formula on the same M, solved in core's stacks; where close wavenumbers
-make M singular in floating point it raises EvaluationError at the first
-such point in C order, as core does, but it has no conditioning gate.
+formula on the same M, solved in core's stacks by core's factorization:
+one pivoted elimination over the points of a stack at n <= 3 (where
+criterion 5's 2- and 3-solitons run), LAPACK's solve above.  Where close
+wavenumbers make M singular in floating point it raises EvaluationError
+at the first such point in C order, as core does, but it has no
+conditioning gate.
 """
 
 from __future__ import annotations
@@ -192,7 +195,7 @@ def q_soliton(spec: SolitonSpec, x, t):
     formula q = -2 [tr(X^-1 X'') - tr((X^-1 X')^2)] reduces, for
     v = M^-1 w with (M, w) of :func:`_scaled_system`, to
     q = -2 (2 Re(v* K w) - (w* v)^2).  One solve per point, in core's
-    stacks; broadcasts over x, t.  A singular M raises EvaluationError at
+    stacks (``core._solve``); broadcasts over x, t.  A singular M raises EvaluationError at
     its first point in C order.
     """
     def stack(xs, ts):

@@ -660,6 +660,169 @@ class TestProbeCertificate:
                 assert np.array_equal(getattr(fields, name), getattr(default, name)), (size, name)
 
 
+# ---------------------------------------------------------------------------
+# the elimination of core._eliminate (n <= core._ELIMINATION_N) against LAPACK
+# ---------------------------------------------------------------------------
+
+@st.composite
+def hermitian_stacks(draw):
+    """(M, R): a stack of Hermitian M = 2^e Q diag(lam) Q* with cond(M) <= 1e6,
+    definite or indefinite (Pontryagin), real or complex, and right-hand
+    sides R with 8 columns."""
+    n = draw(st.integers(1, 3))
+    count = draw(st.integers(1, 12))
+    is_complex, definite = draw(st.booleans()), draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 2.0 ** draw(st.integers(-30, 30))
+
+    def gaussian(*shape):
+        g = rng.standard_normal(shape)
+        return g + 1j * rng.standard_normal(shape) if is_complex else g
+
+    Q = np.linalg.qr(gaussian(count, n, n))[0]
+    lam = 10.0 ** rng.uniform(-6.0, 0.0, (count, n))
+    if not definite:  # one negative eigenvalue, and a positive one where n > 1
+        lam[:, 0] *= -1.0
+    M = scale * (Q * lam[:, None, :]) @ core._adjoint(Q)
+    return 0.5 * (M + core._adjoint(M)), gaussian(count, n, 8)
+
+
+class TestElimination:
+    """One pivoted elimination gives LAPACK's sign, log|det M| and M^-1 R."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(stack=hermitian_stacks())
+    def test_matches_lapack(self, stack):
+        M, R = stack
+        sign, logabs, Z = core._eliminate(M, R)
+        sign0, logabs0 = np.linalg.slogdet(M)
+        Z0 = np.linalg.solve(M, R)
+        # both factorizations are backward stable: they may differ by a
+        # few cond(M) eps, relative to |Z| and to the terms of log|det M|
+        bound = 1e-13 * np.linalg.cond(M)
+        assert np.all(np.abs(Z - Z0).max(axis=(-2, -1))
+                      <= bound * np.abs(Z0).max(axis=(-2, -1)))
+        assert np.all(np.abs(logabs - logabs0) <= bound + 1e-13 * np.abs(logabs0))
+        assert np.array_equal(np.sign(sign.real), np.sign(sign0.real))
+        assert np.all(np.abs(sign - sign0) <= bound)
+        assert core._eliminate(M)[2] is None
+
+    @pytest.mark.parametrize("singular", [
+        np.zeros((1, 1)), np.array([[1.0, 1.0], [1.0, 1.0]]), np.zeros((2, 2)),
+        np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]]), np.zeros((3, 3)),
+    ], ids=["zero-1", "ones-2", "zero-2", "rank2-3", "zero-3"])
+    def test_singular_points_are_named_in_order(self, singular):
+        n = singular.shape[0]
+        M = np.broadcast_to(np.eye(n, dtype=complex), (6, n, n)).copy()
+        M[2], M[4] = singular, 1j * singular
+        xs, ts = np.arange(6.0), np.full(6, 0.5)
+        assert np.array_equal(core._eliminate(M)[0] == 0, np.isin(np.arange(6), [2, 4]))
+        for call in (lambda: core._factor(M, None, xs, ts),
+                     lambda: core._factor(M, np.ones((6, n, 1)), xs, ts),
+                     lambda: core._solve(M, np.ones((6, n, 1)), xs, ts)):
+            with pytest.raises(kv.EvaluationError, match=r"^singular Gram operator \[") as exc:
+                call()
+            assert (exc.value.x, exc.value.t) == (2.0, 0.5)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_values_do_not_depend_on_the_stack_size(self, n, dtype):
+        rng = np.random.default_rng(n)
+        count = core._CHUNK_ENTRIES // n**2  # the default stack
+        M = rng.standard_normal((count, n, n)).astype(dtype)
+        if dtype is complex:
+            M += 1j * rng.standard_normal((count, n, n))
+        M = M + core._adjoint(M)
+        R = rng.standard_normal((count, n, 8)).astype(dtype)
+        whole = core._eliminate(M, R)
+        for size in (1, 7):
+            end = 70 * size  # a prefix of the stack in stacks of ``size``
+            parts = [core._eliminate(M[s:s + size], R[s:s + size])
+                     for s in range(0, end, size)]
+            for got, want in zip(zip(*parts), whole):
+                assert np.concatenate(got).tobytes() == want[:end].tobytes(), size
+
+    def test_a_singular_point_the_elimination_passes_is_named_by_the_dense_check(self):
+        # S is exactly singular (det S = 0 in integers), but the elimination
+        # rounds its last pivot to about 1e-16, while LAPACK's LU, which
+        # the dense inverse-defect check calls, meets the exact zero
+        S = np.array([[1.0, 3.0, 1.0], [3.0, 1.0, -1.0], [1.0, -1.0, -1.0]])
+        assert np.all(core._eliminate(S[None])[0] != 0)
+        assert np.linalg.slogdet(S)[0] == 0
+
+        def operators(x, t):
+            x = np.asarray(x, dtype=float) + 0.0 * np.asarray(t, dtype=float)
+            B = np.broadcast_to([[1.0, 0.5j], [0.3, -1.0j], [-0.7, 0.2j]], x.shape + (3, 2))
+            return B, S + x[..., None, None] * np.eye(3), 0.0  # singular at x = 0
+
+        vessel = kv.FiniteVessel(n=3, A=np.diag([-1j, -4j, -9j]), operators=operators,
+                                 X0=np.eye(3, dtype=complex), kind="custom")
+        for fn in (kv.evaluate, kv.evaluate_fields):
+            with pytest.raises(kv.EvaluationError, match=r"^singular Gram operator \[") as exc:
+                fn(vessel, np.array([0.5, 1.0, 0.0, 2.0]), 0.1)
+            assert (exc.value.x, exc.value.t) == (0.0, 0.1)
+
+
+def _route_errors(monkeypatch, fn, vessel, X, T):
+    """{route: (one-point errors, the error of the whole grid or None)} of
+    fn on the grid X, T with the elimination and with LAPACK at every n."""
+    out = {}
+    for route, split in (("elimination", core._ELIMINATION_N), ("lapack", 0)):
+        monkeypatch.setattr(core, "_ELIMINATION_N", split)
+        try:
+            fn(vessel, X, T)
+            first = None
+        except (kv.EvaluationError, kv.NumericalConsistencyError) as exc:
+            first = (exc.x, exc.t, str(exc))
+        out[route] = _one_point_errors(fn, vessel, X.ravel(), T.ravel()), first
+    return out
+
+
+@pytest.fixture(scope="module")
+def elimination_hard_inputs(plain_copy, wide_two_soliton, rotated_three_soliton):
+    """name: (vessel, X, T) of the n <= 3 inputs whose refusals the
+    elimination must share with LAPACK."""
+    wide = np.meshgrid(np.linspace(-200.0, 200.0, 401), [-0.05, 0.05], indexing="ij")
+    cauchy = kv.build_soliton(kv.SolitonSpec.from_c([1.0, 2.0, 3.0], [1.0, 1.0, 1.0]))
+    return {
+        "wide-1": (plain_copy(kv.build_soliton(kv.SolitonSpec(k=[3.0], b=[2.0]))), *wide),
+        "wide-2": (wide_two_soliton, *wide),
+        "cauchy-3": (plain_copy(cauchy),
+                     *np.meshgrid(np.linspace(-3.0, 3.0, 21), np.linspace(-3.0, 3.0, 21),
+                                  indexing="ij")),
+        "rotated-3": (rotated_three_soliton,
+                      *np.meshgrid(np.linspace(-2.0, 2.0, 41), np.linspace(-0.5, 0.5, 11),
+                                   indexing="ij")),
+    }
+
+
+def _kind(message):
+    """A refusal message with its readings masked."""
+    return re.sub(r"-?\d\.\d+e[+-]\d+", "#", message)
+
+
+@pytest.mark.parametrize("fn", [kv.evaluate_fields, kv.log_tau])
+@pytest.mark.parametrize("name", ["wide-1", "wide-2", "cauchy-3", "rotated-3"])
+def test_elimination_refuses_what_lapack_refuses(monkeypatch, elimination_hard_inputs, name, fn):
+    vessel, X, T = elimination_hard_inputs[name]
+    got = _route_errors(monkeypatch, fn, vessel, X, T)
+    (errors, first), (lapack_errors, lapack_first) = got["elimination"], got["lapack"]
+    if name != "rotated-3":
+        assert errors == lapack_errors and first == lapack_first
+        return
+    # The rotated vessel's M is its complex plain X, whose det is real only
+    # up to cond(X) eps.  The imaginary-residue gate on tau reads that
+    # rounding, so where the reading is near the gate's tolerance the two
+    # factorizations may decide differently.  Every other refusal is
+    # shared, message kind for kind.
+    flipped = {i for i in errors.keys() | lapack_errors.keys()
+               if _kind(errors.get(i, "")) != _kind(lapack_errors.get(i, ""))}
+    assert len(flipped) <= 0.1 * len(lapack_errors)
+    for i in flipped:
+        for message in (errors.get(i), lapack_errors.get(i)):
+            assert message is None or message.startswith("tau has relative imaginary residue")
+
+
 def _soliton_reference(k, b, x, t, lam):
     """60-digit beta, beta', log|tau| and S(lam) of the soliton (k, b) with
     X0 = I at (x, t), from M = E^-1 X E^-1 = E^-2 + G for E = diag(e^phi)."""

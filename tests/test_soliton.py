@@ -320,27 +320,41 @@ class TestStacks:
 
     SPEC = kv.SolitonSpec(k=[0.6, 1.1, 1.7], b=[1.2, 0.8, 1.5])
     VESSEL = kv.build_soliton(SPEC)
+    # n = 1, 2 and 3, and couplings with phases, whose M is complex
+    SPECS = {
+        "n1": kv.SolitonSpec(k=[2.5], b=[1.3]),
+        "n2": kv.SolitonSpec(k=[1.2, 1.9], b=[0.9, 1.4]),
+        "n3": SPEC,
+        "n3-phases": kv.SolitonSpec(k=[0.6, 1.1, 1.7],
+                                    b=[1.2 * np.exp(0.4j), 0.8 * np.exp(1.9j),
+                                       1.5 * np.exp(-0.7j)]),
+    }
 
-    def _values(self, x, t):
-        fields = kv.evaluate_fields(self.VESSEL, x, t)
-        return [kv.q_soliton(self.SPEC, x, t), *kv.log_tau(self.VESSEL, x, t),
+    @staticmethod
+    def _values(spec, vessel, x, t):
+        fields = kv.evaluate_fields(vessel, x, t)
+        return [kv.q_soliton(spec, x, t), *kv.log_tau(vessel, x, t),
                 fields.beta, fields.beta_prime, fields.log_abs_tau, fields.tau_sign]
 
+    @pytest.mark.parametrize("name", list(SPECS))
     @pytest.mark.parametrize("entries", [1, 4 * 9], ids=["one-point", "four-points"])
-    def test_small_stacks_equal_one_stack_bitwise(self, monkeypatch, entries):
+    def test_small_stacks_equal_one_stack_bitwise(self, monkeypatch, entries, name):
         # 31 x 7 = 217 points, from left tails to tau past the float range
+        spec = self.SPECS[name]
+        vessel = kv.build_soliton(spec)
+        assert np.iscomplexobj(vessel.scaled(0.0, 0.0)[1]) == (name == "n3-phases")
         X, T = np.meshgrid(np.linspace(-150.0, 150.0, 31), np.linspace(-0.5, 0.5, 7),
                            indexing="ij")
-        whole = self._values(X, T)
-        assert np.isinf(kv.evaluate_fields(self.VESSEL, X, T).tau).any()
+        whole = self._values(spec, vessel, X, T)
+        assert np.isinf(kv.evaluate_fields(vessel, X, T).tau).any()
         monkeypatch.setattr(core, "_CHUNK_ENTRIES", entries)
-        for one, stacked in zip(whole, self._values(X, T)):
+        for one, stacked in zip(whole, self._values(spec, vessel, X, T)):
             assert stacked.shape == X.shape
             assert stacked.tobytes() == one.tobytes()
 
     def test_scalar_points_give_floats(self, monkeypatch):
         monkeypatch.setattr(core, "_CHUNK_ENTRIES", 1)
-        q, logabs, sign = self._values(0.3, 0.1)[:3]
+        q, logabs, sign = self._values(self.SPEC, self.VESSEL, 0.3, 0.1)[:3]
         for v in (q, logabs, sign):
             assert type(v) is float
         assert q == pytest.approx(kv.evaluate_fields(self.VESSEL, 0.3, 0.1).q, rel=1e-13)
