@@ -30,11 +30,12 @@ of one chunk loop.  All of them read the pair except the Lyapunov and
 evolution residuals, which are about the plain B and X.  The operators are
 checked where they are read (:meth:`FiniteVessel.scaled` and ``plain``):
 shapes, finite entries and a Hermitian M, which every evaluator then uses
-as given.  Every check at a point refuses through one helper,
-:func:`_refuse`, so each such error carries the first failing point in C
-order as ``.x``, ``.t`` and ends in ``[at x=..., t=...]``; a singular Gram
-operator raises through one zero-pivot check that ``soliton.q_soliton``
-shares.
+as given.  Every check at a point is a gate, a per-point mask, and each
+stack refuses once, through :func:`_refuse`: the first flagged point in C
+order raises the error of the first gate, in pipeline order, that flags
+it, carries the point as ``.x``, ``.t`` and ends in ``[at x=..., t=...]``.
+Flagged points get B = 0 and M = I before the factorization, so no stack
+raises midway.
 
 Each point of a stack costs one factorization of M (:func:`_factor`),
 which gives the sign and log|det M| for tau and the solve
@@ -162,6 +163,12 @@ def _exponent(m, axis) -> np.ndarray:
     return np.frexp(np.abs(m).max(axis=axis))[1]
 
 
+def _nonfinite(m) -> np.ndarray:
+    """Per matrix of a stack (..., r, c): a non-finite entry?  One pass if none has."""
+    ok = np.isfinite(m)
+    return np.zeros(m.shape[:-2], dtype=bool) if ok.all() else ~ok.all(axis=(-2, -1))
+
+
 def _adjoint(m) -> np.ndarray:
     """Conjugate transpose of each matrix in a stack."""
     return np.swapaxes(m, -1, -2).conj()
@@ -173,38 +180,18 @@ def _flat_points(x, t):
     return xb.ravel(), tb.ravel()
 
 
-def _at_first_failure(fn, x, t):
-    """fn(x, t) on a stack of points, or the error of its first failing point
-    in C order: a check can fire at a later point before an earlier point
-    meets the check it fails, so a failing stack is halved down to it."""
-    try:
-        return fn(x, t)
-    except (EvaluationError, NumericalConsistencyError) as exc:
-        err = exc
-    xs, ts = _flat_points(x, t)
-    while xs.size > 1:  # err came from a stack ending where xs ends, passing before xs
-        h = xs.size // 2
-        try:
-            fn(xs[:h], ts[:h])
-        except (EvaluationError, NumericalConsistencyError) as exc:
-            err, xs, ts = exc, xs[:h], ts[:h]
-        else:
-            xs, ts = xs[h:], ts[h:]
-    raise err
-
-
 def _per_point(n: int, x, t, fn, count: int) -> np.ndarray:
     """``count`` per-point results of fn(xs, ts) over the broadcast points x, t.
 
     fn sees 1-D stacks of at most _CHUNK_ENTRIES / n^2 points (at least
-    one); the result has shape (count,) + broadcast shape.  Raises at the
-    first failing point in C order.
+    one); the result has shape (count,) + broadcast shape.  A stack that
+    fn refuses raises, so the first chunk with a failing point names it.
     """
     xf, tf = _flat_points(x, t)
     out = np.empty((count, xf.size))
     step = max(1, _CHUNK_ENTRIES // n**2)
     for s in range(0, xf.size, step):
-        out[:, s:s + step] = _at_first_failure(fn, xf[s:s + step], tf[s:s + step])
+        out[:, s:s + step] = fn(xf[s:s + step], tf[s:s + step])
     return out.reshape((count,) + np.broadcast_shapes(np.shape(x), np.shape(t)))
 
 
@@ -213,18 +200,23 @@ def _floats(rows) -> tuple:
     return tuple(r if r.ndim else float(r) for r in rows)
 
 
-def _refuse(bad, x, t, error, message, *values) -> None:
-    """Raise ``error`` at the first flagged point of a stack, if any.
+def _refuse(x, t, *gates) -> None:
+    """Raise at the first point of a stack that a gate flags, if any.
 
-    ``bad`` flags the points x, t (the three broadcast together, C order).
-    The message is ``message.format`` of each of ``values`` (flat or of
-    bad's shape) at that point, and the error carries its x and t.
+    Each gate is (bad, error, message, *values), listed in pipeline order,
+    with one flag per point of the broadcast x, t in ``bad`` (C order, in
+    their shape or flat).  The first flagged point raises the error of the
+    first gate that flags it, with ``message.format`` of each value (flat
+    or of bad's shape) at the point, and the error carries its x and t.
     """
-    if np.any(bad):
-        bad, x, t = np.broadcast_arrays(bad, x, t)
-        i = int(np.argmax(bad))
-        raise error(message.format(*(np.ravel(v)[i] for v in values)),
-                    x=float(x.flat[i]), t=float(t.flat[i]))
+    if not any(gate[0].any() for gate in gates):
+        return
+    flags = [np.ravel(gate[0]) for gate in gates]
+    i = min(int(np.argmax(f)) for f in flags if f.any())
+    _, error, message, *values = next(g for g, f in zip(gates, flags) if f[i])
+    x, t = np.broadcast_arrays(x, t)
+    raise error(message.format(*(np.ravel(v)[i] for v in values)),
+                x=float(x.flat[i]), t=float(t.flat[i]))
 
 
 def _check_step(h) -> None:
@@ -233,10 +225,8 @@ def _check_step(h) -> None:
         raise ValueError(f"step h must be positive and finite, got {h!r}")
 
 
-def _check_pivots(sign, x, t) -> None:
-    """Raise EvaluationError at the first point of the stack x, t whose
-    factorization has a zero pivot, i.e. whose determinant sign is 0."""
-    _refuse(sign == 0, x, t, EvaluationError, "singular Gram operator")
+# The error of the gate sign det M == 0, a zero pivot
+_SINGULAR = (EvaluationError, "singular Gram operator")
 
 
 def _cmul(a, b) -> np.ndarray:
@@ -316,46 +306,25 @@ def _eliminate(M, R=None):
     return sign, logabs, np.ascontiguousarray(np.moveaxis(Z, -1, 0))
 
 
-def _lapack(fn, M, x, t, *args):
-    """fn(M, *args) of numpy.linalg over the stack M at the points x, t.
-
-    Where LAPACK meets a zero pivot, the first such point raises
-    EvaluationError: slogdet factors M as fn does and reads its sign 0.
-    """
-    try:
-        return fn(M, *args)
-    except np.linalg.LinAlgError:
-        _check_pivots(np.linalg.slogdet(M)[0], x, t)
-        raise
-
-
-def _factor(M, R, x, t):
-    """(sign det M, log|det M|, M^-1 R) over the stack M (m, n, n) at the
-    points x, t; R None gives no solve.
+def _factor(M, R):
+    """(sign det M, log|det M|, M^-1 R) over the stack M (m, n, n); R None
+    gives no solve.  The sign is 0 at a zero pivot, where the solve is not
+    finite.  Nothing raises.
 
     At n <= _ELIMINATION_N from one :func:`_eliminate`; above it LAPACK's
-    slogdet, and solve for R, factor M once each.  The first point with a
-    zero pivot raises EvaluationError.
+    slogdet, and solve for R, factor M once each.  slogdet runs in the
+    solve's dtype, so it meets the zero pivots solve would meet, and solve
+    gets I in place of those points (its result there is R).
     """
     if M.shape[-1] <= _ELIMINATION_N:
-        sign, logabs, Z = _eliminate(M, R)
-        _check_pivots(sign, x, t)
-        return sign, logabs, Z
-    sign, logabs = np.linalg.slogdet(M)
-    _check_pivots(sign, x, t)
-    return sign, logabs, None if R is None else np.linalg.solve(M, R)
-
-
-def _solve(M, R, x, t) -> np.ndarray:
-    """M^-1 R over the stack M at the points x, t; EvaluationError at the
-    first point with a zero pivot.
-
-    One :func:`_eliminate` at n <= _ELIMINATION_N; above it one LAPACK
-    solve, with slogdet run only to name a singular point.
-    """
-    if M.shape[-1] <= _ELIMINATION_N:
-        return _factor(M, R, x, t)[2]
-    return _lapack(np.linalg.solve, M, x, t, R)
+        return _eliminate(M, R)
+    if R is None:
+        return (*np.linalg.slogdet(M), None)
+    sign, logabs = np.linalg.slogdet(M.astype(np.result_type(M, R), copy=False))
+    singular = (sign == 0)[:, None, None]
+    if singular.any():
+        M = np.where(singular, np.eye(M.shape[-1]), M)
+    return sign, logabs, np.linalg.solve(M, R)
 
 
 @dataclass(frozen=True)
@@ -373,9 +342,10 @@ class FiniteVessel:
     ``operators`` must be a pure function of (x, t) that broadcasts over
     arrays of points: for x, t of broadcast shape S (S = () for scalars)
     it returns shapes S + (n, 2), S + (n, n) and S + (n,).  Every routine
-    of the package relies on this, one-point routines included.  M keeps
-    the dtype its construction gives it (real whenever the couplings are
-    real).
+    of the package relies on this, one-point routines included.  It must
+    not raise for single points: a non-finite entry passes through, and
+    the operator read names its point.  M keeps the dtype its construction
+    gives it (real whenever the couplings are real).
     ``A_diag`` holds the diagonal of A when A is diagonal (every
     closed-form family), else None; ``log_abs_det_X0`` and ``sign_det_X0``
     are computed once for the tau function.
@@ -413,53 +383,60 @@ class FiniteVessel:
         # X0 is Hermitian, so its determinant is real
         object.__setattr__(self, "sign_det_X0", float(np.sign(sign0.real)))
 
-    def _checked(self, values, x, t, what, cols) -> np.ndarray:
-        values = np.asarray(values)
-        want = np.broadcast_shapes(np.shape(x), np.shape(t)) + (self.n, cols)
-        if values.shape != want:
-            raise InvalidSpecError(f"{what} has shape {values.shape}, expected {want}")
-        _refuse(~np.isfinite(values).all(axis=(-2, -1)), x, t, EvaluationError,
-                f"{what} overflowed")
-        return values
-
-    def _checked_pair(self, B, X, x, t):
-        """B and X with the shapes of the points x, t, finite, and X
-        Hermitian: ||X - X*||_F <= _HERMIT_TOL (1 + ||X||_F) at each point."""
-        B = self._checked(np.asarray(B, dtype=complex), x, t, "coupling B", 2)
-        X = self._checked(X, x, t, "Gram operator X", self.n)
-        with np.errstate(over="ignore"):  # an asymmetry past the float range reads inf
+    def _read(self, x, t, plain=False):
+        """(B, X, log d, gates): the pair (D^-1 B, M) at the points x, t, or
+        with ``plain`` (B, X) = (D (D^-1 B), D M D), log d of shape S + (n,),
+        and the read's gates for :func:`_refuse`, unraised: B overflowed, X
+        overflowed, ||X - X*||_F > _HERMIT_TOL (1 + ||X||_F).  Points they
+        flag get B = 0 and X = I, so the work after the read stays finite.
+        """
+        B, X, log_d = self.operators(x, t)
+        if plain and np.any(log_d):
+            # an overflow passes through as inf, which the gates name
+            with np.errstate(over="ignore", invalid="ignore"):
+                d = np.exp(log_d)
+                B, X = d[..., None] * B, d[..., :, None] * d[..., None, :] * X
+        B, X = np.asarray(B, dtype=complex), np.asarray(X)
+        want = np.broadcast_shapes(np.shape(x), np.shape(t)) + (self.n,)
+        for what, a, cols in (("coupling B", B, 2), ("Gram operator X", X, self.n)):
+            if a.shape != want + (cols,):
+                raise InvalidSpecError(f"{what} has shape {a.shape}, expected {want + (cols,)}")
+        b_inf, x_inf = _nonfinite(B), _nonfinite(X)
+        # an asymmetry past the float range reads inf; a non-finite X is flagged anyway
+        with np.errstate(over="ignore", invalid="ignore"):
             asym, norm = _fro_stack(X - _adjoint(X)), _fro_stack(X)
-            bad = asym > _HERMIT_TOL * (1.0 + norm)
+            asym_bad = asym > _HERMIT_TOL * (1.0 + norm)
             if not np.isfinite(norm).all():
                 # the squares overflow past |X_ij| ~ 1e154, so those points
                 # are judged at X 2^-e: the power of two leaves asym / (1 + ||X||)
                 unit = np.ldexp(1.0, -np.where(np.isfinite(norm), 0, _exponent(X, (-2, -1))))
                 Xs = X * unit[..., None, None]
                 asym = _fro_stack(Xs - _adjoint(Xs))
-                bad = asym > _HERMIT_TOL * (unit + _fro_stack(Xs))
+                asym_bad = asym > _HERMIT_TOL * (unit + _fro_stack(Xs))
                 asym = asym / unit
-        _refuse(bad, x, t, NumericalConsistencyError,
-                "X asymmetry {:.3e} exceeds " f"{_HERMIT_TOL:.1e}*(1+||X||)", asym)
-        return B, X
+        flagged = (b_inf | x_inf | asym_bad)[..., None, None]
+        if flagged.any():
+            B, X = np.where(flagged, 0j, B), np.where(flagged, np.eye(self.n), X)
+        gates = ((b_inf, EvaluationError, "coupling B overflowed"),
+                 (x_inf, EvaluationError, "Gram operator X overflowed"),
+                 (asym_bad, NumericalConsistencyError,
+                  "X asymmetry {:.3e} exceeds " f"{_HERMIT_TOL:.1e}*(1+||X||)", asym))
+        return B, X, np.broadcast_to(log_d, X.shape[:-1]), gates
 
     def scaled(self, x, t):
         """(D^-1 B, M, log d) at the points x, t, checked like :meth:`plain`;
         log d has one entry per generator at every point, shape S + (n,)."""
-        B, M, log_d = self.operators(x, t)
-        return (*self._checked_pair(B, M, x, t),
-                np.broadcast_to(log_d, np.shape(M)[:-1]))
+        *pair, gates = self._read(x, t)
+        _refuse(x, t, *gates)
+        return tuple(pair)
 
     def plain(self, x, t):
         """(B, X) = (D (D^-1 B), D M D) at the points x, t; EvaluationError
         at the first point where either overflows, NumericalConsistencyError
         where X is not Hermitian."""
-        B, M, log_d = self.operators(x, t)
-        if np.any(log_d):
-            # an overflow passes through as inf, which _checked names
-            with np.errstate(over="ignore", invalid="ignore"):
-                d = np.exp(log_d)
-                B, M = d[..., None] * B, d[..., :, None] * d[..., None, :] * M
-        return self._checked_pair(B, M, x, t)
+        B, X, _, gates = self._read(x, t, plain=True)
+        _refuse(x, t, *gates)
+        return B, X
 
     def B(self, x, t) -> np.ndarray:
         """Coupling B(x, t); broadcasts over arrays of points."""
@@ -562,16 +539,17 @@ def _probe_block(n: int) -> np.ndarray:
     return P
 
 
-def _probe_solve(X, B, x, t):
-    """(sign det X, log|det X|, Y = X^-1 B) for stacks of X and B from one
-    :func:`_factor` per point, X^-1 [B | X P], with Y certified by the
-    probe columns (see _PROBE_MARGIN).
+def _probe_solve(X, B):
+    """(sign det X, log|det X|, Y = X^-1 B, gates) for stacks of X and B
+    from one :func:`_factor` per point, X^-1 [B | X P], with Y certified by
+    the probe columns (see _PROBE_MARGIN).
 
     The solve is backward stable, so Y takes no refinement.  Points whose
     estimate est = ||X^-1 (X P) - P||_F / 2 does not clear them (a NaN
-    included) get the dense defect inv(X) X - I, on those points only, and
-    raise at the first that fails it, or that LAPACK's inverse finds
-    singular.
+    included) get the dense defect inv(X) X - I, on those points only; the
+    points there whose LAPACK factorization is singular get I in the
+    inverse and sign 0.  The gates, in pipeline order: a zero pivot, and a
+    dense defect above _INVERSE_TOL sqrt(n).
     """
     n = X.shape[-1]
     P = _probe_block(n)
@@ -579,46 +557,48 @@ def _probe_solve(X, B, x, t):
         B = np.ascontiguousarray(B).view(float)
     c = B.shape[-1]
     XP = (X.reshape(-1, n) @ P).reshape(X.shape[:-1] + P.shape[-1:])  # one GEMM for the stack
-    sign, logabs, Z = _factor(X, np.concatenate((B, XP), axis=-1), x, t)
+    sign, logabs, Z = _factor(X, np.concatenate((B, XP), axis=-1))
     est = 0.5 * _fro_stack(Z[..., c:] - P)
     gate = _INVERSE_TOL * math.sqrt(n)
     hard = np.flatnonzero(~(est <= gate / _PROBE_MARGIN))
+    defect = np.zeros(est.shape)
     if hard.size:
         Xh = X[hard]
-        defect = _fro_stack(_lapack(np.linalg.inv, Xh, x[hard], t[hard]) @ Xh - np.eye(n))
-        _refuse(defect > gate, x[hard], t[hard], EvaluationError,
-                "Gram operator too ill-conditioned (inverse defect {:.3e})", defect)
+        singular = np.linalg.slogdet(Xh)[0] == 0  # the LU that inv runs
+        sign[hard[singular]] = 0
+        Xh[singular] = np.eye(n)
+        defect[hard] = _fro_stack(np.linalg.inv(Xh) @ Xh - np.eye(n))
     Y = np.ascontiguousarray(Z[..., :c])
-    return sign, logabs, Y if np.iscomplexobj(Y) else Y.view(complex)
+    return sign, logabs, Y if np.iscomplexobj(Y) else Y.view(complex), (
+        (sign == 0, *_SINGULAR),
+        (defect > gate, EvaluationError,
+         "Gram operator too ill-conditioned (inverse defect {:.3e})", defect))
 
 
-def _beta_of_gamma_star(gs, x, t) -> np.ndarray:
-    """Real beta = (gamma_*)_{21} of a stack of gamma_* at the points x, t.
-
-    The imaginary residue must stay below _IMAG_TOL relative to 1 + |beta|.
-    """
+def _beta_of_gamma_star(gs):
+    """(real beta, gate) of a stack of gamma_*: beta = (gamma_*)_{21}, whose
+    imaginary residue must stay below _IMAG_TOL relative to 1 + |beta|."""
     beta = gs[..., 1, 0]
-    _refuse(np.abs(beta.imag) > _IMAG_TOL * (1.0 + np.abs(beta.real)), x, t,
-            NumericalConsistencyError,
-            "beta has imaginary residue {:.3e} above " f"tolerance {_IMAG_TOL:.1e}", beta.imag)
-    return beta.real
+    return beta.real, (np.abs(beta.imag) > _IMAG_TOL * (1.0 + np.abs(beta.real)),
+                       NumericalConsistencyError,
+                       "beta has imaginary residue {:.3e} above " f"tolerance {_IMAG_TOL:.1e}",
+                       beta.imag)
 
 
-def _tau_stack(vessel, sign, logdet, x, t):
-    """(log|tau|, real sign tau) of tau = det M / det X0 at the stack's
-    points x, t, from the sign and log|det M| of :func:`_factor`.
+def _tau_stack(vessel, sign, logdet):
+    """(log|tau|, real sign tau, gates) of tau = det M / det X0 over a
+    stack, from the sign and log|det M| of :func:`_factor`.
 
     A complex sign's imaginary residue relative to max(1, |tau|) must stay
-    below _IMAG_TOL.
+    below _IMAG_TOL: its gate, and no gate for a real sign.
     """
     logabs, sign = logdet - vessel.log_abs_det_X0, sign / vessel.sign_det_X0
     if not np.iscomplexobj(sign):
-        return logabs, sign
+        return logabs, sign, ()
     with np.errstate(over="ignore"):
         bound = _IMAG_TOL * np.maximum(np.exp(-logabs), np.abs(sign.real))
-    _refuse(np.abs(sign.imag) > bound, x, t, NumericalConsistencyError,
-            "tau has relative imaginary residue {:.3e}", sign.imag)
-    return logabs, sign.real
+    return logabs, sign.real, ((np.abs(sign.imag) > bound, NumericalConsistencyError,
+                                "tau has relative imaginary residue {:.3e}", sign.imag),)
 
 
 def _state_stack(vessel, x, t):
@@ -628,20 +608,21 @@ def _state_stack(vessel, x, t):
     stacked over the flat points, with M as :meth:`FiniteVessel.scaled`
     reads it, Y = M^-1 D^-1 B certified and det M from one factorization
     per point (:func:`_probe_solve`) and log|tau| = log|det M / det X0| +
-    2 sum log d.
-    Every check names the first offending point.
+    2 sum log d.  One :func:`_refuse` of all their gates names the first
+    failing point.
     """
     n = vessel.n
-    B, M, log_d = vessel.scaled(x, t)
+    B, M, log_d, gates = vessel._read(x, t)
     B, M, log_d = B.reshape(-1, n, 2), M.reshape(-1, n, n), log_d.reshape(-1, n)
-    x, t = _flat_points(x, t)
-    sign, logdet, Y = _probe_solve(M, B, x, t)
-    gs = _gamma_star(B, Y)
-    beta = _beta_of_gamma_star(gs, x, t)
-    logabs, sign = _tau_stack(vessel, sign, logdet, x, t)
-    beta_p = beta**2 + 1j * gs[:, 0, 0]
-    _refuse(np.abs(beta_p.imag) > 1e-9 * (1.0 + np.abs(beta_p.real)), x, t,
-            NumericalConsistencyError, "beta' has imaginary residue {:.3e}", beta_p.imag)
+    with np.errstate(all="ignore"):  # the flagged points may not be finite
+        sign, logdet, Y, solve_gates = _probe_solve(M, B)
+        gs = _gamma_star(B, Y)
+        beta, beta_gate = _beta_of_gamma_star(gs)
+        logabs, sign, tau_gates = _tau_stack(vessel, sign, logdet)
+        beta_p = beta**2 + 1j * gs[:, 0, 0]
+    _refuse(x, t, *gates, *solve_gates, beta_gate, *tau_gates,
+            (np.abs(beta_p.imag) > 1e-9 * (1.0 + np.abs(beta_p.real)), NumericalConsistencyError,
+             "beta' has imaginary residue {:.3e}", beta_p.imag))
     return B, M, Y, log_d, gs, beta, beta_p.real, logabs + 2.0 * np.sum(log_d, axis=-1), sign
 
 
@@ -655,8 +636,8 @@ def evaluate(vessel: FiniteVessel, x, t) -> EvaluatedState:
     or too ill-conditioned for ``inv(M) M = I`` within _INVERSE_TOL sqrt(n).
     """
     shape = np.broadcast_shapes(np.shape(x), np.shape(t))
-    out = _at_first_failure(lambda x, t: _state_stack(vessel, x, t), x, t)
-    B, M, Y, log_d, gs, *fields = (a.reshape(shape + a.shape[1:]) for a in out)
+    B, M, Y, log_d, gs, *fields = (a.reshape(shape + a.shape[1:])
+                                   for a in _state_stack(vessel, x, t))
     beta, beta_p, logabs, sign = _floats(fields)
     return EvaluatedState(x=x, t=t, B=B, M=M, Y=Y, log_d=log_d, gamma_star=gs, beta=beta,
                           beta_prime=beta_p, log_abs_tau=logabs, tau_sign=sign)
@@ -685,9 +666,11 @@ def log_tau(vessel: FiniteVessel, x, t):
     pivot.  Broadcasts like :func:`lyapunov_residual`.
     """
     def stack(xs, ts):
-        _, M, log_d = vessel.scaled(xs, ts)
-        logabs, sign = _tau_stack(vessel, *_factor(M, None, xs, ts)[:2], xs, ts)
-        return logabs + 2.0 * np.sum(log_d, axis=-1), sign
+        _, M, log_d, gates = vessel._read(xs, ts)
+        sign, logdet, _ = _factor(M, None)
+        logabs, real_sign, tau_gates = _tau_stack(vessel, sign, logdet)
+        _refuse(xs, ts, *gates, (sign == 0, *_SINGULAR), *tau_gates)
+        return logabs + 2.0 * np.sum(log_d, axis=-1), real_sign
 
     return _floats(_per_point(vessel.n, x, t, stack, 2))
 
@@ -757,8 +740,8 @@ def lyapunov_self_check(vessel: FiniteVessel) -> None:
     xs, ts = rng.uniform([-2.0, -0.5], [2.0, 0.5], size=(50, 2)).T
     res = _per_point(vessel.n, xs, ts,
                      lambda xs, ts: _lyapunov_stack(vessel, *vessel.scaled(xs, ts)[:2]), 1)[0]
-    _refuse(res > 1e-12, xs, ts, InvalidSpecError,
-            f"{vessel.kind} self-check failed: " "Lyapunov residual {:.3e}", res)
+    _refuse(xs, ts, (res > 1e-12, InvalidSpecError,
+                     f"{vessel.kind} self-check failed: " "Lyapunov residual {:.3e}", res))
 
 
 def normalization_residual(vessel: FiniteVessel, x, t):
@@ -768,9 +751,12 @@ def normalization_residual(vessel: FiniteVessel, x, t):
     states remain checkable.  Broadcasts like :func:`lyapunov_residual`.
     """
     def stack(xs, ts):  # D cancels: B* X^-1 B = (D^-1 B)* M^-1 (D^-1 B)
-        B, M, _ = vessel.scaled(xs, ts)
-        G = _adjoint(B) @ _solve(M, B, xs, ts)
-        return np.abs(np.trace(SIGMA1 @ G, axis1=-2, axis2=-1))
+        B, M, _, gates = vessel._read(xs, ts)
+        with np.errstate(all="ignore"):  # the flagged points may not be finite
+            sign, _, Z = _factor(M, B)
+            res = np.abs(np.trace(SIGMA1 @ (_adjoint(B) @ Z), axis1=-2, axis2=-1))
+        _refuse(xs, ts, *gates, (sign == 0, *_SINGULAR))
+        return res
 
     return _floats(_per_point(vessel.n, x, t, stack, 1))[0]
 
@@ -883,6 +869,6 @@ def integrate_standard_construction(
         Bs[i], Xs[i] = rk4_step(Bs[i + 1], Xs[i + 1], grid[i] - grid[i + 1])
 
     res, norm_x = _lyapunov_norms(A, None, Bs, Xs)
-    _refuse(~np.isfinite(res) | (res > 1e-8 * (1.0 + norm_x)), grid, t0, EvaluationError,
-            "Lyapunov residual {:.3e} above 1e-8 during construction", res)
+    _refuse(grid, t0, (~np.isfinite(res) | (res > 1e-8 * (1.0 + norm_x)), EvaluationError,
+                       "Lyapunov residual {:.3e} above 1e-8 during construction", res))
     return Bs, Xs

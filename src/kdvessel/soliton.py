@@ -24,9 +24,10 @@ returned C-contiguous in the contract shapes S + (n, n) and S + (n,) for
 points of broadcast shape S.  :func:`q_soliton` is the q-only trace
 formula on the same M, solved in core's stacks by core's factorization:
 one pivoted elimination over the points of a stack at n <= 3 (where
-criterion 5's 2- and 3-solitons run), LAPACK's solve above.  Where close
-wavenumbers make M singular in floating point it raises EvaluationError
-at the first such point in C order, as core does, but it has no
+criterion 5's 2- and 3-solitons run), LAPACK's solve above.  Its gates
+are masks refused once per stack, as core's are: where |b|^2 overflows
+the Gram matrix, or close wavenumbers make M singular in floating point,
+it raises EvaluationError at the first such point in C order.  It has no
 conditioning gate.
 """
 
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .exceptions import InvalidSpecError
+from .exceptions import EvaluationError, InvalidSpecError
 
 __all__ = [
     "SolitonSpec",
@@ -195,15 +196,24 @@ def q_soliton(spec: SolitonSpec, x, t):
     formula q = -2 [tr(X^-1 X'') - tr((X^-1 X')^2)] reduces, for
     v = M^-1 w with (M, w) of :func:`_scaled_system`, to
     q = -2 (2 Re(v* K w) - (w* v)^2).  One solve per point, in core's
-    stacks (``core._solve``); broadcasts over x, t.  A singular M raises EvaluationError at
-    its first point in C order.
+    stacks (``core._factor``); broadcasts over x, t.  EvaluationError at
+    the first point in C order where M or w overflows, or M has a zero pivot.
     """
     def stack(xs, ts):
-        M, w, _ = _scaled_system(spec, xs, ts)
-        v = core._solve(M, w[..., None], xs, ts)[..., 0]
-        wv = np.einsum("...i,...i->...", w.conj(), v).real
-        vkw = np.einsum("...i,i,...i->...", v.conj(), spec.k, w).real
-        return -2.0 * (2.0 * vkw - wv**2)
+        with np.errstate(all="ignore"):  # the flagged points may not be finite
+            M, w, _ = _scaled_system(spec, xs, ts)
+            overflow = core._nonfinite(M)  # w = e b is finite wherever M is
+            if overflow.any():
+                M = np.where(overflow[:, None, None], np.eye(spec.n), M)
+                w = np.where(overflow[:, None], 0.0, w)
+            sign, _, v = core._factor(M, w[..., None])
+            v = v[..., 0]
+            wv = np.einsum("...i,...i->...", w.conj(), v).real
+            vkw = np.einsum("...i,i,...i->...", v.conj(), spec.k, w).real
+            q = -2.0 * (2.0 * vkw - wv**2)
+        core._refuse(xs, ts, (overflow, EvaluationError, "Gram operator X overflowed"),
+                     (sign == 0, *core._SINGULAR))
+        return q
 
     return core._floats(core._per_point(spec.n, x, t, stack, 1))[0]
 

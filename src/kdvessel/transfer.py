@@ -230,9 +230,10 @@ def _kernels(vessel: core.FiniteVessel, x0: float, x: float, s: np.ndarray, y: f
         b = np.exp(log_d - st.log_d[1]) * B[..., 0]
         omega = b[:-1].conj() @ np.linalg.solve(st.M[1], b[-1])
     for name, v in ((f"Omega({{}}, {y})", omega), (f"K({x}, {{}})", kval)):
-        core._refuse(~np.isfinite(v), s, 0.0, EvaluationError, f"{name} overflowed", s)
-        core._refuse(np.abs(v.imag) > 1e-10 * (1.0 + np.abs(v.real)), s, 0.0,
-                     NumericalConsistencyError, name + " has imaginary residue {:.3e}", s, v.imag)
+        core._refuse(s, 0.0, (~np.isfinite(v), EvaluationError, f"{name} overflowed", s))
+        residue = np.abs(v.imag) > 1e-10 * (1.0 + np.abs(v.real))
+        core._refuse(s, 0.0, (residue, NumericalConsistencyError,
+                              name + " has imaginary residue {:.3e}", s, v.imag))
     return kval.real, omega.real
 
 

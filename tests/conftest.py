@@ -31,9 +31,19 @@ def make_zero_vessel(n=2):
 
 def _plain_copy(vessel):
     """The same vessel (A, B, X, X0) with D = I: its operators are the
-    derived plain B and X, so every evaluator and the self-check read
-    them in place of the scaled pair."""
-    return dataclasses.replace(vessel, operators=lambda x, t: (*vessel.plain(x, t), 0.0))
+    plain B = D (D^-1 B) and X = D M D, unchecked, as operators must not
+    raise (an overflow passes through as inf for the read to name), so
+    every evaluator and the self-check read them in place of the scaled
+    pair."""
+    def operators(x, t):
+        B, M, log_d = vessel.operators(x, t)
+        if np.any(log_d):
+            with np.errstate(over="ignore", invalid="ignore"):
+                d = np.exp(log_d)
+                B, M = d[..., None] * B, d[..., :, None] * d[..., None, :] * M
+        return B, M, 0.0
+
+    return dataclasses.replace(vessel, operators=operators)
 
 
 @pytest.fixture(scope="session")

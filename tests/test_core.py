@@ -64,7 +64,9 @@ class TestLinkage:
 class TestBeta:
     def test_zero_coupling(self):
         gs = core._gamma_star(np.zeros((2, 2), dtype=complex), np.zeros((2, 2), dtype=complex))
-        assert core._beta_of_gamma_star(gs, 0.0, 0.0) == 0.0
+        beta, gate = core._beta_of_gamma_star(gs)
+        assert beta == 0.0
+        core._refuse(0.0, 0.0, gate)  # the residue gate flags nothing
 
     def test_matches_log_tau_derivative(self, three_soliton):
         # beta = -d/dx log tau, centered difference, order-2 convergence
@@ -83,8 +85,9 @@ class TestBeta:
     def test_imaginary_residue_guard(self):
         B = np.array([[1.0, 1j]], dtype=complex)
         bad_Xinv = np.array([[1.0 + 0.5j]])  # not Hermitian: residue shows up
+        _, gate = core._beta_of_gamma_star(core._gamma_star(B, bad_Xinv @ B))
         with pytest.raises(kv.NumericalConsistencyError, match=r"\[at x=0\.5, t=0\.1\]$"):
-            core._beta_of_gamma_star(core._gamma_star(B, bad_Xinv @ B), 0.5, 0.1)
+            core._refuse(0.5, 0.1, gate)
 
 
 class TestTau:
@@ -711,18 +714,31 @@ class TestElimination:
         np.zeros((1, 1)), np.array([[1.0, 1.0], [1.0, 1.0]]), np.zeros((2, 2)),
         np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]]), np.zeros((3, 3)),
     ], ids=["zero-1", "ones-2", "zero-2", "rank2-3", "zero-3"])
-    def test_singular_points_are_named_in_order(self, singular):
+    def test_singular_points_are_named_in_order(self, monkeypatch, singular):
         n = singular.shape[0]
         M = np.broadcast_to(np.eye(n, dtype=complex), (6, n, n)).copy()
         M[2], M[4] = singular, 1j * singular
         xs, ts = np.arange(6.0), np.full(6, 0.5)
         assert np.array_equal(core._eliminate(M)[0] == 0, np.isin(np.arange(6), [2, 4]))
-        for call in (lambda: core._factor(M, None, xs, ts),
-                     lambda: core._factor(M, np.ones((6, n, 1)), xs, ts),
-                     lambda: core._solve(M, np.ones((6, n, 1)), xs, ts)):
-            with pytest.raises(kv.EvaluationError, match=r"^singular Gram operator \[") as exc:
-                call()
-            assert (exc.value.x, exc.value.t) == (2.0, 0.5)
+
+        def operators(x, t):  # M of the stack at x = 0, ..., 5, and B = 0
+            i = (np.asarray(x) + 0.0 * np.asarray(t)).astype(int)
+            return np.zeros(i.shape + (n, 2), dtype=complex), M[i], 0.0
+
+        vessel = kv.FiniteVessel(n=n, A=np.diag(-1j * (1.0 + np.arange(n)) ** 2),
+                                 operators=operators, X0=np.eye(n, dtype=complex), kind="custom")
+        for split in (core._ELIMINATION_N, 0):  # the elimination, then LAPACK
+            monkeypatch.setattr(core, "_ELIMINATION_N", split)
+            for R in (None, np.ones((6, n, 1))):
+                sign = core._factor(M, R)[0]  # no LinAlgError on either route
+                assert np.array_equal(sign == 0, np.isin(np.arange(6), [2, 4]))
+                with pytest.raises(kv.EvaluationError, match=r"^singular Gram operator \[") as exc:
+                    core._refuse(xs, ts, (sign == 0, *core._SINGULAR))
+                assert (exc.value.x, exc.value.t) == (2.0, 0.5)
+            for fn in (kv.log_tau, kv.evaluate, kv.evaluate_fields, kv.normalization_residual):
+                with pytest.raises(kv.EvaluationError, match=r"^singular Gram operator \[") as exc:
+                    fn(vessel, xs, ts)
+                assert (exc.value.x, exc.value.t) == (2.0, 0.5), (split, fn.__name__)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("dtype", [float, complex])
@@ -878,14 +894,30 @@ def wide_two_soliton(plain_copy):
     return plain_copy(kv.build_soliton(kv.SolitonSpec.from_c([1.0, 2.0], [1.0, 1.0])))
 
 
-def _first_point_error(vessel, xs):
-    """The message of the first x whose one-point evaluate raises, or None."""
+def _first_point_error(fn, vessel, xs):
+    """The message of the first x whose one-point fn(vessel, x, 0) raises, or None."""
     for x in xs:
         try:
-            kv.evaluate(vessel, x, 0.0)
+            fn(vessel, x, 0.0)
         except (kv.EvaluationError, kv.NumericalConsistencyError) as exc:
             return str(exc)
     return None
+
+
+def _mixed_fault_vessel(rows):
+    """n = 2 with B from the _FAULTS row rows[i][0] and M from rows[i][1] at
+    x = i (B = 0 and M = I for the row "none"): two faults at one point, or
+    one, or none."""
+    table = {"none": (np.zeros((2, 2)), np.eye(2)), **_FAULTS}
+    Bs, Ms = (np.array([np.asarray(table[row[j]][j], dtype=complex) for row in rows])
+              for j in (0, 1))
+
+    def operators(x, t):
+        i = (np.asarray(x) + 0.0 * np.asarray(t)).astype(int)
+        return Bs[i], Ms[i], 0.0
+
+    return kv.FiniteVessel(n=2, A=np.diag([-1j, -4j]), operators=operators,
+                           X0=np.eye(2, dtype=complex), kind="custom")
 
 
 class TestFirstFailingPoint:
@@ -929,16 +961,22 @@ class TestFirstFailingPoint:
     @settings(max_examples=40, deadline=None)
     @given(xs=st.lists(st.one_of(st.floats(-5.0, 11.9), st.floats(11.9, 177.3),
                                  st.floats(177.3, 354.2), st.floats(354.2, 400.0)),
-                       min_size=1, max_size=9))
-    def test_message_is_that_of_the_first_failing_point(self, wide_two_soliton, xs):
-        expected = _first_point_error(wide_two_soliton, xs)
-        for fn in (kv.evaluate, kv.evaluate_fields):
-            if expected is None:
-                fn(wide_two_soliton, np.array(xs), 0.0)
-            else:
-                with pytest.raises((kv.EvaluationError, kv.NumericalConsistencyError)) as exc:
-                    fn(wide_two_soliton, np.array(xs), 0.0)
-                assert str(exc.value) == expected
+                       min_size=1, max_size=9),
+           rows=st.lists(st.tuples(*2 * [st.deferred(  # _FAULTS is defined below
+               lambda: st.sampled_from(["none", *_FAULTS]))]), min_size=1, max_size=9))
+    def test_message_is_that_of_the_first_failing_point(self, wide_two_soliton, xs, rows):
+        # the wide two-soliton's gates at drawn x, and every gate of the
+        # stack at drawn points of the mixed-fault vessel
+        for vessel, points in ((wide_two_soliton, xs),
+                               (_mixed_fault_vessel(rows), [float(i) for i in range(len(rows))])):
+            for fn in (kv.evaluate, kv.evaluate_fields, kv.log_tau, kv.normalization_residual):
+                expected = _first_point_error(fn, vessel, points)
+                if expected is None:
+                    fn(vessel, np.array(points), 0.0)
+                else:
+                    with pytest.raises((kv.EvaluationError, kv.NumericalConsistencyError)) as exc:
+                        fn(vessel, np.array(points), 0.0)
+                    assert str(exc.value) == expected, fn.__name__
 
 
 def _gram_vessel(upper, lower):

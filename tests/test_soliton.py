@@ -255,6 +255,16 @@ class TestOverflowRegime:
             d2 = np.abs(np.diff(q, n=2))
             assert d2.max() < 1e-4
 
+    def test_an_overflowing_gram_matrix_is_refused(self):
+        # |b|^2 = 1e320 passes the float range in the Gram matrix, where
+        # build_soliton refuses the spec, as evaluate_fields does
+        spec = kv.SolitonSpec(k=[1.0], b=[1e160])
+        with pytest.raises(kv.EvaluationError,
+                           match=r"^Gram operator X overflowed \[at x=0\.0, t=0\.0\]$"):
+            kv.q_soliton(spec, [0.0, 5.0, -400.0], 0.0)
+        with pytest.raises(kv.EvaluationError, match="^Gram operator X overflowed"):
+            kv.build_soliton(spec)
+
     def test_log_tau_deep_regime(self):
         vessel = kv.build_soliton(kv.SolitonSpec.from_c([1.0, 2.0], [1.0, 1.0]))
         logabs, sign = kv.log_tau(vessel, 500.0, 0.0)
@@ -417,6 +427,25 @@ class TestSingularPoints:
             assert (exc.value.x, exc.value.t) == self.POINT
         with pytest.raises(kv.EvaluationError) as exc:
             kv.evaluate_fields(vessel, X, T)
+        x, t, message = close_soliton_first_gated
+        assert (exc.value.x, exc.value.t) == (x, t) and str(exc.value) == message
+
+    def test_one_stack_call_per_chunk(self, monkeypatch, close_soliton,
+                                      close_soliton_first_gated):
+        # the dump refuses in its fourth stack of 1,024 points (n = 8); each
+        # stack up to it is evaluated once, and no part of one again
+        points = []
+        state_stack = core._state_stack
+
+        def counted(vessel, x, t):
+            points.append(np.size(x))
+            return state_stack(vessel, x, t)
+
+        monkeypatch.setattr(core, "_state_stack", counted)
+        with pytest.raises(kv.EvaluationError) as exc:
+            suite.grid_fields(kv.build_soliton(self._spec(close_soliton)),
+                              kv.Grid2D(-30.0, 30.0, 301, -1.0, 1.0, 23))
+        assert points == [1024] * 4
         x, t, message = close_soliton_first_gated
         assert (exc.value.x, exc.value.t) == (x, t) and str(exc.value) == message
 
