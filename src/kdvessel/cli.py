@@ -21,7 +21,10 @@ error (malformed numbers and out-of-range inputs included), 3 numerical
 failure (singular Gram operator, pole hit, ...).
 
 CSV output uses '.' decimals, LF line endings and 17 significant digits,
-so identical config reproduces bit-identical files.
+so identical config reproduces bit-identical files at a fixed BLAS thread
+count: the BLAS may split its sums by thread, and with OpenBLAS at 2
+threads some quadrature dumps at n = 128 and 256 differ in the last bits
+from their 1-thread bytes.
 """
 
 from __future__ import annotations

@@ -148,12 +148,17 @@ def _fro(m) -> float:
     return float(np.linalg.norm(m))
 
 
-def _fro_stack(m) -> np.ndarray:
-    """Frobenius norms of a stack of matrices (..., r, c): one dot product each."""
+def _sumsq_stack(m) -> np.ndarray:
+    """Squared Frobenius norms of a stack of matrices (..., r, c): one dot product each."""
     v = np.ascontiguousarray(m).reshape(m.shape[:-2] + (-1,))
     if np.iscomplexobj(v):
         v = v.view(float)  # interleaved real and imaginary parts
-    return np.sqrt(np.einsum("...i,...i->...", v, v))
+    return np.einsum("...i,...i->...", v, v)
+
+
+def _fro_stack(m) -> np.ndarray:
+    """Frobenius norms of a stack of matrices (..., r, c)."""
+    return np.sqrt(_sumsq_stack(m))
 
 
 def _exponent(m, axis) -> np.ndarray:
@@ -346,9 +351,10 @@ class FiniteVessel:
     not raise for single points: a non-finite entry passes through, and
     the operator read names its point.  M keeps the dtype its construction
     gives it (real whenever the couplings are real).
-    ``A_diag`` holds the diagonal of A when A is diagonal (every
-    closed-form family), else None; ``log_abs_det_X0`` and ``sign_det_X0``
-    are computed once for the tau function.
+    ``A_diag`` holds the diagonal a of A when A is diagonal (every
+    closed-form family), else None; the Lyapunov residual forms its
+    weights a_i + conj(a_j) from it once per check.  ``log_abs_det_X0``
+    and ``sign_det_X0`` are computed once for the tau function.
     """
 
     n: int
@@ -675,18 +681,78 @@ def log_tau(vessel: FiniteVessel, x, t):
     return _floats(_per_point(vessel.n, x, t, stack, 2))
 
 
-def _lyapunov_norms(A, a, B, X):
-    """(||A X + X A* + B sigma1 B*||_F, ||X||_F) per state; ``a`` = diag(A) or None."""
+def _sum_of_products(terms):
+    """The sum of +-a b over the terms (sign, a, b) with both factors, in
+    order, elementwise, in one buffer and one scratch array (a fresh array
+    per term would cost page faults on every call); None for no term."""
+    total = scratch = None
+    for sign, a, b in terms:
+        if a is None or b is None:
+            continue
+        if total is None:
+            total = a * b
+            if sign < 0:
+                np.negative(total, out=total)
+        else:
+            scratch = np.multiply(a, b, out=scratch)
+            (np.add if sign > 0 else np.subtract)(total, scratch, out=total)
+    return total
+
+
+def _lyapunov_weights(a):
+    """(Re w, Im w) of the weights w_ij = a_i + conj(a_j) of
+    A X + X A* = [w_ij X_ij] for the diagonal a of A, Re w None where
+    Re a = 0 (every closed-form family); None where A is not diagonal (a is
+    None).  Formed once per check, not kept on the vessel: a caller that
+    keeps many vessels would keep their n^2 weights too."""
     if a is None:
+        return None
+    re, im = a.real, a.imag
+    return (re[:, None] + re if re.any() else None, im[:, None] - im)
+
+
+def _lyapunov_norms(A, weights, B, X):
+    """(||R||_F, ||X||_F) per state, R = A X + X A* + B sigma1 B*.
+
+    ``weights`` is :func:`_lyapunov_weights` of the diagonal of A, or None
+    for the general products A X and X A*.  With weights, R is formed in
+    real arithmetic, part by part: with b0 = p + i q and b1 = r + i s the
+    columns of B,
+
+        Re R = Re w Re X - Im w Im X + p r' + r p' + q s' + s q',
+        Im R = Im w Re X + Re w Im X + q r' - r q' + s p' - p s',
+
+    and ||R||^2 = ||Re R||^2 + ||Im R||^2.  A term is left out only where
+    it is exactly zero: Re w where Re a = 0, Im X for a real X, and an
+    outer product with a column that is zero over the whole stack.  Every
+    closed-form family (Re a = 0; real couplings: X real, b0 real and b1
+    imaginary) thus forms Im R = Im w X + s p' - p s' alone.  Each term is
+    one elementwise product, so a point's value does not depend on its
+    stack.
+    """
+    if weights is None:
         R = A @ X + X @ _adjoint(A)
-    else:  # diagonal A: (A X + X A*)_ij = (a_i + conj(a_j)) X_ij
-        R = (a[:, None] + a.conj()) * X
-    R += B @ SIGMA1 @ _adjoint(B)
-    return _fro_stack(R), _fro_stack(X)
+        R += B @ SIGMA1 @ _adjoint(B)
+        return _fro_stack(R), _fro_stack(X)
+    w_re, w_im = weights
+    X_re, X_im = (X.real, X.imag) if np.iscomplexobj(X) else (X, None)
+    # each column of B as a column and as a row, None where it is all zero
+    (p, p_), (q, q_), (r, r_), (s, s_) = (
+        (c[..., :, None], c[..., None, :]) if c.any() else (None, None)
+        for c in (B[..., 0].real, B[..., 0].imag, B[..., 1].real, B[..., 1].imag))
+    re = ((1, p, r_), (1, r, p_), (1, q, s_), (1, s, q_), (1, w_re, X_re), (-1, w_im, X_im))
+    im = ((1, q, r_), (-1, r, q_), (1, s, p_), (-1, p, s_), (1, w_im, X_re), (1, w_re, X_im))
+    squares = 0.0
+    for part in (re, im):
+        R = _sum_of_products(part)
+        if R is not None:
+            squares = squares + _sumsq_stack(R)
+    return np.sqrt(squares), _fro_stack(X)
 
 
-def _lyapunov_stack(vessel, B, X) -> np.ndarray:
-    """The normalized Lyapunov residual of each pair in the stacks B, X."""
+def _lyapunov_stack(vessel, weights, B, X) -> np.ndarray:
+    """The normalized Lyapunov residual of each pair in the stacks B, X;
+    ``weights`` = _lyapunov_weights(vessel.A_diag)."""
     # the squares inside the norms overflow past |X_ij| ~ 1e154; B and X
     # scaled per point by the exact powers of two 2^-e and 4^-e, with 4^e
     # ~ max |X_ii| (>= |X_ij| when X >= 0), leave the ratio bit for bit.
@@ -694,7 +760,7 @@ def _lyapunov_stack(vessel, B, X) -> np.ndarray:
     e = _exponent(np.diagonal(X, axis1=-2, axis2=-1), -1) // 2
     if e.any():
         B, X = B * np.ldexp(1.0, -e)[:, None, None], X * np.ldexp(1.0, -2 * e)[:, None, None]
-    res, norm_x = _lyapunov_norms(vessel.A, vessel.A_diag, B, X)
+    res, norm_x = _lyapunov_norms(vessel.A, weights, B, X)
     return res / (np.ldexp(1.0, -2 * e) + norm_x)
 
 
@@ -705,9 +771,10 @@ def lyapunov_residual(vessel: FiniteVessel, x, t):
     _CHUNK_ENTRIES matrix entries; a float for scalar x and t.  Finite
     wherever B and X are.
     """
-    return _floats(_per_point(vessel.n, x, t,
-                              lambda xs, ts: _lyapunov_stack(vessel, *vessel.plain(xs, ts)),
-                              1))[0]
+    weights = _lyapunov_weights(vessel.A_diag)
+    return _floats(_per_point(
+        vessel.n, x, t, lambda xs, ts: _lyapunov_stack(vessel, weights, *vessel.plain(xs, ts)),
+        1))[0]
 
 
 def lyapunov_self_check(vessel: FiniteVessel) -> None:
@@ -719,8 +786,12 @@ def lyapunov_self_check(vessel: FiniteVessel) -> None:
     with the diagonal A,
     A M + M A* + (D^-1 B) sigma1 (D^-1 B)* = D^-1 (A X + X A* + B sigma1 B*) D^-1,
     relative to 1 + ||M||, so solitons of any k build; where D = I it is
-    :func:`lyapunov_residual`.  A residual above 1e-12 raises
-    InvalidSpecError naming its point; an overflowing D^-1 B or M,
+    :func:`lyapunov_residual`.  With a diagonal A the residual is formed in
+    real arithmetic from weights formed once per call (see
+    :func:`_lyapunov_norms`, which :func:`lyapunov_residual` shares); on
+    every closed-form family with real couplings only its imaginary part
+    is nonzero, and only that part is formed.  A residual above 1e-12
+    raises InvalidSpecError naming its point; an overflowing D^-1 B or M,
     EvaluationError at its point.
 
     Blind spot: for diagonal skew-Hermitian A the residual weighs M_ij by
@@ -738,8 +809,10 @@ def lyapunov_self_check(vessel: FiniteVessel) -> None:
     """
     rng = np.random.default_rng(0)
     xs, ts = rng.uniform([-2.0, -0.5], [2.0, 0.5], size=(50, 2)).T
+    weights = _lyapunov_weights(vessel.A_diag)
     res = _per_point(vessel.n, xs, ts,
-                     lambda xs, ts: _lyapunov_stack(vessel, *vessel.scaled(xs, ts)[:2]), 1)[0]
+                     lambda xs, ts: _lyapunov_stack(vessel, weights, *vessel.scaled(xs, ts)[:2]),
+                     1)[0]
     _refuse(xs, ts, (res > 1e-12, InvalidSpecError,
                      f"{vessel.kind} self-check failed: " "Lyapunov residual {:.3e}", res))
 

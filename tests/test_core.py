@@ -138,7 +138,132 @@ class TestTau:
             assert logabs == pytest.approx(np.log(kv.tau_cauchy_3(spec, 0.8, -0.2)), abs=1e-12)
 
 
+def _complex_lyapunov_norm(vessel, B, X):
+    """||A X + X A* + B sigma1 B*||_F per point in complex arithmetic, for a
+    diagonal A: one product (a_i + conj(a_j)) X_ij and the complex
+    B sigma1 B*, the reference for the real-arithmetic residual."""
+    a = vessel.A_diag
+    R = (a[:, None] + a.conj()) * X + B @ core.SIGMA1 @ np.swapaxes(B, -1, -2).conj()
+    return np.linalg.norm(R, axis=(-2, -1))
+
+
+def _shifted_vessel(bump=0.0):
+    """n = 3 with A = diag(a), Re a < 0, a complex B(x, t) and X solving
+    A X + X A* + B sigma1 B* = 0 entry by entry; ``bump`` is added to X_01
+    and conj(bump) to X_10."""
+    a = np.array([-0.3 - 1.0j, -0.5 + 2.0j, -0.2 - 3.5j])
+
+    def operators(x, t):
+        x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
+        e = np.exp(1j * (np.multiply.outer(x, [1.0, 0.5, 2.0])
+                         + np.multiply.outer(t, [0.3, -1.0, 0.7])))
+        B = np.stack([e, (1.0 + 0.5j) * e.conj()], axis=-1)
+        X = -(B @ core.SIGMA1 @ np.swapaxes(B, -1, -2).conj()) / (a[:, None] + a.conj())
+        X[..., 0, 1] += bump
+        X[..., 1, 0] += np.conj(bump)
+        return B, X, 0.0
+
+    return kv.FiniteVessel(n=3, A=np.diag(a), operators=operators,
+                           X0=np.eye(3, dtype=complex), kind="custom")
+
+
+def _exact_lyapunov_norm(a, B, X):
+    """||(a_i + conj(a_j)) X_ij + (B sigma1 B*)_ij||_F of one point, the
+    float inputs taken exactly and the sums carried to 60 digits."""
+    with mpmath.workdps(60):
+        total = 0
+        for i, j in np.ndindex(X.shape):
+            r = ((mpmath.mpc(a[i]) + mpmath.conj(a[j])) * mpmath.mpc(X[i, j])
+                 + mpmath.mpc(B[i, 0]) * mpmath.conj(B[j, 1])
+                 + mpmath.mpc(B[i, 1]) * mpmath.conj(B[j, 0]))
+            total += abs(r) ** 2
+        return float(mpmath.sqrt(total))
+
+
+_PARITY_VESSELS = {
+    "discrete real": lambda: kv.build_discrete_vessel(
+        kv.DiscreteSpectrum(k=np.array([0.7, 1.1, 1.6, 2.3]), b=np.array([0.3, 0.2, 0.25, 0.1]))),
+    "discrete complex": lambda: kv.build_discrete_vessel(
+        kv.DiscreteSpectrum(k=np.array([0.7, 1.1, 1.6, 2.3]),
+                            b=0.2 * np.exp(1j * np.array([0.1, 0.8, 1.5, 2.2])))),
+    "quadrature 64": lambda: kv.build_quadrature_vessel(
+        kv.gauss_legendre_spectrum(1.2, 64, lambda s: 0.5 * np.exp(-(s**2)))),
+    "quadrature 256": lambda: kv.build_quadrature_vessel(
+        kv.gauss_legendre_spectrum(1.2, 256, lambda s: 0.5 * np.exp(-(s**2)))),
+    "3-soliton": lambda: kv.build_soliton(kv.SolitonSpec.from_c([1.0, 2.0, 3.0], [1.0, 1.0, 1.0])),
+    "real part of A": _shifted_vessel,
+    # not a vessel: every term of the residual is far from zero
+    "real part of A, X bumped": lambda: _shifted_vessel(bump=0.1 + 0.2j),
+}
+
+
 class TestLyapunov:
+    @pytest.mark.parametrize("case", list(_PARITY_VESSELS))
+    def test_real_branch_matches_the_complex_formula(self, case):
+        # at the self-check's 50 points, in stacks of 5
+        vessel = _PARITY_VESSELS[case]()
+        xs, ts = np.random.default_rng(0).uniform([-2.0, -0.5], [2.0, 0.5], size=(50, 2)).T
+        weights = core._lyapunov_weights(vessel.A_diag)
+        for s in range(0, 50, 5):
+            B, M, _ = vessel.scaled(xs[s:s + 5], ts[s:s + 5])
+            res, norm_m = core._lyapunov_norms(vessel.A, weights, B, M)
+            diff = np.abs(res - _complex_lyapunov_norm(vessel, B, M))
+            assert np.all(diff <= 1e-15 * (1.0 + norm_m))
+        if case == "real part of A":  # every term of the real branch runs
+            assert weights[0] is not None and np.iscomplexobj(M)
+            core.lyapunov_self_check(vessel)
+
+    def test_real_branch_past_the_range_of_the_plain_norms(self):
+        # through lyapunov_residual: the plain X of k = [7, 7.5] passes
+        # 1e154.  |a_i + conj(a_j)| reaches 7.25 here, and A X + X A* and
+        # B sigma1 B* cancel, so the tolerance takes their size.  The
+        # reference is the residual of the same scaled floats in 60-digit
+        # arithmetic: the complex formula is off from it by up to 1.1e-14
+        vessel = kv.build_soliton(kv.SolitonSpec(k=[7.0, 7.5], b=[1.0, 1.0]))
+        xs, ts = np.random.default_rng(0).uniform([-2.0, -0.5], [2.0, 0.5], size=(50, 2)).T
+        B, X = vessel.plain(xs, ts)
+        assert np.abs(X).max() > 1e154
+        e = core._exponent(np.diagonal(X, axis1=-2, axis2=-1), -1) // 2
+        B, X = B * np.ldexp(1.0, -e)[:, None, None], X * np.ldexp(1.0, -2 * e)[:, None, None]
+        a = vessel.A_diag
+        scale = np.ldexp(1.0, -2 * e) + np.linalg.norm(X, axis=(-2, -1))
+        tol = 1e-15 * (scale + np.linalg.norm((a[:, None] + a.conj()) * X, axis=(-2, -1))) / scale
+        exact = [_exact_lyapunov_norm(a, b, x) for b, x in zip(B, X)] / scale
+        assert np.all(np.abs(kv.lyapunov_residual(vessel, xs, ts) - exact) <= tol)
+
+    def test_self_check_sees_a_term_real_couplings_skip(self):
+        # b0 of a real-coupling trigonometric vessel is real, so the real
+        # part of B sigma1 B* is exactly zero and left out; an imaginary
+        # part on one generator must bring it back
+        vessel = kv.build_discrete_vessel(
+            kv.DiscreteSpectrum(k=np.array([0.8, 1.9, 2.7]), b=np.array([0.5, 0.4, 0.3])))
+
+        def operators(x, t):
+            B, X, log_d = vessel.operators(x, t)
+            B[..., 1, 0] += 1e-3j
+            return B, X, log_d
+
+        with pytest.raises(kv.InvalidSpecError, match="discrete self-check failed"):
+            core.lyapunov_self_check(dataclasses.replace(vessel, operators=operators))
+
+    @pytest.mark.parametrize("bump", [1e-3, 1e-3j], ids=["real", "imaginary"])
+    def test_self_check_sees_a_bumped_complex_m(self, bump):
+        vessel = _PARITY_VESSELS["discrete complex"]()
+
+        def operators(x, t):
+            B, X, log_d = vessel.operators(x, t)
+            assert np.iscomplexobj(X)
+            X[..., 0, 2] += bump
+            X[..., 2, 0] += np.conj(bump)
+            return B, X, log_d
+
+        with pytest.raises(kv.InvalidSpecError, match="discrete self-check failed"):
+            core.lyapunov_self_check(dataclasses.replace(vessel, operators=operators))
+
+    def test_self_check_sees_a_bump_with_a_real_part_of_a(self):
+        with pytest.raises(kv.InvalidSpecError, match="custom self-check failed"):
+            core.lyapunov_self_check(_shifted_vessel(bump=1e-3j))
+
     def test_soliton_identity(self, three_soliton):
         _, vessel = three_soliton
         rng = np.random.default_rng(7)
