@@ -42,8 +42,10 @@ which gives the sign and log|det M| for tau and the solve
 M^-1 [D^-1 B | M P] with a fixed Gaussian probe block P: Y = M^-1 D^-1 B
 and an estimate of the inverse defect ||M^-1 M - I||_F.  At n <= 3 it is
 one partially pivoted elimination, elementwise over the points of the
-stack (:func:`_eliminate`); above n = 3 LAPACK's slogdet and solve factor
-M once each, as numpy exposes no LU.  Per point on one default stack of
+stack, which it moves to the last axis (:func:`_eliminate`, a wrapper of
+the points-last :func:`_eliminate_last`, which ``soliton.q_soliton`` calls
+directly); above n = 3 LAPACK's slogdet and solve factor M once each, as
+numpy exposes no LU.  Per point on one default stack of
 real M with 8 right-hand sides (1 BLAS thread), the elimination took
 0.19-0.36 of the time of slogdet and solve at n = 1-3, 0.36-0.57 at n = 4
 and 0.78-1.22 at n = 8, and 1.0-1.8 from n = 12 (README, "Numerical
@@ -135,7 +137,7 @@ _PROBE_SEED = 20110
 _PROBE_MARGIN = 1000.0
 
 # Up to this n every stacked determinant and solve of M comes from one
-# _eliminate per stack, elementwise over the points; above it from LAPACK,
+# _eliminate_last per stack, elementwise over the points; above it from LAPACK,
 # whose per-matrix call costs more than the arithmetic at small n and
 # which ties with it near n = 8.  The split is not that high because at
 # n = 8 the elimination rounds past the exact zero pivot that LAPACK's LU
@@ -248,14 +250,9 @@ def _eliminate(M, R=None):
     """(sign det M, log|det M|, M^-1 R) of a stack M (m, n, n) and right-hand
     sides R (m, n, r), from one Gaussian elimination with partial pivoting.
 
-    The points are moved to the last axis, so every step is an elementwise
-    pass over them, done in the same order at any stack size; complex
-    products and quotients are formed from real ones (:func:`_cmul`), so
-    the values do not depend on the stack size.  Each pivot is the entry
-    of largest |re| + |im| in its column (the first of equals), as LAPACK
-    picks it.  The sign is a unit phase for complex M; where a pivot is
-    exactly 0 it is 0, log|det M| is -inf and the solve is not finite.
-    With R None the solve is None.
+    A wrapper of :func:`_eliminate_last`: [M | R] is copied to one buffer
+    with the points on the last axis, and the solution is moved back to
+    (m, n, r).  With R None the solve is None.
     """
     m, n = M.shape[0], M.shape[-1]
     r = 0 if R is None else R.shape[-1]
@@ -263,6 +260,26 @@ def _eliminate(M, R=None):
     W[:, :n] = np.moveaxis(M, 0, -1)  # W[i] is row i of [M | R], points last
     if r:
         W[:, n:] = np.moveaxis(R, 0, -1)
+    sign, logabs, Z = _eliminate_last(W)
+    return sign, logabs, None if Z is None else np.ascontiguousarray(np.moveaxis(Z, -1, 0))
+
+
+def _eliminate_last(W):
+    """(sign det M, log|det M|, M^-1 R) for the augmented stack W = [M | R]
+    (n, n + r, m), C-contiguous with the points on the last axis, from one
+    Gaussian elimination with partial pivoting; the solve is (n, r, m),
+    points last, a view of W, which the elimination overwrites.
+
+    Every step is an elementwise pass over the points, done in the same
+    order at any stack size; complex products and quotients are formed
+    from real ones (:func:`_cmul`), so the values do not depend on the
+    stack size.  Each pivot is the entry of largest |re| + |im| in its
+    column (the first of equals), as LAPACK picks it.  The sign is a unit
+    phase for complex M; where a pivot is exactly 0 it is 0, log|det M| is
+    -inf and the solve is not finite.  With r = 0 the solve is None.
+    """
+    n, m = W.shape[0], W.shape[-1]
+    r = W.shape[1] - n
     real, U = not np.iscomplexobj(W), W.view(np.uint64)
     mul = np.multiply if real else _cmul
     swapped, singular = np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
@@ -308,7 +325,7 @@ def _eliminate(M, R=None):
             for j in range(i + 1, n):
                 Z[i] -= mul(W[i, j], Z[j])
             Z[i] = over_pivot(Z[i], i)
-    return sign, logabs, np.ascontiguousarray(np.moveaxis(Z, -1, 0))
+    return sign, logabs, Z
 
 
 def _factor(M, R):

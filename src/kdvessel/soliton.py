@@ -159,6 +159,24 @@ def tau_cauchy_3(spec: SolitonSpec, x, t):
     return out if out.ndim else float(out)
 
 
+def _scaled_last(spec: SolitonSpec, G, x, t):
+    """The scaled pair points-last: M (n, n, m), w (n, m) and log d (n, m)
+    at the m flat points x, t, from the Gram matrix G = _gram(spec).
+
+    Every pass runs generator-major, with the generator axes first and the
+    points last, so its inner loop runs over the points, not over the n
+    generators.
+    """
+    k, b, n = spec.k, spec.b, spec.n
+    phi = np.multiply.outer(k, x) + np.multiply.outer(k**3, t)
+    log_d = np.maximum(phi, 0.0)
+    e = np.exp(np.minimum(phi, 0.0))
+    M = np.multiply(e[:, None], e, dtype=G.dtype)
+    M *= G[..., None]  # M[i, j] = e_i e_j G_ij; in place, as a new array took 5x as long
+    M[np.arange(n), np.arange(n)] += np.exp(-2.0 * log_d)
+    return M, e * (b if b.imag.any() else b.real)[:, None], log_d
+
+
 def _scaled_system(spec: SolitonSpec, x, t):
     """X = D M D at each point of x, t, with M finite at any phase.
 
@@ -169,24 +187,24 @@ def _scaled_system(spec: SolitonSpec, x, t):
     either direction decouples in M.  Returns (M, w = e b, log d), one
     log d per generator, for x, t of broadcast shape S.
 
-    Every pass runs generator-major, with the generator axes first and the
-    flat points last, so its inner loop runs over the points, not over the
-    n generators; the results come back C-contiguous in the contract
-    shapes S + (n, n), S + (n,) and S + (n,).
+    The pair is formed points-last by :func:`_scaled_last` and comes back
+    C-contiguous in the contract shapes S + (n, n), S + (n,) and S + (n,).
     """
-    k, b, n = spec.k, spec.b, spec.n
     x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
-    phi = np.multiply.outer(k, x.ravel()) + np.multiply.outer(k**3, t.ravel())  # (n, points)
-    log_d = np.maximum(phi, 0.0)
-    e = np.exp(np.minimum(phi, 0.0))
-    M = e[:, None] * e * _gram(spec)[..., None]  # M[i, j] = e_i e_j G_ij
-    M[np.arange(n), np.arange(n)] += np.exp(-2.0 * log_d)
-    w = e * (b if b.imag.any() else b.real)[:, None]
 
     def points_first(a):
         return np.ascontiguousarray(np.moveaxis(a, -1, 0)).reshape(x.shape + a.shape[:-1])
 
-    return points_first(M), points_first(w), points_first(log_d)
+    return tuple(points_first(a) for a in _scaled_last(spec, _gram(spec), x.ravel(), t.ravel()))
+
+
+def _re_dot(a, b):
+    """Re sum_i conj(a_i) b_i over the generator axis (first) of points-last
+    arrays, from real products, so the values do not depend on the stack size."""
+    p = a.real * b.real
+    if np.iscomplexobj(a) and np.iscomplexobj(b):
+        p += a.imag * b.imag
+    return p.sum(axis=0)
 
 
 def q_soliton(spec: SolitonSpec, x, t):
@@ -196,26 +214,39 @@ def q_soliton(spec: SolitonSpec, x, t):
     formula q = -2 [tr(X^-1 X'') - tr((X^-1 X')^2)] reduces, for
     v = M^-1 w with (M, w) of :func:`_scaled_system`, to
     q = -2 (2 Re(v* K w) - (w* v)^2).  One solve per point, in core's
-    stacks (``core._factor``); broadcasts over x, t.  EvaluationError at
-    the first point in C order where M or w overflows, or M has a zero pivot.
+    stacks; broadcasts over x, t.  At n <= core._ELIMINATION_N the pair
+    stays points-last from assembly to solution: [M | w] is formed in one
+    (n, n + 1, m) buffer and solved by ``core._eliminate_last``; above it
+    M and w are copied points-first for ``core._factor``'s LAPACK route.
+    The two sums run over the generator axis of points-last arrays.
+    EvaluationError at the first point in C order where M or w overflows,
+    or M has a zero pivot.
     """
+    n, G = spec.n, _gram(spec)
+    k = spec.k[:, None]
+
     def stack(xs, ts):
         with np.errstate(all="ignore"):  # the flagged points may not be finite
-            M, w, _ = _scaled_system(spec, xs, ts)
-            overflow = core._nonfinite(M)  # w = e b is finite wherever M is
+            M, w, _ = _scaled_last(spec, G, xs, ts)
+            overflow = ~np.isfinite(M).all(axis=(0, 1))  # w = e b is finite wherever M is
             if overflow.any():
-                M = np.where(overflow[:, None, None], np.eye(spec.n), M)
-                w = np.where(overflow[:, None], 0.0, w)
-            sign, _, v = core._factor(M, w[..., None])
-            v = v[..., 0]
-            wv = np.einsum("...i,...i->...", w.conj(), v).real
-            vkw = np.einsum("...i,i,...i->...", v.conj(), spec.k, w).real
-            q = -2.0 * (2.0 * vkw - wv**2)
+                M[:, :, overflow] = np.eye(n)[..., None]
+                w[:, overflow] = 0.0
+            if n <= core._ELIMINATION_N:
+                W = np.empty((n, n + 1, xs.size), dtype=np.result_type(M, w))
+                W[:, :n], W[:, n] = M, w
+                sign, _, v = core._eliminate_last(W)
+                v = v[:, 0]
+            else:
+                sign, _, v = core._factor(np.ascontiguousarray(np.moveaxis(M, -1, 0)),
+                                          np.ascontiguousarray(w.T)[..., None])
+                v = v[..., 0].T
+            q = -2.0 * (2.0 * _re_dot(v * k, w) - _re_dot(w, v) ** 2)
         core._refuse(xs, ts, (overflow, EvaluationError, "Gram operator X overflowed"),
                      (sign == 0, *core._SINGULAR))
         return q
 
-    return core._floats(core._per_point(spec.n, x, t, stack, 1))[0]
+    return core._floats(core._per_point(n, x, t, stack, 1))[0]
 
 
 def one_soliton_reference(k: float, c: float, x, t):

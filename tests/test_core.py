@@ -818,6 +818,21 @@ def hermitian_stacks(draw):
 class TestElimination:
     """One pivoted elimination gives LAPACK's sign, log|det M| and M^-1 R."""
 
+    SINGULAR = {
+        "zero-1": np.zeros((1, 1)), "ones-2": np.array([[1.0, 1.0], [1.0, 1.0]]),
+        "zero-2": np.zeros((2, 2)),
+        "rank2-3": np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]]),
+        "zero-3": np.zeros((3, 3)),
+    }
+
+    @staticmethod
+    def _singular_stack(singular):
+        """Six points of M = I, singular at the third and the fifth."""
+        n = singular.shape[0]
+        M = np.broadcast_to(np.eye(n, dtype=complex), (6, n, n)).copy()
+        M[2], M[4] = singular, 1j * singular
+        return M
+
     @settings(max_examples=60, deadline=None)
     @given(stack=hermitian_stacks())
     def test_matches_lapack(self, stack):
@@ -835,14 +850,39 @@ class TestElimination:
         assert np.all(np.abs(sign - sign0) <= bound)
         assert core._eliminate(M)[2] is None
 
-    @pytest.mark.parametrize("singular", [
-        np.zeros((1, 1)), np.array([[1.0, 1.0], [1.0, 1.0]]), np.zeros((2, 2)),
-        np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]]), np.zeros((3, 3)),
-    ], ids=["zero-1", "ones-2", "zero-2", "rank2-3", "zero-3"])
+    @staticmethod
+    def _same_as_the_wrapper(M, R):
+        """_eliminate_last on [M | R] points-last gives _eliminate's bits."""
+        W = M if R is None else np.concatenate((M, R), axis=-1)
+        W = np.moveaxis(W, 0, -1).copy()  # (n, n + r, m), C order; the elimination overwrites it
+        sign, logabs, Z = core._eliminate_last(W)
+        sign0, logabs0, Z0 = core._eliminate(M, R)
+        assert sign.tobytes() == sign0.tobytes() and logabs.tobytes() == logabs0.tobytes()
+        if R is None:
+            assert Z is None and Z0 is None
+        else:
+            assert Z.shape == (M.shape[-1], R.shape[-1], M.shape[0]) and Z.dtype == Z0.dtype
+            assert np.moveaxis(Z, -1, 0).tobytes() == Z0.tobytes()
+        return sign
+
+    @settings(max_examples=60, deadline=None)
+    @given(stack=hermitian_stacks())
+    def test_points_last_entry_matches_the_wrapper_bitwise(self, stack):
+        M, R = stack
+        self._same_as_the_wrapper(M, R)
+        self._same_as_the_wrapper(M, None)
+
+    @pytest.mark.parametrize("singular", list(SINGULAR.values()), ids=list(SINGULAR))
+    def test_points_last_entry_names_the_same_singular_points(self, singular):
+        M = self._singular_stack(singular)
+        for R in (None, np.ones((6, singular.shape[0], 1))):
+            sign = self._same_as_the_wrapper(M, R)
+            assert np.array_equal(sign == 0, np.isin(np.arange(6), [2, 4]))
+
+    @pytest.mark.parametrize("singular", list(SINGULAR.values()), ids=list(SINGULAR))
     def test_singular_points_are_named_in_order(self, monkeypatch, singular):
         n = singular.shape[0]
-        M = np.broadcast_to(np.eye(n, dtype=complex), (6, n, n)).copy()
-        M[2], M[4] = singular, 1j * singular
+        M = self._singular_stack(singular)
         xs, ts = np.arange(6.0), np.full(6, 0.5)
         assert np.array_equal(core._eliminate(M)[0] == 0, np.isin(np.arange(6), [2, 4]))
 

@@ -265,6 +265,17 @@ class TestOverflowRegime:
         with pytest.raises(kv.EvaluationError, match="^Gram operator X overflowed"):
             kv.build_soliton(spec)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_an_overflowing_gram_matrix_is_refused_on_both_routes(self, n):
+        # one |b|^2 = 1e320: at n = 2 and 3 q_soliton masks the points-last
+        # pair before the elimination, at n = 4 the points-first copies
+        # before LAPACK; a RuntimeWarning would fail the test (pyproject)
+        spec = kv.SolitonSpec(k=np.linspace(1.0, 2.5, n), b=[1e160] + [1.0] * (n - 1))
+        assert core._ELIMINATION_N == 3  # n = 2, 3 eliminate, n = 4 goes to LAPACK
+        with pytest.raises(kv.EvaluationError,
+                           match=r"^Gram operator X overflowed \[at x=0\.0, t=0\.0\]$"):
+            kv.q_soliton(spec, [0.0, 5.0, -400.0], 0.0)
+
     def test_log_tau_deep_regime(self):
         vessel = kv.build_soliton(kv.SolitonSpec.from_c([1.0, 2.0], [1.0, 1.0]))
         logabs, sign = kv.log_tau(vessel, 500.0, 0.0)
@@ -288,7 +299,8 @@ def _point_major_scaled_system(spec, x, t):
 
 class TestScaledSystem:
     """soliton._scaled_system: the contract shapes, C-contiguous, with the
-    bits of the point-major formula."""
+    bits of the point-major formula; its points-last core soliton._scaled_last
+    has the same bits with the points on the last axis."""
 
     RNG = np.random.default_rng(5)
     POINTS = {
@@ -306,9 +318,7 @@ class TestScaledSystem:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("phased", [False, True], ids=["real-b", "complex-b"])
     def test_bitwise_equal_to_the_point_major_formula(self, points, n, phased):
-        rng = np.random.default_rng(n + 10 * phased)
-        b = rng.uniform(0.5, 2.0, n) * (np.exp(1j * rng.uniform(0.0, 6.0, n)) if phased else 1.0)
-        spec = kv.SolitonSpec(k=np.linspace(0.4, 2.5, n) if n > 1 else [1.3], b=b)
+        spec = self._spec(n, phased)
         x, t = self.POINTS[points]
         S = np.broadcast_shapes(np.shape(x), np.shape(t))
         got = soliton._scaled_system(spec, x, t)
@@ -322,6 +332,24 @@ class TestScaledSystem:
         if points == "past the float range":
             phi = np.multiply.outer(x, spec.k) + np.multiply.outer(t, spec.k**3)
             assert phi.min() < -745.0 and phi.max() > 745.0
+
+    @pytest.mark.parametrize("points", list(POINTS), ids=list(POINTS))
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("phased", [False, True], ids=["real-b", "complex-b"])
+    def test_points_last_core_is_the_formula_with_its_axes_moved(self, points, n, phased):
+        spec = self._spec(n, phased)
+        x, t = (a.ravel() for a in np.broadcast_arrays(*map(np.asarray, self.POINTS[points])))
+        got = soliton._scaled_last(spec, soliton._gram(spec), x, t)
+        for a, want, shape in zip(got, _point_major_scaled_system(spec, x, t),
+                                  ((n, n, x.size), (n, x.size), (n, x.size))):
+            assert a.shape == shape and a.dtype == want.dtype
+            assert a.tobytes() == np.moveaxis(want, 0, -1).tobytes()
+
+    @staticmethod
+    def _spec(n, phased):
+        rng = np.random.default_rng(n + 10 * phased)
+        b = rng.uniform(0.5, 2.0, n) * (np.exp(1j * rng.uniform(0.0, 6.0, n)) if phased else 1.0)
+        return kv.SolitonSpec(k=np.linspace(0.4, 2.5, n) if n > 1 else [1.3], b=b)
 
 
 class TestStacks:
@@ -451,8 +479,8 @@ class TestSingularPoints:
 
 
 class TestMpmathOracle:
-    """evaluate_fields of the soliton vessel against a 60-digit log det X and
-    its x-derivatives."""
+    """evaluate_fields and q_soliton of the soliton vessel against a 60-digit
+    log det X and its x-derivatives."""
 
     K = {1: [0.9], 2: [0.6, 1.3], 3: [0.5, 1.1, 1.8]}
     B = {1: [1.4], 2: [1.1, 0.7], 3: [0.8, 1.5, 1.2]}
@@ -487,7 +515,8 @@ class TestMpmathOracle:
         assert (phi[0] < 0).all() and (0 < phi[2]).all() and (phi[2] < 8).all()
         assert (phi[3] > 8).all() and (n == 1 or phi[1].min() < 0 < phi[1].max())
         fields = kv.evaluate_fields(kv.build_soliton(spec), xs, ts)
-        bound = {"log tau": 1e-13, "beta": 1e-12, "q": 5e-11}
+        q_trace = kv.q_soliton(spec, xs, ts)
+        bound = {"log tau": 1e-13, "beta": 1e-12, "q": 5e-11, "trace q": 5e-11}
         with mpmath.workdps(60):
             k = [mpmath.mpf(v) for v in self.K[n]]
             b = [mpmath.mpf(v) for v in self.B[n]]
@@ -499,8 +528,9 @@ class TestMpmathOracle:
                     "beta": -mpmath.diff(log_tau, x),
                     "q": -2 * mpmath.diff(log_tau, x, 2),
                 }
+                ref["trace q"] = ref["q"]
                 got = {"log tau": fields.log_abs_tau[i], "beta": fields.beta[i],
-                       "q": fields.q[i]}
+                       "q": fields.q[i], "trace q": q_trace[i]}
                 for what, r in ref.items():
                     err = abs(got[what] - r) / (1 + abs(r))
                     assert err <= bound[what], (what, x, t, float(err))
