@@ -23,12 +23,13 @@ evaluation and residual checks for every condition above, plus the
 standard construction: :func:`integrate_standard_construction` tabulates
 B and X from (A, B(x0), X(x0)) by RK4, and criterion 4 uses it as an
 oracle for every entry of each closed-form family's B and X.  Every
-evaluation and residual takes points x, t of any broadcast shape through
-one stacked path: :func:`evaluate` keeps the whole state of each point,
-while every other per-point evaluator of the package runs in the stacks
-of one chunk loop.  All of them read the pair except the Lyapunov and
-evolution residuals, which are about the plain B and X.  The operators are
-checked where they are read (:meth:`FiniteVessel.scaled` and ``plain``):
+evaluation and residual takes points x, t of any broadcast shape, flattens
+them and works in stacks with the points on the last axis, the layout in
+which ``operators`` returns the pair: :func:`evaluate` keeps the whole
+state of each point, while every other per-point evaluator runs in the
+stacks of one chunk loop.  All of them read the pair except the Lyapunov
+and evolution residuals, which are about the plain B and X.  The
+operators are checked where they are read (``FiniteVessel._read``):
 shapes, finite entries and a Hermitian M, which every evaluator then uses
 as given.  Every check at a point is a gate, a per-point mask, and each
 stack refuses once, through :func:`_refuse`: the first flagged point in C
@@ -37,15 +38,14 @@ it, carries the point as ``.x``, ``.t`` and ends in ``[at x=..., t=...]``.
 Flagged points get B = 0 and M = I before the factorization, so no stack
 raises midway.
 
-Each point of a stack costs one factorization of M (:func:`_factor`),
-which gives the sign and log|det M| for tau and the solve
-M^-1 [D^-1 B | M P] with a fixed Gaussian probe block P: Y = M^-1 D^-1 B
-and an estimate of the inverse defect ||M^-1 M - I||_F.  At n <= 3 it is
-one partially pivoted elimination, elementwise over the points of the
-stack, which it moves to the last axis (:func:`_eliminate`, a wrapper of
-the points-last :func:`_eliminate_last`, which ``soliton.q_soliton`` calls
-directly); above n = 3 LAPACK's slogdet and solve factor M once each, as
-numpy exposes no LU.  Per point on one default stack of
+Each point of a stack costs one factorization of M (:func:`_factor`, the
+one entry, which ``soliton.q_soliton`` calls too), which gives the sign
+and log|det M| for tau and the solve M^-1 [D^-1 B | M P] with a fixed
+Gaussian probe block P: Y = M^-1 D^-1 B and an estimate of the inverse
+defect ||M^-1 M - I||_F.  At n <= 3 it is one partially pivoted
+elimination, elementwise over the points (:func:`_eliminate`); above
+n = 3 LAPACK's slogdet and solve factor M once each, as numpy exposes no
+LU.  Per point on one default stack of
 real M with 8 right-hand sides (1 BLAS thread), the elimination took
 0.19-0.36 of the time of slogdet and solve at n = 1-3, 0.36-0.57 at n = 4
 and 0.78-1.22 at n = 8, and 1.0-1.8 from n = 12 (README, "Numerical
@@ -137,7 +137,7 @@ _PROBE_SEED = 20110
 _PROBE_MARGIN = 1000.0
 
 # Up to this n every stacked determinant and solve of M comes from one
-# _eliminate_last per stack, elementwise over the points; above it from LAPACK,
+# _eliminate per stack, elementwise over the points; above it from LAPACK,
 # whose per-matrix call costs more than the arithmetic at small n and
 # which ties with it near n = 8.  The split is not that high because at
 # n = 8 the elimination rounds past the exact zero pivot that LAPACK's LU
@@ -150,16 +150,31 @@ def _fro(m) -> float:
     return float(np.linalg.norm(m))
 
 
+def _point_rows(a) -> np.ndarray:
+    """The points-last stack a (..., m) as m C-contiguous rows, one per
+    point, with its entries in C order; a copy unless the memory already
+    holds the points first.  A reduction over a row runs as it would on
+    one point, so its value does not depend on the stack size."""
+    return np.ascontiguousarray(a.reshape(-1, a.shape[-1]).T)
+
+
+def _points_first(a, shape) -> np.ndarray:
+    """The points-last stack a (..., m) as a view of shape S + (...) for
+    points of broadcast shape S, m = prod(S).  (np.moveaxis would cost
+    single points more than the transpose.)"""
+    return a.transpose(-1, *range(a.ndim - 1)).reshape(shape + a.shape[:-1])
+
+
 def _sumsq_stack(m) -> np.ndarray:
-    """Squared Frobenius norms of a stack of matrices (..., r, c): one dot product each."""
-    v = np.ascontiguousarray(m).reshape(m.shape[:-2] + (-1,))
+    """Squared Frobenius norms of a stack of matrices (r, c, m): one dot product each."""
+    v = _point_rows(m)
     if np.iscomplexobj(v):
         v = v.view(float)  # interleaved real and imaginary parts
     return np.einsum("...i,...i->...", v, v)
 
 
 def _fro_stack(m) -> np.ndarray:
-    """Frobenius norms of a stack of matrices (..., r, c)."""
+    """Frobenius norms of a stack of matrices (r, c, m)."""
     return np.sqrt(_sumsq_stack(m))
 
 
@@ -171,14 +186,14 @@ def _exponent(m, axis) -> np.ndarray:
 
 
 def _nonfinite(m) -> np.ndarray:
-    """Per matrix of a stack (..., r, c): a non-finite entry?  One pass if none has."""
+    """Per matrix of a stack (r, c, m): a non-finite entry?  One pass if none has."""
     ok = np.isfinite(m)
-    return np.zeros(m.shape[:-2], dtype=bool) if ok.all() else ~ok.all(axis=(-2, -1))
+    return np.zeros(m.shape[-1], dtype=bool) if ok.all() else ~ok.all(axis=(0, 1))
 
 
 def _adjoint(m) -> np.ndarray:
-    """Conjugate transpose of each matrix in a stack."""
-    return np.swapaxes(m, -1, -2).conj()
+    """Conjugate transpose of each matrix in a points-last stack (r, c, ...)."""
+    return np.swapaxes(m, 0, 1).conj()
 
 
 def _flat_points(x, t):
@@ -246,25 +261,7 @@ def _cmul(a, b) -> np.ndarray:
     return out
 
 
-def _eliminate(M, R=None):
-    """(sign det M, log|det M|, M^-1 R) of a stack M (m, n, n) and right-hand
-    sides R (m, n, r), from one Gaussian elimination with partial pivoting.
-
-    A wrapper of :func:`_eliminate_last`: [M | R] is copied to one buffer
-    with the points on the last axis, and the solution is moved back to
-    (m, n, r).  With R None the solve is None.
-    """
-    m, n = M.shape[0], M.shape[-1]
-    r = 0 if R is None else R.shape[-1]
-    W = np.empty((n, n + r, m), dtype=np.result_type(M, R) if r else M.dtype)
-    W[:, :n] = np.moveaxis(M, 0, -1)  # W[i] is row i of [M | R], points last
-    if r:
-        W[:, n:] = np.moveaxis(R, 0, -1)
-    sign, logabs, Z = _eliminate_last(W)
-    return sign, logabs, None if Z is None else np.ascontiguousarray(np.moveaxis(Z, -1, 0))
-
-
-def _eliminate_last(W):
+def _eliminate(W):
     """(sign det M, log|det M|, M^-1 R) for the augmented stack W = [M | R]
     (n, n + r, m), C-contiguous with the points on the last axis, from one
     Gaussian elimination with partial pivoting; the solve is (n, r, m),
@@ -329,24 +326,31 @@ def _eliminate_last(W):
 
 
 def _factor(M, R):
-    """(sign det M, log|det M|, M^-1 R) over the stack M (m, n, n); R None
-    gives no solve.  The sign is 0 at a zero pivot, where the solve is not
-    finite.  Nothing raises.
+    """(sign det M, log|det M|, M^-1 R (n, r, m)) over the stack M (n, n, m)
+    and right-hand sides R (n, r, m), of any strides; R None gives no
+    solve.  The sign is 0 at a zero pivot, where the solve is not finite.
+    Nothing raises.
 
-    At n <= _ELIMINATION_N from one :func:`_eliminate`; above it LAPACK's
-    slogdet, and solve for R, factor M once each.  slogdet runs in the
-    solve's dtype, so it meets the zero pivots solve would meet, and solve
-    gets I in place of those points (its result there is R).
+    At n <= _ELIMINATION_N, [M | R] fills one buffer for :func:`_eliminate`;
+    above it LAPACK's slogdet, and solve for R, factor M once each, on
+    points-first views.  slogdet runs in the solve's dtype, so it meets the
+    zero pivots solve would meet, and solve gets I in place of those points
+    (its result there is R).
     """
-    if M.shape[-1] <= _ELIMINATION_N:
-        return _eliminate(M, R)
+    n, m = M.shape[0], M.shape[-1]
+    if n <= _ELIMINATION_N:
+        R = np.empty((n, 0, m), dtype=M.dtype) if R is None else R
+        W = np.empty((n, n + R.shape[1], m), dtype=np.result_type(M, R))
+        W[:, :n], W[:, n:] = M, R  # W[i] is row i of [M | R]
+        return _eliminate(W)
+    M = M.transpose(2, 0, 1)
     if R is None:
         return (*np.linalg.slogdet(M), None)
     sign, logabs = np.linalg.slogdet(M.astype(np.result_type(M, R), copy=False))
     singular = (sign == 0)[:, None, None]
     if singular.any():
-        M = np.where(singular, np.eye(M.shape[-1]), M)
-    return sign, logabs, np.linalg.solve(M, R)
+        M = np.where(singular, np.eye(n), M)
+    return sign, logabs, np.linalg.solve(M, R.transpose(2, 0, 1)).transpose(1, 2, 0)
 
 
 @dataclass(frozen=True)
@@ -361,11 +365,11 @@ class FiniteVessel:
     with.  ``X0`` is the reference operator for the tau function.  ``kind``
     tags the construction family (soliton | discrete | quadrature).
 
-    ``operators`` must be a pure function of (x, t) that broadcasts over
-    arrays of points: for x, t of broadcast shape S (S = () for scalars)
-    it returns shapes S + (n, 2), S + (n, n) and S + (n,).  Every routine
-    of the package relies on this, one-point routines included.  It must
-    not raise for single points: a non-finite entry passes through, and
+    ``operators(x, t)`` is called with 1-D float arrays x, t of one length
+    m (the flat points; m = 1 for one point), of any strides, and returns
+    D^-1 B as (n, 2, m), M as (n, n, m) and log d as (n, m) or 0.0, with
+    the points on the last axis and any strides.  It must be a pure function
+    of (x, t) and must not raise: a non-finite entry passes through, and
     the operator read names its point.  M keeps the dtype its construction
     gives it (real whenever the couplings are real).
     ``A_diag`` holds the diagonal a of A when A is diagonal (every
@@ -407,23 +411,23 @@ class FiniteVessel:
         object.__setattr__(self, "sign_det_X0", float(np.sign(sign0.real)))
 
     def _read(self, x, t, plain=False):
-        """(B, X, log d, gates): the pair (D^-1 B, M) at the points x, t, or
-        with ``plain`` (B, X) = (D (D^-1 B), D M D), log d of shape S + (n,),
-        and the read's gates for :func:`_refuse`, unraised: B overflowed, X
-        overflowed, ||X - X*||_F > _HERMIT_TOL (1 + ||X||_F).  Points they
-        flag get B = 0 and X = I, so the work after the read stays finite.
-        """
+        """(B, X, log d, gates): the pair (D^-1 B, M) at the flat points x, t,
+        or with ``plain`` (B, X) = (D (D^-1 B), D M D), points last, log d
+        (n, m), and the read's gates for :func:`_refuse`, unraised: B
+        overflowed, X overflowed, ||X - X*||_F > _HERMIT_TOL (1 + ||X||_F).
+        Points they flag get B = 0 and X = I, so the work after the read
+        stays finite."""
         B, X, log_d = self.operators(x, t)
         if plain and np.any(log_d):
             # an overflow passes through as inf, which the gates name
             with np.errstate(over="ignore", invalid="ignore"):
                 d = np.exp(log_d)
-                B, X = d[..., None] * B, d[..., :, None] * d[..., None, :] * X
+                B, X = d[:, None] * B, d[:, None] * d[None, :] * X
         B, X = np.asarray(B, dtype=complex), np.asarray(X)
-        want = np.broadcast_shapes(np.shape(x), np.shape(t)) + (self.n,)
         for what, a, cols in (("coupling B", B, 2), ("Gram operator X", X, self.n)):
-            if a.shape != want + (cols,):
-                raise InvalidSpecError(f"{what} has shape {a.shape}, expected {want + (cols,)}")
+            want = (self.n, cols, x.size)
+            if a.shape != want:
+                raise InvalidSpecError(f"{what} has shape {a.shape}, expected {want}")
         b_inf, x_inf = _nonfinite(B), _nonfinite(X)
         # an asymmetry past the float range reads inf; a non-finite X is flagged anyway
         with np.errstate(over="ignore", invalid="ignore"):
@@ -432,34 +436,40 @@ class FiniteVessel:
             if not np.isfinite(norm).all():
                 # the squares overflow past |X_ij| ~ 1e154, so those points
                 # are judged at X 2^-e: the power of two leaves asym / (1 + ||X||)
-                unit = np.ldexp(1.0, -np.where(np.isfinite(norm), 0, _exponent(X, (-2, -1))))
-                Xs = X * unit[..., None, None]
+                unit = np.ldexp(1.0, -np.where(np.isfinite(norm), 0, _exponent(X, (0, 1))))
+                Xs = X * unit
                 asym = _fro_stack(Xs - _adjoint(Xs))
                 asym_bad = asym > _HERMIT_TOL * (unit + _fro_stack(Xs))
                 asym = asym / unit
-        flagged = (b_inf | x_inf | asym_bad)[..., None, None]
+        flagged = b_inf | x_inf | asym_bad
         if flagged.any():
-            B, X = np.where(flagged, 0j, B), np.where(flagged, np.eye(self.n), X)
+            B, X = np.where(flagged, 0j, B), np.where(flagged, np.eye(self.n)[..., None], X)
         gates = ((b_inf, EvaluationError, "coupling B overflowed"),
                  (x_inf, EvaluationError, "Gram operator X overflowed"),
                  (asym_bad, NumericalConsistencyError,
                   "X asymmetry {:.3e} exceeds " f"{_HERMIT_TOL:.1e}*(1+||X||)", asym))
-        return B, X, np.broadcast_to(log_d, X.shape[:-1]), gates
+        return B, X, np.broadcast_to(log_d, X.shape[1:]), gates
+
+    def _checked(self, x, t, plain):
+        """The operators of :meth:`_read` at the points x, t of broadcast
+        shape S, refused at their first flagged point, as views of shapes
+        S + (...)."""
+        xf, tf = _flat_points(x, t)
+        *operators, gates = self._read(xf, tf, plain)
+        _refuse(xf, tf, *gates)
+        shape = np.broadcast_shapes(np.shape(x), np.shape(t))
+        return tuple(_points_first(a, shape) for a in operators)
 
     def scaled(self, x, t):
-        """(D^-1 B, M, log d) at the points x, t, checked like :meth:`plain`;
-        log d has one entry per generator at every point, shape S + (n,)."""
-        *pair, gates = self._read(x, t)
-        _refuse(x, t, *gates)
-        return tuple(pair)
+        """(D^-1 B, M, log d) at the points x, t of broadcast shape S, checked
+        like :meth:`plain`: shapes S + (n, 2), S + (n, n) and S + (n,)."""
+        return self._checked(x, t, plain=False)
 
     def plain(self, x, t):
         """(B, X) = (D (D^-1 B), D M D) at the points x, t; EvaluationError
         at the first point where either overflows, NumericalConsistencyError
         where X is not Hermitian."""
-        B, X, _, gates = self._read(x, t, plain=True)
-        _refuse(x, t, *gates)
-        return B, X
+        return self._checked(x, t, plain=True)[:2]
 
     def B(self, x, t) -> np.ndarray:
         """Coupling B(x, t); broadcasts over arrays of points."""
@@ -537,21 +547,25 @@ class ResidualReport:
         return max(self.r_DB, self.r_DX, self.r_DBt, self.r_DXt)
 
 
+def _bstar_y(B, Y, i, j):
+    """(B* Y)_ij at each point of the points-last stacks B and Y (n, 2, ...)."""
+    return np.einsum("k...,k...->...", B[:, i].conj(), Y[:, j])
+
+
 def _gamma_star(B: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Output parameter matrix gamma_* from the linkage condition.
 
     Returns gamma + sigma2 M sigma1 - sigma1 M sigma2 with M = B* X^-1 B,
-    from stacks of B and Y = X^-1 B, summing only the entries M_00, M_01
-    and M_10 that it reads.  The result has the shape
-    [[-i(beta'-beta^2), -beta], [beta, i]] for the real scalars beta, beta'
-    encoded by the vessel.
+    from the points-last stacks B and Y = X^-1 B (n, 2, ...), summing only
+    the entries M_00, M_01 and M_10 that it reads.  The result, (2, 2, ...),
+    has the shape [[-i(beta'-beta^2), -beta], [beta, i]] for the real
+    scalars beta, beta' encoded by the vessel.
     """
-    m00, m01, m10 = (np.einsum("...k,...k->...", B[..., i].conj(), Y[..., j])
-                     for i, j in ((0, 0), (0, 1), (1, 0)))
+    m00, m01, m10 = (_bstar_y(B, Y, i, j) for i, j in ((0, 0), (0, 1), (1, 0)))
     # gamma + sigma2 M sigma1 - sigma1 M sigma2, entry by entry
-    gs = np.empty(m00.shape + (2, 2), dtype=complex)
-    gs[..., 0, 0] = m01 - m10
-    gs[..., 0, 1], gs[..., 1, 0], gs[..., 1, 1] = m00, -m00, GAMMA[1, 1]
+    gs = np.empty((2, 2) + m00.shape, dtype=complex)
+    gs[0, 0] = m01 - m10
+    gs[0, 1], gs[1, 0], gs[1, 1] = m00, -m00, GAMMA[1, 1]
     return gs
 
 
@@ -563,9 +577,10 @@ def _probe_block(n: int) -> np.ndarray:
 
 
 def _probe_solve(X, B):
-    """(sign det X, log|det X|, Y = X^-1 B, gates) for stacks of X and B
-    from one :func:`_factor` per point, X^-1 [B | X P], with Y certified by
-    the probe columns (see _PROBE_MARGIN).
+    """(sign det X, log|det X|, Y = X^-1 B, gates) for the points-last stacks
+    X (n, n, m) and B (n, 2, m) from one :func:`_factor` per point,
+    X^-1 [B | X P], with Y certified by the probe columns (see
+    _PROBE_MARGIN).
 
     The solve is backward stable, so Y takes no refinement.  Points whose
     estimate est = ||X^-1 (X P) - P||_F / 2 does not clear them (a NaN
@@ -574,34 +589,39 @@ def _probe_solve(X, B):
     inverse and sign 0.  The gates, in pipeline order: a zero pivot, and a
     dense defect above _INVERSE_TOL sqrt(n).
     """
-    n = X.shape[-1]
+    n, m = X.shape[0], X.shape[-1]
     P = _probe_block(n)
-    if not np.iscomplexobj(X):  # keep the work in real arithmetic
-        B = np.ascontiguousarray(B).view(float)
-    c = B.shape[-1]
-    XP = (X.reshape(-1, n) @ P).reshape(X.shape[:-1] + P.shape[-1:])  # one GEMM for the stack
-    sign, logabs, Z = _factor(X, np.concatenate((B, XP), axis=-1))
-    est = 0.5 * _fro_stack(Z[..., c:] - P)
+    real = not np.iscomplexobj(X)  # keep the work in real arithmetic
+    c = 4 if real else 2
+    R = np.empty((n, c + _PROBES, m), dtype=X.dtype)  # [B | X P], X P from one GEMM
+    # for a real X, B as the real columns Re b0, Im b0, Re b1, Im b1
+    R[:, :c] = np.stack((B.real, B.imag), axis=2).reshape(n, c, m) if real else B
+    R[:, c:] = (_point_rows(X).reshape(-1, n) @ P).reshape(m, n, _PROBES).transpose(1, 2, 0)
+    sign, logabs, Z = _factor(X, R)
+    est = 0.5 * _fro_stack(Z[:, c:] - P[..., None])
     gate = _INVERSE_TOL * math.sqrt(n)
     hard = np.flatnonzero(~(est <= gate / _PROBE_MARGIN))
-    defect = np.zeros(est.shape)
+    defect = np.zeros(m)
     if hard.size:
-        Xh = X[hard]
+        Xh = np.ascontiguousarray(X[..., hard].transpose(2, 0, 1))
         singular = np.linalg.slogdet(Xh)[0] == 0  # the LU that inv runs
         sign[hard[singular]] = 0
         Xh[singular] = np.eye(n)
-        defect[hard] = _fro_stack(np.linalg.inv(Xh) @ Xh - np.eye(n))
-    Y = np.ascontiguousarray(Z[..., :c])
-    return sign, logabs, Y if np.iscomplexobj(Y) else Y.view(complex), (
+        defect[hard] = _fro_stack((np.linalg.inv(Xh) @ Xh - np.eye(n)).transpose(1, 2, 0))
+    Y = Z[:, :c]
+    if real:  # back to the complex columns of Y
+        Y = np.empty((n, 2, m), dtype=complex)
+        Y.real, Y.imag = Z[:, 0:c:2], Z[:, 1:c:2]
+    return sign, logabs, Y, (
         (sign == 0, *_SINGULAR),
         (defect > gate, EvaluationError,
          "Gram operator too ill-conditioned (inverse defect {:.3e})", defect))
 
 
 def _beta_of_gamma_star(gs):
-    """(real beta, gate) of a stack of gamma_*: beta = (gamma_*)_{21}, whose
-    imaginary residue must stay below _IMAG_TOL relative to 1 + |beta|."""
-    beta = gs[..., 1, 0]
+    """(real beta, gate) of a stack of gamma_* (2, 2, m): beta = (gamma_*)_{21},
+    whose imaginary residue must stay below _IMAG_TOL relative to 1 + |beta|."""
+    beta = gs[1, 0]
     return beta.real, (np.abs(beta.imag) > _IMAG_TOL * (1.0 + np.abs(beta.real)),
                        NumericalConsistencyError,
                        "beta has imaginary residue {:.3e} above " f"tolerance {_IMAG_TOL:.1e}",
@@ -625,28 +645,26 @@ def _tau_stack(vessel, sign, logdet):
 
 
 def _state_stack(vessel, x, t):
-    """Checked evaluation of the pair at the points x, t (scalars for one point).
+    """Checked evaluation of the pair at the flat points x, t.
 
     Returns (D^-1 B, M, Y, log d, gamma_*, beta, beta', log|tau|, sign tau)
-    stacked over the flat points, with M as :meth:`FiniteVessel.scaled`
-    reads it, Y = M^-1 D^-1 B certified and det M from one factorization
-    per point (:func:`_probe_solve`) and log|tau| = log|det M / det X0| +
+    with the points last, with M as :meth:`FiniteVessel._read` reads it,
+    Y = M^-1 D^-1 B certified and det M from one factorization per point
+    (:func:`_probe_solve`) and log|tau| = log|det M / det X0| +
     2 sum log d.  One :func:`_refuse` of all their gates names the first
     failing point.
     """
-    n = vessel.n
     B, M, log_d, gates = vessel._read(x, t)
-    B, M, log_d = B.reshape(-1, n, 2), M.reshape(-1, n, n), log_d.reshape(-1, n)
     with np.errstate(all="ignore"):  # the flagged points may not be finite
         sign, logdet, Y, solve_gates = _probe_solve(M, B)
         gs = _gamma_star(B, Y)
         beta, beta_gate = _beta_of_gamma_star(gs)
         logabs, sign, tau_gates = _tau_stack(vessel, sign, logdet)
-        beta_p = beta**2 + 1j * gs[:, 0, 0]
+        beta_p = beta**2 + 1j * gs[0, 0]
     _refuse(x, t, *gates, *solve_gates, beta_gate, *tau_gates,
             (np.abs(beta_p.imag) > 1e-9 * (1.0 + np.abs(beta_p.real)), NumericalConsistencyError,
              "beta' has imaginary residue {:.3e}", beta_p.imag))
-    return B, M, Y, log_d, gs, beta, beta_p.real, logabs + 2.0 * np.sum(log_d, axis=-1), sign
+    return B, M, Y, log_d, gs, beta, beta_p.real, logabs + 2.0 * _point_rows(log_d).sum(-1), sign
 
 
 def evaluate(vessel: FiniteVessel, x, t) -> EvaluatedState:
@@ -659,8 +677,8 @@ def evaluate(vessel: FiniteVessel, x, t) -> EvaluatedState:
     or too ill-conditioned for ``inv(M) M = I`` within _INVERSE_TOL sqrt(n).
     """
     shape = np.broadcast_shapes(np.shape(x), np.shape(t))
-    B, M, Y, log_d, gs, *fields = (a.reshape(shape + a.shape[1:])
-                                   for a in _state_stack(vessel, x, t))
+    B, M, Y, log_d, gs, *fields = (_points_first(a, shape)
+                                   for a in _state_stack(vessel, *_flat_points(x, t)))
     beta, beta_p, logabs, sign = _floats(fields)
     return EvaluatedState(x=x, t=t, B=B, M=M, Y=Y, log_d=log_d, gamma_star=gs, beta=beta,
                           beta_prime=beta_p, log_abs_tau=logabs, tau_sign=sign)
@@ -693,7 +711,7 @@ def log_tau(vessel: FiniteVessel, x, t):
         sign, logdet, _ = _factor(M, None)
         logabs, real_sign, tau_gates = _tau_stack(vessel, sign, logdet)
         _refuse(xs, ts, *gates, (sign == 0, *_SINGULAR), *tau_gates)
-        return logabs + 2.0 * np.sum(log_d, axis=-1), real_sign
+        return logabs + 2.0 * _point_rows(log_d).sum(-1), real_sign
 
     return _floats(_per_point(vessel.n, x, t, stack, 2))
 
@@ -720,16 +738,18 @@ def _lyapunov_weights(a):
     """(Re w, Im w) of the weights w_ij = a_i + conj(a_j) of
     A X + X A* = [w_ij X_ij] for the diagonal a of A, Re w None where
     Re a = 0 (every closed-form family); None where A is not diagonal (a is
-    None).  Formed once per check, not kept on the vessel: a caller that
+    None).  Each is (n, n, 1), to broadcast over the points of a
+    points-last stack.  Formed once per check, not kept on the vessel: a caller that
     keeps many vessels would keep their n^2 weights too."""
     if a is None:
         return None
-    re, im = a.real, a.imag
+    re, im = a.real[:, None], a.imag[:, None]
     return (re[:, None] + re if re.any() else None, im[:, None] - im)
 
 
 def _lyapunov_norms(A, weights, B, X):
-    """(||R||_F, ||X||_F) per state, R = A X + X A* + B sigma1 B*.
+    """(||R||_F, ||X||_F) per state of the points-last stacks B (n, 2, m)
+    and X (n, n, m), R = A X + X A* + B sigma1 B*.
 
     ``weights`` is :func:`_lyapunov_weights` of the diagonal of A, or None
     for the general products A X and X A*.  With weights, R is formed in
@@ -748,15 +768,15 @@ def _lyapunov_norms(A, weights, B, X):
     stack.
     """
     if weights is None:
-        R = A @ X + X @ _adjoint(A)
-        R += B @ SIGMA1 @ _adjoint(B)
+        R = np.einsum("ij,jk...->ik...", A, X) + np.einsum("ij...,kj->ik...", X, A.conj())
+        R += B[:, None, 0] * B[None, :, 1].conj() + B[:, None, 1] * B[None, :, 0].conj()
         return _fro_stack(R), _fro_stack(X)
     w_re, w_im = weights
     X_re, X_im = (X.real, X.imag) if np.iscomplexobj(X) else (X, None)
     # each column of B as a column and as a row, None where it is all zero
     (p, p_), (q, q_), (r, r_), (s, s_) = (
-        (c[..., :, None], c[..., None, :]) if c.any() else (None, None)
-        for c in (B[..., 0].real, B[..., 0].imag, B[..., 1].real, B[..., 1].imag))
+        (c[:, None], c[None, :]) if c.any() else (None, None)
+        for c in (B[:, 0].real, B[:, 0].imag, B[:, 1].real, B[:, 1].imag))
     re = ((1, p, r_), (1, r, p_), (1, q, s_), (1, s, q_), (1, w_re, X_re), (-1, w_im, X_im))
     im = ((1, q, r_), (-1, r, q_), (1, s, p_), (-1, p, s_), (1, w_im, X_re), (1, w_re, X_im))
     squares = 0.0
@@ -767,16 +787,20 @@ def _lyapunov_norms(A, weights, B, X):
     return np.sqrt(squares), _fro_stack(X)
 
 
-def _lyapunov_stack(vessel, weights, B, X) -> np.ndarray:
-    """The normalized Lyapunov residual of each pair in the stacks B, X;
-    ``weights`` = _lyapunov_weights(vessel.A_diag)."""
+def _lyapunov_stack(vessel, weights, plain, x, t) -> np.ndarray:
+    """The normalized Lyapunov residual at each of the flat points x, t of
+    the plain (B, X), or with ``plain`` False of the pair (D^-1 B, M);
+    ``weights`` = _lyapunov_weights(vessel.A_diag).  The read's gates
+    refuse the stack first."""
+    B, X, _, gates = vessel._read(x, t, plain)
+    _refuse(x, t, *gates)
     # the squares inside the norms overflow past |X_ij| ~ 1e154; B and X
     # scaled per point by the exact powers of two 2^-e and 4^-e, with 4^e
     # ~ max |X_ii| (>= |X_ij| when X >= 0), leave the ratio bit for bit.
     # The copies are skipped where no point needs them (e = 0).
-    e = _exponent(np.diagonal(X, axis1=-2, axis2=-1), -1) // 2
+    e = _exponent(np.diagonal(X), -1) // 2
     if e.any():
-        B, X = B * np.ldexp(1.0, -e)[:, None, None], X * np.ldexp(1.0, -2 * e)[:, None, None]
+        B, X = B * np.ldexp(1.0, -e), X * np.ldexp(1.0, -2 * e)
     res, norm_x = _lyapunov_norms(vessel.A, weights, B, X)
     return res / (np.ldexp(1.0, -2 * e) + norm_x)
 
@@ -790,8 +814,7 @@ def lyapunov_residual(vessel: FiniteVessel, x, t):
     """
     weights = _lyapunov_weights(vessel.A_diag)
     return _floats(_per_point(
-        vessel.n, x, t, lambda xs, ts: _lyapunov_stack(vessel, weights, *vessel.plain(xs, ts)),
-        1))[0]
+        vessel.n, x, t, lambda xs, ts: _lyapunov_stack(vessel, weights, True, xs, ts), 1))[0]
 
 
 def lyapunov_self_check(vessel: FiniteVessel) -> None:
@@ -828,8 +851,7 @@ def lyapunov_self_check(vessel: FiniteVessel) -> None:
     xs, ts = rng.uniform([-2.0, -0.5], [2.0, 0.5], size=(50, 2)).T
     weights = _lyapunov_weights(vessel.A_diag)
     res = _per_point(vessel.n, xs, ts,
-                     lambda xs, ts: _lyapunov_stack(vessel, weights, *vessel.scaled(xs, ts)[:2]),
-                     1)[0]
+                     lambda xs, ts: _lyapunov_stack(vessel, weights, False, xs, ts), 1)[0]
     _refuse(xs, ts, (res > 1e-12, InvalidSpecError,
                      f"{vessel.kind} self-check failed: " "Lyapunov residual {:.3e}", res))
 
@@ -844,7 +866,7 @@ def normalization_residual(vessel: FiniteVessel, x, t):
         B, M, _, gates = vessel._read(xs, ts)
         with np.errstate(all="ignore"):  # the flagged points may not be finite
             sign, _, Z = _factor(M, B)
-            res = np.abs(np.trace(SIGMA1 @ (_adjoint(B) @ Z), axis1=-2, axis2=-1))
+            res = np.abs(_bstar_y(B, Z, 0, 1) + _bstar_y(B, Z, 1, 0))  # tr(sigma1 B* Z)
         _refuse(xs, ts, *gates, (sign == 0, *_SINGULAR))
         return res
 
@@ -933,10 +955,10 @@ def integrate_standard_construction(
     i0 = int(np.argmin(np.abs(grid - x0)))
     if abs(grid[i0] - x0) > 1e-12 * max(1.0, abs(x0)):
         raise InvalidSpecError("grid must contain the base point x0")
-    pre, norm_x0 = _lyapunov_norms(A, None, B0, X0)
-    if pre > 1e-10 * (1.0 + norm_x0):
+    pre, norm_x0 = _lyapunov_norms(A, None, B0[..., None], X0[..., None])
+    if pre[0] > 1e-10 * (1.0 + norm_x0[0]):
         raise InvalidSpecError(
-            f"initial data violates the Lyapunov condition (residual {pre:.3e})"
+            f"initial data violates the Lyapunov condition (residual {pre[0]:.3e})"
         )
 
     def rk4_step(B, X, h):
@@ -958,7 +980,7 @@ def integrate_standard_construction(
     for i in range(i0 - 1, -1, -1):
         Bs[i], Xs[i] = rk4_step(Bs[i + 1], Xs[i + 1], grid[i] - grid[i + 1])
 
-    res, norm_x = _lyapunov_norms(A, None, Bs, Xs)
+    res, norm_x = _lyapunov_norms(A, None, Bs.transpose(1, 2, 0), Xs.transpose(1, 2, 0))
     _refuse(grid, t0, (~np.isfinite(res) | (res > 1e-8 * (1.0 + norm_x)), EvaluationError,
                        "Lyapunov residual {:.3e} above 1e-8 during construction", res))
     return Bs, Xs

@@ -19,12 +19,11 @@ from it.  The build's self-check runs on the pair, so solitons of any k
 build, and core's evaluators and the transfer routines read the pair on
 arbitrarily wide grids (tau = inf past the float range) with core's
 checks on M.  The pair is assembled generator-major, with the points on
-the last axis so that every elementwise pass runs over the points, and is
-returned C-contiguous in the contract shapes S + (n, n) and S + (n,) for
-points of broadcast shape S.  :func:`q_soliton` is the q-only trace
-formula on the same M, solved in core's stacks by core's factorization:
-one pivoted elimination over the points of a stack at n <= 3 (where
-criterion 5's 2- and 3-solitons run), LAPACK's solve above.  Its gates
+the last axis so that every elementwise pass runs over the points, and
+``operators`` returns it as assembled, in the contract's points-last
+layout, with the Gram matrix formed once per vessel.  :func:`q_soliton`
+is the q-only trace formula on the same M, solved in core's stacks by
+core's one factorization entry, ``core._factor``.  Its gates
 are masks refused once per stack, as core's are: where |b|^2 overflows
 the Gram matrix, or close wavenumbers make M singular in floating point,
 it raises EvaluationError at the first such point in C order.  It has no
@@ -114,16 +113,16 @@ def build_soliton(spec: SolitonSpec) -> core.FiniteVessel:
     """Closed-form soliton vessel with X0 = I, checked by
     :func:`core.lyapunov_self_check` before it is returned.
 
-    Its one operator source is the scaled pair of :func:`_scaled_system`,
-    which broadcasts over arrays of points and stays finite at every
-    phase, so solitons of any k build; the plain B and X derive from it.
+    Its one operator source is the scaled pair of :func:`_scaled_last`,
+    points last as assembled, which stays finite at every phase, so
+    solitons of any k build; the plain B and X derive from it.
     """
-    k, n = spec.k, spec.n
-    row = np.stack([np.ones(n), 1j * k], axis=-1)
+    k, n, G = spec.k, spec.n, _gram(spec)
+    row = np.stack([np.ones(n), 1j * k], axis=-1)[..., None]
 
     def operators(x, t):
-        M, w, log_d = _scaled_system(spec, x, t)
-        return w[..., None] * row, M, log_d  # D^-1 B row j = w_j (1, i k_j)
+        M, w, log_d = _scaled_last(spec, G, x, t)
+        return w[:, None] * row, M, log_d  # D^-1 B row j = w_j (1, i k_j)
 
     vessel = core.FiniteVessel(
         n=n,
@@ -160,12 +159,17 @@ def tau_cauchy_3(spec: SolitonSpec, x, t):
 
 
 def _scaled_last(spec: SolitonSpec, G, x, t):
-    """The scaled pair points-last: M (n, n, m), w (n, m) and log d (n, m)
-    at the m flat points x, t, from the Gram matrix G = _gram(spec).
+    """X = D M D at the m flat points x, t, with M finite at any phase, from
+    the Gram matrix G = _gram(spec): M (n, n, m), w = e b (n, m) and log d
+    (n, m), one log d per generator, with the points last.
 
-    Every pass runs generator-major, with the generator axes first and the
-    points last, so its inner loop runs over the points, not over the n
-    generators.
+    With d = max(1, e^phi) and e = min(1, e^phi) per generator,
+    M = D^-2 + diag(e) G diag(e) and X = I + diag(e^phi) G diag(e^phi)
+    = D M D; M equals X where every phase is <= 0, is real for real
+    amplitudes, and a generator whose e^phi leaves the float range in
+    either direction decouples in M.  Every pass runs generator-major, with
+    the generator axes first and the points last, so its inner loop runs
+    over the points, not over the n generators.
     """
     k, b, n = spec.k, spec.b, spec.n
     phi = np.multiply.outer(k, x) + np.multiply.outer(k**3, t)
@@ -175,27 +179,6 @@ def _scaled_last(spec: SolitonSpec, G, x, t):
     M *= G[..., None]  # M[i, j] = e_i e_j G_ij; in place, as a new array took 5x as long
     M[np.arange(n), np.arange(n)] += np.exp(-2.0 * log_d)
     return M, e * (b if b.imag.any() else b.real)[:, None], log_d
-
-
-def _scaled_system(spec: SolitonSpec, x, t):
-    """X = D M D at each point of x, t, with M finite at any phase.
-
-    With d = max(1, e^phi) and e = min(1, e^phi) per generator,
-    M = D^-2 + diag(e) G diag(e) and X = I + diag(e^phi) G diag(e^phi)
-    = D M D; M equals X where every phase is <= 0, is real for real
-    amplitudes, and a generator whose e^phi leaves the float range in
-    either direction decouples in M.  Returns (M, w = e b, log d), one
-    log d per generator, for x, t of broadcast shape S.
-
-    The pair is formed points-last by :func:`_scaled_last` and comes back
-    C-contiguous in the contract shapes S + (n, n), S + (n,) and S + (n,).
-    """
-    x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
-
-    def points_first(a):
-        return np.ascontiguousarray(np.moveaxis(a, -1, 0)).reshape(x.shape + a.shape[:-1])
-
-    return tuple(points_first(a) for a in _scaled_last(spec, _gram(spec), x.ravel(), t.ravel()))
 
 
 def _re_dot(a, b):
@@ -212,15 +195,12 @@ def q_soliton(spec: SolitonSpec, x, t):
 
     With X' = B sigma2 B* and X'' = K X' + X' K, K = diag(k_j), the trace
     formula q = -2 [tr(X^-1 X'') - tr((X^-1 X')^2)] reduces, for
-    v = M^-1 w with (M, w) of :func:`_scaled_system`, to
+    v = M^-1 w with (M, w) of :func:`_scaled_last`, to
     q = -2 (2 Re(v* K w) - (w* v)^2).  One solve per point, in core's
-    stacks; broadcasts over x, t.  At n <= core._ELIMINATION_N the pair
-    stays points-last from assembly to solution: [M | w] is formed in one
-    (n, n + 1, m) buffer and solved by ``core._eliminate_last``; above it
-    M and w are copied points-first for ``core._factor``'s LAPACK route.
-    The two sums run over the generator axis of points-last arrays.
-    EvaluationError at the first point in C order where M or w overflows,
-    or M has a zero pivot.
+    stacks, by ``core._factor`` on the points-last pair as assembled;
+    broadcasts over x, t.  The two sums run over the generator axis of
+    points-last arrays.  EvaluationError at the first point in C order
+    where M or w overflows, or M has a zero pivot.
     """
     n, G = spec.n, _gram(spec)
     k = spec.k[:, None]
@@ -232,15 +212,8 @@ def q_soliton(spec: SolitonSpec, x, t):
             if overflow.any():
                 M[:, :, overflow] = np.eye(n)[..., None]
                 w[:, overflow] = 0.0
-            if n <= core._ELIMINATION_N:
-                W = np.empty((n, n + 1, xs.size), dtype=np.result_type(M, w))
-                W[:, :n], W[:, n] = M, w
-                sign, _, v = core._eliminate_last(W)
-                v = v[:, 0]
-            else:
-                sign, _, v = core._factor(np.ascontiguousarray(np.moveaxis(M, -1, 0)),
-                                          np.ascontiguousarray(w.T)[..., None])
-                v = v[..., 0].T
+            sign, _, v = core._factor(M, w[:, None])
+            v = v[:, 0]
             q = -2.0 * (2.0 * _re_dot(v * k, w) - _re_dot(w, v) ** 2)
         core._refuse(xs, ts, (overflow, EvaluationError, "Gram operator X overflowed"),
                      (sign == 0, *core._SINGULAR))

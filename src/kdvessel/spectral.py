@@ -259,7 +259,7 @@ def _build_trig_vessel(
     k3 = k**3
     diag = np.arange(n)
 
-    def operators(x, t):  # D = I
+    def operators(x, t):  # D = I; built points-first, as trig_kernel builds X
         th = np.multiply.outer(x, k) - np.multiply.outer(t, k3)
         B = np.empty(th.shape + (2,), dtype=complex)
         B[..., 0] = c * np.sin(th) / k
@@ -267,7 +267,7 @@ def _build_trig_vessel(
         B[..., 1] = 1j * c * np.cos(th)
         X = trig_kernel(k, x, t, tables)
         X[..., diag, diag] += 1.0
-        return B, X, 0.0
+        return B.transpose(1, 2, 0), X.transpose(1, 2, 0), 0.0
 
     vessel = core.FiniteVessel(
         n=n, A=A, operators=operators,

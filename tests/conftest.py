@@ -10,15 +10,14 @@ def make_zero_vessel(n=2):
     """Vessel with B identically zero: X stays at the identity.
 
     Wavenumbers chosen so the spectrum avoids the lambda = -i used in the
-    intertwining tests.  B and X broadcast over arrays of points, as every
-    vessel's operators must.
+    intertwining tests.  B and X come points-last for the m flat points,
+    as every vessel's operators must.
     """
     k = 1.2 + 0.7 * np.arange(n)
 
     def operators(x, t):
-        points = np.broadcast_shapes(np.shape(x), np.shape(t))
-        return (np.zeros(points + (n, 2), dtype=complex),
-                np.broadcast_to(np.eye(n, dtype=complex), points + (n, n)), 0.0)
+        return (np.zeros((n, 2, x.size), dtype=complex),
+                np.broadcast_to(np.eye(n, dtype=complex)[..., None], (n, n, x.size)), 0.0)
 
     return kv.FiniteVessel(
         n=n,
@@ -40,7 +39,7 @@ def _plain_copy(vessel):
         if np.any(log_d):
             with np.errstate(over="ignore", invalid="ignore"):
                 d = np.exp(log_d)
-                B, M = d[..., None] * B, d[..., :, None] * d[..., None, :] * M
+                B, M = d[:, None] * B, d[:, None] * d[None, :] * M
         return B, M, 0.0
 
     return dataclasses.replace(vessel, operators=operators)
@@ -141,7 +140,7 @@ def rotated_three_soliton(three_soliton):
 
     def operators(x, t):
         B, X = vessel.plain(x, t)
-        return U @ B, U @ X @ Uh, 0.0
+        return np.moveaxis(U @ B, 0, -1), np.moveaxis(U @ X @ Uh, 0, -1), 0.0
 
     return kv.FiniteVessel(n=3, A=U @ vessel.A @ Uh, operators=operators,
                            X0=U @ vessel.X0 @ Uh, kind="rotated")

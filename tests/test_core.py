@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import re
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -9,6 +11,17 @@ from hypothesis import strategies as st
 
 import kdvessel as kv
 from kdvessel import core, soliton, suite
+
+
+def _last(a):
+    """A points-first stack (m, ...) as the points-last view (..., m) that
+    the operators contract asks for."""
+    return np.moveaxis(a, 0, -1)
+
+
+def _each_point(a, m):
+    """One matrix a repeated at m points, points last."""
+    return np.broadcast_to(np.asarray(a)[..., None], np.shape(a) + (m,))
 
 
 class TestSLParameters:
@@ -154,14 +167,13 @@ def _shifted_vessel(bump=0.0):
     a = np.array([-0.3 - 1.0j, -0.5 + 2.0j, -0.2 - 3.5j])
 
     def operators(x, t):
-        x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
         e = np.exp(1j * (np.multiply.outer(x, [1.0, 0.5, 2.0])
                          + np.multiply.outer(t, [0.3, -1.0, 0.7])))
         B = np.stack([e, (1.0 + 0.5j) * e.conj()], axis=-1)
         X = -(B @ core.SIGMA1 @ np.swapaxes(B, -1, -2).conj()) / (a[:, None] + a.conj())
         X[..., 0, 1] += bump
         X[..., 1, 0] += np.conj(bump)
-        return B, X, 0.0
+        return _last(B), _last(X), 0.0
 
     return kv.FiniteVessel(n=3, A=np.diag(a), operators=operators,
                            X0=np.eye(3, dtype=complex), kind="custom")
@@ -206,7 +218,7 @@ class TestLyapunov:
         weights = core._lyapunov_weights(vessel.A_diag)
         for s in range(0, 50, 5):
             B, M, _ = vessel.scaled(xs[s:s + 5], ts[s:s + 5])
-            res, norm_m = core._lyapunov_norms(vessel.A, weights, B, M)
+            res, norm_m = core._lyapunov_norms(vessel.A, weights, _last(B), _last(M))
             diff = np.abs(res - _complex_lyapunov_norm(vessel, B, M))
             assert np.all(diff <= 1e-15 * (1.0 + norm_m))
         if case == "real part of A":  # every term of the real branch runs
@@ -240,7 +252,7 @@ class TestLyapunov:
 
         def operators(x, t):
             B, X, log_d = vessel.operators(x, t)
-            B[..., 1, 0] += 1e-3j
+            B[1, 0] += 1e-3j
             return B, X, log_d
 
         with pytest.raises(kv.InvalidSpecError, match="discrete self-check failed"):
@@ -253,8 +265,8 @@ class TestLyapunov:
         def operators(x, t):
             B, X, log_d = vessel.operators(x, t)
             assert np.iscomplexobj(X)
-            X[..., 0, 2] += bump
-            X[..., 2, 0] += np.conj(bump)
+            X[0, 2] += bump
+            X[2, 0] += np.conj(bump)
             return B, X, log_d
 
         with pytest.raises(kv.InvalidSpecError, match="discrete self-check failed"):
@@ -328,8 +340,8 @@ class TestLyapunov:
         # a corruption of X is detected, at the size the plain products give
         bad = kv.FiniteVessel(
             n=3, A=rotated.A,
-            operators=lambda x, t: (rotated.B(x, t),
-                                    rotated.X(x, t) + 1e-3 * np.eye(3)[[1, 0, 2]], 0.0),
+            operators=lambda x, t: (_last(rotated.B(x, t)),
+                                    _last(rotated.X(x, t) + 1e-3 * np.eye(3)[[1, 0, 2]]), 0.0),
             X0=rotated.X0, kind="rotated",
         )
         X, B, A = bad.X(0.1, 0.0), bad.B(0.1, 0.0), bad.A
@@ -423,13 +435,63 @@ class TestEvaluate:
         vessel = kv.FiniteVessel(
             n=2,
             A=np.diag([-1j, -4j]),
-            operators=lambda x, t: (np.zeros((2, 2), dtype=complex),
-                                    np.array([[1.0, 1e-6], [0.0, 1.0]], dtype=complex), 0.0),
+            operators=lambda x, t: (np.zeros((2, 2, x.size), dtype=complex),
+                                    _each_point([[1.0, 1e-6], [0.0, 1.0]], x.size), 0.0),
             X0=np.eye(2, dtype=complex),
             kind="soliton",
         )
         with pytest.raises(kv.NumericalConsistencyError):
             kv.evaluate(vessel, 0.0, 0.0)
+
+
+# m = 5 != n = 2 points for the contract tests; the self-check reads 50
+_FIVE = np.linspace(-1.0, 1.0, 5)
+
+
+class TestOperatorsContract:
+    """operators(x, t) gets the flat points and returns points-last stacks;
+    the operator read refuses any other shape."""
+
+    @staticmethod
+    def _points_first_vessel():
+        # the shapes of a contract where the points came first: (m, n, 2)
+        # and (m, n, n)
+        def operators(x, t):
+            return (np.zeros((x.size, 2, 2), dtype=complex),
+                    np.broadcast_to(np.eye(2), (x.size, 2, 2)), 0.0)
+
+        return kv.FiniteVessel(n=2, A=np.diag([-1j, -4j]), operators=operators,
+                               X0=np.eye(2, dtype=complex), kind="custom")
+
+    @pytest.mark.parametrize("call, m", [
+        (lambda v: v.scaled(_FIVE, 0.0), 5),
+        (lambda v: v.plain(_FIVE, 0.0), 5),
+        *((lambda v, fn=fn: fn(v, _FIVE, 0.0), 5)
+          for fn in (kv.evaluate, kv.evaluate_fields, kv.log_tau, kv.lyapunov_residual,
+                     kv.normalization_residual)),
+        (core.lyapunov_self_check, 50),
+    ], ids=["scaled", "plain", "evaluate", "evaluate_fields", "log_tau", "lyapunov_residual",
+            "normalization_residual", "self-check"])
+    def test_points_first_stacks_are_refused(self, call, m):
+        with pytest.raises(kv.InvalidSpecError,
+                           match=re.escape(f"coupling B has shape ({m}, 2, 2), "
+                                           f"expected (2, 2, {m})")):
+            call(self._points_first_vessel())
+
+    def test_operators_get_flat_points(self, three_soliton):
+        # any broadcast shape of points reaches operators as two 1-D arrays
+        _, base = three_soliton
+        seen = []
+
+        def operators(x, t):
+            seen.append((x.shape, t.shape))
+            return base.operators(x, t)
+
+        vessel = dataclasses.replace(base, operators=operators)
+        for x, t, m in ((0.3, 0.1, 1), (np.zeros((2, 3)), 0.5, 6),
+                        (np.zeros((4, 1)), np.zeros(3), 12)):
+            kv.evaluate(vessel, x, t)
+            assert seen[-1] == ((m,), (m,))
 
 
 class TestStandardConstruction:
@@ -644,8 +706,8 @@ def _phase_rotated(vessel, phases):
     u = np.exp(1j * np.asarray(phases))
 
     def operators(x, t):
-        B, M, log_d = vessel.scaled(x, t)
-        return u[:, None] * B, u[:, None] * M * u.conj(), log_d
+        B, M, log_d = vessel.operators(x, t)
+        return u[:, None, None] * B, u[:, None, None] * M * u.conj()[:, None], log_d
 
     return kv.FiniteVessel(n=vessel.n, A=vessel.A, operators=operators,
                            X0=u[:, None] * vessel.X0 * u.conj(), kind="rotated")
@@ -789,14 +851,20 @@ class TestProbeCertificate:
 
 
 # ---------------------------------------------------------------------------
-# the elimination of core._eliminate (n <= core._ELIMINATION_N) against LAPACK
+# core._factor on its two routes: the elimination of core._eliminate
+# (n <= core._ELIMINATION_N) and LAPACK
 # ---------------------------------------------------------------------------
+
+def _adjoint_first(m):
+    """Conjugate transpose of each matrix in a points-first stack (m, r, c)."""
+    return np.swapaxes(m, -1, -2).conj()
+
 
 @st.composite
 def hermitian_stacks(draw):
-    """(M, R): a stack of Hermitian M = 2^e Q diag(lam) Q* with cond(M) <= 1e6,
-    definite or indefinite (Pontryagin), real or complex, and right-hand
-    sides R with 8 columns."""
+    """(M, R): a points-first stack of Hermitian M = 2^e Q diag(lam) Q* with
+    cond(M) <= 1e6, definite or indefinite (Pontryagin), real or complex,
+    and right-hand sides R with 8 columns."""
     n = draw(st.integers(1, 3))
     count = draw(st.integers(1, 12))
     is_complex, definite = draw(st.booleans()), draw(st.booleans())
@@ -811,12 +879,31 @@ def hermitian_stacks(draw):
     lam = 10.0 ** rng.uniform(-6.0, 0.0, (count, n))
     if not definite:  # one negative eigenvalue, and a positive one where n > 1
         lam[:, 0] *= -1.0
-    M = scale * (Q * lam[:, None, :]) @ core._adjoint(Q)
-    return 0.5 * (M + core._adjoint(M)), gaussian(count, n, 8)
+    M = scale * (Q * lam[:, None, :]) @ _adjoint_first(Q)
+    return 0.5 * (M + _adjoint_first(M)), gaussian(count, n, 8)
 
 
-class TestElimination:
-    """One pivoted elimination gives LAPACK's sign, log|det M| and M^-1 R."""
+_ROUTES = {"elimination": None, "lapack": 0}
+
+
+def _on_route(route):
+    """core._factor's route: the elimination as configured, or LAPACK at every n."""
+    split = _ROUTES[route]
+    return (mock.patch.object(core, "_ELIMINATION_N", split) if split is not None
+            else contextlib.nullcontext())
+
+
+def _factor_first(M, R):
+    """core._factor of points-first stacks, from C-contiguous points-last
+    copies, with the solve moved back to points first."""
+    sign, logabs, Z = core._factor(_last(M).copy(), None if R is None else _last(R).copy())
+    return sign, logabs, None if Z is None else np.moveaxis(Z, -1, 0)
+
+
+@pytest.mark.parametrize("route", list(_ROUTES))
+class TestFactor:
+    """core._factor gives LAPACK's sign, log|det M| and M^-1 R over a
+    points-last stack of any strides, on either route."""
 
     SINGULAR = {
         "zero-1": np.zeros((1, 1)), "ones-2": np.array([[1.0, 1.0], [1.0, 1.0]]),
@@ -827,7 +914,7 @@ class TestElimination:
 
     @staticmethod
     def _singular_stack(singular):
-        """Six points of M = I, singular at the third and the fifth."""
+        """Six points of M = I, singular at the third and the fifth, points first."""
         n = singular.shape[0]
         M = np.broadcast_to(np.eye(n, dtype=complex), (6, n, n)).copy()
         M[2], M[4] = singular, 1j * singular
@@ -835,9 +922,11 @@ class TestElimination:
 
     @settings(max_examples=60, deadline=None)
     @given(stack=hermitian_stacks())
-    def test_matches_lapack(self, stack):
+    def test_matches_lapack(self, route, stack):
         M, R = stack
-        sign, logabs, Z = core._eliminate(M, R)
+        with _on_route(route):
+            sign, logabs, Z = _factor_first(M, R)
+            assert _factor_first(M, None)[2] is None
         sign0, logabs0 = np.linalg.slogdet(M)
         Z0 = np.linalg.solve(M, R)
         # both factorizations are backward stable: they may differ by a
@@ -848,54 +937,37 @@ class TestElimination:
         assert np.all(np.abs(logabs - logabs0) <= bound + 1e-13 * np.abs(logabs0))
         assert np.array_equal(np.sign(sign.real), np.sign(sign0.real))
         assert np.all(np.abs(sign - sign0) <= bound)
-        assert core._eliminate(M)[2] is None
-
-    @staticmethod
-    def _same_as_the_wrapper(M, R):
-        """_eliminate_last on [M | R] points-last gives _eliminate's bits."""
-        W = M if R is None else np.concatenate((M, R), axis=-1)
-        W = np.moveaxis(W, 0, -1).copy()  # (n, n + r, m), C order; the elimination overwrites it
-        sign, logabs, Z = core._eliminate_last(W)
-        sign0, logabs0, Z0 = core._eliminate(M, R)
-        assert sign.tobytes() == sign0.tobytes() and logabs.tobytes() == logabs0.tobytes()
-        if R is None:
-            assert Z is None and Z0 is None
-        else:
-            assert Z.shape == (M.shape[-1], R.shape[-1], M.shape[0]) and Z.dtype == Z0.dtype
-            assert np.moveaxis(Z, -1, 0).tobytes() == Z0.tobytes()
-        return sign
 
     @settings(max_examples=60, deadline=None)
     @given(stack=hermitian_stacks())
-    def test_points_last_entry_matches_the_wrapper_bitwise(self, stack):
+    def test_a_view_of_points_first_memory_gives_the_bits_of_a_contiguous_stack(
+            self, route, stack):
         M, R = stack
-        self._same_as_the_wrapper(M, R)
-        self._same_as_the_wrapper(M, None)
+        with _on_route(route):
+            for rhs in (R, None):
+                view = core._factor(_last(M), None if rhs is None else _last(rhs))
+                copy = core._factor(_last(M).copy(), None if rhs is None else _last(rhs).copy())
+                for got, want in zip(view, copy):
+                    if want is None:
+                        assert got is None
+                    else:
+                        assert got.shape == want.shape and got.dtype == want.dtype
+                        assert np.ascontiguousarray(got).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("singular", list(SINGULAR.values()), ids=list(SINGULAR))
-    def test_points_last_entry_names_the_same_singular_points(self, singular):
-        M = self._singular_stack(singular)
-        for R in (None, np.ones((6, singular.shape[0], 1))):
-            sign = self._same_as_the_wrapper(M, R)
-            assert np.array_equal(sign == 0, np.isin(np.arange(6), [2, 4]))
-
-    @pytest.mark.parametrize("singular", list(SINGULAR.values()), ids=list(SINGULAR))
-    def test_singular_points_are_named_in_order(self, monkeypatch, singular):
+    def test_singular_points_are_named_in_order(self, route, singular):
         n = singular.shape[0]
         M = self._singular_stack(singular)
         xs, ts = np.arange(6.0), np.full(6, 0.5)
-        assert np.array_equal(core._eliminate(M)[0] == 0, np.isin(np.arange(6), [2, 4]))
 
         def operators(x, t):  # M of the stack at x = 0, ..., 5, and B = 0
-            i = (np.asarray(x) + 0.0 * np.asarray(t)).astype(int)
-            return np.zeros(i.shape + (n, 2), dtype=complex), M[i], 0.0
+            return np.zeros((n, 2, x.size), dtype=complex), _last(M[x.astype(int)]), 0.0
 
         vessel = kv.FiniteVessel(n=n, A=np.diag(-1j * (1.0 + np.arange(n)) ** 2),
                                  operators=operators, X0=np.eye(n, dtype=complex), kind="custom")
-        for split in (core._ELIMINATION_N, 0):  # the elimination, then LAPACK
-            monkeypatch.setattr(core, "_ELIMINATION_N", split)
-            for R in (None, np.ones((6, n, 1))):
-                sign = core._factor(M, R)[0]  # no LinAlgError on either route
+        with _on_route(route):
+            for R in (None, np.ones((n, 1, 6))):
+                sign = core._factor(_last(M), R)[0]  # no LinAlgError on either route
                 assert np.array_equal(sign == 0, np.isin(np.arange(6), [2, 4]))
                 with pytest.raises(kv.EvaluationError, match=r"^singular Gram operator \[") as exc:
                     core._refuse(xs, ts, (sign == 0, *core._SINGULAR))
@@ -903,45 +975,47 @@ class TestElimination:
             for fn in (kv.log_tau, kv.evaluate, kv.evaluate_fields, kv.normalization_residual):
                 with pytest.raises(kv.EvaluationError, match=r"^singular Gram operator \[") as exc:
                     fn(vessel, xs, ts)
-                assert (exc.value.x, exc.value.t) == (2.0, 0.5), (split, fn.__name__)
+                assert (exc.value.x, exc.value.t) == (2.0, 0.5), fn.__name__
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("dtype", [float, complex])
-    def test_values_do_not_depend_on_the_stack_size(self, n, dtype):
+    def test_values_do_not_depend_on_the_stack_size(self, route, n, dtype):
         rng = np.random.default_rng(n)
         count = core._CHUNK_ENTRIES // n**2  # the default stack
-        M = rng.standard_normal((count, n, n)).astype(dtype)
+        M = rng.standard_normal((n, n, count)).astype(dtype)
         if dtype is complex:
-            M += 1j * rng.standard_normal((count, n, n))
+            M += 1j * rng.standard_normal((n, n, count))
         M = M + core._adjoint(M)
-        R = rng.standard_normal((count, n, 8)).astype(dtype)
-        whole = core._eliminate(M, R)
-        for size in (1, 7):
-            end = 70 * size  # a prefix of the stack in stacks of ``size``
-            parts = [core._eliminate(M[s:s + size], R[s:s + size])
-                     for s in range(0, end, size)]
-            for got, want in zip(zip(*parts), whole):
-                assert np.concatenate(got).tobytes() == want[:end].tobytes(), size
+        R = rng.standard_normal((n, 8, count)).astype(dtype)
+        with _on_route(route):
+            whole = core._factor(M, R)
+            for size in (1, 7):
+                end = 70 * size  # a prefix of the stack in stacks of ``size``
+                parts = [core._factor(M[..., s:s + size], R[..., s:s + size])
+                         for s in range(0, end, size)]
+                for got, want in zip(zip(*parts), whole):
+                    assert (np.concatenate(got, axis=-1).tobytes()
+                            == np.ascontiguousarray(want[..., :end]).tobytes()), size
 
-    def test_a_singular_point_the_elimination_passes_is_named_by_the_dense_check(self):
-        # S is exactly singular (det S = 0 in integers), but the elimination
-        # rounds its last pivot to about 1e-16, while LAPACK's LU, which
-        # the dense inverse-defect check calls, meets the exact zero
-        S = np.array([[1.0, 3.0, 1.0], [3.0, 1.0, -1.0], [1.0, -1.0, -1.0]])
-        assert np.all(core._eliminate(S[None])[0] != 0)
-        assert np.linalg.slogdet(S)[0] == 0
 
-        def operators(x, t):
-            x = np.asarray(x, dtype=float) + 0.0 * np.asarray(t, dtype=float)
-            B = np.broadcast_to([[1.0, 0.5j], [0.3, -1.0j], [-0.7, 0.2j]], x.shape + (3, 2))
-            return B, S + x[..., None, None] * np.eye(3), 0.0  # singular at x = 0
+def test_a_singular_point_the_elimination_passes_is_named_by_the_dense_check():
+    # S is exactly singular (det S = 0 in integers), but the elimination
+    # rounds its last pivot to about 1e-16, while LAPACK's LU, which
+    # the dense inverse-defect check calls, meets the exact zero
+    S = np.array([[1.0, 3.0, 1.0], [3.0, 1.0, -1.0], [1.0, -1.0, -1.0]])
+    assert np.all(core._factor(S[..., None], None)[0] != 0)
+    assert np.linalg.slogdet(S)[0] == 0
 
-        vessel = kv.FiniteVessel(n=3, A=np.diag([-1j, -4j, -9j]), operators=operators,
-                                 X0=np.eye(3, dtype=complex), kind="custom")
-        for fn in (kv.evaluate, kv.evaluate_fields):
-            with pytest.raises(kv.EvaluationError, match=r"^singular Gram operator \[") as exc:
-                fn(vessel, np.array([0.5, 1.0, 0.0, 2.0]), 0.1)
-            assert (exc.value.x, exc.value.t) == (0.0, 0.1)
+    def operators(x, t):
+        B = _each_point([[1.0, 0.5j], [0.3, -1.0j], [-0.7, 0.2j]], x.size)
+        return B, _last(S + x[:, None, None] * np.eye(3)), 0.0  # singular at x = 0
+
+    vessel = kv.FiniteVessel(n=3, A=np.diag([-1j, -4j, -9j]), operators=operators,
+                             X0=np.eye(3, dtype=complex), kind="custom")
+    for fn in (kv.evaluate, kv.evaluate_fields):
+        with pytest.raises(kv.EvaluationError, match=r"^singular Gram operator \[") as exc:
+            fn(vessel, np.array([0.5, 1.0, 0.0, 2.0]), 0.1)
+        assert (exc.value.x, exc.value.t) == (0.0, 0.1)
 
 
 def _route_errors(monkeypatch, fn, vessel, X, T):
@@ -1078,8 +1152,8 @@ def _mixed_fault_vessel(rows):
               for j in (0, 1))
 
     def operators(x, t):
-        i = (np.asarray(x) + 0.0 * np.asarray(t)).astype(int)
-        return Bs[i], Ms[i], 0.0
+        i = x.astype(int)
+        return _last(Bs[i]), _last(Ms[i]), 0.0
 
     return kv.FiniteVessel(n=2, A=np.diag([-1j, -4j]), operators=operators,
                            X0=np.eye(2, dtype=complex), kind="custom")
@@ -1145,13 +1219,12 @@ class TestFirstFailingPoint:
 
 
 def _gram_vessel(upper, lower):
-    """n = 2, B = 0 and X = [[1, upper(x)], [lower(x), 1]], broadcasting."""
+    """n = 2, B = 0 and X = [[1, upper(x)], [lower(x), 1]]."""
     def operators(x, t):
-        x = np.asarray(x, dtype=float) + 0.0 * np.asarray(t, dtype=float)
-        X = np.zeros(x.shape + (2, 2))
-        X[..., 0, 0] = X[..., 1, 1] = 1.0
-        X[..., 0, 1], X[..., 1, 0] = upper(x), lower(x)
-        return np.zeros(x.shape + (2, 2)), X, 0.0
+        X = np.zeros((2, 2, x.size))
+        X[0, 0] = X[1, 1] = 1.0
+        X[0, 1], X[1, 0] = upper(x), lower(x)
+        return np.zeros((2, 2, x.size)), X, 0.0
 
     return kv.FiniteVessel(
         n=2,
@@ -1273,10 +1346,10 @@ _FAULTS = {
 def _fault_vessel(B_bad, M_bad):
     """n = 2 with B = 0 and M = I, but (B_bad, M_bad) where x + t >= 1.5."""
     def operators(x, t):
-        x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
-        bad = (x + t >= 1.5)[..., None, None]
-        return (np.where(bad, np.asarray(B_bad, dtype=complex), 0j),
-                np.where(bad, np.asarray(M_bad, dtype=complex), np.eye(2)), 0.0)
+        bad = x + t >= 1.5
+        return (np.where(bad, _each_point(np.asarray(B_bad, dtype=complex), 1), 0j),
+                np.where(bad, _each_point(np.asarray(M_bad, dtype=complex), 1),
+                         _each_point(np.eye(2), 1)), 0.0)
 
     return kv.FiniteVessel(n=2, A=np.diag([-1j, -4j]), operators=operators,
                            X0=np.eye(2, dtype=complex), kind="custom")
@@ -1286,9 +1359,8 @@ def _self_check_case():
     # B sigma1 B* = 2 I breaks the Lyapunov condition where x > 0; the
     # self-check draws its 50 points from seed 0
     def operators(x, t):
-        x = np.asarray(x, dtype=float) + 0.0 * np.asarray(t, dtype=float)
-        B = np.where((x > 0)[..., None, None], np.ones((2, 2), dtype=complex), 0j)
-        return B, np.broadcast_to(np.eye(2, dtype=complex), x.shape + (2, 2)), 0.0
+        B = np.where(x > 0, _each_point(np.ones((2, 2), dtype=complex), 1), 0j)
+        return B, _each_point(np.eye(2, dtype=complex), x.size), 0.0
 
     vessel = kv.FiniteVessel(n=2, A=np.diag([-1j, -4j]), operators=operators,
                              X0=np.eye(2, dtype=complex), kind="custom")
@@ -1320,8 +1392,7 @@ def _kernel_residue_case():
 
     def operators(x, t):
         B, M, log_d = base.operators(x, t)
-        phase = np.exp(0.3j * np.maximum(np.asarray(x, dtype=float) - 1.0, 0.0))
-        return phase[..., None, None] * B, M, log_d
+        return np.exp(0.3j * np.maximum(x - 1.0, 0.0)) * B, M, log_d
 
     vessel = dataclasses.replace(base, operators=operators)
     nodes = np.linspace(0.0, 1.5, 201)
@@ -1388,11 +1459,10 @@ def _huge_vessel():
     100x the tolerance.  ||M||_F squares the entries and overflows at
     every point."""
     def operators(x, t):
-        x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
-        lower = np.where(x >= 0.0, 0.0, 1e190)[..., None, None]
-        M = np.where([[True, True], [False, True]], np.array([[1e200, 1e190], [0.0, 1e200]]),
-                     lower)
-        return np.zeros(x.shape + (2, 2), dtype=complex), M, 0.0
+        lower = np.where(x >= 0.0, 0.0, 1e190)
+        M = np.where(_each_point([[True, True], [False, True]], 1),
+                     _each_point([[1e200, 1e190], [0.0, 1e200]], 1), lower)
+        return np.zeros((2, 2, x.size), dtype=complex), M, 0.0
 
     return kv.FiniteVessel(n=2, A=np.diag([-1j, -4j]), operators=operators,
                            X0=np.eye(2, dtype=complex), kind="custom")
@@ -1421,7 +1491,8 @@ class TestHermitianCheckPastTheSquares:
         M = np.array([[1e308 + 1e308j, 1e300], [1e300, 1.0]])
         vessel = kv.FiniteVessel(
             n=2, A=np.diag([-1j, -4j]), X0=np.eye(2, dtype=complex), kind="custom",
-            operators=lambda x, t: (np.zeros((2, 2), dtype=complex), M, 0.0))
+            operators=lambda x, t: (np.zeros((2, 2, x.size), dtype=complex),
+                                    _each_point(M, x.size), 0.0))
         with pytest.raises(kv.NumericalConsistencyError) as exc:
             vessel.scaled(0.0, 0.0)
         _assert_names_first(exc, (0.0, 0.0), r"^X asymmetry inf ")

@@ -177,6 +177,22 @@ class TestQSoliton:
                 kv.q_soliton(spec, x, t) - kv.q_soliton(spec, x + spec.k[0] ** 2 * t, 0.0)
             ) < 1e-10
 
+    @pytest.mark.parametrize("k", [[0.8, 1.3], [0.7, 1.0, 1.4]], ids=["soliton2", "soliton3"])
+    def test_lapack_route_agrees_with_the_elimination(self, monkeypatch, k):
+        # criterion 5's 2- and 3-soliton on every fifth point of its grid:
+        # core._factor picks the route, q_soliton follows it.  Two backward
+        # stable factorizations: on the whole grid the 3-soliton's q differs
+        # by up to 1.85e-12 (1 + |q|) between them, where q is a small
+        # difference of O(1) terms
+        assert len(k) <= core._ELIMINATION_N
+        spec = kv.SolitonSpec.from_c(k, np.ones(len(k)))
+        X, T = np.meshgrid(np.linspace(-8.0, 8.0, 1601)[::5], np.linspace(-1.0, 1.0, 201)[::5],
+                           indexing="ij")
+        default = kv.q_soliton(spec, X, T)
+        monkeypatch.setattr(core, "_ELIMINATION_N", 0)
+        lapack = kv.q_soliton(spec, X, T)
+        assert np.all(np.abs(lapack - default) <= 4e-12 * (1.0 + np.abs(default)))
+
     def test_tau_exceeds_one(self):
         spec = kv.SolitonSpec.from_c([0.6, 1.4], [1.0, 2.0])
         vessel = kv.build_soliton(spec)
@@ -285,22 +301,23 @@ class TestOverflowRegime:
         assert logabs == pytest.approx(3000.0 + np.log(a12), abs=1e-6)
 
 
-def _point_major_scaled_system(spec, x, t):
-    """The scaled pair formed point-major, the generator axes last: the
-    formula _scaled_system must reproduce bit for bit."""
+def _point_major_pair(spec, x, t):
+    """(D^-1 B, M, log d) formed point-major, the generator axes last: the
+    formula the soliton's operators must reproduce bit for bit."""
     k, b, n = spec.k, spec.b, spec.n
     phi = np.multiply.outer(x, k) + np.multiply.outer(t, k**3)
     log_d = np.maximum(phi, 0.0)
     e = np.exp(np.minimum(phi, 0.0))
     M = e[..., :, None] * e[..., None, :] * soliton._gram(spec)
     M[..., np.arange(n), np.arange(n)] += np.exp(-2.0 * log_d)
-    return M, e * (b if b.imag.any() else b.real), log_d
+    w = e * (b if b.imag.any() else b.real)
+    return w[..., None] * np.stack([np.ones(n), 1j * k], axis=-1), M, log_d
 
 
-class TestScaledSystem:
-    """soliton._scaled_system: the contract shapes, C-contiguous, with the
-    bits of the point-major formula; its points-last core soliton._scaled_last
-    has the same bits with the points on the last axis."""
+class TestScaledPair:
+    """The soliton's operators: the bits of the point-major formula with the
+    points moved to the last axis; vessel.scaled hands them back in the
+    public shapes S + (...) with the same bits."""
 
     RNG = np.random.default_rng(5)
     POINTS = {
@@ -317,18 +334,16 @@ class TestScaledSystem:
     @pytest.mark.parametrize("points", list(POINTS), ids=list(POINTS))
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("phased", [False, True], ids=["real-b", "complex-b"])
-    def test_bitwise_equal_to_the_point_major_formula(self, points, n, phased):
+    def test_operators_are_the_formula_with_its_axes_moved(self, points, n, phased):
         spec = self._spec(n, phased)
-        x, t = self.POINTS[points]
-        S = np.broadcast_shapes(np.shape(x), np.shape(t))
-        got = soliton._scaled_system(spec, x, t)
-        for a, want, shape in zip(got, _point_major_scaled_system(spec, x, t),
-                                  (S + (n, n), S + (n,), S + (n,))):
+        x, t = (a.ravel() for a in np.broadcast_arrays(*map(np.asarray, self.POINTS[points])))
+        got = kv.build_soliton(spec).operators(x, t)
+        for a, want, shape in zip(got, _point_major_pair(spec, x, t),
+                                  ((n, 2, x.size), (n, n, x.size), (n, x.size))):
             assert a.shape == shape and a.dtype == want.dtype
-            assert a.flags.c_contiguous
-            assert a.tobytes() == want.tobytes()
-        assert np.iscomplexobj(got[0]) == (phased and n > 1)  # relative phases only
-        assert np.isfinite(got[0]).all()
+            assert a.tobytes() == np.moveaxis(want, 0, -1).tobytes()
+        assert np.iscomplexobj(got[1]) == (phased and n > 1)  # relative phases only
+        assert np.isfinite(got[0]).all() and np.isfinite(got[1]).all()
         if points == "past the float range":
             phi = np.multiply.outer(x, spec.k) + np.multiply.outer(t, spec.k**3)
             assert phi.min() < -745.0 and phi.max() > 745.0
@@ -336,14 +351,15 @@ class TestScaledSystem:
     @pytest.mark.parametrize("points", list(POINTS), ids=list(POINTS))
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("phased", [False, True], ids=["real-b", "complex-b"])
-    def test_points_last_core_is_the_formula_with_its_axes_moved(self, points, n, phased):
+    def test_scaled_has_the_public_shapes_and_the_same_bits(self, points, n, phased):
         spec = self._spec(n, phased)
-        x, t = (a.ravel() for a in np.broadcast_arrays(*map(np.asarray, self.POINTS[points])))
-        got = soliton._scaled_last(spec, soliton._gram(spec), x, t)
-        for a, want, shape in zip(got, _point_major_scaled_system(spec, x, t),
-                                  ((n, n, x.size), (n, x.size), (n, x.size))):
+        x, t = self.POINTS[points]
+        S = np.broadcast_shapes(np.shape(x), np.shape(t))
+        got = kv.build_soliton(spec).scaled(x, t)
+        for a, want, shape in zip(got, _point_major_pair(spec, x, t),
+                                  (S + (n, 2), S + (n, n), S + (n,))):
             assert a.shape == shape and a.dtype == want.dtype
-            assert a.tobytes() == np.moveaxis(want, 0, -1).tobytes()
+            assert np.ascontiguousarray(a).tobytes() == want.tobytes()
 
     @staticmethod
     def _spec(n, phased):
@@ -430,7 +446,9 @@ class TestSingularPoints:
     def _spec(cfg):
         return kv.SolitonSpec(k=cfg["k"], b=cfg["b_abs"])
 
-    def test_the_point(self, close_soliton):
+    @pytest.mark.parametrize("split", [core._ELIMINATION_N, 0], ids=["default", "lapack"])
+    def test_the_point(self, monkeypatch, close_soliton, split):
+        monkeypatch.setattr(core, "_ELIMINATION_N", split)
         spec = self._spec(close_soliton)
         vessel = kv.build_soliton(spec)
         for call in (lambda: kv.q_soliton(spec, *self.POINT),

@@ -310,7 +310,7 @@ class TestGLResidual:
 
         def operators(x, t):
             B, M, log_d = base.operators(x, t)
-            return np.exp(0.3j * np.asarray(x, dtype=float))[..., None, None] * B, M, log_d
+            return np.exp(0.3j * x) * B, M, log_d
 
         vessel = dataclasses.replace(base, operators=operators)
         with pytest.raises(kv.NumericalConsistencyError,
