@@ -57,15 +57,20 @@ class Lattice:
     wavenumbers.  The kept ordered pairs are three read-only flat int arrays
     of storage positions: pair j sends (``pair_a[j]``, ``pair_b[j]``) to
     ``pair_out[j]``.  They run output-major, and within one output in
-    lexicographic order of a; the partner label is b = m_out - a, kept when
-    b != 0 and |b| <= M.  ``pair_kk`` = k_a k_b is the per-pair product of
-    the right-hand side.  Its frequencies 6 k_a k_b k_out repeat across
-    pairs (at M = 48 the 6,768 pairs have 1,042 distinct values for
-    k0 = 1, about 2,000 for other k0), so the lattice keeps a table:
-    ``omega`` holds the sorted distinct values and ``pair_omega_index[j]``
-    the position of pair j's frequency in it.  ``omega[pair_omega_index]``
-    is bitwise 6.0 * k_a * k_b * k_out multiplied left to right.  Both
-    products are formed once per lattice.
+    lexicographic order of a; the partner label b = m_out - a is kept when
+    b != 0 and |b| <= M.  Storage order is symmetric, so the reversed pair
+    list is the mirrored one: pair P-1-j is pair j with every label negated.
+    ``pair_kk`` = k_a k_b is the per-pair product of the right-hand side
+    and ``rhs_scale`` = -1.5 k_N^2 its per-output factor.  The frequencies
+    6 k_a k_b k_out repeat across pairs and, by the mirror, come in
+    opposite pairs, so the lattice keeps a table of their magnitudes:
+    ``omega`` holds the sorted distinct |6 k_a k_b k_out| (at M = 48, 1,002
+    values for k0 = 1.041 and 521 for k0 = 1, against 6,768 pairs) and
+    ``pair_omega_index[j]`` the position of pair j's in it.
+    ``omega[pair_omega_index]`` is bitwise |6.0 * k_a * k_b * k_out|
+    multiplied left to right.  The table is sorted from the first half of
+    the pairs and mirrored onto the second.  Every product is formed once
+    per lattice.
     """
 
     k0: float
@@ -78,6 +83,7 @@ class Lattice:
     pair_kk: np.ndarray = field(init=False, compare=False)
     omega: np.ndarray = field(init=False, compare=False)
     pair_omega_index: np.ndarray = field(init=False, compare=False)
+    rhs_scale: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
         if self.k0 <= 0 or not isinstance(self.M, (int, np.integer)) or self.M < 1:
@@ -89,10 +95,13 @@ class Lattice:
         kept = (partner != 0) & (np.abs(partner) <= M)
         out, a = np.nonzero(kept)
         b = _position(partner[kept], M)
-        omega, omega_index = np.unique(6.0 * k[a] * k[b] * k[out], return_inverse=True)
+        half = slice(out.size // 2)  # pair P-1-j mirrors pair j: same |frequency|
+        omega, index = np.unique(np.abs(6.0 * k[a[half]] * k[b[half]] * k[out[half]]),
+                                 return_inverse=True)
         arrays = {"indices": idx, "members": k, "pair_out": out, "pair_a": a,
                   "pair_b": b, "pair_kk": k[a] * k[b], "omega": omega,
-                  "pair_omega_index": omega_index}
+                  "pair_omega_index": np.concatenate([index, index[::-1]]),
+                  "rhs_scale": -1.5 * k**2}
         for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -136,27 +145,41 @@ def _check_p(lattice: Lattice, p) -> np.ndarray:
     return p
 
 
+def _cosines(lattice: Lattice, t: float) -> np.ndarray:
+    """cos(6 k_a k_b k_out t) per pair, one cosine per distinct |frequency|.
+
+    (-w) t is -(w t) exactly and np.cos is even bit for bit, so each
+    gathered value is np.cos of the pair's signed argument.
+    """
+    return np.cos(lattice.omega * t)[lattice.pair_omega_index]
+
+
+def _pair_sum(lattice: Lattice, p: np.ndarray, cos: np.ndarray) -> np.ndarray:
+    """dp_N/dt at p from the per-pair cosines of :func:`_cosines`.
+
+    Every kept pair's term p_a p_b / (k_a k_b) cos is formed in one
+    vectorized expression and accumulated by ``np.add.at``, which adds
+    unbuffered in index order from 0.0, so each output sums its pairs in
+    lexicographic order, one at a time.
+    """
+    term = p[lattice.pair_a] * p[lattice.pair_b] / lattice.pair_kk * cos
+    acc = np.zeros(lattice.size)
+    np.add.at(acc, lattice.pair_out, term)
+    return lattice.rhs_scale * acc
+
+
 def dbnt_rhs(lattice: Lattice, p, t: float) -> np.ndarray:
     """dp_N/dt from the ordered-pair interaction sum; truncation-dropped
     pairs contribute nothing.
 
-    The cosine is taken once per distinct frequency (``lattice.omega``) and
-    gathered per pair; every pair's frequency is bitwise the one the plain
-    loop forms, so each pair still gets the cosine of the same float
-    argument.  Every kept pair's term p_a p_b / (k_a k_b) cos(6 k_a k_b k_N t)
-    is formed in one vectorized expression and accumulated by ``np.add.at``,
-    which adds unbuffered in index order from 0.0.  Each output therefore
-    sums its pairs in lexicographic order, one at a time, and the result is
-    bitwise that of the plain per-pair loop
+    One stage of the integrator's kernel: the cosines come from the
+    lattice's |frequency| table (:func:`_cosines`), each bitwise the
+    cosine of the argument the plain loop forms, and the pair sum
+    (:func:`_pair_sum`) adds each output's terms in lexicographic order.
+    The result is bitwise that of the plain per-pair loop
     (``coefficient_evolution.rhs_vs_bruteforce``).
     """
-    p = _check_p(lattice, p)
-    cos = np.cos(lattice.omega * t)
-    term = p[lattice.pair_a] * p[lattice.pair_b] / lattice.pair_kk * cos[
-        lattice.pair_omega_index]
-    acc = np.zeros(lattice.size)
-    np.add.at(acc, lattice.pair_out, term)
-    return -1.5 * lattice.members**2 * acc
+    return _pair_sum(lattice, _check_p(lattice, p), _cosines(lattice, t))
 
 
 @dataclass(frozen=True)
@@ -185,9 +208,15 @@ def integrate_b(
     1e-12), nonnegativity (breakdown below -1e-12), and the
     instantaneous conservation residual |sum_N (dp_N/dt) / k_N^2| against
     ``conservation_tol`` (see the module docstring for why the residual
-    grows on truncated lattices).  The right-hand side the monitor
-    evaluates at a sample is the next step's first stage, so a step costs
-    four right-hand sides.
+    grows on truncated lattices).  p and the grid are checked once, and
+    the stages call :func:`dbnt_rhs`'s kernel directly: the right-hand side
+    the monitor evaluates at a sample is the next step's first stage, so a
+    step takes four pair sums and two cosine tables, one at t0 + h/2 for
+    stages 2 and 3 and one at t0 + h for stage 4 and the next sample's
+    monitor.  Where t0 + h rounds apart from the sample time the monitor
+    takes its own table; on the CLI's ``linspace`` grid from 0 every h is
+    exact and the table is shared.  The trajectory is bitwise classical
+    RK4 over :func:`dbnt_rhs`.
     """
     p = _check_p(lattice, p0)
     t_grid = np.asarray(t_grid, dtype=float)
@@ -198,11 +227,12 @@ def integrate_b(
     mirror = lattice.mirror_permutation()
     if np.max(np.abs(p - p[mirror])) > 1e-12:
         raise InvalidSpecError("initial data must be lattice-symmetric (p_N = p_-N)")
+    ksq = lattice.members**2
 
-    def monitors(pv, tv):
+    def monitors(pv, tv, cos):
         """(dp/dt, conservation residual) at an accepted sample."""
-        rhs = dbnt_rhs(lattice, pv, tv)
-        res = abs(float(np.sum(rhs / lattice.members**2)))
+        rhs = _pair_sum(lattice, pv, cos)
+        res = abs(float(np.sum(rhs / ksq)))
         if res > conservation_tol:
             raise ConservationError(tv, res, conservation_tol)
         sym = float(np.max(np.abs(pv - pv[mirror])))
@@ -218,14 +248,17 @@ def integrate_b(
     samples = np.empty((t_grid.size, lattice.size))
     cons = np.empty(t_grid.size)
     samples[0] = p
-    k1, cons[0] = monitors(p, t_grid[0])
+    k1, cons[0] = monitors(p, t_grid[0], _cosines(lattice, t_grid[0]))
     for i in range(1, t_grid.size):
         t0, h = t_grid[i - 1], t_grid[i] - t_grid[i - 1]
-        k2 = dbnt_rhs(lattice, p + 0.5 * h * k1, t0 + 0.5 * h)
-        k3 = dbnt_rhs(lattice, p + 0.5 * h * k2, t0 + 0.5 * h)
-        k4 = dbnt_rhs(lattice, p + h * k3, t0 + h)
+        mid = _cosines(lattice, t0 + 0.5 * h)
+        k2 = _pair_sum(lattice, p + 0.5 * h * k1, mid)
+        k3 = _pair_sum(lattice, p + 0.5 * h * k2, mid)
+        end = _cosines(lattice, t0 + h)
+        k4 = _pair_sum(lattice, p + h * k3, end)
         p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         samples[i] = p
-        k1, cons[i] = monitors(p, t_grid[i])
+        if t0 + h != t_grid[i]:
+            end = _cosines(lattice, t_grid[i])
+        k1, cons[i] = monitors(p, t_grid[i], end)
     return BTrajectory(times=t_grid.copy(), p=samples, conservation=cons)
-

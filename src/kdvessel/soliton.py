@@ -183,11 +183,16 @@ def _scaled_last(spec: SolitonSpec, G, x, t):
 
 def _re_dot(a, b):
     """Re sum_i conj(a_i) b_i over the generator axis (first) of points-last
-    arrays, from real products, so the values do not depend on the stack size."""
+    arrays, from real products added one generator row at a time, so the
+    values do not depend on the stack size (numpy's own sum switches to
+    pairwise summation on a one-point stack)."""
     p = a.real * b.real
     if np.iscomplexobj(a) and np.iscomplexobj(b):
         p += a.imag * b.imag
-    return p.sum(axis=0)
+    total = p[0]
+    for row in p[1:]:
+        total = total + row
+    return total
 
 
 def q_soliton(spec: SolitonSpec, x, t):

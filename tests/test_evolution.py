@@ -71,19 +71,42 @@ class TestLattice:
         for arr in (lat.indices, lat.members, lat.pair_out, lat.pair_a, lat.pair_b):
             assert not arr.flags.writeable
 
+    @pytest.mark.parametrize("M", [1, 2, 5, 16, 48])
+    def test_reversed_pairs_are_the_mirrored_pairs(self, M):
+        # pair P-1-j is pair j with every label negated, so its frequency is
+        # bitwise the negated one: the |omega| table needs only half the pairs
+        lat = kv.make_lattice(1.041, M)
+        mirror = lat.mirror_permutation()
+        for arr in (lat.pair_out, lat.pair_a, lat.pair_b):
+            assert np.array_equal(mirror[arr][::-1], arr)
+        k = lat.members
+        omega = 6.0 * k[lat.pair_a] * k[lat.pair_b] * k[lat.pair_out]
+        assert (-omega[::-1]).tobytes() == omega.tobytes()
+
     @pytest.mark.parametrize("M", [1, 2, 24, 48])
     def test_frequency_table_gives_every_pair_its_frequency(self, M):
         lat = kv.make_lattice(0.93, M)
         k = lat.members
         omega = 6.0 * k[lat.pair_a] * k[lat.pair_b] * k[lat.pair_out]
-        assert lat.omega[lat.pair_omega_index].tobytes() == omega.tobytes()
+        assert lat.omega[lat.pair_omega_index].tobytes() == np.abs(omega).tobytes()
         assert np.all(np.diff(lat.omega) > 0)  # sorted and distinct
+        assert np.all(lat.omega > 0)
         if M == 1:
             assert lat.omega.size == 0 and lat.pair_omega_index.size == 0
         else:
             assert 0 < lat.omega.size < lat.kept_pairs
         for arr in (lat.omega, lat.pair_omega_index):
             assert not arr.flags.writeable
+
+    @pytest.mark.parametrize("M", [24, 48])
+    def test_gathered_cosine_is_the_signed_cosine(self, M):
+        # cos is even bit for bit, so the |omega| table loses nothing
+        lat = kv.make_lattice(1.041, M)
+        k = lat.members
+        omega = 6.0 * k[lat.pair_a] * k[lat.pair_b] * k[lat.pair_out]
+        for t in (0.0, 1e-3, -0.37, 0.5, 1.0, -2.9, 2.99, 3.01, -3.0):
+            assert (kv.evolution._cosines(lat, t).tobytes()
+                    == np.cos(omega * t).tobytes())
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(kv.InvalidSpecError):
@@ -182,27 +205,30 @@ class TestIntegrateB:
         mirror = lat.mirror_permutation()
         assert np.max(np.abs(traj.p - traj.p[:, mirror])) < 1e-12
 
-    def test_one_rhs_per_stage(self, monkeypatch):
-        # the monitor's dp/dt at a sample is the next step's first stage:
-        # 4 right-hand sides per step plus the one at t = 0
-        lat = kv.make_lattice(1.0, 3)
-        half = np.array([0.8, 1.1, 0.5])
-        p0 = np.concatenate([half[::-1], half])
-        t_grid = np.linspace(0.0, 0.3, 11)
-        calls = []
-        rhs = kv.evolution.dbnt_rhs
+    @staticmethod
+    def _counted_kernel(monkeypatch):
+        """Record the times of the cosine tables and count the pair sums."""
+        tables, sums = [], []
+        cosines, pair_sum = kv.evolution._cosines, kv.evolution._pair_sum
 
-        def counted(lattice, p, t):
-            calls.append(t)
-            return rhs(lattice, p, t)
+        def counted_cosines(lattice, t):
+            tables.append(t)
+            return cosines(lattice, t)
 
-        monkeypatch.setattr(kv.evolution, "dbnt_rhs", counted)
-        traj = kv.integrate_b(lat, p0, t_grid, conservation_tol=np.inf)
-        assert len(calls) == 4 * 10 + 1
+        def counted_pair_sum(lattice, p, cos):
+            sums.append(1)
+            return pair_sum(lattice, p, cos)
 
-        # bit-equal to classical RK4 written out over dbnt_rhs
+        monkeypatch.setattr(kv.evolution, "_cosines", counted_cosines)
+        monkeypatch.setattr(kv.evolution, "_pair_sum", counted_pair_sum)
+        return tables, sums
+
+    @staticmethod
+    def _assert_rk4_over_dbnt_rhs(lat, p0, t_grid, traj):
+        """Bit-equal to classical RK4 written out over dbnt_rhs."""
+        rhs = kv.dbnt_rhs
         p = p0.copy()
-        for i in range(10):
+        for i in range(t_grid.size - 1):
             t0, h = t_grid[i], t_grid[i + 1] - t_grid[i]
             k1 = rhs(lat, p, t0)
             k2 = rhs(lat, p + 0.5 * h * k1, t0 + 0.5 * h)
@@ -212,6 +238,41 @@ class TestIntegrateB:
             assert np.array_equal(traj.p[i + 1], p)
             dp = rhs(lat, p, t_grid[i + 1])
             assert traj.conservation[i + 1] == abs(float(np.sum(dp / lat.members**2)))
+
+    def test_one_rhs_per_stage(self, monkeypatch):
+        # the monitor's dp/dt at a sample is the next step's first stage, and
+        # stages 2-3 and stage 4 with the next monitor share their times:
+        # 4 pair sums and 2 cosine tables per step, plus one of each at t = 0
+        lat = kv.make_lattice(1.0, 3)
+        half = np.array([0.8, 1.1, 0.5])
+        p0 = np.concatenate([half[::-1], half])
+        t_grid = np.linspace(0.0, 0.3, 11)
+        tables, sums = self._counted_kernel(monkeypatch)
+        traj = kv.integrate_b(lat, p0, t_grid, conservation_tol=np.inf)
+        assert len(tables) == 2 * 10 + 1
+        assert len(sums) == 4 * 10 + 1
+        self._assert_rk4_over_dbnt_rhs(lat, p0, t_grid, traj)
+
+    def test_sample_off_the_last_stage_time_takes_its_own_table(self, monkeypatch):
+        # t0 + h = -1.0 + 1.0 = 0.0 rounds apart from t1 = 1e-20, so the
+        # monitor at t1 takes its own table; the next step's t0 + h is 0.5
+        lat = kv.make_lattice(1.0, 3)
+        half = np.array([0.8, 1.1, 0.5]) * 1e-2  # small enough for h = 1
+        p0 = np.concatenate([half[::-1], half])
+        t_grid = np.array([-1.0, 1e-20, 0.5])
+        tables, sums = self._counted_kernel(monkeypatch)
+        traj = kv.integrate_b(lat, p0, t_grid, conservation_tol=np.inf)
+        assert tables == [-1.0, -0.5, 0.0, 1e-20, 0.25, 0.5]
+        assert len(sums) == 4 * 2 + 1
+        self._assert_rk4_over_dbnt_rhs(lat, p0, t_grid, traj)
+
+    def test_two_cosine_tables_of_1002_values_per_step_at_M48(self, monkeypatch):
+        lat = kv.make_lattice(1.041, 48)
+        assert lat.omega.size == 1002 and lat.kept_pairs == 6768
+        tables, _ = self._counted_kernel(monkeypatch)
+        p0 = np.full(lat.size, 1e-3)
+        kv.integrate_b(lat, p0, np.linspace(0.0, 0.01, 4), conservation_tol=np.inf)
+        assert len(tables) == 2 * 3 + 1
 
     @pytest.mark.parametrize("M", [8, 24])
     def test_evolve_csv_matches_golden(self, tmp_path, M):

@@ -406,6 +406,19 @@ class TestStacks:
             assert stacked.shape == X.shape
             assert stacked.tobytes() == one.tobytes()
 
+    @pytest.mark.parametrize("n", [8, 12])
+    @pytest.mark.parametrize("phased", [False, True], ids=["real", "phases"])
+    def test_q_above_n_3_does_not_depend_on_the_stack_size(self, n, phased):
+        # a one-point stack has the generator axis as its only axis, where
+        # numpy's own sum would switch to pairwise summation
+        rng = np.random.default_rng(40 + n)
+        b = rng.uniform(0.5, 2.0, n) * (np.exp(1j * rng.uniform(0.0, 6.0, n)) if phased else 1)
+        spec = kv.SolitonSpec(k=np.linspace(0.5, 1.6, n), b=b)
+        x, t = rng.uniform(-4.0, 4.0, 40), rng.uniform(-0.3, 0.3, 40)
+        stacked = kv.q_soliton(spec, x, t)
+        single = [kv.q_soliton(spec, xi, ti) for xi, ti in zip(x, t)]
+        assert np.array(single).tobytes() == stacked.tobytes()
+
     def test_scalar_points_give_floats(self, monkeypatch):
         monkeypatch.setattr(core, "_CHUNK_ENTRIES", 1)
         q, logabs, sign = self._values(self.SPEC, self.VESSEL, 0.3, 0.1)[:3]
