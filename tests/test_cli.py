@@ -471,6 +471,22 @@ class TestEvolve:
         assert lines[0] == "t,p[-2],p[-1],p[1],p[2],conservation"
         assert len(lines) == 1 + 101
 
+    def test_overflowing_flow_is_numerical_failure(self, tmp_path, capsys):
+        # p0 = 1e200 overflows every pair product at t = 0, to infinities of
+        # both signs, so the residual is NaN: one line naming the sample, no
+        # file and no RuntimeWarning (an error under the test settings),
+        # with the conservation gate off
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "evolution": {"M": 4, "p0": [1e200] * 8, "t_end": 0.1, "steps": 10,
+                          "conservation_tol": "inf"},
+        }))
+        out = tmp_path / "traj.csv"
+        assert run(["evolve", "--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: conservation residual is nan at t=0.0\n")
+        assert not out.exists()
+
 
 class TestCheckCommands:
     def test_transfer_command(self, tmp_path):

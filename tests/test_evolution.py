@@ -23,7 +23,9 @@ def brute_rhs(lattice, p, t):
                 if ma + mb == mN:
                     ka, kb = kval[ma], kval[mb]
                     acc += p[pos[ma]] * p[pos[mb]] / (ka * kb) * np.cos(6.0 * ka * kb * kN * t)
-        out[j] = -1.5 * kN**2 * acc
+        # k_N^2 as one rounded product: Python's ** goes through libm pow,
+        # which is 1 ulp off at some k (k = -55.05854127375746)
+        out[j] = -1.5 * (kN * kN) * acc
     return out
 
 
@@ -104,9 +106,32 @@ class TestLattice:
         lat = kv.make_lattice(1.041, M)
         k = lat.members
         omega = 6.0 * k[lat.pair_a] * k[lat.pair_b] * k[lat.pair_out]
+        cells = (lat.indices[lat.pair_a] + M, lat.indices[lat.pair_out] + M)
         for t in (0.0, 1e-3, -0.37, 0.5, 1.0, -2.9, 2.99, 3.01, -3.0):
-            assert (kv.evolution._cosines(lat, t).tobytes()
-                    == np.cos(omega * t).tobytes())
+            grid = kv.evolution._cosine_grid(lat, t)
+            assert grid.shape == (2 * M + 1, 2 * M + 1)
+            assert grid[cells].tobytes() == np.cos(omega * t).tobytes()
+
+    @pytest.mark.parametrize("M", [1, 2, 5, 48])
+    def test_line_grid_holds_the_kept_pairs(self, M):
+        # row a, column N of the (2M + 1)^2 grid on the labels -M..M
+        lat = kv.make_lattice(1.041, M)
+        k = lat.members
+        assert np.array_equal(lat.line_position, lat.indices + M)
+        cells = (lat.indices[lat.pair_a] + M, lat.indices[lat.pair_out] + M)
+        pad = np.ones((2 * M + 1, 2 * M + 1), dtype=bool)
+        pad[cells] = False
+        assert np.count_nonzero(~pad) == lat.kept_pairs
+        assert lat.cell_kk[cells].tobytes() == (k[lat.pair_a] * k[lat.pair_b]).tobytes()
+        assert np.all(lat.cell_kk[pad] == 1.0)
+        assert np.array_equal(lat.cell_omega_index[cells], lat.pair_omega_index)
+        assert np.all(lat.cell_omega_index[pad] == 0)
+        assert lat.line_scale[lat.line_position].tobytes() == (-1.5 * k**2).tobytes()
+        tables = (lat.line_position, lat.cell_kk, lat.cell_omega_index, lat.line_scale)
+        for arr in tables:
+            assert not arr.flags.writeable
+        if M == 48:
+            assert sum(arr.nbytes for arr in tables) < 0.3e6
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(kv.InvalidSpecError):
@@ -142,14 +167,19 @@ class TestDbntRhs:
                 t = 0.0 if trial == 0 else rng.uniform(0, 1)
                 assert np.array_equal(kv.dbnt_rhs(lat, p, t), brute_rhs(lat, p, t))
 
-    @pytest.mark.parametrize("M", [1, 16, 24])
+    @pytest.mark.parametrize("M", [1, 2, 5, 16, 24, 48])
     def test_bitwise_vs_brute_force_random(self, M):
-        # M = 1 keeps no pair: every entry is -1.5 k^2 * 0.0 = -0.0
+        # M = 1 keeps no pair: every entry is -1.5 k^2 * 0.0 = -0.0.  The
+        # last draws put exact zeros in p at t < 0, so that some columns
+        # open on a -0.0 term: the sum must still start from +0.0.
         rng = np.random.default_rng(100 + M)
-        for _ in range(6):
+        for draw in range(10):
             lat = kv.make_lattice(rng.uniform(0.1, 3.0), M)
             p = 10.0 ** rng.uniform(-4.0, 1.0, size=lat.size)
             t = rng.uniform(-3.0, 3.0)
+            if draw >= 6:
+                p[rng.random(lat.size) < 0.5] = 0.0
+                t = -abs(t)
             rhs = kv.dbnt_rhs(lat, p, t)
             assert rhs.tobytes() == brute_rhs(lat, p, t).tobytes()
             if M == 1:
@@ -207,20 +237,20 @@ class TestIntegrateB:
 
     @staticmethod
     def _counted_kernel(monkeypatch):
-        """Record the times of the cosine tables and count the pair sums."""
+        """Record the times of the cosine grids and count the line sums."""
         tables, sums = [], []
-        cosines, pair_sum = kv.evolution._cosines, kv.evolution._pair_sum
+        cosine_grid, line_rhs = kv.evolution._cosine_grid, kv.evolution._line_rhs
 
-        def counted_cosines(lattice, t):
+        def counted_cosine_grid(lattice, t):
             tables.append(t)
-            return cosines(lattice, t)
+            return cosine_grid(lattice, t)
 
-        def counted_pair_sum(lattice, p, cos):
+        def counted_line_rhs(lattice, *args):
             sums.append(1)
-            return pair_sum(lattice, p, cos)
+            return line_rhs(lattice, *args)
 
-        monkeypatch.setattr(kv.evolution, "_cosines", counted_cosines)
-        monkeypatch.setattr(kv.evolution, "_pair_sum", counted_pair_sum)
+        monkeypatch.setattr(kv.evolution, "_cosine_grid", counted_cosine_grid)
+        monkeypatch.setattr(kv.evolution, "_line_rhs", counted_line_rhs)
         return tables, sums
 
     @staticmethod
@@ -242,7 +272,7 @@ class TestIntegrateB:
     def test_one_rhs_per_stage(self, monkeypatch):
         # the monitor's dp/dt at a sample is the next step's first stage, and
         # stages 2-3 and stage 4 with the next monitor share their times:
-        # 4 pair sums and 2 cosine tables per step, plus one of each at t = 0
+        # 4 line sums and 2 cosine grids per step, plus one of each at t = 0
         lat = kv.make_lattice(1.0, 3)
         half = np.array([0.8, 1.1, 0.5])
         p0 = np.concatenate([half[::-1], half])
@@ -255,7 +285,7 @@ class TestIntegrateB:
 
     def test_sample_off_the_last_stage_time_takes_its_own_table(self, monkeypatch):
         # t0 + h = -1.0 + 1.0 = 0.0 rounds apart from t1 = 1e-20, so the
-        # monitor at t1 takes its own table; the next step's t0 + h is 0.5
+        # monitor at t1 takes its own grid; the next step's t0 + h is 0.5
         lat = kv.make_lattice(1.0, 3)
         half = np.array([0.8, 1.1, 0.5]) * 1e-2  # small enough for h = 1
         p0 = np.concatenate([half[::-1], half])
@@ -269,10 +299,11 @@ class TestIntegrateB:
     def test_two_cosine_tables_of_1002_values_per_step_at_M48(self, monkeypatch):
         lat = kv.make_lattice(1.041, 48)
         assert lat.omega.size == 1002 and lat.kept_pairs == 6768
-        tables, _ = self._counted_kernel(monkeypatch)
+        tables, sums = self._counted_kernel(monkeypatch)
         p0 = np.full(lat.size, 1e-3)
         kv.integrate_b(lat, p0, np.linspace(0.0, 0.01, 4), conservation_tol=np.inf)
         assert len(tables) == 2 * 3 + 1
+        assert len(sums) == 4 * 3 + 1
 
     @pytest.mark.parametrize("M", [8, 24])
     def test_evolve_csv_matches_golden(self, tmp_path, M):
@@ -291,4 +322,33 @@ class TestIntegrateB:
             kv.integrate_b(lat, np.array([1.0, 0.5, 1.0, 1.0]), np.linspace(0, 1, 5))
         with pytest.raises(kv.InvalidSpecError):
             kv.integrate_b(lat, np.ones(4), np.array([0.0]))
+        for value in (np.nan, np.inf):  # NaN passes every other comparison here
+            with pytest.raises(kv.InvalidSpecError, match="finite"):
+                kv.integrate_b(lat, [value] * 4, np.linspace(0, 1, 5), conservation_tol=np.inf)
+
+    def test_zero_sum_column_leaves_p0_at_zero(self):
+        # the grid's column N = 0 holds the dropped pairs (a, -a): here
+        # p_4 p_-4 overflows while every kept product stays finite, and the
+        # trajectory must not see it (dbnt_rhs forms that column too, hence
+        # its warnings)
+        lat = kv.make_lattice(1.0, 4)
+        p0 = np.full(lat.size, 1e-3)
+        p0[[0, -1]] = 1e155
+        t_grid = np.array([0.0, 1e-160, 2e-160])
+        traj = kv.integrate_b(lat, p0, t_grid, conservation_tol=np.inf)
+        assert np.isfinite(traj.p).all() and np.isfinite(traj.conservation).all()
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._assert_rk4_over_dbnt_rhs(lat, p0, t_grid, traj)
+
+    @pytest.mark.parametrize("p, t_fail", [(1e200, 0.0), (1e150, 0.01)])
+    def test_overflowing_flow_fails_at_its_first_non_finite_sample(self, p, t_fail):
+        # p = 1e200 overflows the products at t = 0; p = 1e150 gives a finite
+        # first sample whose step overflows.  Either way the run stops at
+        # that sample, with no RuntimeWarning (an error under the test
+        # settings) and whatever the conservation gate
+        lat = kv.make_lattice(1.0, 4)
+        for tol in (np.inf, 1e-9):
+            with pytest.raises(kv.NumericalConsistencyError, match=f"at t={t_fail}$"):
+                kv.integrate_b(lat, np.full(lat.size, p), np.linspace(0.0, 0.1, 11),
+                               conservation_tol=tol)
 
